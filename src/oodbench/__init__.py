@@ -2,66 +2,3 @@
 objectives on linear structural-equation-model tasks."""
 
 __version__ = "0.1.0"
-
-from .numeric_core import (  # noqa: F401
-    DivergenceError,
-    ParameterError,
-    Pmf,
-    RngStream,
-    Trajectory,
-    lambert_w0,
-    random_orthogonal,
-    rk4_integrate,
-)
-from .objectives import (  # noqa: F401
-    LinearModel,
-    ObjectiveConfig,
-    irmv1_penalty,
-    objective_and_gradient,
-    predict,
-    risk,
-    variance_penalty,
-)
-from .sem_generators import (  # noqa: F401
-    EnvDataset,
-    EnvParams,
-    FixedWeights,
-    GeneratorSpec,
-    env_params,
-    gen_2d,
-    gen_binary_xor,
-    gen_example1,
-    gen_example2,
-    gen_example3,
-    generate_env,
-    generate_training_envs,
-    inv_margin,
-    make_test_env,
-    oracle_permute,
-)
-from .trainer import (  # noqa: F401
-    METHODS,
-    TrainConfig,
-    TrainResult,
-    evaluate,
-    random_search,
-    spurious_ratio,
-    train_gd,
-)
-from .dynamics import (  # noqa: F401
-    FlowSpec,
-    FlowTrajectory,
-    equilibrium_x,
-    flow_rhs,
-    simulate_flow,
-    theorem5_report,
-)
-from .entropy_lab import (  # noqa: F401
-    LabeledMixture,
-    conditional_entropy_gap,
-    gaussian_entropy_bound,
-    mixture_pmf,
-    pmf_convolve,
-    pmf_entropy,
-    sum_entropy_gap,
-)

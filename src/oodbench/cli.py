@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .numeric_core import DivergenceError, ParameterError, Pmf, RngStream
-from .sem_generators import (GeneratorSpec, default_test_envs, env_params,
-                             draw_fixed_weights, generate_env)
+from .sem_generators import (GeneratorSpec, env_params, draw_fixed_weights,
+                             generate_env)
 from .trainer import METHODS, TrainConfig, random_search
 from .dynamics import theorem5_report
 from .entropy_lab import (LabeledMixture, conditional_entropy_gap,
@@ -36,6 +36,11 @@ EXAMPLE_CHOICES = ("ex1", "ex1s", "ex2", "ex2s", "ex3", "ex3s", "twod", "xor")
 # Trajectory CSVs keep at most this many rows per flow.
 TRAJECTORY_MAX_ROWS = 4000
 
+# Settings only a config file gives; unset (None) keeps the GeneratorSpec
+# or TrainConfig default.
+SPEC_KEYS = ("m", "o", "n_per_env", "xor_variant", "xor_q", "xor_a")
+TRAIN_KEYS = ("steps", "optimizer")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -45,11 +50,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec_from_args(args):
-    base = args.example.rstrip("s") if args.example.endswith("s") and \
-        args.example not in ("twod",) else args.example
-    scramble = args.example.endswith("s") and args.example != "twod"
+    base = args.example.rstrip("s")
+    scramble = base != args.example
     spec_kwargs = dict(example=base, n_envs=args.envs, scramble=scramble)
-    for key in ("m", "o", "n_per_env", "xor_variant", "xor_q", "xor_a"):
+    for key in SPEC_KEYS:
         if getattr(args, key, None) is not None:
             spec_kwargs[key] = getattr(args, key)
     if base == "xor" and "xor_variant" not in spec_kwargs:
@@ -59,7 +63,7 @@ def _spec_from_args(args):
 
 def _train_config(args):
     kwargs = {}
-    for key in ("steps", "optimizer"):
+    for key in TRAIN_KEYS:
         if getattr(args, key, None) is not None:
             kwargs[key] = getattr(args, key)
     return TrainConfig(**kwargs)
@@ -260,11 +264,13 @@ def build_parser():
         p.add_argument("--out", default="out")
         p.add_argument("--config", default=None)
 
+    spec_keys = dict.fromkeys(SPEC_KEYS)
+
     g = sub.add_parser("generate", help="write one CSV per environment")
     common(g)
     g.add_argument("--example", choices=EXAMPLE_CHOICES, default="ex2")
     g.add_argument("--envs", type=int, default=3)
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(func=cmd_generate, **spec_keys)
 
     s = sub.add_parser("sweep", help="random hyperparameter search")
     common(s)
@@ -273,7 +279,7 @@ def build_parser():
     s.add_argument("--queries", type=int, default=20)
     s.add_argument("--seeds", type=int, default=10)
     s.add_argument("--methods", default="erm,irm,iberm,ibirm")
-    s.set_defaults(func=cmd_sweep)
+    s.set_defaults(func=cmd_sweep, **spec_keys, **dict.fromkeys(TRAIN_KEYS))
 
     d = sub.add_parser("dynamics", help="verify the learning-speed bounds")
     common(d)
@@ -295,26 +301,37 @@ def build_parser():
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_report)
+    parser.commands = sub.choices
     return parser
 
 
-def _apply_config_file(args, parser):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
+def _apply_config_file(args, parser, argv):
+    """Parse ``argv`` again with the JSON config file's values as the
+    command's defaults, so flags given explicitly still win.  A key that
+    names no setting of the command is a usage error."""
+    command = parser.commands[args.command]
+    with open(args.config) as fh:
+        try:
             cfg = json.load(fh)
-        for key, value in cfg.items():
-            attr = key.replace("-", "_")
-            # flags given explicitly on the command line win
-            if f"--{key}" not in sys.argv and f"--{attr}" not in sys.argv:
-                setattr(args, attr, value)
-    return args
+        except json.JSONDecodeError as exc:
+            command.error(f"config file {args.config}: {exc}")
+    if not isinstance(cfg, dict):
+        command.error(f"config file {args.config} must hold a JSON object")
+    cfg = {key.replace("-", "_"): value for key, value in cfg.items()}
+    allowed = set(vars(args)) - {"command", "func", "config"}
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        command.error(f"config file {args.config}: unknown key(s) {', '.join(unknown)}")
+    command.set_defaults(**cfg)
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args, parser)
+        if getattr(args, "config", None):
+            args = _apply_config_file(args, parser, argv)
         return args.func(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK

@@ -10,7 +10,7 @@ fork the same labels in any order see identical samples.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,20 +132,6 @@ class RngStream:
         u = self._gen.random((n, 2))
         r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
         return r * np.cos(_TWO_PI * u[:, 1])
-
-
-def draw(rng, dist, *params):
-    """Scalar draw from a named distribution: gaussian(mean, std),
-    uniform(a, b), bernoulli(p), or categorical(probs)."""
-    kinds = {
-        "gaussian": rng.gaussian,
-        "uniform": rng.uniform,
-        "bernoulli": rng.bernoulli,
-        "categorical": rng.categorical,
-    }
-    if dist not in kinds:
-        raise ParameterError(f"unknown distribution {dist!r}")
-    return kinds[dist](*params)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Risks, the scalar-rescaling invariance penalty, the prediction-variance
 bottleneck penalty, and the combined penalized objective with exact
-analytic gradients for linear models.
+analytic gradients for a batch of linear models.
 
-The objective over training environments is
+The objective of one model over its training environments is
 
     sum_e [ R_e + lambda * P_e ] + n_envs * gamma * Var_pooled
 
@@ -23,10 +23,9 @@ from .numeric_core import ParameterError
 __all__ = [
     "LinearModel",
     "ObjectiveConfig",
+    "EnvStack",
     "predict",
     "risk",
-    "irmv1_penalty",
-    "variance_penalty",
     "objective_and_gradient",
 ]
 
@@ -47,17 +46,35 @@ class LinearModel:
 @dataclass
 class ObjectiveConfig:
     """loss kind plus penalty weights; (0, 0) is ERM, (lam>0, 0) is IRM,
-    (0, gamma>0) is IB-ERM, both positive is IB-IRM."""
+    (0, gamma>0) is IB-ERM, both positive is IB-IRM.  For a batch of
+    models ``lam`` and ``gamma`` are one weight per model, or one for all."""
 
     loss: str = "square"
-    lam: float = 0.0
-    gamma: float = 0.0
+    lam: float | np.ndarray = 0.0
+    gamma: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ParameterError(f"unknown loss {self.loss!r}")
-        if self.lam < 0 or self.gamma < 0:
+        if np.any(np.asarray(self.lam) < 0) or np.any(np.asarray(self.gamma) < 0):
             raise ParameterError("penalty weights must be >= 0")
+
+
+@dataclass
+class EnvStack:
+    """The training rows of a batch of Q models, one block per model.
+
+    ``X[q, e]`` (n, d) and ``Y[q, e]`` (n,) are model q's rows of
+    environment e; every environment has the same number of rows n.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+    task: str
+
+    def __post_init__(self):
+        if self.X.ndim != 4 or self.Y.shape != self.X.shape[:3]:
+            raise ParameterError("EnvStack needs X of shape (Q, E, n, d) and Y (Q, E, n)")
 
 
 def predict(model, X):
@@ -75,12 +92,13 @@ def _check_loss_task(loss, task):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # exp(-|z|)
+    s = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def _softplus(z):
@@ -104,93 +122,147 @@ def _risk_from_pred(yhat, y, loss):
     return float(np.mean(np.exp(-ys * yhat)))
 
 
-def irmv1_penalty(model, env, loss):
-    """Squared derivative of the environment risk with respect to a scalar
-    multiplier of the predictions, evaluated at 1."""
-    _check_loss_task(loss, env.task)
-    yhat = predict(model, env.X)
-    return _grad_wrt_scale(yhat, env.Y, loss) ** 2
+def _env_terms(X, yhat, y, loss, penalized):
+    """Risk terms of every (model, environment) pair, from (Q, E, n)
+    predictions and labels.
 
-
-def _grad_wrt_scale(yhat, y, loss):
-    if loss == "square":
-        return float(2.0 * np.mean((yhat - y) * yhat))
-    if loss == "logistic":
-        return float(np.mean((_sigmoid(yhat) - y) * yhat))
-    ys = 2.0 * y - 1.0
-    return float(np.mean(-ys * yhat * np.exp(-ys * yhat)))
-
-
-def variance_penalty(model, envs):
-    """Population variance of predictions pooled across environments."""
-    preds = [predict(model, env.X) for env in envs]
-    allp = np.concatenate(preds)
-    if allp.size == 0:
-        raise ParameterError("variance_penalty requires at least one sample")
-    return float(np.mean((allp - allp.mean()) ** 2))
-
-
-def _risk_grad(yhat, y, X, loss):
-    n = y.size
-    if loss == "square":
-        resid = 2.0 * (yhat - y) / n
-    elif loss == "logistic":
-        resid = (_sigmoid(yhat) - y) / n
-    else:
-        ys = 2.0 * y - 1.0
-        resid = -ys * np.exp(-ys * yhat) / n
-    return X.T @ resid, float(resid.sum())
-
-
-def _scale_grad_grad(yhat, y, X, loss):
-    """Gradient of g = dR(s*yhat)/ds|_{s=1} with respect to (w, b)."""
-    n = y.size
-    if loss == "square":
-        dg = 2.0 * (2.0 * yhat - y) / n
-    elif loss == "logistic":
-        s = _sigmoid(yhat)
-        dg = (s * (1.0 - s) * yhat + s - y) / n
-    else:
-        ys = 2.0 * y - 1.0
-        dg = np.exp(-ys * yhat) * (yhat - ys) / n
-    return X.T @ dg, float(dg.sum())
-
-
-def objective_and_gradient(model, envs, cfg):
-    """Penalized objective value and its exact gradient in (w, b).
-
-    Returns ``(value, grad)`` with ``grad`` a vector of length d+1 whose
-    last entry is the intercept derivative.
+    Returns the risks (Q, E), their gradients in w (Q, E, d) and in b
+    (Q, E), and, when ``penalized``, the scale derivative g (Q, E) with its
+    gradients in w and b (else None).  A mean is a row sum divided by n,
+    which is how ``np.mean`` computes it.  Row-sized buffers are reused in
+    place to keep a large batch's peak memory low; an in-place operation
+    gives the same bits as its out-of-place form.
     """
-    if not envs:
-        raise ParameterError("need at least one environment")
-    d = model.w.size
-    value = 0.0
-    grad_w = np.zeros(d)
-    grad_b = 0.0
-    preds = []
-    for env in envs:
-        _check_loss_task(cfg.loss, env.task)
-        yhat = predict(model, env.X)
-        preds.append(yhat)
-        value += _risk_from_pred(yhat, env.Y, cfg.loss)
-        gw, gb = _risk_grad(yhat, env.Y, env.X, cfg.loss)
-        grad_w += gw
-        grad_b += gb
-        if cfg.lam > 0:
-            g = _grad_wrt_scale(yhat, env.Y, cfg.loss)
-            value += cfg.lam * g * g
-            dgw, dgb = _scale_grad_grad(yhat, env.Y, env.X, cfg.loss)
-            grad_w += cfg.lam * 2.0 * g * dgw
-            grad_b += cfg.lam * 2.0 * g * dgb
-    if cfg.gamma > 0:
-        allp = np.concatenate(preds)
-        mu = allp.mean()
-        var = float(np.mean((allp - mu) ** 2))
-        n_envs = len(envs)
-        value += n_envs * cfg.gamma * var
-        centered = allp - mu
-        allx = np.vstack([env.X for env in envs])
-        grad_w += n_envs * cfg.gamma * (2.0 / allp.size) * (allx.T @ centered)
+    n = y.shape[-1]
+    g = pen_w = pen_b = None
+    if loss == "square":
+        r = yhat - y
+        risk = _row_sum(r ** 2) / n
+        if penalized:
+            g = 2.0 * (_row_sum(r * yhat) / n)
+        r *= 2.0
+        r /= n                        # 2 (yhat - y) / n
+        grad_w, grad_b = _matvec(X, r), _row_sum(r)
+        if penalized:
+            np.multiply(yhat, 2.0, out=r)
+            r -= y
+            r *= 2.0
+            r /= n                    # 2 (2 yhat - y) / n
+            pen_w, pen_b = _matvec(X, r), _row_sum(r)
+    elif loss == "logistic":
+        r = _softplus(yhat)
+        r -= y * yhat
+        risk = _row_sum(r) / n
+        s = _sigmoid(yhat)
+        np.subtract(s, y, out=r)
+        if penalized:
+            g = _row_sum(r * yhat) / n
+        r /= n                        # (s - y) / n
+        grad_w, grad_b = _matvec(X, r), _row_sum(r)
+        if penalized:
+            np.subtract(1.0, s, out=r)
+            r *= s
+            r *= yhat
+            r += s
+            r -= y
+            r /= n                    # (s (1 - s) yhat + s - y) / n
+            pen_w, pen_b = _matvec(X, r), _row_sum(r)
+    else:
+        ys = 2.0 * y - 1.0            # exponential loss uses labels in {-1, +1}
+        e = -ys * yhat
+        np.exp(e, out=e)
+        risk = _row_sum(e) / n
+        if penalized:
+            g = _row_sum(-ys * yhat * e) / n
+        r = -ys * e
+        r /= n
+        grad_w, grad_b = _matvec(X, r), _row_sum(r)
+        if penalized:
+            np.subtract(yhat, ys, out=r)
+            r *= e
+            r /= n                    # e (yhat - ys) / n
+            pen_w, pen_b = _matvec(X, r), _row_sum(r)
+    return risk, grad_w, grad_b, g, pen_w, pen_b
+
+
+def _row_sum(a):
+    """Sum over the contiguous last axis: pairwise, as for one model's row."""
+    return np.add.reduce(a, axis=-1)
+
+
+def _matvec(X, r):
+    """``X[i].T @ r[i]`` for every leading index i.  BLAS reads the
+    transposed view in the same order as one model's ``X.T``; a contiguous
+    copy of it would change the sums' bits."""
+    return np.matmul(X.swapaxes(-1, -2), r[..., None])[..., 0]
+
+
+def _add_where(acc, term, on):
+    """``acc + term`` for the models where ``on`` holds (all when ``on`` is
+    None); the rest keep ``acc``."""
+    if on is None:
+        return acc + term
+    return np.where(on.reshape((-1,) + (1,) * (acc.ndim - 1)), acc + term, acc)
+
+
+def _mask(on):
+    """None when every model of the batch is on, else the per-model mask."""
+    return None if on.all() else on
+
+
+def objective_and_gradient(theta, stack, cfg):
+    """Penalized objective values and their exact gradients in (w, b) for a
+    batch of Q linear models.
+
+    ``theta`` is (Q, d+1), weights then intercept; model q is scored on its
+    own rows of ``stack``, an :class:`EnvStack`, with penalty weights
+    ``cfg.lam[q]`` and ``cfg.gamma[q]`` (or one weight for all).  Returns
+    ``(values, grads)`` of shapes (Q,) and (Q, d+1).
+
+    Each model's result is bit-identical to scoring that model alone, one
+    environment after another: every per-model float operation, and the
+    order in which the terms are summed, is the same whatever the batch
+    holds.  A penalty whose weight is 0 is left out of the sum, not added
+    as 0.
+    """
+    _check_loss_task(cfg.loss, stack.task)
+    q, n_envs, n, d = stack.X.shape
+    lam = np.asarray(cfg.lam, dtype=float)
+    gamma = np.asarray(cfg.gamma, dtype=float)
+    irm, ib = lam > 0, gamma > 0
+    use_irm, use_ib = bool(irm.any()), bool(ib.any())
+    irm, ib = _mask(irm), _mask(ib)
+    yhat = np.matmul(stack.X, theta[:, None, :-1, None])[..., 0]
+    yhat += theta[:, -1:, None]
+    risk_qe, grad_w_qe, grad_b_qe, g, g_w, g_b = _env_terms(
+        stack.X, yhat, stack.Y, cfg.loss, use_irm)
+    if use_irm:
+        lam_q = lam.reshape(-1, 1)
+        pen = lam_q * g * g
+        coef = lam_q * 2.0 * g
+        pen_w = coef[..., None] * g_w
+        pen_b = coef * g_b
+    # Environment by environment, in the per-model order.
+    value = np.zeros(q)
+    grad_w = np.zeros((q, d))
+    grad_b = np.zeros(q)
+    for e in range(n_envs):
+        value += risk_qe[:, e]
+        grad_w += grad_w_qe[:, e]
+        grad_b += grad_b_qe[:, e]
+        if use_irm:
+            value = _add_where(value, pen[:, e], irm)
+            grad_w = _add_where(grad_w, pen_w[:, e], irm)
+            grad_b = _add_where(grad_b, pen_b[:, e], irm)
+    if use_ib:
+        # predictions pooled over the environments
+        allp = yhat.reshape(q, n_envs * n)
+        centered = allp - (_row_sum(allp) / allp.shape[1])[:, None]
+        var_w = _matvec(stack.X.reshape(q, n_envs * n, d), centered)
+        centered **= 2
+        var = _row_sum(centered) / allp.shape[1]
+        value = _add_where(value, n_envs * gamma * var, ib)
+        coef = np.reshape(n_envs * gamma * (2.0 / allp.shape[1]), (-1, 1))
+        grad_w = _add_where(grad_w, coef * var_w, ib)
         # the intercept shifts every prediction equally: no variance gradient
-    return value, np.concatenate([grad_w, [grad_b]])
+    return value, np.concatenate([grad_w, grad_b[:, None]], axis=1)

@@ -9,7 +9,7 @@ the observed matrix rebuilt through the scrambler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,0 +1,215 @@
+"""Per-model reference for the batched training engine.
+
+This is the training path the package used before it trained the queries
+of one data seed as a batch: one linear model at a time, its objective
+summed environment by environment.  The batched engine in
+``oodbench.trainer`` must reproduce it bit for bit, so these functions are
+kept as they were and serve as the oracle the tests compare against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from oodbench.numeric_core import DivergenceError, ParameterError
+from oodbench.objectives import EnvStack, LinearModel, _check_loss_task, predict
+from oodbench.objectives import objective_and_gradient as batched_objective_and_gradient
+from oodbench.sem_generators import EnvDataset
+from oodbench.trainer import VAL_FRACTION, evaluate
+
+
+def _sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _softplus(z):
+    return np.logaddexp(0.0, z)
+
+
+def risk(model, env, loss):
+    """Mean loss of the model on one environment."""
+    _check_loss_task(loss, env.task)
+    yhat = predict(model, env.X)
+    return _risk_from_pred(yhat, env.Y, loss)
+
+
+def _risk_from_pred(yhat, y, loss):
+    if loss == "square":
+        return float(np.mean((yhat - y) ** 2))
+    if loss == "logistic":
+        # BCE on logits with labels in {0, 1}
+        return float(np.mean(_softplus(yhat) - y * yhat))
+    ys = 2.0 * y - 1.0  # exponential loss uses labels in {-1, +1}
+    return float(np.mean(np.exp(-ys * yhat)))
+
+
+def irmv1_penalty(model, env, loss):
+    """Squared derivative of the environment risk with respect to a scalar
+    multiplier of the predictions, evaluated at 1."""
+    _check_loss_task(loss, env.task)
+    yhat = predict(model, env.X)
+    return _grad_wrt_scale(yhat, env.Y, loss) ** 2
+
+
+def _grad_wrt_scale(yhat, y, loss):
+    if loss == "square":
+        return float(2.0 * np.mean((yhat - y) * yhat))
+    if loss == "logistic":
+        return float(np.mean((_sigmoid(yhat) - y) * yhat))
+    ys = 2.0 * y - 1.0
+    return float(np.mean(-ys * yhat * np.exp(-ys * yhat)))
+
+
+def variance_penalty(model, envs):
+    """Population variance of predictions pooled across environments."""
+    preds = [predict(model, env.X) for env in envs]
+    allp = np.concatenate(preds)
+    if allp.size == 0:
+        raise ParameterError("variance_penalty requires at least one sample")
+    return float(np.mean((allp - allp.mean()) ** 2))
+
+
+def _risk_grad(yhat, y, X, loss):
+    n = y.size
+    if loss == "square":
+        resid = 2.0 * (yhat - y) / n
+    elif loss == "logistic":
+        resid = (_sigmoid(yhat) - y) / n
+    else:
+        ys = 2.0 * y - 1.0
+        resid = -ys * np.exp(-ys * yhat) / n
+    return X.T @ resid, float(resid.sum())
+
+
+def _scale_grad_grad(yhat, y, X, loss):
+    """Gradient of g = dR(s*yhat)/ds|_{s=1} with respect to (w, b)."""
+    n = y.size
+    if loss == "square":
+        dg = 2.0 * (2.0 * yhat - y) / n
+    elif loss == "logistic":
+        s = _sigmoid(yhat)
+        dg = (s * (1.0 - s) * yhat + s - y) / n
+    else:
+        ys = 2.0 * y - 1.0
+        dg = np.exp(-ys * yhat) * (yhat - ys) / n
+    return X.T @ dg, float(dg.sum())
+
+
+def objective_and_gradient(model, envs, cfg):
+    """Penalized objective value and its exact gradient in (w, b).
+
+    Returns ``(value, grad)`` with ``grad`` a vector of length d+1 whose
+    last entry is the intercept derivative.
+    """
+    if not envs:
+        raise ParameterError("need at least one environment")
+    d = model.w.size
+    value = 0.0
+    grad_w = np.zeros(d)
+    grad_b = 0.0
+    preds = []
+    for env in envs:
+        _check_loss_task(cfg.loss, env.task)
+        yhat = predict(model, env.X)
+        preds.append(yhat)
+        value += _risk_from_pred(yhat, env.Y, cfg.loss)
+        gw, gb = _risk_grad(yhat, env.Y, env.X, cfg.loss)
+        grad_w += gw
+        grad_b += gb
+        if cfg.lam > 0:
+            g = _grad_wrt_scale(yhat, env.Y, cfg.loss)
+            value += cfg.lam * g * g
+            dgw, dgb = _scale_grad_grad(yhat, env.Y, env.X, cfg.loss)
+            grad_w += cfg.lam * 2.0 * g * dgw
+            grad_b += cfg.lam * 2.0 * g * dgb
+    if cfg.gamma > 0:
+        allp = np.concatenate(preds)
+        mu = allp.mean()
+        var = float(np.mean((allp - mu) ** 2))
+        n_envs = len(envs)
+        value += n_envs * cfg.gamma * var
+        centered = allp - mu
+        allx = np.vstack([env.X for env in envs])
+        grad_w += n_envs * cfg.gamma * (2.0 / allp.size) * (allx.T @ centered)
+        # the intercept shifts every prediction equally: no variance gradient
+    return value, np.concatenate([grad_w, [grad_b]])
+
+
+def _split_env(env, rng):
+    """Deterministic 80/20 split of one environment."""
+    perm = rng.permutation(env.n)
+    n_val = max(1, int(round(VAL_FRACTION * env.n)))
+    val_idx, train_idx = perm[:n_val], perm[n_val:]
+
+    def take(idx):
+        return EnvDataset(env_id=env.env_id, X=env.X[idx], Y=env.Y[idx],
+                          task=env.task)
+
+    return take(train_idx), take(val_idx)
+
+
+def train_gd(envs, cfg, tc, rng):
+    """Full-batch training of one linear model with scalar ``cfg.lam``,
+    ``cfg.gamma`` and ``tc.lr``.  Returns ``(theta, curve, train_risk,
+    val_risk)``; raises :class:`DivergenceError` with the step index if the
+    objective leaves the finite range."""
+    d = envs[0].X.shape[1]
+    split_rng = rng.fork("split")
+    train_envs, val_envs = [], []
+    for env in envs:
+        tr, va = _split_env(env, split_rng.fork(f"env{env.env_id}"))
+        train_envs.append(tr)
+        val_envs.append(va)
+
+    if tc.init == "zeros":
+        theta = np.zeros(d + 1)
+    else:
+        theta = np.concatenate(
+            [rng.fork("init").gaussian_array((d,), std=tc.init_scale), [0.0]])
+
+    curve = np.empty(tc.steps + 1)
+    m = np.zeros(d + 1)
+    v = np.zeros(d + 1)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for step in range(tc.steps + 1):
+        model = LinearModel(w=theta[:-1], b=theta[-1])
+        value, grad = objective_and_gradient(model, train_envs, cfg)
+        if not np.isfinite(value):
+            raise DivergenceError(f"objective diverged at step {step}",
+                                  last_state=theta.copy(), step=step)
+        curve[step] = value
+        if step == tc.steps:
+            break
+        if tc.optimizer == "gd":
+            theta = theta - tc.lr * grad
+        else:
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            mhat = m / (1 - beta1 ** (step + 1))
+            vhat = v / (1 - beta2 ** (step + 1))
+            theta = theta - tc.lr * mhat / (np.sqrt(vhat) + eps)
+
+    model = LinearModel(w=theta[:-1], b=theta[-1])
+    metric = "class_error" if envs[0].task == "classification" else "mse"
+    train_risk = float(np.mean([risk(model, e, cfg.loss) for e in train_envs]))
+    val_risk = float(np.mean([evaluate(model, e, metric) for e in val_envs]))
+    return theta, curve, train_risk, val_risk
+
+
+def stack_of(envs):
+    """A batch of one model's training rows: every row of ``envs``."""
+    return EnvStack(np.stack([env.X for env in envs])[None],
+                    np.stack([env.Y for env in envs])[None], envs[0].task)
+
+
+def batched_objective(model, envs, cfg):
+    """The package's batched objective for a batch of one model; returns
+    ``(value, grad)`` as the per-model :func:`objective_and_gradient` does."""
+    theta = np.concatenate([model.w, [model.b]])[None]
+    value, grad = batched_objective_and_gradient(theta, stack_of(envs), cfg)
+    return value[0], grad[0]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -160,6 +161,42 @@ class TestSweepCommand:
             assert _strip_timestamp(_read(os.path.join(outs[0], name))) == \
                 _strip_timestamp(_read(os.path.join(outs[1], name)))
 
+    # sha256 of sweep.csv and summary.csv with the timestamp line removed,
+    # as the per-model training engine wrote them before queries were
+    # batched: the batched engine must give the same bytes.
+    GOLDEN = {
+        "ex1": (["--queries", "3", "--seeds", "2"], {"steps": 300},
+                "8905c9483209fcffcee9c257392cbd329d4784b57b488d6bae5de664a01b4287",
+                "1e93edaadcc58822b1444d211f9c1e820c83cc6810be4f8ffeb152a223b78ce2"),
+        "ex2": (["--queries", "2", "--seeds", "1"], {"steps": 500},
+                "8eb51e2eb1e5bfa24fc267fffa7df500dc5dfaecdb11ed6d5fef6246d6aa7cac",
+                "dd3e7a15d2786ba98cd026c6742db563007906fc812949fe9629b50856cda035"),
+    }
+
+    @pytest.mark.parametrize("example", sorted(GOLDEN))
+    def test_golden_outputs(self, tmp_path, capsys, example):
+        argv, cfg, sweep_sha, summary_sha = self.GOLDEN[example]
+        cfg_path = str(tmp_path / "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--example", example, *argv, "--seed", "0",
+                     "--config", cfg_path, "--out", out]) == 0
+        capsys.readouterr()
+        for name, sha in (("sweep.csv", sweep_sha), ("summary.csv", summary_sha)):
+            body = "".join(line + "\n" for line in
+                           _read(os.path.join(out, name)).splitlines()
+                           if not line.startswith("# timestamp="))
+            assert hashlib.sha256(body.encode()).hexdigest() == sha, name
+
+    def test_bad_worker_count_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("IBIRM_THREADS", "abc")
+        code = main(["sweep", "--example", "twod", "--envs", "2",
+                     "--methods", "erm", "--config", self._config(tmp_path),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "IBIRM_THREADS" in capsys.readouterr().err
+
     def test_unknown_method_is_validation_error(self, tmp_path):
         code = main(["sweep", "--methods", "erm,dro",
                      "--out", str(tmp_path / "x")])
@@ -266,3 +303,26 @@ class TestConfigFile:
         assert len(rows) == 50
         assert sorted(os.listdir(out)) == ["env_0.csv", "env_1.csv",
                                            "manifest.json"]
+
+    @pytest.mark.parametrize("flag", [["--seeds", "1"], ["--seeds=1"]])
+    def test_explicit_flag_beats_config(self, tmp_path, capsys, flag):
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"seeds": 3, "queries": 1, "steps": 5, "n_per_env": 40}, fh)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--example", "twod", "--envs", "2",
+                     "--methods", "erm", *flag, "--config", cfg,
+                     "--out", out]) == 0
+        capsys.readouterr()
+        _, _, rows = read_csv(os.path.join(out, "sweep.csv"))
+        assert [r["data_seed"] for r in rows] == ["0"]
+
+    @pytest.mark.parametrize("text", ['{"seedz": 3}', '{"func": 1}', "[1, 2]",
+                                      "{not json"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, text):
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        assert main(["generate", "--config", cfg,
+                     "--out", str(tmp_path / "gen")]) == 64
+        assert "cfg.json" in capsys.readouterr().err

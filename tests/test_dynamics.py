@@ -7,8 +7,9 @@ from oodbench.dynamics import (FlowSpec, equilibrium_x, flow_rhs,
                                simulate_flow, theorem5_report)
 from oodbench.numeric_core import (ParameterError, RngStream, lambert_w0,
                                    rk4_integrate)
-from oodbench.objectives import LinearModel, ObjectiveConfig, objective_and_gradient
+from oodbench.objectives import LinearModel, ObjectiveConfig
 from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
+from oracle import batched_objective
 
 
 class TestEquilibrium:
@@ -52,7 +53,7 @@ class TestFlowRhs:
         w_inv, w_spu = 0.4, 0.15
         model = LinearModel(w=np.array([w_inv, w_spu]), b=0.0)
         cfg = ObjectiveConfig(loss="exponential", lam=0.0, gamma=gamma)
-        _, grad = objective_and_gradient(model, [signed], cfg)
+        _, grad = batched_objective(model, [signed], cfg)
         x, y = w_inv + w_spu, w_inv - w_spu
         rhs = flow_rhs(FlowSpec(kind="ib_erm", p=p, gamma=gamma))(0.0, np.array([x, y]))
         rotated = np.array([-(grad[0] + grad[1]), -(grad[0] - grad[1])])

@@ -5,7 +5,7 @@ import pytest
 import scipy.special
 
 from oodbench.numeric_core import (DivergenceError, ParameterError, Pmf,
-                                   RngStream, draw, lambert_w0,
+                                   RngStream, lambert_w0,
                                    random_orthogonal, rk4_integrate)
 
 
@@ -76,11 +76,6 @@ class TestRngStream:
         draws = RngStream(17).categorical_array((100_000,), probs)
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, probs, atol=0.01)
-
-    def test_draw_dispatch(self):
-        assert draw(RngStream(1), "gaussian", 2.0, 0.0) == 2.0
-        with pytest.raises(ParameterError):
-            draw(RngStream(1), "poisson", 1.0)
 
 
 class TestPmf:

