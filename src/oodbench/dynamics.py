@@ -1,29 +1,39 @@
-"""Gradient-flow dynamics for the two-feature task: closed-form flows for
-the plain and bottleneck-penalized exponential-loss objectives, their
-Lambert-W equilibrium, and the learning-speed bound verification.
+"""Gradient-flow dynamics for the two-feature task: the plain and
+bottleneck-penalized exponential-loss flows, their Lambert-W equilibrium,
+and the learning-speed bound verification.
 
-The flows are integrated in rotated coordinates x = w_inv + w_spu and
+The flows are solved in rotated coordinates x = w_inv + w_spu and
 y = w_inv - w_spu, where they decouple:
 
     dx/dt = 2 p     (e^{-x} - 2 gamma x)
     dy/dt = 2 (1-p) (e^{-y} - 2 gamma y)
 
 with the gamma terms absent for the plain flow.
+
+The plain flow (gamma = 0) is solved in closed form on the time grid:
+x = ln(1 + 2 p t) and y = ln(1 + 2 (1-p) t).  The penalized flow has no
+elementary solution and is integrated with classical RK4, one coordinate
+at a time.  Its step map is a pure function of (u, h), so once a full step
+of length dt leaves a coordinate unchanged in floating point, every later
+full step would too: that value is filled into the rest of the full steps,
+and a shortened final step still runs.  The result is bit-identical to
+stepping through the whole horizon; a map that never reaches a fixed point
+runs every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp
 
 import numpy as np
 
-from .numeric_core import ParameterError, Trajectory, lambert_w0, rk4_integrate
+from .numeric_core import DivergenceError, ParameterError, lambert_w0
 
 __all__ = [
     "FlowSpec",
     "FlowTrajectory",
     "equilibrium_x",
-    "flow_rhs",
     "simulate_flow",
     "theorem5_report",
 ]
@@ -53,11 +63,9 @@ class FlowTrajectory:
     def ratio(self, p):
         """|w_spu / w_inv| along the trajectory; the origin is assigned the
         one-sided limit 2p - 1 implied by the initial slopes."""
-        out = np.empty_like(self.w_inv)
-        nz = self.w_inv != 0
-        out[nz] = np.abs(self.w_spu[nz] / self.w_inv[nz])
-        out[~nz] = 2.0 * p - 1.0
-        return out
+        out = np.full_like(self.w_inv, 2.0 * p - 1.0)
+        np.divide(self.w_spu, self.w_inv, out=out, where=self.w_inv != 0)
+        return np.abs(out, out=out)
 
 
 def equilibrium_x(gamma):
@@ -67,85 +75,74 @@ def equilibrium_x(gamma):
     return float(lambert_w0(1.0 / (2.0 * gamma)))
 
 
-def flow_rhs(spec):
-    """Right-hand side of the rotated flow as a callable for the
-    integrator (state is (x, y))."""
-    p, gamma = spec.p, spec.gamma
-    if spec.kind == "erm":
-        def rhs(t, state):
-            x, y = state
-            return np.array([2.0 * p * np.exp(-x),
-                             2.0 * (1.0 - p) * np.exp(-y)])
-    else:
-        def rhs(t, state):
-            x, y = state
-            return np.array([2.0 * p * (np.exp(-x) - 2.0 * gamma * x),
-                             2.0 * (1.0 - p) * (np.exp(-y) - 2.0 * gamma * y)])
-    return rhs
+def _rk4_coordinate(c, g2, dt, t_end, out):
+    """Classical RK4 for du/dt = c (e^{-u} - g2 u) from u(0) = 0, writing
+    u at every grid point into ``out``.
 
-
-def _integrate_decoupled(p, gamma, t_end, dt):
-    """Scalar RK4 on the two decoupled coordinates.
-
-    Same classical-RK4 arithmetic as :func:`rk4_integrate` (checked
-    bit-for-bit in tests) but with plain-float inner loops: the bound
-    verification integrates to horizons of order 1/eps, where the generic
-    per-step overhead would dominate the run time.
+    Step i starts at t = i dt and has length h = min(dt, t_end - t), so the
+    full steps form a prefix of the grid.  A full step that leaves u
+    unchanged is a fixed point of the step map, which depends on (u, h)
+    alone: u is filled into the remaining full steps, and the shortened
+    steps after them run as usual.
     """
-    n_full, rem = divmod(t_end, dt)
-    n_steps = int(n_full) + (1 if rem > 1e-12 * dt else 0)
-    times = np.empty(n_steps + 1)
-    xs = np.empty(n_steps + 1)
-    ys = np.empty(n_steps + 1)
-    times[0] = 0.0
-    xs[0] = ys[0] = 0.0
-    cx = 2.0 * p
-    cy = 2.0 * (1.0 - p)
-    g2 = 2.0 * gamma
-    try:
-        _run_steps(n_steps, dt, t_end, cx, cy, g2, times, xs, ys)
-    except OverflowError as exc:
-        from .numeric_core import DivergenceError
-        raise DivergenceError(f"flow integration overflowed: {exc}") from exc
-    return times, xs, ys
-
-
-def _run_steps(n_steps, dt, t_end, cx, cy, g2, times, xs, ys):
-    from math import exp
-
-    x = y = 0.0
-    t = 0.0
-    for i in range(n_steps):
+    n_steps = len(out) - 1
+    u = 0.0
+    out[0] = u
+    i = 0
+    while i < n_steps:
+        t = i * dt
         h = dt if dt <= t_end - t else t_end - t
-        k1 = cx * (exp(-x) - g2 * x)
-        k2 = cx * (exp(-(x + 0.5 * h * k1)) - g2 * (x + 0.5 * h * k1))
-        k3 = cx * (exp(-(x + 0.5 * h * k2)) - g2 * (x + 0.5 * h * k2))
-        k4 = cx * (exp(-(x + h * k3)) - g2 * (x + h * k3))
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        k1 = cy * (exp(-y) - g2 * y)
-        k2 = cy * (exp(-(y + 0.5 * h * k1)) - g2 * (y + 0.5 * h * k1))
-        k3 = cy * (exp(-(y + 0.5 * h * k2)) - g2 * (y + 0.5 * h * k2))
-        k4 = cy * (exp(-(y + h * k3)) - g2 * (y + h * k3))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (i + 1) * dt if i + 1 < n_steps else t_end
-        times[i + 1] = t
-        xs[i + 1] = x
-        ys[i + 1] = y
+        k1 = c * (exp(-u) - g2 * u)
+        k2 = c * (exp(-(u + 0.5 * h * k1)) - g2 * (u + 0.5 * h * k1))
+        k3 = c * (exp(-(u + 0.5 * h * k2)) - g2 * (u + 0.5 * h * k2))
+        k4 = c * (exp(-(u + h * k3)) - g2 * (u + h * k3))
+        u_next = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        i += 1
+        out[i] = u_next
+        if u_next == u and h == dt:
+            n_full = n_steps
+            while n_full > i and dt > t_end - (n_full - 1) * dt:
+                n_full -= 1
+            out[i + 1:n_full + 1] = u_next
+            i = n_full
+        u = u_next
 
 
 def simulate_flow(spec, t_end, dt=1e-3):
-    """Integrate the flow from the origin and convert back to
+    """Solve the flow from the origin on the grid 0, dt, 2 dt, ..., t_end
+    (the last step shortened to land on t_end) and convert back to
     (w_inv, w_spu)."""
     if t_end <= 0:
         raise ParameterError(f"t_end must be > 0, got {t_end}")
-    times, x, y = _integrate_decoupled(spec.p,
-                                       spec.gamma if spec.kind == "ib_erm" else 0.0,
-                                       t_end, dt)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        from .numeric_core import DivergenceError
-        raise DivergenceError("flow integration diverged")
-    return FlowTrajectory(times=times,
-                          w_inv=0.5 * (x + y), w_spu=0.5 * (x - y))
+    if dt <= 0:
+        raise ParameterError(f"dt must be > 0, got {dt}")
+    n_full, rem = divmod(t_end, dt)
+    n_steps = int(n_full) + (1 if rem > 1e-12 * dt else 0)
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= dt
+    if n_steps:
+        times[-1] = t_end
+    x = np.empty_like(times)
+    y = np.empty_like(times)
+    cx = 2.0 * spec.p
+    cy = 2.0 * (1.0 - spec.p)
+    if spec.kind == "erm":
+        np.log1p(np.multiply(times, cx, out=x), out=x)
+        np.log1p(np.multiply(times, cy, out=y), out=y)
+    else:
+        g2 = 2.0 * spec.gamma
+        try:
+            _rk4_coordinate(cx, g2, dt, t_end, x)
+            _rk4_coordinate(cy, g2, dt, t_end, y)
+        except OverflowError as exc:
+            raise DivergenceError(f"flow integration overflowed: {exc}") from exc
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise DivergenceError("flow integration diverged")
+    w_spu = np.subtract(x, y)
+    w_spu *= 0.5
+    w_inv = np.add(x, y, out=x)
+    w_inv *= 0.5
+    return FlowTrajectory(times=times, w_inv=w_inv, w_spu=w_spu)
 
 
 def _crossing_time(times, ratio, eps):
@@ -164,7 +161,7 @@ def theorem5_report(p, gamma, eps, dt=1e-2):
     """Verify the learning-speed separation between the plain and
     bottleneck-penalized flows.
 
-    Integrates both flows to T_ib = W0(1/(2 gamma)) / (2 (1-p) eps) and
+    Solves both flows up to T_ib = W0(1/(2 gamma)) / (2 (1-p) eps) and
     checks (a) the penalized flow's weight ratio crosses eps no later than
     T_ib and (b) the plain flow's ratio at T_ib still exceeds
     ln((1+2p)/(3-2p)) / ln(1 + T_ib).

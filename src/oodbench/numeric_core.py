@@ -1,5 +1,5 @@
-"""Deterministic randomness, small dense linear algebra, special functions,
-and fixed-step ODE integration shared by the rest of the suite.
+"""Deterministic randomness, small dense linear algebra and special
+functions shared by the rest of the suite.
 
 Everything here is pure given its inputs.  Random draws go through
 :class:`RngStream`, a splittable counter-based generator: streams are keyed
@@ -19,10 +19,8 @@ __all__ = [
     "DivergenceError",
     "RngStream",
     "Pmf",
-    "Trajectory",
     "random_orthogonal",
     "lambert_w0",
-    "rk4_integrate",
 ]
 
 
@@ -199,53 +197,3 @@ def lambert_w0(x):
         if resid <= 1e-13 * max(1.0, float(x) * 1e-3):
             break
     return w
-
-
-@dataclass
-class Trajectory:
-    """Time-stamped states of a fixed-step integration."""
-
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), dim)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-
-
-def rk4_integrate(rhs, y0, t0, t1, dt):
-    """Classical fixed-step RK4 from t0 to t1, recording every step.
-
-    The final step is shortened to land exactly on t1.  Raises
-    :class:`DivergenceError` (carrying the last finite state) if the state
-    leaves the finite range.
-    """
-    if dt <= 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    if t1 <= t0:
-        raise ParameterError(f"t1 must exceed t0, got ({t0}, {t1})")
-    y = np.asarray(y0, dtype=float).copy()
-    n_full, rem = divmod(t1 - t0, dt)
-    n_steps = int(n_full) + (1 if rem > 1e-12 * dt else 0)
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, y.size))
-    times[0] = t0
-    states[0] = y
-    t = t0
-    for i in range(n_steps):
-        h = min(dt, t1 - t)
-        k1 = np.asarray(rhs(t, y))
-        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
-        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
-        k4 = np.asarray(rhs(t + h, y + h * k3))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (i + 1) * dt if i + 1 < n_steps else t1
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(
-                f"non-finite state at t={t:g} (step {i + 1})",
-                last_state=states[i].copy(),
-                step=i + 1,
-            )
-        times[i + 1] = t
-        states[i + 1] = y
-    return Trajectory(times, states)

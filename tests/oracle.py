@@ -1,16 +1,28 @@
-"""Per-model reference for the batched training engine.
+"""Reference implementations that the package's fast paths are tested
+against.
 
-This is the training path the package used before it trained the queries
-of one data seed as a batch: one linear model at a time, its objective
-summed environment by environment.  The batched engine in
-``oodbench.trainer`` must reproduce it bit for bit, so these functions are
-kept as they were and serve as the oracle the tests compare against.
+Training: the path the package used before it trained the queries of one
+data seed as a batch: one linear model at a time, its objective summed
+environment by environment.  The batched engine in ``oodbench.trainer``
+must reproduce it bit for bit.
+
+Flows: a generic fixed-step RK4 integrator, the right-hand side of the
+rotated Theorem-5 flow, and the scalar loop that stepped both rotated
+coordinates through the whole horizon.  ``oodbench.dynamics`` must
+reproduce that loop bit for bit on the penalized flow.
+
+These functions are kept as they were and serve as the oracles the tests
+compare against.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from math import exp
+
 import numpy as np
 
+from oodbench.dynamics import FlowTrajectory
 from oodbench.numeric_core import DivergenceError, ParameterError
 from oodbench.objectives import EnvStack, LinearModel, _check_loss_task, predict
 from oodbench.objectives import objective_and_gradient as batched_objective_and_gradient
@@ -213,3 +225,114 @@ def batched_objective(model, envs, cfg):
     theta = np.concatenate([model.w, [model.b]])[None]
     value, grad = batched_objective_and_gradient(theta, stack_of(envs), cfg)
     return value[0], grad[0]
+
+
+@dataclass
+class Trajectory:
+    """Time-stamped states of a fixed-step integration."""
+
+    times: np.ndarray
+    states: np.ndarray  # shape (len(times), dim)
+
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
+
+
+def rk4_integrate(rhs, y0, t0, t1, dt):
+    """Classical fixed-step RK4 from t0 to t1, recording every step.
+
+    The final step is shortened to land exactly on t1.  Raises
+    :class:`DivergenceError` (carrying the last finite state) if the state
+    leaves the finite range.
+    """
+    if dt <= 0:
+        raise ParameterError(f"dt must be > 0, got {dt}")
+    if t1 <= t0:
+        raise ParameterError(f"t1 must exceed t0, got ({t0}, {t1})")
+    y = np.asarray(y0, dtype=float).copy()
+    n_full, rem = divmod(t1 - t0, dt)
+    n_steps = int(n_full) + (1 if rem > 1e-12 * dt else 0)
+    times = np.empty(n_steps + 1)
+    states = np.empty((n_steps + 1, y.size))
+    times[0] = t0
+    states[0] = y
+    t = t0
+    for i in range(n_steps):
+        h = min(dt, t1 - t)
+        k1 = np.asarray(rhs(t, y))
+        k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
+        k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2))
+        k4 = np.asarray(rhs(t + h, y + h * k3))
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t0 + (i + 1) * dt if i + 1 < n_steps else t1
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(
+                f"non-finite state at t={t:g} (step {i + 1})",
+                last_state=states[i].copy(),
+                step=i + 1,
+            )
+        times[i + 1] = t
+        states[i + 1] = y
+    return Trajectory(times, states)
+
+
+def flow_rhs(spec):
+    """Right-hand side of the rotated flow as a callable for the
+    integrator (state is (x, y))."""
+    p, gamma = spec.p, spec.gamma
+    if spec.kind == "erm":
+        def rhs(t, state):
+            x, y = state
+            return np.array([2.0 * p * np.exp(-x),
+                             2.0 * (1.0 - p) * np.exp(-y)])
+    else:
+        def rhs(t, state):
+            x, y = state
+            return np.array([2.0 * p * (np.exp(-x) - 2.0 * gamma * x),
+                             2.0 * (1.0 - p) * (np.exp(-y) - 2.0 * gamma * y)])
+    return rhs
+
+
+def simulate_flow_full_loop(spec, t_end, dt):
+    """Scalar RK4 on both rotated coordinates through every step of the
+    horizon, converted back to (w_inv, w_spu)."""
+    n_full, rem = divmod(t_end, dt)
+    n_steps = int(n_full) + (1 if rem > 1e-12 * dt else 0)
+    times = np.empty(n_steps + 1)
+    xs = np.empty(n_steps + 1)
+    ys = np.empty(n_steps + 1)
+    times[0] = 0.0
+    xs[0] = ys[0] = 0.0
+    cx = 2.0 * spec.p
+    cy = 2.0 * (1.0 - spec.p)
+    g2 = 2.0 * spec.gamma if spec.kind == "ib_erm" else 0.0
+    try:
+        _run_steps(n_steps, dt, t_end, cx, cy, g2, times, xs, ys)
+    except OverflowError as exc:
+        raise DivergenceError(f"flow integration overflowed: {exc}") from exc
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DivergenceError("flow integration diverged")
+    return FlowTrajectory(times=times,
+                          w_inv=0.5 * (xs + ys), w_spu=0.5 * (xs - ys))
+
+
+def _run_steps(n_steps, dt, t_end, cx, cy, g2, times, xs, ys):
+    x = y = 0.0
+    t = 0.0
+    for i in range(n_steps):
+        h = dt if dt <= t_end - t else t_end - t
+        k1 = cx * (exp(-x) - g2 * x)
+        k2 = cx * (exp(-(x + 0.5 * h * k1)) - g2 * (x + 0.5 * h * k1))
+        k3 = cx * (exp(-(x + 0.5 * h * k2)) - g2 * (x + 0.5 * h * k2))
+        k4 = cx * (exp(-(x + h * k3)) - g2 * (x + h * k3))
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = cy * (exp(-y) - g2 * y)
+        k2 = cy * (exp(-(y + 0.5 * h * k1)) - g2 * (y + 0.5 * h * k1))
+        k3 = cy * (exp(-(y + 0.5 * h * k2)) - g2 * (y + 0.5 * h * k2))
+        k4 = cy * (exp(-(y + h * k3)) - g2 * (y + h * k3))
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = (i + 1) * dt if i + 1 < n_steps else t_end
+        times[i + 1] = t
+        xs[i + 1] = x
+        ys[i + 1] = y

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from oodbench.cli import main
+from oodbench.dynamics import FlowSpec
 from oodbench.reporting import (SWEEP_FIELDS, SummaryRow, aggregate_rows,
                                 atomic_write_text, config_hash, fmt_float,
                                 format_summary_table, read_csv, write_csv)
+from oracle import simulate_flow_full_loop
 
 
 def _strip_timestamp(text):
@@ -217,6 +219,37 @@ class TestDynamicsCommand:
         assert {r["flow"] for r in rows} == {"ib_erm", "erm"}
         assert len(rows) <= 2 * 4000
         assert "crossing_time" in capsys.readouterr().out
+
+    # sha256 of the ib_erm rows of trajectory.csv for the paper point at
+    # eps 1e-3, as the full-horizon RK4 loop wrote them: the fixed-point
+    # fill must give the same bytes.
+    IB_ROWS_SHA = "572226ae7e629014884bfc0525e5b0a820fa07d68f5738dc29e0d6e270cdf547"
+
+    def test_paper_point_matches_full_loop(self, tmp_path, capsys):
+        out = str(tmp_path / "dyn")
+        assert main(["dynamics", "--p", "0.9", "--gamma", "0.58",
+                     "--eps", "1e-3", "--out", out]) == 0
+        capsys.readouterr()
+        verdict = json.loads(_read(os.path.join(out, "verdict.json")))
+        assert verdict["crossing_time"] == 17.43
+        assert verdict["ib_ratio_at_tib"] == 1.3579859753090982e-14
+        assert abs(verdict["erm_ratio_at_tib"] - 0.14947645674559448) <= 1e-10
+        path = os.path.join(out, "trajectory.csv")
+        ib = "".join(line + "\n" for line in _read(path).splitlines()
+                     if line.startswith("ib_erm,"))
+        assert hashlib.sha256(ib.encode()).hexdigest() == self.IB_ROWS_SHA
+        # the plain flow is closed form; the loop's RK4 rows agree
+        # within its truncation error
+        ref = simulate_flow_full_loop(FlowSpec(kind="erm", p=0.9), verdict["t_ib"], 1e-2)
+        stride = -(-len(ref.times) // 4000)
+        _, _, rows = read_csv(path)
+        got = np.array([[float(r[k]) for k in ("t", "w_inv", "w_spu", "ratio")]
+                        for r in rows if r["flow"] == "erm"])
+        want = np.column_stack([ref.times, ref.w_inv, ref.w_spu,
+                                ref.ratio(0.9)])[::stride]
+        assert got.shape == want.shape
+        assert np.array_equal(got[:, 0], want[:, 0])
+        assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-10
 
     def test_invalid_eps_exits_2(self, tmp_path):
         assert main(["dynamics", "--eps", "2.0",

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oodbench.dynamics import (FlowSpec, equilibrium_x, flow_rhs,
-                               simulate_flow, theorem5_report)
-from oodbench.numeric_core import (ParameterError, RngStream, lambert_w0,
-                                   rk4_integrate)
+from oodbench.dynamics import (FlowSpec, equilibrium_x, simulate_flow,
+                               theorem5_report)
+from oodbench.numeric_core import (DivergenceError, ParameterError, RngStream,
+                                   lambert_w0)
 from oodbench.objectives import LinearModel, ObjectiveConfig
 from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
-from oracle import batched_objective
+from oracle import (batched_objective, flow_rhs, rk4_integrate,
+                    simulate_flow_full_loop)
 
 
 class TestEquilibrium:
@@ -86,16 +87,58 @@ class TestSimulateFlow:
 
     @pytest.mark.parametrize("kind,gamma", [("erm", 0.0), ("ib_erm", 0.58)])
     def test_fast_path_matches_generic_integrator(self, kind, gamma):
-        # the scalar inner loop mirrors the generic RK4 arithmetic; only
-        # last-bit exp differences are tolerated
         spec = FlowSpec(kind=kind, p=0.9, gamma=gamma)
         traj = simulate_flow(spec, 7.3, dt=1e-2)
         ref = rk4_integrate(flow_rhs(spec), np.zeros(2), 0.0, 7.3, 1e-2)
         assert np.array_equal(traj.times, ref.times)
-        assert np.allclose(traj.w_inv, 0.5 * (ref.states[:, 0] + ref.states[:, 1]),
-                           rtol=0, atol=1e-12)
-        assert np.allclose(traj.w_spu, 0.5 * (ref.states[:, 0] - ref.states[:, 1]),
-                           rtol=0, atol=1e-12)
+        if kind == "erm":
+            # the plain flow is solved in closed form on the grid; RK4's own
+            # truncation error here is 5.4e-11
+            x = np.log1p(2 * spec.p * traj.times)
+            y = np.log1p(2 * (1 - spec.p) * traj.times)
+            assert np.array_equal(traj.w_inv, 0.5 * (x + y))
+            assert np.array_equal(traj.w_spu, 0.5 * (x - y))
+            assert np.max(np.abs(ref.states - np.column_stack([x, y]))) < 1e-10
+        else:
+            # the scalar loop mirrors the generic RK4 arithmetic; only
+            # last-bit exp differences are tolerated
+            assert np.allclose(traj.w_inv,
+                               0.5 * (ref.states[:, 0] + ref.states[:, 1]),
+                               rtol=0, atol=1e-12)
+            assert np.allclose(traj.w_spu,
+                               0.5 * (ref.states[:, 0] - ref.states[:, 1]),
+                               rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p,gamma,dt,t_end", [
+        (0.9, 0.58, 1e-2, 300.0),    # paper point; both coordinates reach a fixed point
+        (0.5, 0.3, 1e-2, 100.0),     # unbiased: x and y coincide
+        (0.7, 0.1, 1e-2, 400.0),     # slow convergence, fixed point after ~10^4 steps
+        (0.9, 0.58, 1e-2, 200.005),  # shortened last step after the fill
+        (0.8, 1.0, 0.05, 123.456),   # shortened last step, coarse grid
+        (0.9, 0.58, 0.75, 75.3),     # near the stability limit the shortened
+                                     # step moves x off the full step's fixed point
+        (0.9, 0.58, 1e-2, 5.0),      # horizon ends before any fixed point
+    ])
+    def test_fill_matches_full_loop(self, p, gamma, dt, t_end):
+        spec = FlowSpec(kind="ib_erm", p=p, gamma=gamma)
+        traj = simulate_flow(spec, t_end, dt)
+        ref = simulate_flow_full_loop(spec, t_end, dt)
+        assert np.array_equal(traj.times, ref.times)
+        assert np.array_equal(traj.w_inv, ref.w_inv)
+        assert np.array_equal(traj.w_spu, ref.w_spu)
+
+    def test_unstable_step_diverges_like_full_loop(self):
+        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=5.0)
+        t_end = equilibrium_x(5.0) / (2 * 0.1 * 0.05)
+        with pytest.raises(DivergenceError):
+            simulate_flow_full_loop(spec, t_end, 1.0)
+        with pytest.raises(DivergenceError):
+            simulate_flow(spec, t_end, 1.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(ParameterError):
+            simulate_flow(FlowSpec(kind="ib_erm", p=0.9, gamma=0.58), 5.0, dt)
 
     def test_erm_matches_analytic_solution(self):
         # plain flow solves dx/dt = 2 p e^{-x}: x(t) = ln(1 + 2 p t)
@@ -137,7 +180,7 @@ class TestTheorem5Report:
 
     @pytest.mark.parametrize("p", [0.7, 0.8, 0.9])
     @pytest.mark.parametrize("gamma", [0.1, 0.58, 1.0])
-    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_inequality_grid(self, p, gamma, eps):
         # dt = 0.1 is well inside the RK4 stability region for these rates
         rep = theorem5_report(p, gamma, eps, dt=0.1)
