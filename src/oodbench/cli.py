@@ -22,8 +22,7 @@ from .dynamics import theorem5_report
 from .entropy_lab import (LabeledMixture, conditional_entropy_gap,
                           gaussian_entropy_bound, sum_entropy_gap)
 from .reporting import (SWEEP_FIELDS, SUMMARY_FIELDS, aggregate_report,
-                        aggregate_rows, config_hash, fmt_float,
-                        format_summary_table, read_csv, summary_csv_rows,
+                        config_hash, format_summary_table, summary_csv_rows,
                         sweep_row_tuple, write_csv, write_json)
 
 EXIT_OK = 0
@@ -56,8 +55,6 @@ def _spec_from_args(args):
     for key in SPEC_KEYS:
         if getattr(args, key, None) is not None:
             spec_kwargs[key] = getattr(args, key)
-    if base == "xor" and "xor_variant" not in spec_kwargs:
-        spec_kwargs["xor_variant"] = "both"
     return GeneratorSpec(**spec_kwargs)
 
 
@@ -172,6 +169,8 @@ def _random_pmf(rng, max_atoms=8):
 
 def run_entropy_suite(seed=0, trials=1000):
     """Run the randomized entropy checks; returns a list of result dicts."""
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     rng = RngStream(seed).fork("entropy")
     results = []
 
@@ -310,10 +309,10 @@ def _apply_config_file(args, parser, argv):
     command's defaults, so flags given explicitly still win.  A key that
     names no setting of the command is a usage error."""
     command = parser.commands[args.command]
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             command.error(f"config file {args.config}: {exc}")
     if not isinstance(cfg, dict):
         command.error(f"config file {args.config} must hold a JSON object")
@@ -341,7 +340,7 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"oodbench: numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"oodbench: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -31,11 +31,6 @@ class ParameterError(ValueError):
 class DivergenceError(RuntimeError):
     """A numeric iteration produced a non-finite state."""
 
-    def __init__(self, message, last_state=None, step=None):
-        super().__init__(message)
-        self.last_state = last_state
-        self.step = step
-
 
 _TWO_PI = 2.0 * np.pi
 
@@ -76,18 +71,6 @@ class RngStream:
         if not a <= b:
             raise ParameterError(f"uniform requires a <= b, got ({a}, {b})")
         return a + (b - a) * self._gen.random()
-
-    def gaussian(self, mean=0.0, std=1.0):
-        if std < 0:
-            raise ParameterError(f"gaussian std must be >= 0, got {std}")
-        if std == 0:
-            return float(mean)
-        return float(mean + std * self._box_muller(1)[0])
-
-    def bernoulli(self, p):
-        if not 0.0 <= p <= 1.0:
-            raise ParameterError(f"bernoulli p must be in [0, 1], got {p}")
-        return int(self._gen.random() < p)
 
     def categorical(self, probs):
         probs = np.asarray(probs, dtype=float)

@@ -25,7 +25,6 @@ __all__ = [
     "ObjectiveConfig",
     "EnvStack",
     "predict",
-    "risk",
     "objective_and_gradient",
 ]
 
@@ -103,23 +102,6 @@ def _sigmoid(z):
 
 def _softplus(z):
     return np.logaddexp(0.0, z)
-
-
-def risk(model, env, loss):
-    """Mean loss of the model on one environment."""
-    _check_loss_task(loss, env.task)
-    yhat = predict(model, env.X)
-    return _risk_from_pred(yhat, env.Y, loss)
-
-
-def _risk_from_pred(yhat, y, loss):
-    if loss == "square":
-        return float(np.mean((yhat - y) ** 2))
-    if loss == "logistic":
-        # BCE on logits with labels in {0, 1}
-        return float(np.mean(_softplus(yhat) - y * yhat))
-    ys = 2.0 * y - 1.0  # exponential loss uses labels in {-1, +1}
-    return float(np.mean(np.exp(-ys * yhat)))
 
 
 def _env_terms(X, yhat, y, loss, penalized):

@@ -159,17 +159,17 @@ def aggregate_report(sweep_files):
         if missing:
             raise ParameterError(f"{path}: missing columns {sorted(missing)}")
         for i, row in enumerate(rows):
+            # A short row's missing cells read as None: int/float raise TypeError.
             try:
                 records.append({
                     "example": row["example"],
-                    "n_envs": row["n_envs"],
+                    "n_envs": int(row["n_envs"]),
                     "method": row["method"],
-                    "data_seed": row["data_seed"],
-                    "val_risk": row["val_risk"],
-                    "test_metric": row["test_metric"],
+                    "data_seed": int(row["data_seed"]),
+                    "val_risk": float(row["val_risk"]),
+                    "test_metric": float(row["test_metric"]),
                 })
-                float(row["val_risk"]), float(row["test_metric"])
-            except (KeyError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise ParameterError(f"{path}: bad row {i + 2}: {exc}") from exc
     return aggregate_rows(records)
 

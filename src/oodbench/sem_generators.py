@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric_core import ParameterError, RngStream, random_orthogonal
+from .numeric_core import ParameterError, random_orthogonal
 
 __all__ = [
     "EnvParams",
@@ -29,8 +29,6 @@ __all__ = [
     "gen_2d",
     "gen_binary_xor",
     "make_test_env",
-    "oracle_permute",
-    "inv_margin",
     "generate_training_envs",
     "default_test_envs",
 ]
@@ -68,7 +66,7 @@ class GeneratorSpec:
     n_per_env: int = 1000
     n_envs: int = 3
     scramble: bool = False
-    xor_variant: str | None = None
+    xor_variant: str = "both"
     xor_q: float = 0.1
     xor_a: float = 0.1
 
@@ -281,60 +279,12 @@ def _rebuild(env, z_inv, z_spu):
                       Z_inv=z_inv, Z_spu=z_spu, scrambler=env.scrambler)
 
 
-def make_test_env(spec, params, fw, shift, rng, k=None):
-    """Generate an environment and apply a spurious-feature shift.
-
-    ``shift`` is one of ``scramble_spurious`` (permute spurious latents
-    across samples, destroying their correlation with the label),
-    ``invert_spurious`` (flip the selection bias), or ``scale_spurious``
-    (multiply spurious latents by ``k``).
-    """
-    if shift == "invert_spurious":
-        import copy
-        flipped = copy.copy(params)
-        if spec.example == "ex2":
-            flipped.p = 1.0 - params.p
-        elif spec.example == "twod":
-            flipped.p = 1.0 - params.p
-            if flipped.p <= 0.5:
-                # the 2D generator requires p > 1/2; invert by relabelling W
-                env = generate_env(spec, params, fw, rng)
-                z_spu = 1.0 - env.Z_spu
-                return _rebuild(env, env.Z_inv, z_spu)
-        elif spec.example == "xor":
-            flipped.u = 1.0 - params.u
-        else:
-            raise ParameterError(f"invert_spurious not defined for {spec.example}")
-        return generate_env(spec, flipped, fw, rng)
-
+def make_test_env(spec, params, fw, rng):
+    """Generate an environment and permute its spurious latents across
+    samples, destroying their correlation with the label."""
     env = generate_env(spec, params, fw, rng)
-    if shift == "scramble_spurious":
-        perm = rng.fork("shift_perm").permutation(env.n)
-        return _rebuild(env, env.Z_inv, env.Z_spu[perm])
-    if shift == "scale_spurious":
-        if k is None:
-            raise ParameterError("scale_spurious requires a scale factor k")
-        return _rebuild(env, env.Z_inv, env.Z_spu * k)
-    raise ParameterError(f"unknown shift {shift!r}")
-
-
-def oracle_permute(env, rng):
-    """Training-time decorrelation: permute spurious latents across samples
-    and re-apply the scrambler."""
-    if env.Z_inv is None or env.Z_spu is None or env.scrambler is None:
-        raise ParameterError("oracle_permute requires recorded latents")
-    perm = rng.fork("oracle_perm").permutation(env.n)
+    perm = rng.fork("shift_perm").permutation(env.n)
     return _rebuild(env, env.Z_inv, env.Z_spu[perm])
-
-
-def inv_margin(latents, w_star):
-    """Minimum signed projection of latent rows onto the labelling
-    hyperplane; positive iff the empirical support is strictly separable."""
-    latents = np.atleast_2d(np.asarray(latents, dtype=float))
-    if latents.shape[0] == 0:
-        raise ParameterError("latents must be nonempty")
-    proj = latents @ np.asarray(w_star, dtype=float)
-    return float(np.min(np.sign(proj) * proj))
 
 
 def generate_training_envs(spec, rng):
@@ -347,8 +297,7 @@ def generate_training_envs(spec, rng):
 
 
 def default_test_envs(spec, params, fw, rng):
-    """Default OOD protocol: one scramble_spurious test environment per
+    """Default OOD protocol: one :func:`make_test_env` test environment per
     training environment."""
     r = rng.fork("test_envs")
-    return [make_test_env(spec, p, fw, "scramble_spurious", r.fork(f"env{p.env_id}"))
-            for p in params]
+    return [make_test_env(spec, p, fw, r.fork(f"env{p.env_id}")) for p in params]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .numeric_core import ParameterError
 from .objectives import (EnvStack, LinearModel, ObjectiveConfig,
-                         objective_and_gradient, predict, risk)
+                         objective_and_gradient, predict)
 from .sem_generators import EnvDataset, default_test_envs, generate_training_envs
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "train_gd",
     "evaluate",
     "random_search",
-    "spurious_ratio",
     "METHODS",
 ]
 
@@ -51,8 +50,6 @@ VAL_FRACTION = 0.2
 class TrainConfig:
     lr: float | np.ndarray = 0.01  # one step size, or one per query
     steps: int = 2000
-    init: str = "zeros"          # "zeros" | "gaussian"
-    init_scale: float = 0.1
     optimizer: str = "gd"        # "gd" | "adam"
 
     def __post_init__(self):
@@ -61,8 +58,6 @@ class TrainConfig:
             raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
         if self.steps < 1:
             raise ParameterError("steps must be >= 1")
-        if self.init not in ("zeros", "gaussian"):
-            raise ParameterError(f"unknown init {self.init!r}")
         if self.optimizer not in ("gd", "adam"):
             raise ParameterError(f"unknown optimizer {self.optimizer!r}")
 
@@ -71,10 +66,9 @@ class TrainConfig:
 class TrainResult:
     theta: np.ndarray            # weights then intercept
     objective_curve: np.ndarray  # one value per step run
-    final_train_risk: float
     val_risk: float
     # Step at which the objective or the parameters left the finite range;
-    # ``theta`` is then the state of that step, the risks are inf and the
+    # ``theta`` is then the state of that step, ``val_risk`` is inf and the
     # curve stops before it.
     diverged_step: int | None = None
 
@@ -146,12 +140,7 @@ def train_gd(envs, cfg, tc, rngs):
                       for x in (tc.lr, cfg.lam, cfg.gamma))
     lr = lr[:, None]
     stack, held_out = _stack_queries(envs, rngs)
-    d = stack.X.shape[-1]
-    theta = np.zeros((n_q, d + 1))
-    if tc.init == "gaussian":
-        for q, rng in enumerate(rngs):
-            theta[q, :-1] = rng.fork("init").gaussian_array((d,), std=tc.init_scale)
-
+    theta = np.zeros((n_q, stack.X.shape[-1] + 1))
     ids = np.arange(n_q)  # the query each row of the batch belongs to
     final = np.empty_like(theta)
     diverged_step = [None] * n_q
@@ -191,23 +180,17 @@ def train_gd(envs, cfg, tc, rngs):
     final[ids] = theta
 
     metric = "class_error" if stack.task == "classification" else "mse"
-    row_of = {int(q): row for row, q in enumerate(ids)}
     results = []
     for q in range(n_q):
         if diverged_step[q] is not None:
             results.append(TrainResult(final[q], curves[q, :diverged_step[q]],
-                                       float("inf"), float("inf"), diverged_step[q]))
+                                       float("inf"), diverged_step[q]))
             continue
         model = LinearModel(w=final[q, :-1], b=final[q, -1])
-        row = row_of[q]
-        train_risk = float(np.mean([
-            risk(model, EnvDataset(env.env_id, stack.X[row, e], stack.Y[row, e],
-                                   stack.task), cfg.loss)
-            for e, env in enumerate(envs)]))
         val_risk = float(np.mean([
             evaluate(model, EnvDataset(env.env_id, env.X[val], env.Y[val], env.task), metric)
             for env, val in zip(envs, held_out[q])]))
-        results.append(TrainResult(final[q], curves[q], train_risk, val_risk))
+        results.append(TrainResult(final[q], curves[q], val_risk))
     return results
 
 
@@ -324,18 +307,3 @@ def random_search(spec, method, protocol, rng, tc_base=None):
 
 def _run_seed_star(args):
     return _run_seed(*args)
-
-
-def spurious_ratio(model, fw, m):
-    """Share of the model's weight that lives in the spurious latent block.
-
-    Maps observed-space weights to latent coordinates via S^T w (valid for
-    orthogonal scramblers) and returns ||v_spu|| / ||v||.
-    """
-    v = fw.S.T @ model.w
-    spu = float(np.linalg.norm(v[m:]))
-    inv = float(np.linalg.norm(v[:m]))
-    denom = np.sqrt(spu * spu + inv * inv)
-    if denom == 0.0:
-        return 0.0
-    return spu / denom

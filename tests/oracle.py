@@ -30,6 +30,16 @@ from oodbench.sem_generators import EnvDataset
 from oodbench.trainer import VAL_FRACTION, evaluate
 
 
+class OracleDivergence(DivergenceError):
+    """A divergence that carries the last finite state and the step that
+    left the finite range."""
+
+    def __init__(self, message, last_state, step):
+        super().__init__(message)
+        self.last_state = last_state
+        self.step = step
+
+
 def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0
@@ -166,9 +176,9 @@ def _split_env(env, rng):
 
 
 def train_gd(envs, cfg, tc, rng):
-    """Full-batch training of one linear model with scalar ``cfg.lam``,
-    ``cfg.gamma`` and ``tc.lr``.  Returns ``(theta, curve, train_risk,
-    val_risk)``; raises :class:`DivergenceError` with the step index if the
+    """Full-batch training of one linear model from zero with scalar
+    ``cfg.lam``, ``cfg.gamma`` and ``tc.lr``.  Returns ``(theta, curve,
+    val_risk)``; raises :class:`OracleDivergence` with the step index if the
     objective leaves the finite range."""
     d = envs[0].X.shape[1]
     split_rng = rng.fork("split")
@@ -178,12 +188,7 @@ def train_gd(envs, cfg, tc, rng):
         train_envs.append(tr)
         val_envs.append(va)
 
-    if tc.init == "zeros":
-        theta = np.zeros(d + 1)
-    else:
-        theta = np.concatenate(
-            [rng.fork("init").gaussian_array((d,), std=tc.init_scale), [0.0]])
-
+    theta = np.zeros(d + 1)
     curve = np.empty(tc.steps + 1)
     m = np.zeros(d + 1)
     v = np.zeros(d + 1)
@@ -192,8 +197,8 @@ def train_gd(envs, cfg, tc, rng):
         model = LinearModel(w=theta[:-1], b=theta[-1])
         value, grad = objective_and_gradient(model, train_envs, cfg)
         if not np.isfinite(value):
-            raise DivergenceError(f"objective diverged at step {step}",
-                                  last_state=theta.copy(), step=step)
+            raise OracleDivergence(f"objective diverged at step {step}",
+                                   last_state=theta.copy(), step=step)
         curve[step] = value
         if step == tc.steps:
             break
@@ -208,9 +213,8 @@ def train_gd(envs, cfg, tc, rng):
 
     model = LinearModel(w=theta[:-1], b=theta[-1])
     metric = "class_error" if envs[0].task == "classification" else "mse"
-    train_risk = float(np.mean([risk(model, e, cfg.loss) for e in train_envs]))
     val_risk = float(np.mean([evaluate(model, e, metric) for e in val_envs]))
-    return theta, curve, train_risk, val_risk
+    return theta, curve, val_risk
 
 
 def stack_of(envs):
@@ -243,7 +247,7 @@ def rk4_integrate(rhs, y0, t0, t1, dt):
     """Classical fixed-step RK4 from t0 to t1, recording every step.
 
     The final step is shortened to land exactly on t1.  Raises
-    :class:`DivergenceError` (carrying the last finite state) if the state
+    :class:`OracleDivergence` (carrying the last finite state) if the state
     leaves the finite range.
     """
     if dt <= 0:
@@ -267,7 +271,7 @@ def rk4_integrate(rhs, y0, t0, t1, dt):
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t0 + (i + 1) * dt if i + 1 < n_steps else t1
         if not np.all(np.isfinite(y)):
-            raise DivergenceError(
+            raise OracleDivergence(
                 f"non-finite state at t={t:g} (step {i + 1})",
                 last_state=states[i].copy(),
                 step=i + 1,

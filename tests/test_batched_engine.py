@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from oodbench.numeric_core import DivergenceError, RngStream
+from oodbench.numeric_core import RngStream
 from oodbench.objectives import ObjectiveConfig
 from oodbench.sem_generators import EnvDataset
 from oodbench.trainer import TrainConfig, train_gd
@@ -45,42 +45,40 @@ def _batch(queries, loss):
 
 
 def _oracle(envs, loss, query, tc, rng):
-    """(theta, curve, train_risk, val_risk, diverged_step) of one query."""
+    """(theta, curve, val_risk, diverged_step) of one query."""
     lam, gamma, lr = query
     cfg = ObjectiveConfig(loss, lam, gamma)
-    tc = TrainConfig(lr=lr, steps=tc.steps, init=tc.init, optimizer=tc.optimizer)
+    tc = TrainConfig(lr=lr, steps=tc.steps, optimizer=tc.optimizer)
     try:
         with np.errstate(all="ignore"):
-            theta, curve, train_risk, val_risk = oracle.train_gd(envs, cfg, tc, rng)
-    except DivergenceError as exc:
-        return exc.last_state, None, np.inf, np.inf, exc.step
-    return theta, curve, train_risk, val_risk, None
+            theta, curve, val_risk = oracle.train_gd(envs, cfg, tc, rng)
+    except oracle.OracleDivergence as exc:
+        return exc.last_state, None, np.inf, exc.step
+    return theta, curve, val_risk, None
 
 
 def _assert_same(result, expected):
-    theta, curve, train_risk, val_risk, step = expected
+    theta, curve, val_risk, step = expected
     assert result.diverged_step == step
     assert np.array_equal(result.theta, theta)
     if step is None:
         assert np.array_equal(result.objective_curve, curve)
     else:
         assert result.objective_curve.shape == (step,)
-    assert result.final_train_risk == train_risk
     assert result.val_risk == val_risk
 
 
-@pytest.mark.parametrize("init", ["zeros", "gaussian"])
 @pytest.mark.parametrize("optimizer", ["gd", "adam"])
 @pytest.mark.parametrize("loss", ["square", "logistic", "exponential"])
-def test_matches_per_model_oracle(loss, optimizer, init):
+def test_matches_per_model_oracle(loss, optimizer):
     envs = _envs(loss)
     queries = QUERIES[optimizer]
     cfg, lr = _batch(queries, loss)
-    tc = TrainConfig(lr=lr, steps=60, init=init, optimizer=optimizer)
+    tc = TrainConfig(lr=lr, steps=60, optimizer=optimizer)
     rngs = [RngStream(1).fork(f"query{q}") for q in range(len(queries))]
     results = train_gd(envs, cfg, tc, rngs)
     expected = [_oracle(envs, loss, qu, tc, r) for qu, r in zip(queries, rngs)]
-    steps = [e[4] for e in expected]
+    steps = [e[3] for e in expected]
     assert None in steps and any(s is not None for s in steps)
     for result, exp in zip(results, expected):
         _assert_same(result, exp)
@@ -92,22 +90,20 @@ def test_query_bits_do_not_depend_on_its_batch(loss):
     queries = QUERIES["gd"]
     rngs = [RngStream(5).fork(f"query{q}") for q in range(len(queries))]
     cfg, lr = _batch(queries, loss)
-    tc = TrainConfig(lr=lr, steps=80, init="gaussian")
+    tc = TrainConfig(lr=lr, steps=80)
     batch = train_gd(envs, cfg, tc, rngs)
     order = [5, 2, 7, 0, 3, 6, 1, 4]
     cfg_r, lr_r = _batch([queries[q] for q in order], loss)
-    reordered = train_gd(envs, cfg_r, TrainConfig(lr=lr_r, steps=80, init="gaussian"),
+    reordered = train_gd(envs, cfg_r, TrainConfig(lr=lr_r, steps=80),
                          [rngs[q] for q in order])
     for q, query in enumerate(queries):
         cfg_1, lr_1 = _batch([query], loss)
-        alone, = train_gd(envs, cfg_1, TrainConfig(lr=lr_1, steps=80, init="gaussian"),
-                          [rngs[q]])
+        alone, = train_gd(envs, cfg_1, TrainConfig(lr=lr_1, steps=80), [rngs[q]])
         for other in (batch[q], reordered[order.index(q)]):
             assert other.diverged_step == alone.diverged_step
             assert np.array_equal(other.theta, alone.theta)
             assert np.array_equal(other.objective_curve, alone.objective_curve)
             assert other.val_risk == alone.val_risk
-            assert other.final_train_risk == alone.final_train_risk
 
 
 def test_gradient_overflow_stops_only_that_query():

@@ -163,9 +163,11 @@ class TestSweepCommand:
             assert _strip_timestamp(_read(os.path.join(outs[0], name))) == \
                 _strip_timestamp(_read(os.path.join(outs[1], name)))
 
-    # sha256 of sweep.csv and summary.csv with the timestamp line removed,
-    # as the per-model training engine wrote them before queries were
-    # batched: the batched engine must give the same bytes.
+    # sha256 of sweep.csv and summary.csv with the timestamp line removed.
+    # ex1 and ex2 are the bytes the per-model training engine wrote before
+    # queries were batched.  ex3s, twod and xor pin the scrambler, the
+    # shifted test environments and xor's default variant, as written
+    # before the shifts and the xor default were narrowed to one path.
     GOLDEN = {
         "ex1": (["--queries", "3", "--seeds", "2"], {"steps": 300},
                 "8905c9483209fcffcee9c257392cbd329d4784b57b488d6bae5de664a01b4287",
@@ -173,6 +175,15 @@ class TestSweepCommand:
         "ex2": (["--queries", "2", "--seeds", "1"], {"steps": 500},
                 "8eb51e2eb1e5bfa24fc267fffa7df500dc5dfaecdb11ed6d5fef6246d6aa7cac",
                 "dd3e7a15d2786ba98cd026c6742db563007906fc812949fe9629b50856cda035"),
+        "ex3s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
+                 "a6c8131029e09f2c7254377ce7eb1664c2db28aa085d3984cd2689c066a0d345",
+                 "f3bb8444710b1778ff11d1d8ebc879cc5698a9a5a66c88e7b1a6bf0266411c1b"),
+        "twod": (["--queries", "2", "--seeds", "2"], {"steps": 200, "n_per_env": 200},
+                 "5cfd7e9224543d4e973c4f162fd82a68359f01d8e3a43abc212a5288249774bd",
+                 "2ad191a241da2f224e4c0f16605461bf4374daa756b5265e69a697a4e4c739a6"),
+        "xor": (["--queries", "3", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
+                "bfdf2bb1d36f0f3fc2d03aaf629a6aa1e7a04f7cb8440b1994520ebaf9ee98b5",
+                "91c720959e88b5e0b617d50b82d81872470f641a7594cbba092670c768960f76"),
     }
 
     @pytest.mark.parametrize("example", sorted(GOLDEN))
@@ -279,6 +290,12 @@ class TestEntropyCommand:
         assert main(["entropy", "--trials", "30"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_exits_2(self, capsys, trials):
+        assert main(["entropy", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "trials" in captured.err and "pass" not in captured.out
+
 
 class TestReportCommand:
     def test_round_trip_from_sweep(self, tmp_path, capsys):
@@ -307,6 +324,21 @@ class TestReportCommand:
         assert main(["report", bad]) == 2
         err = capsys.readouterr().err
         assert "bad.csv" in err
+
+    @pytest.mark.parametrize("row", [
+        "ex2,three,ERM,0,0,0,0,0.01,0.2,0.1,0.1",
+        "ex2,3,ERM,0.5,0,0,0,0.01,0.2,0.1,0.1",
+        "ex2,3,ERM",
+    ], ids=["n_envs", "data_seed", "short_row"])
+    def test_bad_cell_exits_2(self, tmp_path, capsys, row):
+        bad = str(tmp_path / "bad.csv")
+        atomic_write_text(bad, ",".join(SWEEP_FIELDS) + "\n" + row + "\n")
+        assert main(["report", bad]) == 2
+        assert "bad.csv: bad row 2" in capsys.readouterr().err
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -351,11 +383,16 @@ class TestConfigFile:
         assert [r["data_seed"] for r in rows] == ["0"]
 
     @pytest.mark.parametrize("text", ['{"seedz": 3}', '{"func": 1}', "[1, 2]",
-                                      "{not json"])
+                                      "{not json", b'{"seed": "\xff"}'])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, text):
         cfg = str(tmp_path / "cfg.json")
-        with open(cfg, "w") as fh:
-            fh.write(text)
+        with open(cfg, "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode())
         assert main(["generate", "--config", cfg,
                      "--out", str(tmp_path / "gen")]) == 64
         assert "cfg.json" in capsys.readouterr().err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["generate", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "gen")]) == 2
+        assert str(tmp_path) in capsys.readouterr().err

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import LinearModel, ObjectiveConfig, predict, risk
+from oodbench.objectives import LinearModel, ObjectiveConfig, predict
 from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
-from oracle import batched_objective, irmv1_penalty, variance_penalty
+from oracle import batched_objective, irmv1_penalty, risk, variance_penalty
 
 
 def make_env(X, Y, task):
