@@ -32,13 +32,17 @@ EXIT_USAGE = 64
 
 EXAMPLE_CHOICES = ("ex1", "ex1s", "ex2", "ex2s", "ex3", "ex3s", "twod", "xor")
 
-# Trajectory CSVs keep at most this many rows per flow.
+# Trajectory CSVs keep at most this many rows per flow, strided evenly over
+# the grid.  Only these rows are ever computed: a trajectory holds its RK4
+# prefix, not the grid, and the plain flow is evaluated in closed form.
 TRAJECTORY_MAX_ROWS = 4000
 
-# Settings only a config file gives; unset (None) keeps the GeneratorSpec
-# or TrainConfig default.
-SPEC_KEYS = ("m", "o", "n_per_env", "xor_variant", "xor_q", "xor_a")
-TRAIN_KEYS = ("steps", "optimizer")
+# Settings only a config file gives, with their types; unset (None) keeps
+# the GeneratorSpec or TrainConfig default.
+SPEC_KEYS = {"m": int, "o": int, "n_per_env": int, "xor_variant": str,
+             "xor_q": float, "xor_a": float}
+TRAIN_KEYS = {"steps": int, "optimizer": str}
+JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,11 +146,10 @@ def cmd_dynamics(args):
     rows = []
     for name in ("ib_erm", "erm"):
         traj = report[f"{'ib' if name == 'ib_erm' else 'erm'}_trajectory"]
-        stride = max(1, -(-len(traj.times) // TRAJECTORY_MAX_ROWS))
-        ratio = traj.ratio(args.p)
-        for i in range(0, len(traj.times), stride):
-            rows.append((name, traj.times[i], traj.w_inv[i],
-                         traj.w_spu[i], ratio[i]))
+        n_points = traj.n_steps + 1
+        stride = max(1, -(-n_points // TRAJECTORY_MAX_ROWS))
+        rows.extend((name, *row) for row in
+                    zip(*traj.at(np.arange(0, n_points, stride))))
     write_csv(os.path.join(args.out, "trajectory.csv"),
               ("flow", "t", "w_inv", "w_spu", "ratio"), rows, meta)
     verdict = {k: report[k] for k in
@@ -161,7 +164,7 @@ def cmd_dynamics(args):
 def _random_pmf(rng, max_atoms=8):
     k = 2 + rng.categorical([1.0 / (max_atoms - 1)] * (max_atoms - 1))
     support = np.sort(rng.uniform_array((k,), -5.0, 5.0))
-    while np.any(np.diff(support) < 1e-6):
+    while (support[1:] - support[:-1] < 1e-6).any():
         support = np.sort(rng.uniform_array((k,), -5.0, 5.0))
     probs = rng.uniform_array((k,), 0.05, 1.0)
     return Pmf(support, probs / probs.sum())
@@ -321,8 +324,27 @@ def _apply_config_file(args, parser, argv):
     unknown = sorted(set(cfg) - allowed)
     if unknown:
         command.error(f"config file {args.config}: unknown key(s) {', '.join(unknown)}")
+    for key, value in cfg.items():
+        _check_config_value(command, key, value, args.config)
     command.set_defaults(**cfg)
     return parser.parse_args(argv)
+
+
+def _check_config_value(command, key, value, path):
+    """A usage error unless ``value`` has the JSON type of setting ``key``.
+    null is taken only where the default is None.  A setting with a flag
+    also takes a string, which argparse parses as the flag's argument."""
+    flag = next((a for a in command._actions if a.dest == key), None)
+    kind = (flag.type or str) if flag else {**SPEC_KEYS, **TRAIN_KEYS}[key]
+    if value is None:
+        ok = command.get_default(key) is None
+    else:
+        ok = not isinstance(value, bool) and (
+            isinstance(value, (int, float) if kind is float else kind)
+            or (flag is not None and isinstance(value, str)))
+    if not ok:
+        command.error(f"config file {path}: {key} must be "
+                      f"{JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}")
 
 
 def main(argv=None):

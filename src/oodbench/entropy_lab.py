@@ -32,19 +32,23 @@ class LabeledMixture:
 
     def __post_init__(self):
         weights = np.array([w for w, _ in self.components], dtype=float)
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+        if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-12:
             raise ParameterError("mixture weights must be nonnegative and sum to 1")
 
 
 def pmf_entropy(p):
     """Shannon entropy -sum p_i ln p_i with the 0 ln 0 = 0 convention."""
     probs = p.probs[p.probs > 0]
-    return float(-np.sum(probs * np.log(probs)))
+    return float(-(probs * np.log(probs)).sum())
 
 
 def _merge(support, probs):
+    """Sort the atoms and merge each group of them that lies within
+    MERGE_TOL of the group's first atom."""
     order = np.argsort(support, kind="stable")
     support, probs = support[order], probs[order]
+    if not (support[1:] - support[:-1] <= MERGE_TOL).any():
+        return Pmf(support, probs / probs.sum())
     merged_s, merged_p = [support[0]], [probs[0]]
     for s, q in zip(support[1:], probs[1:]):
         if s - merged_s[-1] <= MERGE_TOL:

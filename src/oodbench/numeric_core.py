@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,14 +52,19 @@ class RngStream:
     derives a child stream from a label without touching the parent's
     state, so the sample sequence seen by any consumer depends only on the
     labels used to reach it, never on scheduling order.
+
+    A stream holds only its seed and label path until its first draw, which
+    builds its Philox generator; a stream that only forks never builds one.
     """
 
     def __init__(self, root_seed, _path=()):
         self.root_seed = int(root_seed)
         self.lineage = tuple(_path)
-        self._gen = np.random.Generator(
-            np.random.Philox(key=_path_key(self.root_seed, self.lineage))
-        )
+
+    @cached_property
+    def _gen(self):
+        return np.random.Generator(
+            np.random.Philox(key=_path_key(self.root_seed, self.lineage)))
 
     def fork(self, label):
         if not label:
@@ -74,9 +80,9 @@ class RngStream:
 
     def categorical(self, probs):
         probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        if probs.ndim != 1 or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
             raise ParameterError("categorical probs must be nonnegative and sum to 1")
-        return int(np.searchsorted(np.cumsum(probs), self._gen.random(), side="right"))
+        return int(probs.cumsum().searchsorted(self._gen.random(), side="right"))
 
     # -- array draws -------------------------------------------------------
 
@@ -129,9 +135,9 @@ class Pmf:
         object.__setattr__(self, "probs", probs)
         if support.ndim != 1 or probs.shape != support.shape:
             raise ParameterError("support and probs must be 1-d of equal length")
-        if np.any(np.diff(support) <= 0):
+        if (support[1:] - support[:-1] <= 0).any():
             raise ParameterError("support must be strictly increasing")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-12:
+        if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-12:
             raise ParameterError("probs must be nonnegative and sum to 1 within 1e-12")
 
 

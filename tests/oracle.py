@@ -8,8 +8,9 @@ must reproduce it bit for bit.
 
 Flows: a generic fixed-step RK4 integrator, the right-hand side of the
 rotated Theorem-5 flow, and the scalar loop that stepped both rotated
-coordinates through the whole horizon.  ``oodbench.dynamics`` must
-reproduce that loop bit for bit on the penalized flow.
+coordinates through the whole horizon, holding every grid point.
+``oodbench.dynamics`` must reproduce that loop bit for bit on the
+penalized flow, at every grid point.
 
 These functions are kept as they were and serve as the oracles the tests
 compare against.
@@ -22,7 +23,6 @@ from math import exp
 
 import numpy as np
 
-from oodbench.dynamics import FlowTrajectory
 from oodbench.numeric_core import DivergenceError, ParameterError
 from oodbench.objectives import EnvStack, LinearModel, _check_loss_task, predict
 from oodbench.objectives import objective_and_gradient as batched_objective_and_gradient
@@ -298,6 +298,22 @@ def flow_rhs(spec):
     return rhs
 
 
+@dataclass
+class DenseTrajectory:
+    """A flow at every point of its grid."""
+
+    times: np.ndarray
+    w_inv: np.ndarray
+    w_spu: np.ndarray
+
+    def ratio(self, p):
+        """|w_spu / w_inv| along the trajectory; the origin is assigned the
+        one-sided limit 2p - 1 implied by the initial slopes."""
+        out = np.full_like(self.w_inv, 2.0 * p - 1.0)
+        np.divide(self.w_spu, self.w_inv, out=out, where=self.w_inv != 0)
+        return np.abs(out, out=out)
+
+
 def simulate_flow_full_loop(spec, t_end, dt):
     """Scalar RK4 on both rotated coordinates through every step of the
     horizon, converted back to (w_inv, w_spu)."""
@@ -317,8 +333,8 @@ def simulate_flow_full_loop(spec, t_end, dt):
         raise DivergenceError(f"flow integration overflowed: {exc}") from exc
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise DivergenceError("flow integration diverged")
-    return FlowTrajectory(times=times,
-                          w_inv=0.5 * (xs + ys), w_spu=0.5 * (xs - ys))
+    return DenseTrajectory(times=times,
+                           w_inv=0.5 * (xs + ys), w_spu=0.5 * (xs - ys))
 
 
 def _run_steps(n_steps, dt, t_end, cx, cy, g2, times, xs, ys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ def _strip_timestamp(text):
 def _read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def _sha256_untimed(text):
+    """sha256 of ``text`` without its timestamp lines (CSV header or JSON
+    meta)."""
+    body = "".join(line + "\n" for line in text.splitlines()
+                   if not line.startswith("# timestamp=")
+                   and not line.lstrip().startswith('"timestamp":'))
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
 class TestFormatting:
@@ -197,10 +207,7 @@ class TestSweepCommand:
                      "--config", cfg_path, "--out", out]) == 0
         capsys.readouterr()
         for name, sha in (("sweep.csv", sweep_sha), ("summary.csv", summary_sha)):
-            body = "".join(line + "\n" for line in
-                           _read(os.path.join(out, name)).splitlines()
-                           if not line.startswith("# timestamp="))
-            assert hashlib.sha256(body.encode()).hexdigest() == sha, name
+            assert _sha256_untimed(_read(os.path.join(out, name))) == sha, name
 
     def test_bad_worker_count_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("IBIRM_THREADS", "abc")
@@ -262,9 +269,52 @@ class TestDynamicsCommand:
         assert np.array_equal(got[:, 0], want[:, 0])
         assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-10
 
+    # sha256 of trajectory.csv (both flows) and verdict.json, timestamps
+    # removed, as written when both flows were held on the full grid.
+    PINNED = {
+        "1e-3": ("fd92d9526c38643769ef92557587d32ddc46298e9108ec08816490efbd5cf043",
+                 "4e3c126597f23cb10e32a7d5021dc88c73f992965f53caac4ebba3fb9bbe4d00"),
+        "1e-4": ("42dd81761dd65a3b3bda0bcd8066fd6889295b10b1439738631b89121ab72270",
+                 "fd0ab03a6dfd8011e8266c919b90f47044f7fb1f58d50508a6da914e392ced7d"),
+    }
+
+    @pytest.mark.parametrize("eps", sorted(PINNED))
+    def test_outputs_pinned(self, tmp_path, capsys, eps):
+        out = str(tmp_path / "dyn")
+        assert main(["dynamics", "--eps", eps, "--out", out]) == 0
+        capsys.readouterr()
+        for name, sha in zip(("trajectory.csv", "verdict.json"), self.PINNED[eps]):
+            assert _sha256_untimed(_read(os.path.join(out, name))) == sha, name
+
+    def test_long_horizon_memory_bounded(self, tmp_path, capsys):
+        # eps 1e-6 puts 257,528,620 points on each flow's grid (about 16 GB
+        # if both grids are held); only the RK4 prefix and the written rows
+        # are computed
+        out = str(tmp_path / "dyn")
+        tracemalloc.start()
+        try:
+            code = main(["dynamics", "--eps", "1e-6", "--out", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 8e6
+        verdict = json.loads(_read(os.path.join(out, "verdict.json")))
+        assert verdict["crossing_time"] == 37.08
+        _, _, rows = read_csv(os.path.join(out, "trajectory.csv"))
+        assert len(rows) == 2 * 4000
+
     def test_invalid_eps_exits_2(self, tmp_path):
         assert main(["dynamics", "--eps", "2.0",
                      "--out", str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize("eps,message", [("1e-20", "2**53"),
+                                             ("5e-324", "float range")])
+    def test_horizon_too_long_for_the_grid_exits_2(self, tmp_path, capsys,
+                                                   eps, message):
+        assert main(["dynamics", "--eps", eps, "--out", str(tmp_path / "d")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unstable_step_exits_3(self, tmp_path):
         assert main(["dynamics", "--p", "0.9", "--gamma", "5.0",
@@ -285,6 +335,23 @@ class TestEntropyCommand:
         _, fields, rows = read_csv(os.path.join(out, "entropy.csv"))
         assert fields == ("check", "trials", "worst_gap", "pass")
         assert len(rows) == 3
+
+    # sha256 of entropy.csv and of stdout at 1000 trials, timestamps removed.
+    PINNED = {
+        "0": ("d59b0fd4223f1fa679dde38bf82b58cda74e718982a271abad0004760b864b3e",
+              "19d499ab6884b7707b28cb06532329e731f695e6440b4053cb5e850d61aa9352"),
+        "7919": ("9563e547c783cd67c4cb3913613a7977510db313316d952c0b5c1ba32a0ad413",
+                 "fae9a8e6d665724fac9bdfeb54f822967550f8c57c4620e235cae7ab1c9a55a5"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_outputs_pinned(self, tmp_path, capsys, seed):
+        out = str(tmp_path / "ent")
+        assert main(["entropy", "--trials", "1000", "--seed", seed,
+                     "--out", out]) == 0
+        csv_sha, stdout_sha = self.PINNED[seed]
+        assert _sha256_untimed(capsys.readouterr().out) == stdout_sha
+        assert _sha256_untimed(_read(os.path.join(out, "entropy.csv"))) == csv_sha
 
     def test_no_out_dir_needed(self, capsys):
         assert main(["entropy", "--trials", "30"]) == 0
@@ -391,6 +458,19 @@ class TestConfigFile:
         assert main(["generate", "--config", cfg,
                      "--out", str(tmp_path / "gen")]) == 64
         assert "cfg.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg,key", [({"steps": "5"}, "steps"),
+                                         ({"n_per_env": "abc"}, "n_per_env"),
+                                         ({"seed": [1]}, "seed")])
+    def test_wrong_value_type_is_usage_error(self, tmp_path, capsys, cfg, key):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["sweep", "--example", "twod", "--queries", "1",
+                     "--seeds", "1", "--config", path,
+                     "--out", str(tmp_path / "sweep")]) == 64
+        err = capsys.readouterr().err
+        assert "cfg.json" in err and f"{key} must be" in err
 
     def test_config_directory_exits_2(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,11 @@ from oodbench.objectives import LinearModel, ObjectiveConfig
 from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
 from oracle import (batched_objective, flow_rhs, rk4_integrate,
                     simulate_flow_full_loop)
+
+
+def _dense(traj):
+    """Times, w_inv and w_spu at every grid point of a trajectory."""
+    return traj.at(np.arange(traj.n_steps + 1))[:3]
 
 
 class TestEquilibrium:
@@ -64,9 +70,9 @@ class TestFlowRhs:
 class TestSimulateFlow:
     def test_monotone_increase_to_equilibrium(self):
         spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
-        traj = simulate_flow(spec, 60.0, dt=1e-2)
-        x = traj.w_inv + traj.w_spu
-        y = traj.w_inv - traj.w_spu
+        _, w_inv, w_spu = _dense(simulate_flow(spec, 60.0, dt=1e-2))
+        x = w_inv + w_spu
+        y = w_inv - w_spu
         assert np.all(np.diff(x) >= -1e-12)
         assert np.all(np.diff(y) >= -1e-12)
         x_star = equilibrium_x(0.58)
@@ -75,37 +81,37 @@ class TestSimulateFlow:
 
     def test_boundary_bias_symmetric(self):
         spec = FlowSpec(kind="ib_erm", p=0.5, gamma=0.3)
-        traj = simulate_flow(spec, 5.0, dt=1e-2)
-        assert np.max(np.abs(traj.w_spu)) < 1e-12
+        _, _, w_spu = _dense(simulate_flow(spec, 5.0, dt=1e-2))
+        assert np.max(np.abs(w_spu)) < 1e-12
 
     def test_lyapunov_decrease(self):
         spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
-        traj = simulate_flow(spec, 30.0, dt=1e-2)
+        _, w_inv, w_spu = _dense(simulate_flow(spec, 30.0, dt=1e-2))
         x_star = equilibrium_x(0.58)
-        v = (traj.w_inv + traj.w_spu - x_star) ** 2
+        v = (w_inv + w_spu - x_star) ** 2
         assert np.all(np.diff(v) <= 1e-14)
 
     @pytest.mark.parametrize("kind,gamma", [("erm", 0.0), ("ib_erm", 0.58)])
     def test_fast_path_matches_generic_integrator(self, kind, gamma):
         spec = FlowSpec(kind=kind, p=0.9, gamma=gamma)
-        traj = simulate_flow(spec, 7.3, dt=1e-2)
+        times, w_inv, w_spu = _dense(simulate_flow(spec, 7.3, dt=1e-2))
         ref = rk4_integrate(flow_rhs(spec), np.zeros(2), 0.0, 7.3, 1e-2)
-        assert np.array_equal(traj.times, ref.times)
+        assert np.array_equal(times, ref.times)
         if kind == "erm":
             # the plain flow is solved in closed form on the grid; RK4's own
             # truncation error here is 5.4e-11
-            x = np.log1p(2 * spec.p * traj.times)
-            y = np.log1p(2 * (1 - spec.p) * traj.times)
-            assert np.array_equal(traj.w_inv, 0.5 * (x + y))
-            assert np.array_equal(traj.w_spu, 0.5 * (x - y))
+            x = np.log1p(2 * spec.p * times)
+            y = np.log1p(2 * (1 - spec.p) * times)
+            assert np.array_equal(w_inv, 0.5 * (x + y))
+            assert np.array_equal(w_spu, 0.5 * (x - y))
             assert np.max(np.abs(ref.states - np.column_stack([x, y]))) < 1e-10
         else:
             # the scalar loop mirrors the generic RK4 arithmetic; only
             # last-bit exp differences are tolerated
-            assert np.allclose(traj.w_inv,
+            assert np.allclose(w_inv,
                                0.5 * (ref.states[:, 0] + ref.states[:, 1]),
                                rtol=0, atol=1e-12)
-            assert np.allclose(traj.w_spu,
+            assert np.allclose(w_spu,
                                0.5 * (ref.states[:, 0] - ref.states[:, 1]),
                                rtol=0, atol=1e-12)
 
@@ -123,9 +129,40 @@ class TestSimulateFlow:
         spec = FlowSpec(kind="ib_erm", p=p, gamma=gamma)
         traj = simulate_flow(spec, t_end, dt)
         ref = simulate_flow_full_loop(spec, t_end, dt)
-        assert np.array_equal(traj.times, ref.times)
-        assert np.array_equal(traj.w_inv, ref.w_inv)
-        assert np.array_equal(traj.w_spu, ref.w_spu)
+        times, w_inv, w_spu, ratio = traj.at(np.arange(traj.n_steps + 1))
+        assert np.array_equal(times, ref.times)
+        assert np.array_equal(w_inv, ref.w_inv)
+        assert np.array_equal(w_spu, ref.w_spu)
+        assert np.array_equal(ratio, ref.ratio(p))
+        # the held points are the grid's own values at their indices
+        assert np.array_equal(traj.times, ref.times[traj.index])
+        assert np.array_equal(traj.w_inv, ref.w_inv[traj.index])
+        assert np.array_equal(traj.w_spu, ref.w_spu[traj.index])
+
+    def test_holds_prefix_fill_end_and_tail_only(self):
+        # paper point at eps 1e-4: y reaches its fixed point at step 8794,
+        # and the 2,575,287-step grid ends in one shortened step
+        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
+        t_end = equilibrium_x(0.58) / (2 * 0.1 * 1e-4)
+        traj = simulate_flow(spec, t_end, 1e-2)
+        assert traj.n_steps == 2_575_287
+        assert np.array_equal(traj.index, np.r_[0:8795, traj.n_steps - 1, traj.n_steps])
+        assert traj.times[-1] == t_end
+        erm = simulate_flow(FlowSpec(kind="erm", p=0.9), t_end, 1e-2)
+        assert erm.n_steps == traj.n_steps
+        assert np.array_equal(erm.index, [0])
+
+    @pytest.mark.parametrize("idx", [[5], [3, 0, 7], [10, 10], []])
+    def test_at_any_indices(self, idx):
+        # sampled points need not be sorted or distinct
+        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
+        traj = simulate_flow(spec, 0.1, 1e-2)
+        ref = simulate_flow_full_loop(spec, 0.1, 1e-2)
+        idx = np.array(idx, dtype=np.int64)
+        times, w_inv, _, ratio = traj.at(idx)
+        assert np.array_equal(times, ref.times[idx])
+        assert np.array_equal(w_inv, ref.w_inv[idx])
+        assert np.array_equal(ratio, ref.ratio(0.9)[idx])
 
     def test_unstable_step_diverges_like_full_loop(self):
         spec = FlowSpec(kind="ib_erm", p=0.9, gamma=5.0)
@@ -135,6 +172,11 @@ class TestSimulateFlow:
         with pytest.raises(DivergenceError):
             simulate_flow(spec, t_end, 1.0)
 
+    @pytest.mark.parametrize("t_end", [1e20, math.inf])
+    def test_grid_beyond_exact_float_times_rejected(self, t_end):
+        with pytest.raises(ParameterError):
+            simulate_flow(FlowSpec(kind="ib_erm", p=0.9, gamma=0.58), t_end, 1e-2)
+
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_nonpositive_dt_rejected(self, dt):
         with pytest.raises(ParameterError):
@@ -143,11 +185,11 @@ class TestSimulateFlow:
     def test_erm_matches_analytic_solution(self):
         # plain flow solves dx/dt = 2 p e^{-x}: x(t) = ln(1 + 2 p t)
         p = 0.75
-        traj = simulate_flow(FlowSpec(kind="erm", p=p), 20.0, dt=1e-3)
-        x = traj.w_inv + traj.w_spu
-        y = traj.w_inv - traj.w_spu
-        assert np.max(np.abs(x - np.log1p(2 * p * traj.times))) < 1e-8
-        assert np.max(np.abs(y - np.log1p(2 * (1 - p) * traj.times))) < 1e-8
+        times, w_inv, w_spu = _dense(simulate_flow(FlowSpec(kind="erm", p=p), 20.0, dt=1e-3))
+        x = w_inv + w_spu
+        y = w_inv - w_spu
+        assert np.max(np.abs(x - np.log1p(2 * p * times))) < 1e-8
+        assert np.max(np.abs(y - np.log1p(2 * (1 - p) * times))) < 1e-8
 
 
 class TestTheorem5Report:
@@ -185,6 +227,35 @@ class TestTheorem5Report:
         # dt = 0.1 is well inside the RK4 stability region for these rates
         rep = theorem5_report(p, gamma, eps, dt=0.1)
         assert rep["pass"], rep
+
+    @pytest.mark.parametrize("p,gamma,eps,dt", [
+        (0.9, 0.58, 1e-3, 1e-2),   # paper point
+        (0.9, 0.58, 0.9, 1e-2),    # the ratio starts below eps
+        (0.7, 0.1, 0.3, 0.05),
+        (0.9, 0.58, 1e-2, 0.75),   # the shortened last step leaves the fixed point
+    ])
+    def test_verdict_matches_full_loop(self, p, gamma, eps, dt):
+        rep = theorem5_report(p, gamma, eps, dt)
+        ref = simulate_flow_full_loop(FlowSpec(kind="ib_erm", p=p, gamma=gamma),
+                                      rep["t_ib"], dt)
+        ratio = ref.ratio(p)
+        above = np.nonzero(ratio >= eps)[0]
+        assert ratio[-1] < eps
+        crossing = float(ref.times[above[-1] + 1]) if above.size else 0.0
+        assert rep["crossing_time"] == crossing
+        assert rep["ib_ratio_at_tib"] == ratio[-1]
+
+    def test_peak_memory_bounded(self):
+        # the eps 1e-4 grid has 2,575,288 points per flow; holding both
+        # grids peaks near 167 MB, the RK4 prefix stays under 1 MB
+        tracemalloc.start()
+        try:
+            rep = theorem5_report(0.9, 0.58, 1e-4, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["pass"]
+        assert peak < 8e6
 
     def test_degenerate_eps_rejected(self):
         with pytest.raises(ParameterError):

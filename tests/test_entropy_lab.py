@@ -1,22 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from oodbench.cli import run_entropy_suite
-from oodbench.entropy_lab import (LabeledMixture, conditional_entropy_gap,
+from oodbench.cli import _random_pmf, run_entropy_suite
+from oodbench.entropy_lab import (LabeledMixture, _merge, conditional_entropy_gap,
                                   gaussian_entropy_bound, mixture_pmf,
                                   pmf_convolve, pmf_entropy, sum_entropy_gap)
 from oodbench.numeric_core import ParameterError, Pmf, RngStream
-
-
-def _random_pmf(rng, max_atoms=8):
-    k = 2 + rng.categorical([1.0 / (max_atoms - 1)] * (max_atoms - 1))
-    support = np.sort(rng.uniform_array((k,), -5.0, 5.0))
-    while np.any(np.diff(support) < 1e-6):
-        support = np.sort(rng.uniform_array((k,), -5.0, 5.0))
-    probs = rng.uniform_array((k,), 0.05, 1.0)
-    return Pmf(support, probs / probs.sum())
 
 
 FAIR_COIN = Pmf(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
@@ -68,6 +60,22 @@ class TestPmfConvolve:
             out = pmf_convolve(_random_pmf(r.fork("p")), _random_pmf(r.fork("q")))
             assert abs(out.probs.sum() - 1.0) < 1e-12
             assert np.all(np.diff(out.support) > 0)
+
+    def test_merge_groups_anchor_on_first_atom(self):
+        # a + 1.2e-12 lies within 1e-12 of its neighbour a + 0.6e-12 but
+        # not of the group's first atom a, so it starts a group of its own
+        a = 0.5
+        out = _merge(np.array([a + 1.2e-12, a, a + 0.6e-12]),
+                     np.array([0.2, 0.3, 0.5]))
+        assert np.array_equal(out.support, [a, a + 1.2e-12])
+        assert np.allclose(out.probs, [0.8, 0.2], rtol=0, atol=1e-15)
+
+    def test_merge_without_close_atoms_sorts_and_normalizes(self):
+        support = np.array([2.0, -1.0, 0.5])
+        probs = np.array([0.2, 0.6, 0.4])
+        out = _merge(support, probs)
+        assert np.array_equal(out.support, [-1.0, 0.5, 2.0])
+        assert np.array_equal(out.probs, np.array([0.6, 0.4, 0.2]) / 1.2)
 
     def test_coincident_sums_merged(self):
         # supports {0,1} + {0,1} collide at 1: three atoms, not four
@@ -183,7 +191,44 @@ class TestGaussianEntropyBound:
         assert (0.5 + math.log(1.0)) - math.log(1.0) > 1e-9
 
 
+def _suite_gaps(seed, trials):
+    """Every trial's gap in the suite's two randomized checks, drawn with the
+    suite's fork labels."""
+    rng = RngStream(seed).fork("entropy")
+    sums, conds = [], []
+    r = rng.fork("sum_gap")
+    for i in range(trials):
+        ri = r.fork(f"trial{i}")
+        sums.append(sum_entropy_gap(_random_pmf(ri.fork("p")),
+                                    _random_pmf(ri.fork("q"))))
+    r = rng.fork("cond_gap")
+    for i in range(trials):
+        ri = r.fork(f"trial{i}")
+        k = 2 + ri.fork("k").categorical([0.5, 0.3, 0.2])
+        weights = ri.fork("w").uniform_array((k,), 0.05, 1.0)
+        weights /= weights.sum()
+        comps = tuple((float(w), _random_pmf(ri.fork(f"pmf{j}")))
+                      for j, w in enumerate(weights))
+        conds.append(conditional_entropy_gap(LabeledMixture(comps)))
+    return np.array(sums), np.array(conds)
+
+
 class TestEntropySuite:
+    # sha256 of the float64 bytes of all 1000 per-trial gaps at seed 0, for
+    # sum_entropy_gap and conditional_entropy_gap.  The suite reports only
+    # the worst gap, which would hide a moved bit in any other trial.
+    TRIAL_GAPS_SHA = (
+        "8a660aa63bc8d5b441aa34d50e0f4d912ad8b70e5813d483cdbf3c368a437ac9",
+        "0be3d224fd1f7994afaa579d220a91d6a4dc3605de6c639bd89ee0a961f07f9f")
+
+    def test_every_trial_gap_pinned(self):
+        sums, conds = _suite_gaps(0, 1000)
+        results = run_entropy_suite(seed=0, trials=1000)
+        assert results[0]["worst_gap"] == sums.min()
+        assert results[1]["worst_gap"] == conds.min()
+        assert (hashlib.sha256(sums.tobytes()).hexdigest(),
+                hashlib.sha256(conds.tobytes()).hexdigest()) == self.TRIAL_GAPS_SHA
+
     def test_all_checks_pass(self):
         results = run_entropy_suite(seed=0, trials=200)
         names = [r["check"] for r in results]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from oodbench.numeric_core import (ParameterError, Pmf, RngStream, lambert_w0,
-                                   random_orthogonal)
+from oodbench.numeric_core import (ParameterError, Pmf, RngStream, _path_key,
+                                   lambert_w0, random_orthogonal)
 from oracle import OracleDivergence, rk4_integrate
 
 
@@ -41,6 +41,34 @@ class TestRngStream:
         [noisy.uniform() for _ in range(50)]
         c2 = r2.fork("x")
         assert c1.uniform() == c2.uniform()
+
+    @pytest.mark.parametrize("path", [(), ("a",), ("method/ERM", "seed3"),
+                                      ("entropy", "cond_gap", "trial7", "pmf2")])
+    def test_draws_match_philox_on_path_key(self, path):
+        rng = RngStream(42)
+        for label in path:
+            rng = rng.fork(label)
+        ref = np.random.Generator(np.random.Philox(key=_path_key(42, path)))
+        assert np.array_equal(rng.uniform_array((5,)), ref.random(5))
+        assert rng.uniform() == ref.random()
+        assert np.array_equal(rng.permutation(10), ref.permutation(10))
+
+    def test_generator_built_on_first_draw_only(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        child = RngStream(3).fork("a").fork("b")
+        assert built == []
+        child.uniform()
+        child.uniform_array((4,))
+        assert len(built) == 1
+        child.fork("c")
+        assert len(built) == 1
 
     def test_gaussian_zero_std_exact(self):
         assert np.all(RngStream(1).gaussian_array((50,), 3.0, 0.0) == 3.0)
@@ -85,6 +113,10 @@ class TestPmf:
     def test_rejects_decreasing_support(self):
         with pytest.raises(ParameterError):
             Pmf([1.0, 0.0], [0.5, 0.5])
+
+    def test_rejects_repeated_atom(self):
+        with pytest.raises(ParameterError):
+            Pmf([0.0, 0.0, 1.0], [0.25, 0.25, 0.5])
 
     def test_rejects_bad_probs(self):
         with pytest.raises(ParameterError):
