@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -120,8 +121,8 @@ def cmd_sweep(args):
                                   rng.fork(f"method/{method}"), tc))
     meta = {"root_seed": args.seed,
             "config_hash": config_hash({"command": "sweep",
-                                        "example": args.example,
-                                        "envs": args.envs,
+                                        "spec": asdict(spec),
+                                        "train": asdict(tc),
                                         "queries": args.queries,
                                         "seeds": args.seeds,
                                         "methods": methods,

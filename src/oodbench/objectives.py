@@ -10,6 +10,14 @@ where P_e is the squared derivative of R_e(s * yhat) at s = 1 and
 Var_pooled is the population variance of predictions pooled over all
 environments (the gamma term appears once per environment, matching the
 per-environment placement in the penalized objective).
+
+The logistic and exponential losses are scored from the rows
+(:class:`EnvStack`), with the per-model path's float operations in its
+order.  The square loss is an exact polynomial in a few moments of the
+rows, so it is scored from them (:class:`MomentStack`): one step costs
+O(E d²) instead of O(E n d), with a different rounding.  What each path
+promises against the per-model reference is the tolerance contract in
+:mod:`oodbench.trainer`.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ __all__ = [
     "LinearModel",
     "ObjectiveConfig",
     "EnvStack",
+    "MomentStack",
+    "moment_stack",
     "predict",
     "objective_and_gradient",
 ]
@@ -76,6 +86,47 @@ class EnvStack:
             raise ParameterError("EnvStack needs X of shape (Q, E, n, d) and Y (Q, E, n)")
 
 
+@dataclass
+class MomentStack:
+    """The square-loss statistics of a batch of Q models' training rows.
+
+    For model q's n rows of environment e, ``M[q, e]`` = BᵀB with
+    B = [X / scale[q], 1, -y], so that n times the environment's mean
+    squared residual at theta is ψᵀMψ with ψ = [theta * scale[q], 1].
+    ``C[q]`` is the scatter matrix of X / scale[q] about its mean, over the
+    rows of every environment, pooled.  Each scale is the least power of
+    two at or above its column's largest magnitude (1 for the intercept),
+    so the division is exact and the scaled columns are at most 1 in
+    magnitude: a huge value in X gives an overflowing gradient, as it does
+    on the rows, not a NaN objective from 0 * inf at theta = 0.
+    """
+
+    M: np.ndarray      # (Q, E, d+2, d+2)
+    C: np.ndarray      # (Q, d, d)
+    scale: np.ndarray  # (Q, d+1)
+    n: int
+    task: str
+
+
+def moment_stack(queries, task):
+    """The :class:`MomentStack` of a batch; ``queries`` yields, per model,
+    its (X, y) rows of each environment, n rows each.  Only one model's
+    rows are read at a time.  ``C`` is taken about the pooled mean in two
+    passes, not as a difference of raw moments."""
+    M, C, scale = [], [], []
+    for blocks in queries:
+        top = np.max([np.abs(x).max(axis=0) for x, _ in blocks], axis=0)
+        sx = np.ldexp(1.0, np.frexp(top)[1])
+        bs = [np.column_stack([x / sx, np.ones(y.size), -y]) for x, y in blocks]
+        M.append([b.T @ b for b in bs])
+        xs = [b[:, :-2] for b in bs]
+        mean = sum(x.sum(axis=0) for x in xs) / sum(len(x) for x in xs)
+        C.append(sum((x - mean).T @ (x - mean) for x in xs))
+        scale.append(np.append(sx, 1.0))
+    n = blocks[0][1].size
+    return MomentStack(np.array(M), np.array(C), np.array(scale), n, task)
+
+
 def predict(model, X):
     X = np.asarray(X, dtype=float)
     if X.shape[1] != model.w.size:
@@ -106,32 +157,18 @@ def _softplus(z):
 
 def _env_terms(X, yhat, y, loss, penalized):
     """Risk terms of every (model, environment) pair, from (Q, E, n)
-    predictions and labels.
+    predictions and labels of a logistic or exponential loss.
 
-    Returns the risks (Q, E), their gradients in w (Q, E, d) and in b
-    (Q, E), and, when ``penalized``, the scale derivative g (Q, E) with its
-    gradients in w and b (else None).  A mean is a row sum divided by n,
-    which is how ``np.mean`` computes it.  Row-sized buffers are reused in
-    place to keep a large batch's peak memory low; an in-place operation
-    gives the same bits as its out-of-place form.
+    Returns the risks (Q, E), their gradients in (w, b) (Q, E, d+1), and,
+    when ``penalized``, the scale derivative g (Q, E) with its gradients
+    (else None).  A mean is a row sum divided by n, which is how ``np.mean``
+    computes it.  Row-sized buffers are reused in place to keep a large
+    batch's peak memory low; an in-place operation gives the same bits as
+    its out-of-place form.
     """
     n = y.shape[-1]
-    g = pen_w = pen_b = None
-    if loss == "square":
-        r = yhat - y
-        risk = _row_sum(r ** 2) / n
-        if penalized:
-            g = 2.0 * (_row_sum(r * yhat) / n)
-        r *= 2.0
-        r /= n                        # 2 (yhat - y) / n
-        grad_w, grad_b = _matvec(X, r), _row_sum(r)
-        if penalized:
-            np.multiply(yhat, 2.0, out=r)
-            r -= y
-            r *= 2.0
-            r /= n                    # 2 (2 yhat - y) / n
-            pen_w, pen_b = _matvec(X, r), _row_sum(r)
-    elif loss == "logistic":
+    g = pen = None
+    if loss == "logistic":
         r = _softplus(yhat)
         r -= y * yhat
         risk = _row_sum(r) / n
@@ -140,7 +177,7 @@ def _env_terms(X, yhat, y, loss, penalized):
         if penalized:
             g = _row_sum(r * yhat) / n
         r /= n                        # (s - y) / n
-        grad_w, grad_b = _matvec(X, r), _row_sum(r)
+        grad = _row_grad(X, r)
         if penalized:
             np.subtract(1.0, s, out=r)
             r *= s
@@ -148,7 +185,7 @@ def _env_terms(X, yhat, y, loss, penalized):
             r += s
             r -= y
             r /= n                    # (s (1 - s) yhat + s - y) / n
-            pen_w, pen_b = _matvec(X, r), _row_sum(r)
+            pen = _row_grad(X, r)
     else:
         ys = 2.0 * y - 1.0            # exponential loss uses labels in {-1, +1}
         e = -ys * yhat
@@ -158,13 +195,41 @@ def _env_terms(X, yhat, y, loss, penalized):
             g = _row_sum(-ys * yhat * e) / n
         r = -ys * e
         r /= n
-        grad_w, grad_b = _matvec(X, r), _row_sum(r)
+        grad = _row_grad(X, r)
         if penalized:
             np.subtract(yhat, ys, out=r)
             r *= e
             r /= n                    # e (yhat - ys) / n
-            pen_w, pen_b = _matvec(X, r), _row_sum(r)
-    return risk, grad_w, grad_b, g, pen_w, pen_b
+            pen = _row_grad(X, r)
+    return risk, grad, g, pen
+
+
+def _moment_terms(psi, st, penalized):
+    """The terms of :func:`_env_terms` for the square loss, from the
+    moments of ``st`` at ψ = [theta * scale, 1] (see :class:`MomentStack`).
+
+    With v = Mψ = [Sφ - u, c - uᵀφ] for S = AᵀA, u = Aᵀy, c = yᵀy and
+    φ = theta * scale: sum((ŷ - y) ŷ) = φᵀ(Sφ - u), and the summed
+    squared residual is that plus c - uᵀφ.  So R = (φᵀ(Sφ - u) + c - uᵀφ)
+    / n with gradient scale * 2 (Sφ - u) / n, and g = 2 φᵀ(Sφ - u) / n
+    with gradient scale * 2 (2 Sφ - u) / n.  g is not taken as a
+    difference of R and c - uᵀφ, which would cancel while ŷ is small.
+    """
+    n = st.n
+    v = np.matmul(st.M, psi[:, None, :, None])[..., 0]
+    fit = _row_sum(v[..., :-1] * psi[:, None, :-1])
+    risk = (fit + v[..., -1]) / n
+    step = st.scale[:, None] * (2.0 / n)
+    grad = v[..., :-1] * step
+    if not penalized:
+        return risk, grad, None, None
+    # 2 Sφ - u = 2 (Sφ - u) + u, and u is minus M's last column
+    return risk, grad, 2.0 * fit / n, 2.0 * grad - st.M[..., :-1, -1] * step
+
+
+def _row_grad(X, r):
+    """Gradients in (w, b) of row terms with derivative ``r`` in ŷ."""
+    return np.concatenate([_matvec(X, r), _row_sum(r)[..., None]], axis=-1)
 
 
 def _row_sum(a):
@@ -197,54 +262,70 @@ def objective_and_gradient(theta, stack, cfg):
     batch of Q linear models.
 
     ``theta`` is (Q, d+1), weights then intercept; model q is scored on its
-    own rows of ``stack``, an :class:`EnvStack`, with penalty weights
-    ``cfg.lam[q]`` and ``cfg.gamma[q]`` (or one weight for all).  Returns
-    ``(values, grads)`` of shapes (Q,) and (Q, d+1).
+    own rows of ``stack``: a :class:`MomentStack` for the square loss, an
+    :class:`EnvStack` for the others.  Penalty weights are ``cfg.lam[q]``
+    and ``cfg.gamma[q]`` (or one weight for all).  Returns ``(values,
+    grads)`` of shapes (Q,) and (Q, d+1).
 
-    Each model's result is bit-identical to scoring that model alone, one
-    environment after another: every per-model float operation, and the
-    order in which the terms are summed, is the same whatever the batch
-    holds.  A penalty whose weight is 0 is left out of the sum, not added
-    as 0.
+    Each model's result is the same whatever the batch holds: its float
+    operations, and the order in which the terms are summed, do not depend
+    on the other models.  From an :class:`EnvStack` they are the per-model
+    path's, so the result is bit-identical to scoring that model alone,
+    one environment after another.  A penalty whose weight is 0 is left
+    out of the sum, not added as 0.
     """
     _check_loss_task(cfg.loss, stack.task)
-    q, n_envs, n, d = stack.X.shape
+    moments = isinstance(stack, MomentStack)
+    if moments != (cfg.loss == "square"):
+        raise ParameterError("the square loss is scored from a MomentStack, "
+                             "the other losses from an EnvStack")
+    q, d = theta.shape[0], theta.shape[1] - 1
     lam = np.asarray(cfg.lam, dtype=float)
     gamma = np.asarray(cfg.gamma, dtype=float)
     irm, ib = lam > 0, gamma > 0
     use_irm, use_ib = bool(irm.any()), bool(ib.any())
     irm, ib = _mask(irm), _mask(ib)
-    yhat = np.matmul(stack.X, theta[:, None, :-1, None])[..., 0]
-    yhat += theta[:, -1:, None]
-    risk_qe, grad_w_qe, grad_b_qe, g, g_w, g_b = _env_terms(
-        stack.X, yhat, stack.Y, cfg.loss, use_irm)
+    if moments:
+        n_envs, n = stack.M.shape[1], stack.n
+        psi = np.ones((q, d + 2))
+        np.multiply(theta, stack.scale, out=psi[:, :-1])
+        risk_qe, grad_qe, g, g_grad = _moment_terms(psi, stack, use_irm)
+    else:
+        n_envs, n = stack.X.shape[1:3]
+        yhat = np.matmul(stack.X, theta[:, None, :-1, None])[..., 0]
+        yhat += theta[:, -1:, None]
+        risk_qe, grad_qe, g, g_grad = _env_terms(
+            stack.X, yhat, stack.Y, cfg.loss, use_irm)
     if use_irm:
         lam_q = lam.reshape(-1, 1)
         pen = lam_q * g * g
-        coef = lam_q * 2.0 * g
-        pen_w = coef[..., None] * g_w
-        pen_b = coef * g_b
+        pen_grad = (lam_q * 2.0 * g)[..., None] * g_grad
     # Environment by environment, in the per-model order.
     value = np.zeros(q)
-    grad_w = np.zeros((q, d))
-    grad_b = np.zeros(q)
+    grad = np.zeros((q, d + 1))
     for e in range(n_envs):
         value += risk_qe[:, e]
-        grad_w += grad_w_qe[:, e]
-        grad_b += grad_b_qe[:, e]
+        grad += grad_qe[:, e]
         if use_irm:
             value = _add_where(value, pen[:, e], irm)
-            grad_w = _add_where(grad_w, pen_w[:, e], irm)
-            grad_b = _add_where(grad_b, pen_b[:, e], irm)
+            grad = _add_where(grad, pen_grad[:, e], irm)
     if use_ib:
-        # predictions pooled over the environments
-        allp = yhat.reshape(q, n_envs * n)
-        centered = allp - (_row_sum(allp) / allp.shape[1])[:, None]
-        var_w = _matvec(stack.X.reshape(q, n_envs * n, d), centered)
-        centered **= 2
-        var = _row_sum(centered) / allp.shape[1]
+        n_all = n_envs * n
+        if moments:
+            # wᵀCw with C the pooled scatter matrix: the variance times n_all
+            phi_w = psi[:, :d]
+            C_phi = np.matmul(stack.C, phi_w[..., None])[..., 0]
+            var = _row_sum(C_phi * phi_w) / n_all
+            var_w = stack.scale[:, :-1] * C_phi
+        else:
+            # predictions pooled over the environments
+            allp = yhat.reshape(q, n_all)
+            centered = allp - (_row_sum(allp) / n_all)[:, None]
+            var_w = _matvec(stack.X.reshape(q, n_all, d), centered)
+            centered **= 2
+            var = _row_sum(centered) / n_all
         value = _add_where(value, n_envs * gamma * var, ib)
-        coef = np.reshape(n_envs * gamma * (2.0 / allp.shape[1]), (-1, 1))
-        grad_w = _add_where(grad_w, coef * var_w, ib)
+        coef = np.reshape(n_envs * gamma * (2.0 / n_all), (-1, 1))
         # the intercept shifts every prediction equally: no variance gradient
-    return value, np.concatenate([grad_w, grad_b[:, None]], axis=1)
+        grad[:, :-1] = _add_where(grad[:, :-1], coef * var_w, ib)
+    return value, grad

@@ -41,7 +41,8 @@ SWEEP_FIELDS = ("example", "n_envs", "method", "data_seed", "hparam_id",
                 "lambda", "gamma", "lr", "val_risk", "test_metric",
                 "test_metric_max")
 
-SUMMARY_FIELDS = ("example", "n_envs", "method", "mean_metric", "std_metric")
+SUMMARY_FIELDS = ("example", "n_envs", "method", "mean_metric", "std_metric",
+                  "n_diverged")
 
 
 @dataclass
@@ -49,8 +50,9 @@ class SummaryRow:
     example: str
     n_envs: int
     method: str
-    mean_metric: float
+    mean_metric: float   # over the seeds that did not diverge; nan if none
     std_metric: float
+    n_diverged: int = 0  # seeds whose selected query has no finite metric
 
 
 def fmt_float(v):
@@ -131,7 +133,9 @@ def sweep_row_tuple(row):
 def aggregate_rows(records):
     """Aggregate parsed sweep records: per (example, n_envs, method) and
     seed, keep the query with minimal validation risk, then report the
-    population mean and std of the test metric over seeds."""
+    population mean and std of the test metric over seeds.  A seed whose
+    kept query has no finite test metric (every query of it diverged) is
+    counted in ``n_diverged`` and left out of the mean and std."""
     groups = {}
     for rec in records:
         key = (rec["example"], int(rec["n_envs"]), rec["method"])
@@ -144,9 +148,12 @@ def aggregate_rows(records):
     out = []
     for (example, n_envs, method), best in sorted(groups.items()):
         metrics = np.array([m for _, m in best.values()])
+        finite = metrics[np.isfinite(metrics)]
+        mean, std = ((float(finite.mean()), float(finite.std())) if finite.size
+                     else (float("nan"), float("nan")))
         out.append(SummaryRow(example=example, n_envs=n_envs, method=method,
-                              mean_metric=float(metrics.mean()),
-                              std_metric=float(metrics.std())))
+                              mean_metric=mean, std_metric=std,
+                              n_diverged=metrics.size - finite.size))
     return out
 
 
@@ -175,15 +182,18 @@ def aggregate_report(sweep_files):
 
 
 def format_summary_table(rows):
-    """Fixed-width text table with metrics shown as 'mean ± std'."""
-    header = f"{'example':<10}{'envs':>6}{'method':>8}  {'metric':>14}"
+    """Fixed-width text table with metrics shown as 'mean ± std (k
+    diverged)'; a method whose every seed diverged shows '-' as its mean."""
+    header = f"{'example':<10}{'envs':>6}{'method':>8}  {'metric':>28}"
     lines = [header, "-" * len(header)]
     for r in rows:
-        cell = f"{r.mean_metric:.2f} ± {r.std_metric:.2f}"
-        lines.append(f"{r.example:<10}{r.n_envs:>6}{r.method:>8}  {cell:>14}")
+        stat = ("-" if np.isnan(r.mean_metric)
+                else f"{r.mean_metric:.2f} ± {r.std_metric:.2f}")
+        cell = f"{stat} ({r.n_diverged} diverged)"
+        lines.append(f"{r.example:<10}{r.n_envs:>6}{r.method:>8}  {cell:>28}")
     return "\n".join(lines)
 
 
 def summary_csv_rows(rows):
-    return [(r.example, r.n_envs, r.method, r.mean_metric, r.std_metric)
-            for r in rows]
+    return [(r.example, r.n_envs, r.method, r.mean_metric, r.std_metric,
+             r.n_diverged) for r in rows]

@@ -3,8 +3,10 @@ against.
 
 Training: the path the package used before it trained the queries of one
 data seed as a batch: one linear model at a time, its objective summed
-environment by environment.  The batched engine in ``oodbench.trainer``
-must reproduce it bit for bit.
+over its rows environment by environment.  The batched engine in
+``oodbench.trainer`` must reproduce it bit for bit for the logistic and
+exponential losses, and within the tolerance contract stated there for
+the square loss, which the engine scores from moments.
 
 Flows: a generic fixed-step RK4 integrator, the right-hand side of the
 rotated Theorem-5 flow, and the scalar loop that stepped both rotated
@@ -18,16 +20,17 @@ compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import exp
 
 import numpy as np
 
 from oodbench.numeric_core import DivergenceError, ParameterError
-from oodbench.objectives import EnvStack, LinearModel, _check_loss_task, predict
+from oodbench.objectives import (EnvStack, LinearModel, _check_loss_task,
+                                 moment_stack, predict)
 from oodbench.objectives import objective_and_gradient as batched_objective_and_gradient
 from oodbench.sem_generators import EnvDataset
-from oodbench.trainer import VAL_FRACTION, evaluate
+from oodbench.trainer import VAL_FRACTION, TrainResult, evaluate
 
 
 class OracleDivergence(DivergenceError):
@@ -217,8 +220,32 @@ def train_gd(envs, cfg, tc, rng):
     return theta, curve, val_risk
 
 
-def stack_of(envs):
-    """A batch of one model's training rows: every row of ``envs``."""
+def train_queries(envs, cfg, tc, rngs):
+    """:func:`oodbench.trainer.train_gd` by the per-model path: each query
+    trained alone by :func:`train_gd`, returned as the engine's
+    ``TrainResult`` list."""
+    results = []
+    for q, rng in enumerate(rngs):
+        lam, gamma, lr = (np.broadcast_to(x, (len(rngs),))[q]
+                          for x in (cfg.lam, cfg.gamma, tc.lr))
+        one_cfg = replace(cfg, lam=float(lam), gamma=float(gamma))
+        one_tc = replace(tc, lr=float(lr))
+        try:
+            with np.errstate(all="ignore"):
+                theta, curve, val_risk = train_gd(envs, one_cfg, one_tc, rng)
+        except OracleDivergence as exc:
+            results.append(TrainResult(exc.last_state, np.empty(0), np.inf,
+                                       exc.step))
+            continue
+        results.append(TrainResult(theta, curve, val_risk))
+    return results
+
+
+def stack_of(envs, loss):
+    """A batch of one model's training rows, every row of ``envs``, as the
+    package scores them under ``loss``."""
+    if loss == "square":
+        return moment_stack([[(env.X, env.Y) for env in envs]], envs[0].task)
     return EnvStack(np.stack([env.X for env in envs])[None],
                     np.stack([env.Y for env in envs])[None], envs[0].task)
 
@@ -227,7 +254,7 @@ def batched_objective(model, envs, cfg):
     """The package's batched objective for a batch of one model; returns
     ``(value, grad)`` as the per-model :func:`objective_and_gradient` does."""
     theta = np.concatenate([model.w, [model.b]])[None]
-    value, grad = batched_objective_and_gradient(theta, stack_of(envs), cfg)
+    value, grad = batched_objective_and_gradient(theta, stack_of(envs, cfg.loss), cfg)
     return value[0], grad[0]
 
 

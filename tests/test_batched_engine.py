@@ -1,4 +1,7 @@
-"""The batched training engine against the per-model oracle, bit for bit."""
+"""The batched training engine against the per-model oracle: bit for bit
+for the logistic and exponential losses, and within the tolerance contract
+of ``oodbench.objectives`` for the square loss, which the engine scores from
+moments instead of rows."""
 
 import numpy as np
 import pytest
@@ -57,6 +60,80 @@ def _oracle(envs, loss, query, tc, rng):
     return theta, curve, val_risk, None
 
 
+# The square-loss contract, per call: value and gradient (max-norm) within
+# these multiples of their terms' magnitudes (see _magnitudes) of the
+# per-row oracle.  Measured on this grid, over the 174 (GD) and 248 (Adam)
+# calls of the oracle's trainings: at most 3.9e-16 (value) and 4.3e-16
+# (gradient).
+CALL_RTOL = 1e-14
+# Per training, 60 steps: theta, the objective curve and val_risk within
+# this relative distance (max-norm) of the oracle's.  Measured: 2.4e-14
+# (GD) and 1.9e-15 (Adam).
+TRAIN_RTOL = 1e-12
+
+
+def _magnitudes(model, envs, cfg):
+    """Majorants of the terms of the square-loss value and gradient: each
+    term evaluated on absolute values, so that none can cancel.  Returns
+    (value scale, gradient scale vector)."""
+    t = np.abs(np.append(model.w, model.b))
+    value, grad = 0.0, np.zeros_like(t)
+    for env in envs:
+        A = np.abs(np.column_stack([env.X, np.ones(env.n)]))
+        h = A @ t
+        y = np.abs(env.Y)
+        r = h + y
+        value += np.mean(r * r)
+        grad += 2.0 * (A.T @ r) / env.n
+        if cfg.lam > 0:
+            g = 2.0 * np.mean(r * h)
+            value += cfg.lam * g * g
+            grad += cfg.lam * 2.0 * g * 2.0 * (A.T @ (2.0 * h + y)) / env.n
+    if cfg.gamma > 0:
+        X = np.vstack([env.X for env in envs])
+        Xc = np.abs(X - X.mean(axis=0))
+        h = Xc @ t[:-1]
+        value += len(envs) * cfg.gamma * np.mean(h * h)
+        grad[:-1] += len(envs) * cfg.gamma * 2.0 * (Xc.T @ h) / X.shape[0]
+    return value, grad
+
+
+def _checked_calls(monkeypatch):
+    """Make every per-model oracle call also score the model with the
+    package's objective; returns the list that collects, per call, the
+    value's and the gradient's distance over their magnitudes."""
+    errors = []
+    reference = oracle.objective_and_gradient
+
+    def checked(model, envs, cfg):
+        value, grad = reference(model, envs, cfg)
+        got_value, got_grad = oracle.batched_objective(model, envs, cfg)
+        v_scale, g_scale = _magnitudes(model, envs, cfg)
+        if np.isfinite([value, v_scale, *grad, *g_scale]).all():
+            errors.append((abs(got_value - value) / v_scale,
+                           np.max(np.abs(got_grad - grad)) / np.max(g_scale)))
+        return value, grad
+
+    monkeypatch.setattr(oracle, "objective_and_gradient", checked)
+    return errors
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _assert_within_contract(result, expected):
+    theta, curve, val_risk, step = expected
+    assert result.diverged_step == step
+    assert _rel(result.theta, theta) <= TRAIN_RTOL
+    if step is None:
+        assert _rel(result.objective_curve, curve) <= TRAIN_RTOL
+        assert abs(result.val_risk - val_risk) <= TRAIN_RTOL * val_risk
+    else:
+        assert result.objective_curve.shape == (step,)
+        assert result.val_risk == val_risk
+
+
 def _assert_same(result, expected):
     theta, curve, val_risk, step = expected
     assert result.diverged_step == step
@@ -70,18 +147,28 @@ def _assert_same(result, expected):
 
 @pytest.mark.parametrize("optimizer", ["gd", "adam"])
 @pytest.mark.parametrize("loss", ["square", "logistic", "exponential"])
-def test_matches_per_model_oracle(loss, optimizer):
+def test_matches_per_model_oracle(loss, optimizer, monkeypatch):
     envs = _envs(loss)
     queries = QUERIES[optimizer]
     cfg, lr = _batch(queries, loss)
     tc = TrainConfig(lr=lr, steps=60, optimizer=optimizer)
     rngs = [RngStream(1).fork(f"query{q}") for q in range(len(queries))]
     results = train_gd(envs, cfg, tc, rngs)
+    if loss == "square":
+        errors = _checked_calls(monkeypatch)
     expected = [_oracle(envs, loss, qu, tc, r) for qu, r in zip(queries, rngs)]
     steps = [e[3] for e in expected]
     assert None in steps and any(s is not None for s in steps)
     for result, exp in zip(results, expected):
-        _assert_same(result, exp)
+        if loss == "square":
+            _assert_within_contract(result, exp)
+        else:
+            _assert_same(result, exp)
+    if loss == "square":
+        # every call the oracle's trainings made, up to each divergence
+        assert len(errors) > 2 * tc.steps
+        assert max(v for v, _ in errors) <= CALL_RTOL
+        assert max(g for _, g in errors) <= CALL_RTOL
 
 
 @pytest.mark.parametrize("loss", ["square", "logistic"])

@@ -95,6 +95,23 @@ class TestAggregateRows:
         assert row.mean_metric == pytest.approx(0.4)
         assert row.std_metric == pytest.approx(0.1)
 
+    def test_diverged_seeds_are_counted_not_averaged(self):
+        def rec(method, seed, val, metric):
+            return {"example": "ex1", "n_envs": 3, "method": method,
+                    "data_seed": seed, "val_risk": val, "test_metric": metric}
+        inf = float("inf")
+        recs = [rec("ERM", 0, 0.3, 2.0), rec("ERM", 0, inf, inf),
+                rec("ERM", 1, inf, inf), rec("ERM", 2, 0.1, 4.0),
+                rec("IRM", 0, inf, inf), rec("IRM", 1, inf, inf)]
+        erm, irm = aggregate_rows(recs)
+        assert (erm.mean_metric, erm.std_metric, erm.n_diverged) == (3.0, 1.0, 1)
+        assert np.isnan(irm.mean_metric) and np.isnan(irm.std_metric)
+        assert irm.n_diverged == 2
+        table = format_summary_table([erm, irm])
+        assert "3.00 ± 1.00 (1 diverged)" in table
+        assert "- (2 diverged)" in table
+        assert "inf" not in table and "nan" not in table
+
     def test_groups_sorted_by_key(self):
         recs = [
             {"example": "ex2", "n_envs": 3, "method": "IRM", "data_seed": 0,
@@ -159,7 +176,7 @@ class TestSweepCommand:
         assert {r["method"] for r in rows} == {"ERM", "IBERM"}
         _, sfields, srows = read_csv(os.path.join(out, "summary.csv"))
         assert sfields == ("example", "n_envs", "method", "mean_metric",
-                           "std_metric")
+                           "std_metric", "n_diverged")
         assert len(srows) == 2
         assert "±" in capsys.readouterr().out
 
@@ -173,27 +190,43 @@ class TestSweepCommand:
             assert _strip_timestamp(_read(os.path.join(outs[0], name))) == \
                 _strip_timestamp(_read(os.path.join(outs[1], name)))
 
+    def test_config_hash_covers_the_resolved_config(self, tmp_path, capsys):
+        hashes = []
+        for name, steps in (("a", 5), ("b", 10), ("c", 5)):
+            cfg = str(tmp_path / f"{name}.json")
+            with open(cfg, "w") as fh:
+                json.dump({"steps": steps}, fh)
+            out = str(tmp_path / name)
+            assert main(["sweep", "--example", "twod", "--queries", "1",
+                         "--seeds", "1", "--config", cfg, "--out", out]) == 0
+            hashes.append(read_csv(os.path.join(out, "sweep.csv"))[0]["config_hash"])
+        capsys.readouterr()
+        assert hashes[0] != hashes[1]
+        assert hashes[0] == hashes[2]
+
     # sha256 of sweep.csv and summary.csv with the timestamp line removed.
-    # ex1 and ex2 are the bytes the per-model training engine wrote before
-    # queries were batched.  ex3s, twod and xor pin the scrambler, the
-    # shifted test environments and xor's default variant, as written
-    # before the shifts and the xor default were narrowed to one path.
+    # Apart from the config_hash line and summary.csv's n_diverged column,
+    # ex2 is the bytes the per-model training engine wrote before queries
+    # were batched, and ex3s, twod and xor pin the scrambler, the shifted
+    # test environments and xor's default variant as written before the
+    # shifts and the xor default were narrowed to one path.  ex1 is trained
+    # from moments: test_square_contract.py ties it to the per-model path.
     GOLDEN = {
         "ex1": (["--queries", "3", "--seeds", "2"], {"steps": 300},
-                "8905c9483209fcffcee9c257392cbd329d4784b57b488d6bae5de664a01b4287",
-                "1e93edaadcc58822b1444d211f9c1e820c83cc6810be4f8ffeb152a223b78ce2"),
+                "b07b5fdedad46198de1a96b99a15b2a12e2bd424b41c24c8d13c59ca44381ef3",
+                "3884bc8b28ed12aaa36d00df647fb8df38a5f95835c7a72849d00be5521f8863"),
         "ex2": (["--queries", "2", "--seeds", "1"], {"steps": 500},
-                "8eb51e2eb1e5bfa24fc267fffa7df500dc5dfaecdb11ed6d5fef6246d6aa7cac",
-                "dd3e7a15d2786ba98cd026c6742db563007906fc812949fe9629b50856cda035"),
+                "e99d1daec10c7119d8a9623e9545e46735c1f59291096a071747b8dd6fa74f0e",
+                "1a9f6d4054b600844cf3d76c6e315f78002b59499913f90e2a1808114947f931"),
         "ex3s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                 "a6c8131029e09f2c7254377ce7eb1664c2db28aa085d3984cd2689c066a0d345",
-                 "f3bb8444710b1778ff11d1d8ebc879cc5698a9a5a66c88e7b1a6bf0266411c1b"),
+                 "a3e4c030158b152ea03628e04a1478a5ddd1a78fbea17c2fc21234f2a811b791",
+                 "a5bfff0ec6983d595f4361971876d72ec5f6dcf67b6f7a9cc9fb6bbea4dcf888"),
         "twod": (["--queries", "2", "--seeds", "2"], {"steps": 200, "n_per_env": 200},
-                 "5cfd7e9224543d4e973c4f162fd82a68359f01d8e3a43abc212a5288249774bd",
-                 "2ad191a241da2f224e4c0f16605461bf4374daa756b5265e69a697a4e4c739a6"),
+                 "09e62bd73000428065b2a97baa902b18be188f5fb1372847ff297e2038d60ba4",
+                 "32dc2946f94486a46a1516f2e6bd0ea4e9186176a82e7e9c9e15226b7fb2f418"),
         "xor": (["--queries", "3", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                "bfdf2bb1d36f0f3fc2d03aaf629a6aa1e7a04f7cb8440b1994520ebaf9ee98b5",
-                "91c720959e88b5e0b617d50b82d81872470f641a7594cbba092670c768960f76"),
+                "cdb5ae4a2b8a2055eb5d7a06ddc48d98bbcc71541d2ab67a73beccb405ccea95",
+                "ff33cdbeb310d648cf440ec7ecb97cf30d6dcc3dc992f0f286c970b1ac428855"),
     }
 
     @pytest.mark.parametrize("example", sorted(GOLDEN))
