@@ -13,11 +13,12 @@ per-environment placement in the penalized objective).
 
 The logistic and exponential losses are scored from the rows
 (:class:`EnvStack`), with the per-model path's float operations in its
-order.  The square loss is an exact polynomial in a few moments of the
-rows, so it is scored from them (:class:`MomentStack`): one step costs
-O(E d²) instead of O(E n d), with a different rounding.  What each path
-promises against the per-model reference is the tolerance contract in
-:mod:`oodbench.trainer`.
+order, but for the logistic softplus, taken from the sigmoid's exp(-|ŷ|)
+instead of numpy's ``logaddexp``.  The square loss is an exact polynomial
+in a few moments of the rows, so it is scored from them
+(:class:`MomentStack`): one step costs O(E d²) instead of O(E n d), with a
+different rounding.  What each path promises against the per-model
+reference is the tolerance contract in :mod:`oodbench.trainer`.
 """
 
 from __future__ import annotations
@@ -141,20 +142,6 @@ def _check_loss_task(loss, task):
         raise ParameterError("square loss incompatible with classification")
 
 
-def _sigmoid(z):
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)  # exp(-|z|)
-    s = np.where(z >= 0, 1.0, e)
-    e += 1.0
-    s /= e
-    return s
-
-
-def _softplus(z):
-    return np.logaddexp(0.0, z)
-
-
 def _env_terms(X, yhat, y, loss, penalized):
     """Risk terms of every (model, environment) pair, from (Q, E, n)
     predictions and labels of a logistic or exponential loss.
@@ -165,17 +152,32 @@ def _env_terms(X, yhat, y, loss, penalized):
     computes it.  Row-sized buffers are reused in place to keep a large
     batch's peak memory low; an in-place operation gives the same bits as
     its out-of-place form.
+
+    All but the logistic risk follow the per-model path's float operations
+    in its order.  One e = exp(-|ŷ|) per row gives both the sigmoid,
+    where(ŷ ≥ 0, 1, e) / (1 + e) as that path takes it, and the softplus,
+    max(ŷ, 0) + log1p(e).  That is the formula of numpy's
+    ``logaddexp(0, ŷ)`` with a vectorised exp; it agrees with it to a few
+    ulp (see :mod:`oodbench.trainer`).
     """
     n = y.shape[-1]
     g = pen = None
     if loss == "logistic":
-        r = _softplus(yhat)
-        r -= y * yhat
+        e = np.abs(yhat)
+        np.negative(e, out=e)
+        np.exp(e, out=e)              # exp(-|yhat|), shared by both halves
+        s = np.where(yhat >= 0, 1.0, e)
+        r = np.log1p(e)
+        e += 1.0
+        s /= e                        # sigmoid(yhat)
+        np.maximum(yhat, 0.0, out=e)
+        r += e                        # softplus(yhat) = max(yhat, 0) + log1p(e)
+        np.multiply(y, yhat, out=e)
+        r -= e
         risk = _row_sum(r) / n
-        s = _sigmoid(yhat)
         np.subtract(s, y, out=r)
         if penalized:
-            g = _row_sum(r * yhat) / n
+            g = _row_sum(np.multiply(r, yhat, out=e)) / n
         r /= n                        # (s - y) / n
         grad = _row_grad(X, r)
         if penalized:

@@ -14,8 +14,18 @@ trained weights by 1.8% and val_risk from 0.358 to 0.402.  So the contract
 says which results equal the reference bit for bit and which are within a
 stated bound of it, and the tests check each part.
 
-* Logistic and exponential losses: every query's result is bit-identical
-  to the per-model path.
+* Exponential loss: every query's result is bit-identical to the
+  per-model path.
+* Logistic loss: theta, ``diverged_step``, ``val_risk`` and every sweep
+  output are bit-identical to the per-model path.  The objective values
+  are not: the softplus is max(yhat, 0) + log1p(exp(-|yhat|)), reusing
+  the sigmoid's exp, where the per-model path calls numpy's ``logaddexp``.
+  Each row's softplus is within 4 ulp of ``logaddexp``'s, with the
+  same inf and nan pattern, so each row's risk term is within 4 ulp of
+  the larger of its softplus and |y yhat| (measured: 2 ulp over 1.1e6
+  rows).  On the tested grid each objective value is within 1e-15
+  relative of the per-model path's (measured: 2.7e-16).  The softplus
+  enters only the value, never the gradient.
 * Square loss, per call: the objective is computed from per-environment
   moments (:class:`~oodbench.objectives.MomentStack`), not from rows.  Its
   value and gradient are within 1e-14 of the per-model path's, relative to
@@ -277,6 +287,9 @@ def _run_seed(spec, method, seed, n_queries, rng, tc_base):
     loss, metric = _loss_and_metric(spec.example)
     seed_rng = rng.fork(f"seed{seed}")
     fw, params, envs = generate_training_envs(spec, seed_rng.fork("data"))
+    # Training reads only each environment's rows: the latents are dropped
+    # so that they do not stay resident through training.
+    envs = [replace(env, Z_inv=None, Z_spu=None) for env in envs]
     q_rngs = [seed_rng.fork(f"query{q}") for q in range(n_queries)]
     hparams = [_sample_hparams(method, r.fork("hparams")) for r in q_rngs]
     lrs, lams, gammas = (np.array(col) for col in zip(*hparams))

@@ -4,9 +4,11 @@ against.
 Training: the path the package used before it trained the queries of one
 data seed as a batch: one linear model at a time, its objective summed
 over its rows environment by environment.  The batched engine in
-``oodbench.trainer`` must reproduce it bit for bit for the logistic and
-exponential losses, and within the tolerance contract stated there for
-the square loss, which the engine scores from moments.
+``oodbench.trainer`` must reproduce it within the tolerance contract
+stated there: bit for bit for the exponential loss, and for the logistic
+loss but for its objective values, whose softplus the engine takes from
+the sigmoid's exp; and within a bound for the square loss, which the
+engine scores from moments.
 
 Flows: a generic fixed-step RK4 integrator, the right-hand side of the
 rotated Theorem-5 flow, and the scalar loop that stepped both rotated

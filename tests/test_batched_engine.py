@@ -1,7 +1,9 @@
-"""The batched training engine against the per-model oracle: bit for bit
-for the logistic and exponential losses, and within the tolerance contract
-of ``oodbench.objectives`` for the square loss, which the engine scores from
-moments instead of rows."""
+"""The batched training engine against the per-model oracle, within the
+tolerance contract of ``oodbench.trainer``: bit for bit for the exponential
+loss; for the logistic loss bit for bit in everything but the objective
+values, which take the softplus from the sigmoid's exp(-|yhat|) instead of
+``np.logaddexp``; and within a bound for the square loss, which the engine
+scores from moments instead of rows."""
 
 import numpy as np
 import pytest
@@ -70,6 +72,10 @@ CALL_RTOL = 1e-14
 # this relative distance (max-norm) of the oracle's.  Measured: 2.4e-14
 # (GD) and 1.9e-15 (Adam).
 TRAIN_RTOL = 1e-12
+# Logistic loss: each objective value within this relative distance of the
+# oracle's.  Measured on this grid: 33 of 732 curve points differ, by at
+# most 2.7e-16.
+LOGISTIC_CURVE_RTOL = 1e-15
 
 
 def _magnitudes(model, envs, cfg):
@@ -134,12 +140,19 @@ def _assert_within_contract(result, expected):
         assert result.val_risk == val_risk
 
 
-def _assert_same(result, expected):
+def _assert_same(result, expected, curve_rtol=0.0):
+    """Bit for bit, but for the objective curve when ``curve_rtol`` > 0:
+    that is then compared point by point within it."""
     theta, curve, val_risk, step = expected
     assert result.diverged_step == step
     assert np.array_equal(result.theta, theta)
     if step is None:
-        assert np.array_equal(result.objective_curve, curve)
+        got = result.objective_curve
+        if curve_rtol:
+            assert got.shape == curve.shape
+            assert np.all(np.abs(got - curve) <= curve_rtol * np.abs(curve))
+        else:
+            assert np.array_equal(got, curve)
     else:
         assert result.objective_curve.shape == (step,)
     assert result.val_risk == val_risk
@@ -162,6 +175,8 @@ def test_matches_per_model_oracle(loss, optimizer, monkeypatch):
     for result, exp in zip(results, expected):
         if loss == "square":
             _assert_within_contract(result, exp)
+        elif loss == "logistic":
+            _assert_same(result, exp, LOGISTIC_CURVE_RTOL)
         else:
             _assert_same(result, exp)
     if loss == "square":

@@ -209,8 +209,10 @@ class TestSweepCommand:
     # ex2 is the bytes the per-model training engine wrote before queries
     # were batched, and ex3s, twod and xor pin the scrambler, the shifted
     # test environments and xor's default variant as written before the
-    # shifts and the xor default were narrowed to one path.  ex1 is trained
-    # from moments: test_square_contract.py ties it to the per-model path.
+    # shifts and the xor default were narrowed to one path.  ex2s and ex3
+    # are the bytes written before the logistic softplus was fused into the
+    # sigmoid pass.  ex1 is trained from moments: test_square_contract.py
+    # ties it to the per-model path.
     GOLDEN = {
         "ex1": (["--queries", "3", "--seeds", "2"], {"steps": 300},
                 "b07b5fdedad46198de1a96b99a15b2a12e2bd424b41c24c8d13c59ca44381ef3",
@@ -218,6 +220,12 @@ class TestSweepCommand:
         "ex2": (["--queries", "2", "--seeds", "1"], {"steps": 500},
                 "e99d1daec10c7119d8a9623e9545e46735c1f59291096a071747b8dd6fa74f0e",
                 "1a9f6d4054b600844cf3d76c6e315f78002b59499913f90e2a1808114947f931"),
+        "ex2s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
+                 "57477833ce92438228067eaa71de9ad4850720006820f45cd47eca78a568d787",
+                 "e1d75601985ec66b4582cca712cf8709721027bd34b89566fc0c494fe29a9ba7"),
+        "ex3": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
+                "b5824e42a9a45296fe2d82ad62c80a54c416cabc4c6b70e7c02203a325afc152",
+                "c5ec6ad1741d08d5ba9f7ed0995ccbb6218f45eb944ed147918318715c5489c4"),
         "ex3s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
                  "a3e4c030158b152ea03628e04a1478a5ddd1a78fbea17c2fc21234f2a811b791",
                  "a5bfff0ec6983d595f4361971876d72ec5f6dcf67b6f7a9cc9fb6bbea4dcf888"),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import LinearModel, ObjectiveConfig, predict
+from oodbench.objectives import LinearModel, ObjectiveConfig, _env_terms, predict
 from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
-from oracle import batched_objective, irmv1_penalty, risk, variance_penalty
+from oracle import (_sigmoid, batched_objective, irmv1_penalty, risk,
+                    variance_penalty)
 
 
 def make_env(X, Y, task):
@@ -209,3 +210,59 @@ class TestObjectiveAndGradient:
         assert abs(v_id - (2.0 + 2.0 * (2 * p - 1))) < 0.05
         assert v_id > v_inv
         assert v_id > v_spu
+
+
+class TestLogisticKernel:
+    """The logistic branch of the engine, one row per model: its risk term
+    against the oracle's ``np.logaddexp(0, z) - y z`` and its sigmoid
+    against the oracle's.  The softplus is within 4 ulp of the oracle's
+    (measured: 2).  With y = 1 and z > 0 the term cancels to softplus(z) - z,
+    so its error is bounded in ulp of the larger of softplus(z) and |y z|,
+    not of the term."""
+
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 37.0, -37.0,
+             709.0, -709.0, 710.0, -710.0, 1e308, -1e308,
+             np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def _kernel(z, y):
+        """The risk term and the intercept gradient, sigmoid(z) - y, of
+        every prediction z with label y, each scored as a model with one
+        environment of one row."""
+        m = z.size
+        with np.errstate(all="ignore"):
+            risk_qe, grad_qe, _, _ = _env_terms(
+                np.ones((m, 1, 1, 1)), z.reshape(m, 1, 1).copy(),
+                np.full((m, 1, 1), y), "logistic", False)
+        return risk_qe[:, 0], grad_qe[:, 0, -1]
+
+    def _check(self, z):
+        for y in (0.0, 1.0):
+            term, sig = self._kernel(z, y)
+            with np.errstate(all="ignore"):
+                softplus = np.logaddexp(0.0, z)
+                want = softplus - y * z
+                scale = np.maximum(softplus, np.abs(y * z))
+            assert np.array_equal(np.isnan(term), np.isnan(want))
+            assert np.array_equal(np.isinf(term), np.isinf(want))
+            assert np.array_equal(term[np.isinf(term)], want[np.isinf(want)])
+            finite = np.isfinite(want)
+            assert np.all(np.abs(term[finite] - want[finite])
+                          <= 4 * np.spacing(scale[finite]))
+            if y == 0.0:
+                ref = _sigmoid(z)
+                assert np.array_equal(sig, ref, equal_nan=True)
+                num = ~np.isnan(ref)
+                assert np.array_equal(np.signbit(sig[num]), np.signbit(ref[num]))
+
+    def test_edge_values(self):
+        self._check(np.array(self.EDGES))
+
+    def test_random_values(self):
+        r = RngStream(31)
+        n = 200_000
+        sign = np.where(r.fork("sign").bernoulli_array((n,), 0.5), 1.0, -1.0)
+        z = np.concatenate([
+            40.0 * r.fork("near").gaussian_array((n,)),
+            sign * 10.0 ** r.fork("exp").uniform_array((n,), -300.0, 308.0)])
+        self._check(z)
