@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .dynamics import theorem5_report
 from .entropy_lab import (LabeledMixture, conditional_entropy_gap,
                           gaussian_entropy_bound, sum_entropy_gap)
 from .reporting import (SWEEP_FIELDS, SUMMARY_FIELDS, aggregate_report,
-                        config_hash, format_summary_table, summary_csv_rows,
-                        sweep_row_tuple, write_csv, write_json)
+                        config_hash, format_summary_table, write_csv,
+                        write_json)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -78,8 +78,7 @@ def cmd_generate(args):
     params = env_params(spec, rng)
     meta = {"root_seed": args.seed,
             "config_hash": config_hash({"command": "generate",
-                                        "example": args.example,
-                                        "envs": args.envs,
+                                        "spec": asdict(spec),
                                         "seed": args.seed})}
     os.makedirs(args.out, exist_ok=True)
     files = []
@@ -87,16 +86,10 @@ def cmd_generate(args):
         env = generate_env(spec, p, fw, rng)
         d = env.X.shape[1]
         fields = ["env_id", "y"] + [f"x_{j}" for j in range(d)]
-        rows = []
-        include_latents = env.Z_inv is not None
-        if include_latents:
-            fields += [f"zinv_{j}" for j in range(env.Z_inv.shape[1])]
-            fields += [f"zspu_{j}" for j in range(env.Z_spu.shape[1])]
-        for i in range(env.n):
-            row = [env.env_id, env.Y[i], *env.X[i]]
-            if include_latents:
-                row += [*env.Z_inv[i], *env.Z_spu[i]]
-            rows.append(row)
+        fields += [f"zinv_{j}" for j in range(env.Z_inv.shape[1])]
+        fields += [f"zspu_{j}" for j in range(env.Z_spu.shape[1])]
+        rows = [[env.env_id, env.Y[i], *env.X[i], *env.Z_inv[i], *env.Z_spu[i]]
+                for i in range(env.n)]
         path = os.path.join(args.out, f"env_{p.env_id}.csv")
         write_csv(path, fields, rows, meta)
         files.append(os.path.basename(path))
@@ -129,10 +122,10 @@ def cmd_sweep(args):
                                         "seed": args.seed})}
     os.makedirs(args.out, exist_ok=True)
     sweep_path = os.path.join(args.out, "sweep.csv")
-    write_csv(sweep_path, SWEEP_FIELDS, [sweep_row_tuple(r) for r in rows], meta)
+    write_csv(sweep_path, SWEEP_FIELDS, [astuple(r) for r in rows], meta)
     summary = aggregate_report([sweep_path])
     write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_FIELDS,
-              summary_csv_rows(summary), meta)
+              [astuple(r) for r in summary], meta)
     print(format_summary_table(summary))
     return EXIT_OK
 
@@ -145,18 +138,15 @@ def cmd_dynamics(args):
                                         "dt": args.dt})}
     os.makedirs(args.out, exist_ok=True)
     rows = []
-    for name in ("ib_erm", "erm"):
-        traj = report[f"{'ib' if name == 'ib_erm' else 'erm'}_trajectory"]
+    for name, key in (("ib_erm", "ib_trajectory"), ("erm", "erm_trajectory")):
+        traj = report[key]
         n_points = traj.n_steps + 1
         stride = max(1, -(-n_points // TRAJECTORY_MAX_ROWS))
         rows.extend((name, *row) for row in
                     zip(*traj.at(np.arange(0, n_points, stride))))
     write_csv(os.path.join(args.out, "trajectory.csv"),
               ("flow", "t", "w_inv", "w_spu", "ratio"), rows, meta)
-    verdict = {k: report[k] for k in
-               ("p", "gamma", "eps", "dt", "x_star", "t_ib", "crossing_time",
-                "ib_ratio_at_tib", "erm_ratio_at_tib", "erm_lower_bound",
-                "ratio_bound_scaled", "pass", "ib_pass", "erm_pass")}
+    verdict = {k: v for k, v in report.items() if not k.endswith("_trajectory")}
     write_json(os.path.join(args.out, "verdict.json"), verdict, meta)
     print(json.dumps(verdict, indent=2, default=float))
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
@@ -253,7 +243,7 @@ def cmd_report(args):
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_FIELDS,
-                  summary_csv_rows(summary), meta)
+                  [astuple(r) for r in summary], meta)
     print(format_summary_table(summary))
     return EXIT_OK
 

@@ -57,7 +57,8 @@ class LinearModel:
 class ObjectiveConfig:
     """loss kind plus penalty weights; (0, 0) is ERM, (lam>0, 0) is IRM,
     (0, gamma>0) is IB-ERM, both positive is IB-IRM.  For a batch of
-    models ``lam`` and ``gamma`` are one weight per model, or one for all."""
+    models ``lam`` and ``gamma`` are one weight per model, or one for all;
+    the batch is of one method, so each is all zero or all positive."""
 
     loss: str = "square"
     lam: float | np.ndarray = 0.0
@@ -66,8 +67,10 @@ class ObjectiveConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ParameterError(f"unknown loss {self.loss!r}")
-        if np.any(np.asarray(self.lam) < 0) or np.any(np.asarray(self.gamma) < 0):
-            raise ParameterError("penalty weights must be >= 0")
+        for name in ("lam", "gamma"):
+            w = np.asarray(getattr(self, name))
+            if not (np.all(w == 0) or np.all(w > 0)):
+                raise ParameterError(f"{name} must be all zero or all positive")
 
 
 @dataclass
@@ -155,10 +158,11 @@ def _env_terms(X, yhat, y, loss, penalized):
 
     All but the logistic risk follow the per-model path's float operations
     in its order.  One e = exp(-|ŷ|) per row gives both the sigmoid,
-    where(ŷ ≥ 0, 1, e) / (1 + e) as that path takes it, and the softplus,
-    max(ŷ, 0) + log1p(e).  That is the formula of numpy's
-    ``logaddexp(0, ŷ)`` with a vectorised exp; it agrees with it to a few
-    ulp (see :mod:`oodbench.trainer`).
+    max(e, [ŷ ≥ 0]) / (1 + e), and the softplus, max(ŷ, 0) + log1p(e).
+    As e is in [0, 1] or nan, the sigmoid's numerator is 1 where ŷ ≥ 0 and
+    e elsewhere, as the per-model path takes it.  The softplus is the
+    formula of numpy's ``logaddexp(0, ŷ)`` with a vectorised exp; it agrees
+    with it to a few ulp (see :mod:`oodbench.trainer`).
     """
     n = y.shape[-1]
     g = pen = None
@@ -166,7 +170,7 @@ def _env_terms(X, yhat, y, loss, penalized):
         e = np.abs(yhat)
         np.negative(e, out=e)
         np.exp(e, out=e)              # exp(-|yhat|), shared by both halves
-        s = np.where(yhat >= 0, 1.0, e)
+        s = np.maximum(e, yhat >= 0)
         r = np.log1p(e)
         e += 1.0
         s /= e                        # sigmoid(yhat)
@@ -246,19 +250,6 @@ def _matvec(X, r):
     return np.matmul(X.swapaxes(-1, -2), r[..., None])[..., 0]
 
 
-def _add_where(acc, term, on):
-    """``acc + term`` for the models where ``on`` holds (all when ``on`` is
-    None); the rest keep ``acc``."""
-    if on is None:
-        return acc + term
-    return np.where(on.reshape((-1,) + (1,) * (acc.ndim - 1)), acc + term, acc)
-
-
-def _mask(on):
-    """None when every model of the batch is on, else the per-model mask."""
-    return None if on.all() else on
-
-
 def objective_and_gradient(theta, stack, cfg):
     """Penalized objective values and their exact gradients in (w, b) for a
     batch of Q linear models.
@@ -266,8 +257,9 @@ def objective_and_gradient(theta, stack, cfg):
     ``theta`` is (Q, d+1), weights then intercept; model q is scored on its
     own rows of ``stack``: a :class:`MomentStack` for the square loss, an
     :class:`EnvStack` for the others.  Penalty weights are ``cfg.lam[q]``
-    and ``cfg.gamma[q]`` (or one weight for all).  Returns ``(values,
-    grads)`` of shapes (Q,) and (Q, d+1).
+    and ``cfg.gamma[q]`` (or one weight for all); each penalty is on for
+    every model of the batch or for none.  Returns ``(values, grads)`` of
+    shapes (Q,) and (Q, d+1).
 
     Each model's result is the same whatever the batch holds: its float
     operations, and the order in which the terms are summed, do not depend
@@ -284,9 +276,7 @@ def objective_and_gradient(theta, stack, cfg):
     q, d = theta.shape[0], theta.shape[1] - 1
     lam = np.asarray(cfg.lam, dtype=float)
     gamma = np.asarray(cfg.gamma, dtype=float)
-    irm, ib = lam > 0, gamma > 0
-    use_irm, use_ib = bool(irm.any()), bool(ib.any())
-    irm, ib = _mask(irm), _mask(ib)
+    use_irm, use_ib = bool(lam.any()), bool(gamma.any())
     if moments:
         n_envs, n = stack.M.shape[1], stack.n
         psi = np.ones((q, d + 2))
@@ -309,8 +299,8 @@ def objective_and_gradient(theta, stack, cfg):
         value += risk_qe[:, e]
         grad += grad_qe[:, e]
         if use_irm:
-            value = _add_where(value, pen[:, e], irm)
-            grad = _add_where(grad, pen_grad[:, e], irm)
+            value += pen[:, e]
+            grad += pen_grad[:, e]
     if use_ib:
         n_all = n_envs * n
         if moments:
@@ -326,8 +316,8 @@ def objective_and_gradient(theta, stack, cfg):
             var_w = _matvec(stack.X.reshape(q, n_all, d), centered)
             centered **= 2
             var = _row_sum(centered) / n_all
-        value = _add_where(value, n_envs * gamma * var, ib)
+        value += n_envs * gamma * var
         coef = np.reshape(n_envs * gamma * (2.0 / n_all), (-1, 1))
         # the intercept shifts every prediction equally: no variance gradient
-        grad[:, :-1] = _add_where(grad[:, :-1], coef * var_w, ib)
+        grad[:, :-1] += coef * var_w
     return value, grad

@@ -37,6 +37,8 @@ __all__ = [
     "SWEEP_FIELDS",
 ]
 
+# The columns of sweep.csv and summary.csv: the fields of trainer.SweepRow
+# and of SummaryRow, in order, written with dataclasses.astuple.
 SWEEP_FIELDS = ("example", "n_envs", "method", "data_seed", "hparam_id",
                 "lambda", "gamma", "lr", "val_risk", "test_metric",
                 "test_metric_max")
@@ -124,12 +126,6 @@ def write_json(path, payload, meta):
     atomic_write_text(path, json.dumps(doc, indent=2, default=float) + "\n")
 
 
-def sweep_row_tuple(row):
-    return (row.example, row.n_envs, row.method, row.data_seed, row.hparam_id,
-            row.lam, row.gamma, row.lr, row.val_risk, row.test_metric,
-            row.test_metric_max)
-
-
 def aggregate_rows(records):
     """Aggregate parsed sweep records: per (example, n_envs, method) and
     seed, keep the query with minimal validation risk, then report the
@@ -193,7 +189,3 @@ def format_summary_table(rows):
         lines.append(f"{r.example:<10}{r.n_envs:>6}{r.method:>8}  {cell:>28}")
     return "\n".join(lines)
 
-
-def summary_csv_rows(rows):
-    return [(r.example, r.n_envs, r.method, r.mean_metric, r.std_metric,
-             r.n_diverged) for r in rows]

@@ -273,18 +273,13 @@ def generate_env(spec, params, fw, rng):
     return gen_binary_xor(spec, params, rng)
 
 
-def _rebuild(env, z_inv, z_spu):
-    x = np.hstack([z_inv, z_spu]) @ env.scrambler.T
-    return EnvDataset(env_id=env.env_id, X=x, Y=env.Y.copy(), task=env.task,
-                      Z_inv=z_inv, Z_spu=z_spu, scrambler=env.scrambler)
-
-
 def make_test_env(spec, params, fw, rng):
     """Generate an environment and permute its spurious latents across
     samples, destroying their correlation with the label."""
     env = generate_env(spec, params, fw, rng)
     perm = rng.fork("shift_perm").permutation(env.n)
-    return _rebuild(env, env.Z_inv, env.Z_spu[perm])
+    return _assemble(env.env_id, env.Z_inv, env.Z_spu[perm], env.Y, env.task,
+                     env.scrambler)
 
 
 def generate_training_envs(spec, rng):

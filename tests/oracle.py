@@ -217,8 +217,7 @@ def train_gd(envs, cfg, tc, rng):
             theta = theta - tc.lr * mhat / (np.sqrt(vhat) + eps)
 
     model = LinearModel(w=theta[:-1], b=theta[-1])
-    metric = "class_error" if envs[0].task == "classification" else "mse"
-    val_risk = float(np.mean([evaluate(model, e, metric) for e in val_envs]))
+    val_risk = float(np.mean([evaluate(model, e) for e in val_envs]))
     return theta, curve, val_risk
 
 

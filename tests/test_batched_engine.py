@@ -5,11 +5,14 @@ values, which take the softplus from the sigmoid's exp(-|yhat|) instead of
 ``np.logaddexp``; and within a bound for the square loss, which the engine
 scores from moments instead of rows."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracle
-from oodbench.numeric_core import RngStream
+from oodbench.numeric_core import ParameterError, RngStream
 from oodbench.objectives import ObjectiveConfig
 from oodbench.sem_generators import EnvDataset
 from oodbench.trainer import TrainConfig, train_gd
@@ -17,16 +20,20 @@ from oodbench.trainer import TrainConfig, train_gd
 TASK = {"square": "regression", "logistic": "classification",
         "exponential": "classification"}
 
-# (lam, gamma, lr) per query, for GD and for Adam.  Each batch mixes every
-# penalty pattern with step sizes small enough to finish and large enough
-# to diverge, at different steps.
+# (lam, gamma, lr) per query, for GD and for Adam, in one batch per penalty
+# pattern (ERM, IRM, IB-ERM, IB-IRM), as a sweep trains the queries of one
+# method.  In each batch the second query's step size is the larger, meant
+# to diverge; on every loss some batch has one query that finishes and one
+# that diverges and leaves it.
 QUERIES = {
-    "gd": [(0.0, 0.0, 0.05), (3.0, 0.0, 0.02), (0.0, 0.5, 0.05),
-           (2.0, 0.7, 0.01), (0.0, 0.0, 1e300), (50.0, 0.0, 3.0),
-           (0.0, 0.9, 1e3), (1e4, 0.5, 40.0)],
-    "adam": [(0.0, 0.0, 0.05), (3.0, 0.0, 0.02), (0.0, 0.5, 0.05),
-             (2.0, 0.7, 0.01), (0.0, 0.0, 1e300), (50.0, 0.0, 1e200),
-             (0.0, 0.9, 1e300), (1e4, 0.5, 1e150)],
+    "gd": [[(0.0, 0.0, 0.05), (0.0, 0.0, 1e300)],
+           [(3.0, 0.0, 0.02), (50.0, 0.0, 3.0)],
+           [(0.0, 0.5, 0.05), (0.0, 0.9, 1e3)],
+           [(2.0, 0.7, 0.01), (1e4, 0.5, 40.0)]],
+    "adam": [[(0.0, 0.0, 0.05), (0.0, 0.0, 1e300)],
+             [(3.0, 0.0, 0.02), (50.0, 0.0, 1e200)],
+             [(0.0, 0.5, 0.05), (0.0, 0.9, 1e300)],
+             [(2.0, 0.7, 0.01), (1e4, 0.5, 1e150)]],
 }
 
 
@@ -49,6 +56,13 @@ def _batch(queries, loss):
     return ObjectiveConfig(loss, lam, gamma), lr
 
 
+def _streams(seed, batches):
+    """One stream per query, numbered through the batches in order."""
+    q = itertools.count()
+    return [[RngStream(seed).fork(f"query{next(q)}") for _ in batch]
+            for batch in batches]
+
+
 def _oracle(envs, loss, query, tc, rng):
     """(theta, curve, val_risk, diverged_step) of one query."""
     lam, gamma, lr = query
@@ -65,16 +79,16 @@ def _oracle(envs, loss, query, tc, rng):
 # The square-loss contract, per call: value and gradient (max-norm) within
 # these multiples of their terms' magnitudes (see _magnitudes) of the
 # per-row oracle.  Measured on this grid, over the 174 (GD) and 248 (Adam)
-# calls of the oracle's trainings: at most 3.9e-16 (value) and 4.3e-16
+# calls of the oracle's trainings: at most 2.3e-16 (value) and 3.5e-16
 # (gradient).
 CALL_RTOL = 1e-14
 # Per training, 60 steps: theta, the objective curve and val_risk within
-# this relative distance (max-norm) of the oracle's.  Measured: 2.4e-14
-# (GD) and 1.9e-15 (Adam).
+# this relative distance (max-norm) of the oracle's.  Measured: 7.9e-14
+# (GD) and 6.5e-16 (Adam).
 TRAIN_RTOL = 1e-12
 # Logistic loss: each objective value within this relative distance of the
-# oracle's.  Measured on this grid: 33 of 732 curve points differ, by at
-# most 2.7e-16.
+# oracle's.  Measured on this grid: 31 of 671 curve points differ, by at
+# most 3.6e-16.
 LOGISTIC_CURVE_RTOL = 1e-15
 
 
@@ -162,23 +176,27 @@ def _assert_same(result, expected, curve_rtol=0.0):
 @pytest.mark.parametrize("loss", ["square", "logistic", "exponential"])
 def test_matches_per_model_oracle(loss, optimizer, monkeypatch):
     envs = _envs(loss)
-    queries = QUERIES[optimizer]
-    cfg, lr = _batch(queries, loss)
-    tc = TrainConfig(lr=lr, steps=60, optimizer=optimizer)
-    rngs = [RngStream(1).fork(f"query{q}") for q in range(len(queries))]
-    results = train_gd(envs, cfg, tc, rngs)
+    batches = QUERIES[optimizer]
+    streams = _streams(1, batches)
+    tc = TrainConfig(steps=60, optimizer=optimizer)
+    results = []
+    for queries, rngs in zip(batches, streams):
+        cfg, lr = _batch(queries, loss)
+        results.append(train_gd(envs, cfg, replace(tc, lr=lr), rngs))
     if loss == "square":
         errors = _checked_calls(monkeypatch)
-    expected = [_oracle(envs, loss, qu, tc, r) for qu, r in zip(queries, rngs)]
-    steps = [e[3] for e in expected]
-    assert None in steps and any(s is not None for s in steps)
-    for result, exp in zip(results, expected):
-        if loss == "square":
-            _assert_within_contract(result, exp)
-        elif loss == "logistic":
-            _assert_same(result, exp, LOGISTIC_CURVE_RTOL)
-        else:
-            _assert_same(result, exp)
+    finished = []
+    for queries, rngs, batch in zip(batches, streams, results):
+        expected = [_oracle(envs, loss, qu, tc, r) for qu, r in zip(queries, rngs)]
+        finished.append([e[3] is None for e in expected])
+        for result, exp in zip(batch, expected):
+            if loss == "square":
+                _assert_within_contract(result, exp)
+            elif loss == "logistic":
+                _assert_same(result, exp, LOGISTIC_CURVE_RTOL)
+            else:
+                _assert_same(result, exp)
+    assert [True, False] in finished
     if loss == "square":
         # every call the oracle's trainings made, up to each divergence
         assert len(errors) > 2 * tc.steps
@@ -189,23 +207,37 @@ def test_matches_per_model_oracle(loss, optimizer, monkeypatch):
 @pytest.mark.parametrize("loss", ["square", "logistic"])
 def test_query_bits_do_not_depend_on_its_batch(loss):
     envs = _envs(loss, seed=4)
-    queries = QUERIES["gd"]
-    rngs = [RngStream(5).fork(f"query{q}") for q in range(len(queries))]
-    cfg, lr = _batch(queries, loss)
-    tc = TrainConfig(lr=lr, steps=80)
-    batch = train_gd(envs, cfg, tc, rngs)
-    order = [5, 2, 7, 0, 3, 6, 1, 4]
-    cfg_r, lr_r = _batch([queries[q] for q in order], loss)
-    reordered = train_gd(envs, cfg_r, TrainConfig(lr=lr_r, steps=80),
-                         [rngs[q] for q in order])
-    for q, query in enumerate(queries):
-        cfg_1, lr_1 = _batch([query], loss)
-        alone, = train_gd(envs, cfg_1, TrainConfig(lr=lr_1, steps=80), [rngs[q]])
-        for other in (batch[q], reordered[order.index(q)]):
-            assert other.diverged_step == alone.diverged_step
-            assert np.array_equal(other.theta, alone.theta)
-            assert np.array_equal(other.objective_curve, alone.objective_curve)
-            assert other.val_risk == alone.val_risk
+    finished = []
+    for queries, rngs in zip(QUERIES["gd"], _streams(5, QUERIES["gd"])):
+        cfg, lr = _batch(queries, loss)
+        batch = train_gd(envs, cfg, TrainConfig(lr=lr, steps=80), rngs)
+        finished.append([r.diverged_step is None for r in batch])
+        cfg_r, lr_r = _batch(queries[::-1], loss)
+        reordered = train_gd(envs, cfg_r, TrainConfig(lr=lr_r, steps=80),
+                             rngs[::-1])[::-1]
+        for query, rng, *others in zip(queries, rngs, batch, reordered):
+            cfg_1, lr_1 = _batch([query], loss)
+            alone, = train_gd(envs, cfg_1, TrainConfig(lr=lr_1, steps=80), [rng])
+            for other in others:
+                assert other.diverged_step == alone.diverged_step
+                assert np.array_equal(other.theta, alone.theta)
+                assert np.array_equal(other.objective_curve, alone.objective_curve)
+                assert other.val_risk == alone.val_risk
+    assert [True, False] in finished
+
+
+@pytest.mark.parametrize("lam,gamma", [([0.0, 3.0], 0.0), (0.0, [0.5, 0.0]),
+                                       ([2.0, 0.0], [0.7, 0.5])])
+def test_a_batch_mixing_penalty_patterns_is_rejected(lam, gamma):
+    lam, gamma = np.array(lam), np.array(gamma)
+    with pytest.raises(ParameterError, match="all zero or all positive"):
+        ObjectiveConfig("logistic", lam, gamma)
+    # a config changed after it was checked is checked again by train_gd
+    cfg = ObjectiveConfig("logistic", 1.0, 1.0)
+    cfg.lam, cfg.gamma = lam, gamma
+    rngs = [RngStream(0).fork(f"query{q}") for q in range(2)]
+    with pytest.raises(ParameterError, match="all zero or all positive"):
+        train_gd(_envs("logistic"), cfg, TrainConfig(lr=0.05, steps=5), rngs)
 
 
 def test_gradient_overflow_stops_only_that_query():

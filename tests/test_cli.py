@@ -2,15 +2,18 @@ import hashlib
 import json
 import os
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from oodbench.cli import main
 from oodbench.dynamics import FlowSpec
-from oodbench.reporting import (SWEEP_FIELDS, SummaryRow, aggregate_rows,
-                                atomic_write_text, config_hash, fmt_float,
-                                format_summary_table, read_csv, write_csv)
+from oodbench.reporting import (SUMMARY_FIELDS, SWEEP_FIELDS, SummaryRow,
+                                aggregate_rows, atomic_write_text, config_hash,
+                                fmt_float, format_summary_table, read_csv,
+                                write_csv)
+from oodbench.trainer import SweepRow
 from oracle import simulate_flow_full_loop
 
 
@@ -47,6 +50,12 @@ class TestFormatting:
         b = config_hash({"a": 1, "b": 2})
         assert a == b and len(a) == 16
         assert config_hash({"a": 1, "b": 3}) != a
+
+    def test_row_fields_are_the_csv_columns(self):
+        # sweep.csv and summary.csv rows are the rows' dataclass fields in order
+        sweep = [f.name for f in fields(SweepRow)]
+        assert sweep == [{"lambda": "lam"}.get(c, c) for c in SWEEP_FIELDS]
+        assert tuple(f.name for f in fields(SummaryRow)) == SUMMARY_FIELDS
 
     def test_summary_table_layout(self):
         rows = [SummaryRow("ex2", 3, "ERM", 0.42, 0.01)]
@@ -154,6 +163,38 @@ class TestGenerateCommand:
         main(["generate", "--envs", "1", "--seed", "1", "--out", b])
         assert _strip_timestamp(_read(os.path.join(a, "env_0.csv"))) != \
             _strip_timestamp(_read(os.path.join(b, "env_0.csv")))
+
+    # sha256 of the data rows of env_0.csv to env_2.csv at seed 0, the "#"
+    # metadata lines removed.
+    DATA_SHA = {
+        "ex2": "df24a12d2d226c68ad5c65ec974f9e4ed232a5499666c2e07a336c2da243d8a9",
+        "ex3s": "f5bd4307b39534fa63b47d39e867650b894189a972b0bfad46e00033d54fa477",
+    }
+
+    @pytest.mark.parametrize("example", sorted(DATA_SHA))
+    def test_data_rows_pinned(self, tmp_path, example):
+        out = str(tmp_path / "gen")
+        assert main(["generate", "--example", example, "--seed", "0",
+                     "--out", out]) == 0
+        digest = hashlib.sha256()
+        for name in ("env_0.csv", "env_1.csv", "env_2.csv"):
+            for line in _read(os.path.join(out, name)).splitlines():
+                if not line.startswith("#"):
+                    digest.update((line + "\n").encode())
+        assert digest.hexdigest() == self.DATA_SHA[example]
+
+    def test_config_hash_covers_the_resolved_spec(self, tmp_path):
+        hashes = []
+        for name, n_per_env in (("a", 50), ("b", 60), ("c", 50)):
+            cfg = str(tmp_path / f"{name}.json")
+            with open(cfg, "w") as fh:
+                json.dump({"n_per_env": n_per_env}, fh)
+            out = str(tmp_path / name)
+            assert main(["generate", "--envs", "1", "--config", cfg,
+                         "--out", out]) == 0
+            hashes.append(read_csv(os.path.join(out, "env_0.csv"))[0]["config_hash"])
+        assert hashes[0] != hashes[1]
+        assert hashes[0] == hashes[2]
 
 
 class TestSweepCommand:

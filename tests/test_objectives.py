@@ -134,6 +134,15 @@ def numerical_gradient(model, envs, cfg, h=1e-6):
     return grad
 
 
+class TestObjectiveConfig:
+    # a batch mixing penalty patterns: test_batched_engine.py
+    @pytest.mark.parametrize("loss,lam,gamma", [
+        ("hinge", 0.0, 0.0), ("square", -1.0, 0.0), ("square", 0.0, [0.5, -0.5])])
+    def test_rejects_unknown_loss_and_negative_weights(self, loss, lam, gamma):
+        with pytest.raises(ParameterError):
+            ObjectiveConfig(loss, np.array(lam), np.array(gamma))
+
+
 class TestObjectiveAndGradient:
     def test_erm_reduction(self):
         rng = RngStream(2)

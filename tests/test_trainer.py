@@ -128,33 +128,20 @@ class TestEvaluate:
                          Y=np.array([1.0, 1.0]), task="regression")
         model = LinearModel(w=np.array([1.0]), b=0.0)
         # predictions (1, 2): errors (0, 1), mse 1/2
-        assert evaluate(model, env, "mse") == pytest.approx(0.5)
+        assert evaluate(model, env) == pytest.approx(0.5)
 
     def test_class_error_hand_count(self):
         env = EnvDataset(env_id=0, X=np.array([[1.0], [-1.0], [2.0], [-2.0]]),
                          Y=np.array([1.0, 1.0, 0.0, 0.0]), task="classification")
         model = LinearModel(w=np.array([1.0]), b=0.0)
         # thresholded predictions (1, 0, 1, 0): wrong on samples 2 and 3
-        assert evaluate(model, env, "class_error") == pytest.approx(0.5)
+        assert evaluate(model, env) == pytest.approx(0.5)
 
     def test_threshold_is_closed_at_zero(self):
         env = EnvDataset(env_id=0, X=np.array([[0.0]]), Y=np.array([1.0]),
                          task="classification")
         model = LinearModel(w=np.array([1.0]), b=0.0)
-        assert evaluate(model, env, "class_error") == 0.0
-
-    def test_task_metric_mismatch(self):
-        reg = EnvDataset(env_id=0, X=np.zeros((2, 1)), Y=np.zeros(2),
-                         task="regression")
-        cls = EnvDataset(env_id=0, X=np.zeros((2, 1)), Y=np.zeros(2),
-                         task="classification")
-        model = LinearModel(w=np.zeros(1), b=0.0)
-        with pytest.raises(ParameterError):
-            evaluate(model, reg, "class_error")
-        with pytest.raises(ParameterError):
-            evaluate(model, cls, "mse")
-        with pytest.raises(ParameterError):
-            evaluate(model, reg, "accuracy")
+        assert evaluate(model, env) == 0.0
 
 
 class TestSpuriousRatio:
