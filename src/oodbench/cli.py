@@ -16,8 +16,7 @@ from dataclasses import asdict, astuple
 import numpy as np
 
 from .numeric_core import DivergenceError, ParameterError, Pmf, RngStream
-from .sem_generators import (GeneratorSpec, env_params, draw_fixed_weights,
-                             generate_env)
+from .sem_generators import GeneratorSpec, generate_training_envs
 from .trainer import METHODS, TrainConfig, random_search
 from .dynamics import theorem5_report
 from .entropy_lab import (LabeledMixture, conditional_entropy_gap,
@@ -53,44 +52,36 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _spec_from_args(args):
-    base = args.example.rstrip("s")
-    scramble = base != args.example
-    spec_kwargs = dict(example=base, n_envs=args.envs, scramble=scramble)
-    for key in SPEC_KEYS:
-        if getattr(args, key, None) is not None:
-            spec_kwargs[key] = getattr(args, key)
-    return GeneratorSpec(**spec_kwargs)
-
-
-def _train_config(args):
-    kwargs = {}
-    for key in TRAIN_KEYS:
-        if getattr(args, key, None) is not None:
-            kwargs[key] = getattr(args, key)
-    return TrainConfig(**kwargs)
+def _configs(args):
+    """The GeneratorSpec and TrainConfig that ``args`` resolve to.  An
+    example name ending in ``s`` is the scrambled example."""
+    example = args.example.rstrip("s")
+    spec = dict(example=example, n_envs=args.envs, scramble=example != args.example)
+    train = {}
+    for kwargs, keys in ((spec, SPEC_KEYS), (train, TRAIN_KEYS)):
+        for key in keys:
+            if getattr(args, key, None) is not None:
+                kwargs[key] = getattr(args, key)
+    return GeneratorSpec(**spec), TrainConfig(**train)
 
 
 def cmd_generate(args):
-    spec = _spec_from_args(args)
-    rng = RngStream(args.seed)
-    fw = draw_fixed_weights(spec, rng)
-    params = env_params(spec, rng)
+    spec, _ = _configs(args)
+    _, _, envs = generate_training_envs(spec, RngStream(args.seed))
     meta = {"root_seed": args.seed,
             "config_hash": config_hash({"command": "generate",
                                         "spec": asdict(spec),
                                         "seed": args.seed})}
     os.makedirs(args.out, exist_ok=True)
     files = []
-    for p in params:
-        env = generate_env(spec, p, fw, rng)
+    for env in envs:
         d = env.X.shape[1]
         fields = ["env_id", "y"] + [f"x_{j}" for j in range(d)]
         fields += [f"zinv_{j}" for j in range(env.Z_inv.shape[1])]
         fields += [f"zspu_{j}" for j in range(env.Z_spu.shape[1])]
         rows = [[env.env_id, env.Y[i], *env.X[i], *env.Z_inv[i], *env.Z_spu[i]]
                 for i in range(env.n)]
-        path = os.path.join(args.out, f"env_{p.env_id}.csv")
+        path = os.path.join(args.out, f"env_{env.env_id}.csv")
         write_csv(path, fields, rows, meta)
         files.append(os.path.basename(path))
     write_json(os.path.join(args.out, "manifest.json"),
@@ -101,12 +92,15 @@ def cmd_generate(args):
 
 
 def cmd_sweep(args):
-    spec = _spec_from_args(args)
+    spec, tc = _configs(args)
     methods = [m.strip().upper() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ParameterError(f"--methods names no method: {args.methods!r}")
     for m in methods:
         if m not in METHODS:
             raise ParameterError(f"unknown method {m!r}")
-    tc = _train_config(args)
+    if len(set(methods)) < len(methods):
+        raise ParameterError(f"--methods repeats a method: {args.methods!r}")
     rng = RngStream(args.seed)
     rows = []
     for method in methods:
@@ -152,8 +146,9 @@ def cmd_dynamics(args):
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
 
 
-def _random_pmf(rng, max_atoms=8):
-    k = 2 + rng.categorical([1.0 / (max_atoms - 1)] * (max_atoms - 1))
+def _random_pmf(rng):
+    """A pmf on 2 to 8 atoms drawn uniformly from [-5, 5]."""
+    k = 2 + rng.categorical([1.0 / 7] * 7)
     support = np.sort(rng.uniform_array((k,), -5.0, 5.0))
     while (support[1:] - support[:-1] < 1e-6).any():
         support = np.sort(rng.uniform_array((k,), -5.0, 5.0))

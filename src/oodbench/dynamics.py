@@ -108,7 +108,7 @@ class FlowTrajectory:
 
 def equilibrium_x(gamma):
     """Stationary value of both rotated coordinates for the penalized flow."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ParameterError(f"gamma must be > 0, got {gamma}")
     return float(lambert_w0(1.0 / (2.0 * gamma)))
 
@@ -141,13 +141,13 @@ def _rk4_coordinate(c, g2, dt, t_end, n_full, n_steps):
     return np.array(u), j
 
 
-def simulate_flow(spec, t_end, dt=1e-3):
+def simulate_flow(spec, t_end, dt):
     """Solve the flow from the origin on the grid 0, dt, 2 dt, ..., t_end
     (the last step shortened to land on t_end) in (w_inv, w_spu)."""
-    if t_end <= 0:
+    if not t_end > 0:
         raise ParameterError(f"t_end must be > 0, got {t_end}")
-    if dt <= 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < np.inf:
+        raise ParameterError(f"dt must be finite and > 0, got {dt}")
     if not t_end / dt < 2.0 ** 53:
         raise ParameterError(f"t_end / dt must be < 2**53 for the grid times "
                              f"to be exact, got {t_end / dt:g}")
@@ -206,7 +206,7 @@ def theorem5_report(p, gamma, eps, dt=1e-2):
     """
     if not 0.5 < p < 1.0:
         raise ParameterError(f"p must lie in (1/2, 1), got {p}")
-    if eps <= 0:
+    if not eps > 0:
         raise ParameterError(f"eps must be > 0, got {eps}")
     if eps >= 1:
         raise ParameterError("eps >= 1 makes the ratio bound degenerate")
@@ -215,6 +215,9 @@ def theorem5_report(p, gamma, eps, dt=1e-2):
     if rate == 0.0:
         raise ParameterError(f"eps = {eps:g} puts T_ib beyond the float range")
     t_ib = x_star / rate
+    if not 0.0 < t_ib < np.inf:
+        raise ParameterError(f"gamma = {gamma:g} and eps = {eps:g} give T_ib = "
+                             f"{t_ib:g}; it must be finite and > 0")
 
     ib = simulate_flow(FlowSpec(kind="ib_erm", p=p, gamma=gamma), t_ib, dt)
     erm = simulate_flow(FlowSpec(kind="erm", p=p, gamma=gamma), t_ib, dt)

@@ -91,12 +91,12 @@ class RngStream:
             raise ParameterError(f"uniform requires a <= b, got ({a}, {b})")
         return a + (b - a) * self._gen.random(shape)
 
-    def gaussian_array(self, shape, mean=0.0, std=1.0):
+    def gaussian_array(self, shape, std=1.0):
         if np.any(np.asarray(std) < 0):
             raise ParameterError("gaussian std must be >= 0")
         n = int(np.prod(shape)) if shape else 1
         z = self._box_muller(n).reshape(shape)
-        return np.asarray(mean) + np.asarray(std) * z
+        return np.asarray(std) * z
 
     def bernoulli_array(self, shape, p):
         if np.any(np.asarray(p) < 0) or np.any(np.asarray(p) > 1):

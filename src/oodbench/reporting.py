@@ -90,13 +90,10 @@ def atomic_write_text(path, text):
 
 
 def write_csv(path, fieldnames, rows, meta):
-    """Write rows (sequences or dicts) with metadata header, atomically."""
+    """Write rows (sequences) with metadata header, atomically."""
     out = _meta_lines(meta)
     out.append(",".join(fieldnames))
-    for row in rows:
-        if isinstance(row, dict):
-            row = [row[f] for f in fieldnames]
-        out.append(",".join(fmt_float(v) for v in row))
+    out.extend(",".join(fmt_float(v) for v in row) for row in rows)
     atomic_write_text(path, "\n".join(out) + "\n")
 
 

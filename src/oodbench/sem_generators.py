@@ -101,7 +101,6 @@ class FixedWeights:
     W_yz: np.ndarray
     W_zy: np.ndarray
     S: np.ndarray
-    w_star: np.ndarray
 
 
 def draw_fixed_weights(spec, rng):
@@ -113,8 +112,7 @@ def draw_fixed_weights(spec, rng):
         s = random_orthogonal(r.fork("S"), d)
     else:
         s = np.eye(d)
-    w_star = np.ones(spec.m) / np.sqrt(spec.m)
-    return FixedWeights(W_yz=w_yz, W_zy=w_zy, S=s, w_star=w_star)
+    return FixedWeights(W_yz=w_yz, W_zy=w_zy, S=s)
 
 
 def env_params(spec, rng):
@@ -160,8 +158,6 @@ def _assemble(env_id, z_inv, z_spu, y, task, s):
 
 def gen_example1(spec, params, fw, rng):
     """Linear regression SEM (partially informative invariant features)."""
-    if spec.example != "ex1":
-        raise ParameterError("spec.example must be 'ex1'")
     n, m, o = spec.n_per_env, spec.m, spec.o
     sigma = np.sqrt(params.sigma_sq)
     r = rng.fork(f"gen/env{params.env_id}")
@@ -174,8 +170,6 @@ def gen_example1(spec, params, fw, rng):
 
 def gen_example2(spec, params, fw, rng):
     """Cow-versus-camel classification SEM with selection bias."""
-    if spec.example != "ex2":
-        raise ParameterError("spec.example must be 'ex2'")
     n, m, o = spec.n_per_env, spec.m, spec.o
     p, s = params.p, params.s
     r = rng.fork(f"gen/env{params.env_id}")
@@ -196,8 +190,6 @@ def gen_example2(spec, params, fw, rng):
 
 def gen_example3(spec, params, fw, rng):
     """Linearized spiral classification SEM (anti-causal invariant features)."""
-    if spec.example != "ex3":
-        raise ParameterError("spec.example must be 'ex3'")
     n, m, o = spec.n_per_env, spec.m, spec.o
     r = rng.fork(f"gen/env{params.env_id}")
     y = r.fork("y").bernoulli_array((n,), 0.5).astype(float)
@@ -224,8 +216,6 @@ def gen_2d(params, n, rng):
 def gen_binary_xor(spec, params, rng):
     """Binary XOR constructions showing when invariance and/or the
     bottleneck are needed."""
-    if spec.example != "xor":
-        raise ParameterError("spec.example must be 'xor'")
     n, q, a, u = spec.n_per_env, spec.xor_q, spec.xor_a, params.u
     for name, prob in (("q", q), ("a", a), ("u", u)):
         if not 0.0 <= prob <= 1.0:

@@ -17,15 +17,16 @@ stated bound of it, and the tests check each part.
 * Exponential loss: every query's result is bit-identical to the
   per-model path.
 * Logistic loss: theta, ``diverged_step``, ``val_risk`` and every sweep
-  output are bit-identical to the per-model path.  The objective values
-  are not: the softplus is max(yhat, 0) + log1p(exp(-|yhat|)), reusing
-  the sigmoid's exp, where the per-model path calls numpy's ``logaddexp``.
-  Each row's softplus is within 4 ulp of ``logaddexp``'s, with the
-  same inf and nan pattern, so each row's risk term is within 4 ulp of
-  the larger of its softplus and |y yhat| (measured: 2 ulp over 1.1e6
-  rows).  On the tested grid each objective value is within 1e-15
+  output are bit-identical to the per-model path.  The objective value,
+  which training reads only to detect divergence, is not: the softplus is
+  max(yhat, 0) + log1p(exp(-|yhat|)), reusing the sigmoid's exp, where
+  the per-model path calls numpy's ``logaddexp``.  Each row's softplus is
+  within 4 ulp of ``logaddexp``'s, with the same inf and nan pattern, so
+  each row's risk term is within 4 ulp of the larger of its softplus and
+  |y yhat| (measured: 2 ulp over 1.1e6 rows).  On the tested grid, at
+  each of the per-model path's iterates, the value is within 1e-15
   relative of the per-model path's (measured: 3.6e-16).  The softplus
-  enters only the value, never the gradient.
+  enters only the value, never the gradient, which is bit-identical.
 * Square loss, per call: the objective is computed from per-environment
   moments (:class:`~oodbench.objectives.MomentStack`), not from rows.  Its
   value and gradient are within 1e-14 of the per-model path's, relative to
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -98,11 +100,9 @@ class TrainConfig:
 @dataclass
 class TrainResult:
     theta: np.ndarray            # weights then intercept
-    objective_curve: np.ndarray  # one value per step run
     val_risk: float
     # Step at which the objective or the parameters left the finite range;
-    # ``theta`` is then the state of that step, ``val_risk`` is inf and the
-    # curve stops before it.
+    # ``theta`` is then the state of that step and ``val_risk`` is inf.
     diverged_step: int | None = None
 
     @property
@@ -192,7 +192,6 @@ def train_gd(envs, cfg, tc, rngs):
     ids = np.arange(n_q)  # the query each row of the batch belongs to
     final = np.empty_like(theta)
     diverged_step = [None] * n_q
-    curves = np.empty((n_q, tc.steps + 1))
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -207,13 +206,12 @@ def train_gd(envs, cfg, tc, rngs):
                     diverged_step[ids[row]] = step
                     final[ids[row]] = theta[row]
                 keep = np.flatnonzero(finite)
-                ids, theta, m, v, lr, lam, gamma, value, grad = (
-                    a[keep] for a in (ids, theta, m, v, lr, lam, gamma, value, grad))
+                ids, theta, m, v, lr, lam, gamma, grad = (
+                    a[keep] for a in (ids, theta, m, v, lr, lam, gamma, grad))
                 if keep.size == 0:
                     break
                 batch_cfg = ObjectiveConfig(cfg.loss, lam, gamma)
                 stack = _keep_queries(stack, keep)
-            curves[ids, step] = value
             if step == tc.steps:
                 break
             if tc.optimizer == "gd":
@@ -229,14 +227,13 @@ def train_gd(envs, cfg, tc, rngs):
     results = []
     for q in range(n_q):
         if diverged_step[q] is not None:
-            results.append(TrainResult(final[q], curves[q, :diverged_step[q]],
-                                       float("inf"), diverged_step[q]))
+            results.append(TrainResult(final[q], float("inf"), diverged_step[q]))
             continue
         model = LinearModel(w=final[q, :-1], b=final[q, -1])
         val_risk = float(np.mean([
             evaluate(model, EnvDataset(env.env_id, env.X[val], env.Y[val], env.task))
             for env, val in zip(envs, held_out[q])]))
-        results.append(TrainResult(final[q], curves[q], val_risk))
+        results.append(TrainResult(final[q], val_risk))
     return results
 
 
@@ -312,7 +309,7 @@ def _worker_count():
     return n
 
 
-def random_search(spec, method, protocol, rng, tc_base=None):
+def random_search(spec, method, protocol, rng, tc_base):
     """Random hyperparameter search: per data seed, regenerate the
     benchmark, run ``n_queries`` trainings with sampled hyperparameters,
     and record validation risk plus the shifted-test metric per query.
@@ -326,21 +323,13 @@ def random_search(spec, method, protocol, rng, tc_base=None):
     n_queries, n_seeds = protocol
     if n_queries < 1 or n_seeds < 1:
         raise ParameterError("protocol counts must be >= 1")
-    if tc_base is None:
-        tc_base = TrainConfig()
     n_workers = _worker_count()
-    seeds = list(range(n_seeds))
+    args = (repeat(spec), repeat(method), range(n_seeds), repeat(n_queries),
+            repeat(rng), repeat(tc_base))
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            per_seed = list(pool.map(
-                _run_seed_star,
-                [(spec, method, s, n_queries, rng, tc_base) for s in seeds]))
+            per_seed = list(pool.map(_run_seed, *args))
     else:
-        per_seed = [_run_seed(spec, method, s, n_queries, rng, tc_base)
-                    for s in seeds]
+        per_seed = list(map(_run_seed, *args))
     return [row for rows in per_seed for row in rows]
-
-
-def _run_seed_star(args):
-    return _run_seed(*args)

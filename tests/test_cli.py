@@ -167,8 +167,11 @@ class TestGenerateCommand:
     # sha256 of the data rows of env_0.csv to env_2.csv at seed 0, the "#"
     # metadata lines removed.
     DATA_SHA = {
+        "ex1": "2a8c51b09fb10538d9317eba4577e9ac5ca0dd9748240e23548cf548893fd346",
         "ex2": "df24a12d2d226c68ad5c65ec974f9e4ed232a5499666c2e07a336c2da243d8a9",
         "ex3s": "f5bd4307b39534fa63b47d39e867650b894189a972b0bfad46e00033d54fa477",
+        "twod": "38ae11df1f84106722ee525ce1f4fff3aa2b5ea62ed8d353047c21766ece34f5",
+        "xor": "748793d26cf48c00f728f53e7975ba813d920cb5892c89680236314a4dc86af9",
     }
 
     @pytest.mark.parametrize("example", sorted(DATA_SHA))
@@ -299,10 +302,17 @@ class TestSweepCommand:
         assert code == 2
         assert "IBIRM_THREADS" in capsys.readouterr().err
 
-    def test_unknown_method_is_validation_error(self, tmp_path):
-        code = main(["sweep", "--methods", "erm,dro",
-                     "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("methods,message", [
+        pytest.param("erm,dro", "unknown method", id="unknown"),
+        pytest.param(",", "names no method", id="empty"),
+        pytest.param("erm,erm", "repeats a method", id="repeated")])
+    def test_unknown_method_is_validation_error(self, tmp_path, capsys,
+                                                methods, message):
+        out = tmp_path / "x"
+        code = main(["sweep", "--methods", methods, "--out", str(out)])
         assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDynamicsCommand:
@@ -387,9 +397,21 @@ class TestDynamicsCommand:
         _, _, rows = read_csv(os.path.join(out, "trajectory.csv"))
         assert len(rows) == 2 * 4000
 
-    def test_invalid_eps_exits_2(self, tmp_path):
-        assert main(["dynamics", "--eps", "2.0",
-                     "--out", str(tmp_path / "d")]) == 2
+    # Each bad value exits 2 before any output, with a message naming the
+    # flag; a non-finite gamma, eps or dt is not blamed on the grid.
+    BAD_VALUES = [("eps", "2.0", "eps >= 1"), ("eps", "nan", "eps must be > 0"),
+                  ("gamma", "nan", "gamma must be > 0"),
+                  ("gamma", "inf", "gamma = inf and eps"),
+                  ("gamma", "1e308", "gamma = 1e+308 and eps"),
+                  ("dt", "nan", "dt must be finite"), ("dt", "inf", "dt must be finite")]
+
+    @pytest.mark.parametrize("flag,value,message", BAD_VALUES,
+                             ids=[f"{flag}-{value}" for flag, value, _ in BAD_VALUES])
+    def test_invalid_value_exits_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "d"
+        assert main(["dynamics", f"--{flag}", value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("eps,message", [("1e-20", "2**53"),
                                              ("5e-324", "float range")])

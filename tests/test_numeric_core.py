@@ -71,11 +71,11 @@ class TestRngStream:
         assert len(built) == 1
 
     def test_gaussian_zero_std_exact(self):
-        assert np.all(RngStream(1).gaussian_array((50,), 3.0, 0.0) == 3.0)
+        assert np.all(RngStream(1).gaussian_array((50,), std=0.0) == 0.0)
 
     def test_gaussian_negative_std_rejected(self):
         with pytest.raises(ParameterError):
-            RngStream(1).gaussian_array((5,), 0.0, -1.0)
+            RngStream(1).gaussian_array((5,), std=-1.0)
 
     def test_bernoulli_degenerate(self):
         r = RngStream(2)

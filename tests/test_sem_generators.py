@@ -248,7 +248,8 @@ class TestInvMargin:
         r = RngStream(21)
         fw = draw_fixed_weights(spec, r)
         env = generate_env(spec, env_params(spec, r)[0], fw, r)
-        assert np.min(np.abs(env.Z_inv @ fw.w_star)) > 0
+        w_star = np.ones(spec.m) / np.sqrt(spec.m)  # the labelling direction
+        assert np.min(np.abs(env.Z_inv @ w_star)) > 0
 
 
 class TestBenchmarkInstance:

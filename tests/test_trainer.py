@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from oodbench import trainer
 from oodbench.numeric_core import ParameterError, RngStream
 from oodbench.objectives import LinearModel, ObjectiveConfig
@@ -56,7 +57,7 @@ class TestTrainGd:
         cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
         res, = train_gd(envs, cfg, TrainConfig(lr=0.05, steps=3000), [rng.fork("t")])
         # the ERM objective is the sum of the two environments' risks
-        assert res.objective_curve[-1] < 2e-6
+        assert oracle.objective_and_gradient(res.model, envs, cfg)[0] < 2e-6
         assert res.val_risk < 1e-6
         assert np.allclose(res.model.w, w_true, atol=1e-3)
         assert abs(res.model.b - b_true) < 1e-3
@@ -65,9 +66,12 @@ class TestTrainGd:
         rng = RngStream(1)
         envs = [_linear_env(0, 300, np.array([1.0, -1.0]), 0.0, 0.5, rng.fork("e"))]
         cfg = ObjectiveConfig(loss="square", lam=1.0, gamma=0.5)
-        res, = train_gd(envs, cfg, TrainConfig(lr=0.01, steps=500), [rng.fork("t")])
-        assert res.objective_curve.shape == (501,)
-        assert np.all(np.diff(res.objective_curve) <= 1e-12)
+        tc = TrainConfig(lr=0.01, steps=500)
+        theta, curve, _ = oracle.train_gd(envs, cfg, tc, rng.fork("t"))
+        assert curve.shape == (501,)
+        assert np.all(np.diff(curve) <= 1e-12)
+        res, = train_gd(envs, cfg, tc, [rng.fork("t")])
+        assert np.allclose(res.theta, theta, rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
         cfg = ObjectiveConfig(loss="logistic", lam=10.0, gamma=0.5)
@@ -90,16 +94,20 @@ class TestTrainGd:
         res, = train_gd(envs, cfg,
                         TrainConfig(lr=0.01, steps=1500, optimizer="adam"),
                         [rng.fork("t")])
-        assert res.objective_curve[-1] < 1e-8
+        assert oracle.objective_and_gradient(res.model, envs, cfg)[0] < 1e-8
 
     def test_divergence_reports_step(self):
         rng = RngStream(3)
         envs = [_linear_env(0, 100, np.array([1.0]), 0.0, 0.0, rng.fork("e"))]
         cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
-        res, = train_gd(envs, cfg, TrainConfig(lr=1e6, steps=400), [rng.fork("t")])
+        tc = TrainConfig(lr=1e6, steps=400)
+        res, = train_gd(envs, cfg, tc, [rng.fork("t")])
         assert res.diverged_step is not None and res.diverged_step > 0
-        assert res.objective_curve.shape == (res.diverged_step,)
         assert res.val_risk == float("inf")
+        # the oracle's objective leaves the finite range at the same step
+        with np.errstate(all="ignore"), pytest.raises(oracle.OracleDivergence) as exc:
+            oracle.train_gd(envs, cfg, tc, rng.fork("t"))
+        assert exc.value.step == res.diverged_step
 
     def test_requires_environments(self):
         with pytest.raises(ParameterError):
@@ -146,8 +154,7 @@ class TestEvaluate:
 
 class TestSpuriousRatio:
     def _fw(self, s):
-        return FixedWeights(W_yz=np.eye(1), W_zy=np.eye(1), S=s,
-                            w_star=np.ones(1))
+        return FixedWeights(W_yz=np.eye(1), W_zy=np.eye(1), S=s)
 
     def test_pure_invariant_is_zero(self):
         fw = self._fw(np.eye(2))
@@ -170,8 +177,7 @@ class TestSpuriousRatio:
         # observed weights S v map back to the latent split of v
         from oodbench.numeric_core import random_orthogonal
         s = random_orthogonal(RngStream(11).fork("S"), 4)
-        fw = FixedWeights(W_yz=np.eye(2), W_zy=np.eye(2), S=s,
-                          w_star=np.ones(2))
+        fw = FixedWeights(W_yz=np.eye(2), W_zy=np.eye(2), S=s)
         v = np.array([1.0, 0.0, 2.0, -1.0])
         r = spurious_ratio(LinearModel(w=s @ v, b=0.0), fw, 2)
         assert r == pytest.approx(np.sqrt(5.0 / 6.0), abs=1e-12)
