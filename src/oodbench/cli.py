@@ -46,6 +46,15 @@ JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # A token that float() parses is a value, as argparse already takes
+        # "-2" or "-0.5"; "-1e-3" and "-inf" would otherwise be options.
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)

@@ -112,23 +112,29 @@ class MomentStack:
     task: str
 
 
-def moment_stack(queries, task):
-    """The :class:`MomentStack` of a batch; ``queries`` yields, per model,
-    its (X, y) rows of each environment, n rows each.  Only one model's
-    rows are read at a time.  ``C`` is taken about the pooled mean in two
-    passes, not as a difference of raw moments."""
-    M, C, scale = [], [], []
-    for blocks in queries:
+def moment_stack(queries, n_queries, task):
+    """The :class:`MomentStack` of a batch of ``n_queries`` models;
+    ``queries`` yields, per model, its (X, y) rows of each environment, n
+    rows each.  Only one model's rows are read at a time, and its moments
+    are written into arrays sized for the batch.  ``C`` is taken about the
+    pooled mean in two passes, not as a difference of raw moments."""
+    for q, blocks in enumerate(queries):
+        if q == 0:
+            n_envs, d = len(blocks), blocks[0][0].shape[1]
+            M = np.empty((n_queries, n_envs, d + 2, d + 2))
+            C = np.empty((n_queries, d, d))
+            scale = np.ones((n_queries, d + 1))
         top = np.max([np.abs(x).max(axis=0) for x, _ in blocks], axis=0)
         sx = np.ldexp(1.0, np.frexp(top)[1])
         bs = [np.column_stack([x / sx, np.ones(y.size), -y]) for x, y in blocks]
-        M.append([b.T @ b for b in bs])
+        for e, b in enumerate(bs):
+            M[q, e] = b.T @ b
         xs = [b[:, :-2] for b in bs]
         mean = sum(x.sum(axis=0) for x in xs) / sum(len(x) for x in xs)
-        C.append(sum((x - mean).T @ (x - mean) for x in xs))
-        scale.append(np.append(sx, 1.0))
+        C[q] = sum((x - mean).T @ (x - mean) for x in xs)
+        scale[q, :-1] = sx
     n = blocks[0][1].size
-    return MomentStack(np.array(M), np.array(C), np.array(scale), n, task)
+    return MomentStack(M, C, scale, n, task)
 
 
 def predict(model, X):

@@ -1,10 +1,14 @@
 """Full-batch training, the random-search model-selection protocol, and
 out-of-distribution evaluation metrics.
 
-A sweep trains the queries of one (method, data seed) together:
-:func:`train_gd` builds each query's training statistics once and updates
-every query's parameters at each step with one batched call of
-:func:`~oodbench.objectives.objective_and_gradient`.
+A sweep trains the queries of one method in batches: :func:`train_gd`
+builds each query's training statistics once and updates every query's
+parameters at each step with one batched call of
+:func:`~oodbench.objectives.objective_and_gradient`.  Each query names its
+own environments, so one batch may hold several data seeds.  On the square
+loss a batch holds every data seed of the method, or of one worker
+process's share of them; on the others it holds one data seed (see
+:func:`random_search`).
 
 Tolerance contract.  The reference for training is the per-model path:
 each query trained alone, its objective summed over its rows environment
@@ -49,8 +53,9 @@ stated bound of it, and the tests check each part.
   path is as chaotic: moving lr by one ulp moves its val_risk on one such
   query from 2.42 to 0.094.
 * Always: a query's result is bit-reproducible, and does not depend on
-  which other queries of its method share its batch, on when they diverge
-  and leave it, or on how many worker processes run the seeds.
+  which other queries of its method share its batch (of its data seed or
+  of others), on when they diverge and leave it, or on how many worker
+  processes run the seeds.
 """
 
 from __future__ import annotations
@@ -61,10 +66,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .numeric_core import ParameterError
+from .numeric_core import ParameterError, RngStream
 from .objectives import (EnvStack, LinearModel, ObjectiveConfig,
                          moment_stack, objective_and_gradient, predict)
-from .sem_generators import EnvDataset, default_test_envs, generate_training_envs
+from .sem_generators import (EnvDataset, FixedWeights, default_test_envs,
+                             generate_training_envs)
 
 __all__ = [
     "TrainConfig",
@@ -117,33 +123,39 @@ def _split(n, rng):
     return perm[n_val:], perm[:n_val]
 
 
-def _stack_queries(envs, rngs, loss):
-    """Each query's training rows, and each query's held-out rows of every
-    environment.  Query q's split of environment e is drawn from
-    ``rngs[q].fork("split").fork(f"env{e}")``.  The training rows come as
-    a :class:`MomentStack` for the square loss, which never holds the rows
-    of more than one query, and as an :class:`EnvStack` otherwise."""
-    if len({env.task for env in envs}) != 1 or len({env.n for env in envs}) != 1:
-        raise ParameterError("training environments must share one task "
-                             "and one number of rows")
-    splits = []
-    for rng in rngs:
-        split_rng = rng.fork("split")
-        splits.append([_split(env.n, split_rng.fork(f"env{env.env_id}"))
-                       for env in envs])
-    held_out = [[val.copy() for _, val in query] for query in splits]
+def _splits(envs, rng):
+    """Yield (env, train rows, held-out rows) for each of ``envs``: query
+    ``rng``'s split of environment e is drawn from
+    ``rng.fork("split").fork(f"env{e}")``, so drawing it again gives the
+    same rows."""
+    split_rng = rng.fork("split")
+    for env in envs:
+        yield (env, *_split(env.n, split_rng.fork(f"env{env.env_id}")))
+
+
+def _training_rows(query_envs, rngs):
+    """Yield, query by query, its (X, y) training rows of each environment;
+    a query's split is dropped once its rows are taken."""
+    for envs, rng in zip(query_envs, rngs):
+        yield [(env.X[train], env.Y[train]) for env, train, _ in _splits(envs, rng)]
+
+
+def _stack_queries(query_envs, rngs, loss):
+    """Each query's training rows: a :class:`MomentStack` for the square
+    loss, which never holds the rows of more than one query, and an
+    :class:`EnvStack` otherwise."""
+    task = query_envs[0][0].task
+    rows = _training_rows(query_envs, rngs)
     if loss == "square":
-        return moment_stack(([(env.X[train], env.Y[train])
-                              for env, (train, _) in zip(envs, query)]
-                             for query in splits), envs[0].task), held_out
-    n_train = splits[0][0][0].size
-    X = np.empty((len(rngs), len(envs), n_train, envs[0].X.shape[1]))
-    Y = np.empty(X.shape[:3])
-    for q, query in enumerate(splits):
-        for e, (env, (train, _)) in enumerate(zip(envs, query)):
-            X[q, e] = env.X[train]
-            Y[q, e] = env.Y[train]
-    return EnvStack(X, Y, envs[0].task), held_out
+        return moment_stack(rows, len(rngs), task)
+    for q, blocks in enumerate(rows):
+        if q == 0:
+            X = np.empty((len(rngs), len(blocks), *blocks[0][0].shape))
+            Y = np.empty(X.shape[:3])
+        for e, (x, y) in enumerate(blocks):
+            X[q, e] = x
+            Y[q, e] = y
+    return EnvStack(X, Y, task)
 
 
 def _keep_rows(a, keep):
@@ -163,32 +175,45 @@ def _keep_queries(stack, keep):
                              if isinstance(getattr(stack, f.name), np.ndarray)})
 
 
-def train_gd(envs, cfg, tc, rngs):
+def train_gd(query_envs, cfg, tc, rngs):
     """Deterministic full-batch training of one linear model per stream in
     ``rngs``, all of them as one batch.
 
-    Query q holds out 20% of each environment (split drawn from
-    ``rngs[q]``) and trains on the rest with penalty weights ``cfg.lam``
-    and ``cfg.gamma`` and step size ``tc.lr``, each one value per query or
-    one for all; the queries are of one method, so each penalty weight is
-    all zero or all positive.  The average held-out risk is reported as
-    ``val_risk``, measured with the task risk (classification error or mean
-    squared error) rather than the training surrogate, matching how
-    trained models are evaluated.  A query whose objective value or parameters leave the
-    finite range is stopped at that step and reported as diverged; the
-    others carry on.  The environments must share one task and one number
-    of rows.  Returns one :class:`TrainResult` per query.
+    Query q trains on ``query_envs[q]``, its list of environments; the
+    queries of one data seed share one list, and a batch may hold the
+    queries of several data seeds.  Every query's environments must share
+    one task, one number of rows and columns, and one number of
+    environments.  Query q holds out 20% of each environment (split drawn
+    from ``rngs[q]``) and trains on the rest with penalty weights
+    ``cfg.lam`` and ``cfg.gamma`` and step size ``tc.lr``, each one value
+    per query or one for all; the queries are of one method, so each
+    penalty weight is all zero or all positive.  The average held-out risk
+    is reported as ``val_risk``, measured with the task risk
+    (classification error or mean squared error) rather than the training
+    surrogate, matching how trained models are evaluated.  A query whose
+    objective value or parameters leave the finite range is stopped at that
+    step and reported as diverged; the others carry on.  Returns one
+    :class:`TrainResult` per query.
     """
-    if not envs:
-        raise ParameterError("need at least one environment")
     if not rngs:
         raise ParameterError("need at least one query")
+    if len(query_envs) != len(rngs):
+        raise ParameterError(f"{len(query_envs)} environment lists for "
+                             f"{len(rngs)} queries")
+    if not all(query_envs):
+        raise ParameterError("need at least one environment")
+    shapes = {(env.task, env.X.shape, len(envs))
+              for envs in query_envs for env in envs}
+    if len(shapes) != 1:
+        raise ParameterError("training environments must share one task, one "
+                             "number of rows and columns, and one number of "
+                             "environments")
     n_q = len(rngs)
     lr, lam, gamma = (np.broadcast_to(np.asarray(x, dtype=float), (n_q,))
                       for x in (tc.lr, cfg.lam, cfg.gamma))
     lr = lr[:, None]
-    stack, held_out = _stack_queries(envs, rngs, cfg.loss)
-    theta = np.zeros((n_q, envs[0].X.shape[1] + 1))
+    stack = _stack_queries(query_envs, rngs, cfg.loss)
+    theta = np.zeros((n_q, query_envs[0][0].X.shape[1] + 1))
     ids = np.arange(n_q)  # the query each row of the batch belongs to
     final = np.empty_like(theta)
     diverged_step = [None] * n_q
@@ -229,10 +254,12 @@ def train_gd(envs, cfg, tc, rngs):
         if diverged_step[q] is not None:
             results.append(TrainResult(final[q], float("inf"), diverged_step[q]))
             continue
+        # the held-out rows are drawn again from the split's stream, so that
+        # no query's indices are kept through training
         model = LinearModel(w=final[q, :-1], b=final[q, -1])
         val_risk = float(np.mean([
             evaluate(model, EnvDataset(env.env_id, env.X[val], env.Y[val], env.task))
-            for env, val in zip(envs, held_out[q])]))
+            for env, _, val in _splits(query_envs[q], rngs[q])]))
         results.append(TrainResult(final[q], val_risk))
     return results
 
@@ -268,31 +295,73 @@ def _sample_hparams(method, rng):
     return lr, lam, gamma
 
 
-def _run_seed(spec, method, seed, n_queries, rng, tc_base):
+@dataclass
+class _SeedData:
+    """One data seed of a sweep: what its trainings and its test
+    environments are drawn from."""
+
+    seed: int
+    seed_rng: RngStream
+    fw: FixedWeights
+    params: list
+    envs: list           # training environments, latents dropped
+    q_rngs: list         # one stream per query
+    hparams: list        # (lr, lam, gamma) per query
+
+
+def _generate(spec, method, seed, n_queries, rng):
     seed_rng = rng.fork(f"seed{seed}")
     fw, params, envs = generate_training_envs(spec, seed_rng.fork("data"))
-    loss = "square" if envs[0].task == "regression" else "logistic"
     # Training reads only each environment's rows: the latents are dropped
     # so that they do not stay resident through training.
     envs = [replace(env, Z_inv=None, Z_spu=None) for env in envs]
     q_rngs = [seed_rng.fork(f"query{q}") for q in range(n_queries)]
     hparams = [_sample_hparams(method, r.fork("hparams")) for r in q_rngs]
-    lrs, lams, gammas = (np.array(col) for col in zip(*hparams))
-    results = train_gd(envs, ObjectiveConfig(loss, lams, gammas),
-                       replace(tc_base, lr=lrs), [r.fork("train") for r in q_rngs])
-    # Drawn from their own stream, so after training: the batch's training
-    # stack and the test environments never occupy memory together.
-    test_envs = default_test_envs(spec, params, fw, seed_rng.fork("data"))
+    return _SeedData(seed, seed_rng, fw, params, envs, q_rngs, hparams)
+
+
+def _loss(spec):
+    """The training loss of ``spec``: ex1 is the one regression example
+    (the objective rejects a loss that does not fit the task)."""
+    return "square" if spec.example == "ex1" else "logistic"
+
+
+def _train(data, loss, tc_base):
+    """Train every query of the seeds ``data`` as one batch; one result
+    list per seed."""
+    lrs, lams, gammas = (np.array(col) for col in
+                         zip(*(h for sd in data for h in sd.hparams)))
+    results = train_gd([sd.envs for sd in data for _ in sd.q_rngs],
+                       ObjectiveConfig(loss, lams, gammas), replace(tc_base, lr=lrs),
+                       [r.fork("train") for sd in data for r in sd.q_rngs])
+    n = len(data[0].q_rngs)
+    return [results[i * n:(i + 1) * n] for i in range(len(data))]
+
+
+def _evaluate(spec, method, sd, results):
+    """The sweep rows of one data seed, in query order."""
+    test_envs = default_test_envs(spec, sd.params, sd.fw, sd.seed_rng.fork("data"))
     rows = []
-    for q, ((lr, lam, gamma), result) in enumerate(zip(hparams, results)):
+    for q, ((lr, lam, gamma), result) in enumerate(zip(sd.hparams, results)):
         if result.diverged_step is None:
             metrics = [evaluate(result.model, te) for te in test_envs]
             scores = (result.val_risk, float(np.mean(metrics)), float(np.max(metrics)))
         else:
             scores = (float("inf"),) * 3
-        rows.append(SweepRow(spec.example, spec.n_envs, method, seed, q,
+        rows.append(SweepRow(spec.example, spec.n_envs, method, sd.seed, q,
                              lam, gamma, lr, *scores))
     return rows
+
+
+def _run_batch(spec, method, seeds, n_queries, rng, tc_base):
+    """The sweep rows of the data seeds ``seeds``, trained as one batch.
+    The test environments are drawn after training, seed by seed, from
+    their own stream: the batch's training stack and the test environments
+    never occupy memory together."""
+    data = [_generate(spec, method, seed, n_queries, rng) for seed in seeds]
+    results = _train(data, _loss(spec), tc_base)
+    return [row for sd, res in zip(data, results)
+            for row in _evaluate(spec, method, sd, res)]
 
 
 def _worker_count():
@@ -314,9 +383,15 @@ def random_search(spec, method, protocol, rng, tc_base):
     benchmark, run ``n_queries`` trainings with sampled hyperparameters,
     and record validation risk plus the shifted-test metric per query.
 
-    Parallelism over seeds is capped by the IBIRM_THREADS environment
-    variable (default: serial); results are identical either way because
-    every cell owns an independently forked stream.
+    The data seeds are cut into contiguous batches, each trained by one
+    :func:`train_gd` call.  A square-loss batch holds moments, not rows,
+    so its cost per query falls with its size: the seeds are cut into one
+    batch per worker process.  A row stack costs the same per query at any
+    size and grows with it, so every data seed is its own batch.  The
+    batches run serially, or over ``IBIRM_THREADS`` worker processes (at
+    most one per batch); the rows are the same either way, because every
+    query owns an independently forked stream and its result does not
+    depend on its batch.
     """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
@@ -324,12 +399,19 @@ def random_search(spec, method, protocol, rng, tc_base):
     if n_queries < 1 or n_seeds < 1:
         raise ParameterError("protocol counts must be >= 1")
     n_workers = _worker_count()
-    args = (repeat(spec), repeat(method), range(n_seeds), repeat(n_queries),
+    seeds = range(n_seeds)
+    if _loss(spec) == "square":
+        k = min(n_workers, n_seeds)
+        batches = [seeds[i * n_seeds // k:(i + 1) * n_seeds // k] for i in range(k)]
+    else:
+        batches = [seeds[i:i + 1] for i in seeds]
+    n_workers = min(n_workers, len(batches))
+    args = (repeat(spec), repeat(method), batches, repeat(n_queries),
             repeat(rng), repeat(tc_base))
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            per_seed = list(pool.map(_run_seed, *args))
+            per_batch = list(pool.map(_run_batch, *args))
     else:
-        per_seed = list(map(_run_seed, *args))
-    return [row for rows in per_seed for row in rows]
+        per_batch = list(map(_run_batch, *args))
+    return [row for rows in per_batch for row in rows]

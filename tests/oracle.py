@@ -222,12 +222,12 @@ def train_gd(envs, cfg, tc, rng):
     return theta, curve, val_risk
 
 
-def train_queries(envs, cfg, tc, rngs):
-    """:func:`oodbench.trainer.train_gd` by the per-model path: each query
-    trained alone by :func:`train_gd`, returned as the engine's
-    ``TrainResult`` list."""
+def train_queries(query_envs, cfg, tc, rngs):
+    """:func:`oodbench.trainer.train_gd` by the per-model path: query q
+    trained alone on its environments ``query_envs[q]`` by
+    :func:`train_gd`, returned as the engine's ``TrainResult`` list."""
     results = []
-    for q, rng in enumerate(rngs):
+    for q, (envs, rng) in enumerate(zip(query_envs, rngs)):
         lam, gamma, lr = (np.broadcast_to(x, (len(rngs),))[q]
                           for x in (cfg.lam, cfg.gamma, tc.lr))
         one_cfg = replace(cfg, lam=float(lam), gamma=float(gamma))
@@ -246,7 +246,7 @@ def stack_of(envs, loss):
     """A batch of one model's training rows, every row of ``envs``, as the
     package scores them under ``loss``."""
     if loss == "square":
-        return moment_stack([[(env.X, env.Y) for env in envs]], envs[0].task)
+        return moment_stack([[(env.X, env.Y) for env in envs]], 1, envs[0].task)
     return EnvStack(np.stack([env.X for env in envs])[None],
                     np.stack([env.Y for env in envs])[None], envs[0].task)
 

@@ -178,7 +178,7 @@ def test_matches_per_model_oracle(loss, optimizer, monkeypatch):
     results = []
     for queries, rngs in zip(batches, streams):
         cfg, lr = _batch(queries, loss)
-        results.append(train_gd(envs, cfg, replace(tc, lr=lr), rngs))
+        results.append(train_gd([envs] * len(rngs), cfg, replace(tc, lr=lr), rngs))
     errors = _checked_calls(monkeypatch)
     finished = []
     for queries, rngs, batch in zip(batches, streams, results):
@@ -197,25 +197,44 @@ def test_matches_per_model_oracle(loss, optimizer, monkeypatch):
     assert max(g for _, g in errors) <= grad_bound
 
 
+def _train_each(entries, loss):
+    """Train ``entries``, one (environments, (lam, gamma, lr), stream) per
+    query, as one batch of 80 steps."""
+    cfg, lr = _batch([query for _, query, _ in entries], loss)
+    return train_gd([envs for envs, _, _ in entries], cfg,
+                    TrainConfig(lr=lr, steps=80), [rng for _, _, rng in entries])
+
+
 @pytest.mark.parametrize("loss", ["square", "logistic"])
 def test_query_bits_do_not_depend_on_its_batch(loss):
-    envs = _envs(loss, seed=4)
+    # Each batch interleaves the queries of two data seeds, each seed's
+    # queries on that seed's one list of environments, as a sweep batches
+    # the data seeds of a method.
+    seed_envs = (_envs(loss, seed=4), _envs(loss, seed=6))
     finished = []
-    for queries, rngs in zip(QUERIES["gd"], _streams(5, QUERIES["gd"])):
-        cfg, lr = _batch(queries, loss)
-        batch = train_gd(envs, cfg, TrainConfig(lr=lr, steps=80), rngs)
-        finished.append([r.diverged_step is None for r in batch])
-        cfg_r, lr_r = _batch(queries[::-1], loss)
-        reordered = train_gd(envs, cfg_r, TrainConfig(lr=lr_r, steps=80),
-                             rngs[::-1])[::-1]
-        for query, rng, *others in zip(queries, rngs, batch, reordered):
-            cfg_1, lr_1 = _batch([query], loss)
-            alone, = train_gd(envs, cfg_1, TrainConfig(lr=lr_1, steps=80), [rng])
+    for queries, *seed_streams in zip(QUERIES["gd"], _streams(5, QUERIES["gd"]),
+                                      _streams(7, QUERIES["gd"])):
+        entries = [(envs, query, streams[q]) for q, query in enumerate(queries)
+                   for envs, streams in zip(seed_envs, seed_streams)]
+        batch = _train_each(entries, loss)
+        finished.append([r.diverged_step is None for r in batch[::2]])
+        reordered = _train_each(entries[::-1], loss)[::-1]
+        for entry, *others in zip(entries, batch, reordered):
+            alone, = _train_each([entry], loss)
             for other in others:
                 assert other.diverged_step == alone.diverged_step
                 assert np.array_equal(other.theta, alone.theta)
                 assert other.val_risk == alone.val_risk
     assert [True, False] in finished
+
+
+@pytest.mark.parametrize("other", [dict(n=50), dict(d=3), dict(n_envs=2)],
+                         ids=["rows", "columns", "environments"])
+def test_a_batch_mixing_environment_shapes_is_rejected(other):
+    entries = [(_envs("square"), (0.0, 0.0, 0.05), RngStream(0)),
+               (_envs("square", **other), (0.0, 0.0, 0.05), RngStream(1))]
+    with pytest.raises(ParameterError, match="must share one task"):
+        _train_each(entries, "square")
 
 
 @pytest.mark.parametrize("lam,gamma", [([0.0, 3.0], 0.0), (0.0, [0.5, 0.0]),
@@ -229,7 +248,7 @@ def test_a_batch_mixing_penalty_patterns_is_rejected(lam, gamma):
     cfg.lam, cfg.gamma = lam, gamma
     rngs = [RngStream(0).fork(f"query{q}") for q in range(2)]
     with pytest.raises(ParameterError, match="all zero or all positive"):
-        train_gd(_envs("logistic"), cfg, TrainConfig(lr=0.05, steps=5), rngs)
+        train_gd([_envs("logistic")] * 2, cfg, TrainConfig(lr=0.05, steps=5), rngs)
 
 
 def test_gradient_overflow_stops_only_that_query():
@@ -259,11 +278,11 @@ def test_gradient_overflow_stops_only_that_query():
         value, grad = oracle.objective_and_gradient(
             LinearModel(w=np.zeros(2), b=0.0), [train_b], cfg)
     assert np.isfinite(value) and not np.isfinite(grad).all()
-    ra, rb, rc = train_gd([env], cfg, tc, [a, b, c])
+    ra, rb, rc = train_gd([[env]] * 3, cfg, tc, [a, b, c])
     assert rb.diverged_step == 1
     assert not np.all(np.isfinite(rb.theta))
     assert rb.val_risk == np.inf
-    for with_b, without_b in zip((ra, rc), train_gd([env], cfg, tc, [a, c])):
+    for with_b, without_b in zip((ra, rc), train_gd([[env]] * 2, cfg, tc, [a, c])):
         assert with_b.diverged_step is None
         assert np.isfinite(with_b.val_risk)
         assert np.array_equal(with_b.theta, without_b.theta)

@@ -403,7 +403,11 @@ class TestDynamicsCommand:
                   ("gamma", "nan", "gamma must be > 0"),
                   ("gamma", "inf", "gamma = inf and eps"),
                   ("gamma", "1e308", "gamma = 1e+308 and eps"),
-                  ("dt", "nan", "dt must be finite"), ("dt", "inf", "dt must be finite")]
+                  ("dt", "nan", "dt must be finite"), ("dt", "inf", "dt must be finite"),
+                  # negative values that argparse alone would take for options
+                  ("eps", "-1e-3", "eps must be > 0"),
+                  ("gamma", "-5e-1", "gamma must be > 0"),
+                  ("dt", "-inf", "dt must be finite")]
 
     @pytest.mark.parametrize("flag,value,message", BAD_VALUES,
                              ids=[f"{flag}-{value}" for flag, value, _ in BAD_VALUES])

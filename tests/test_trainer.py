@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ class TestTrainGd:
         envs = [_linear_env(i, 400, w_true, b_true, 0.0, rng.fork(f"e{i}"))
                 for i in range(2)]
         cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
-        res, = train_gd(envs, cfg, TrainConfig(lr=0.05, steps=3000), [rng.fork("t")])
+        res, = train_gd([envs], cfg, TrainConfig(lr=0.05, steps=3000), [rng.fork("t")])
         # the ERM objective is the sum of the two environments' risks
         assert oracle.objective_and_gradient(res.model, envs, cfg)[0] < 2e-6
         assert res.val_risk < 1e-6
@@ -70,7 +72,7 @@ class TestTrainGd:
         theta, curve, _ = oracle.train_gd(envs, cfg, tc, rng.fork("t"))
         assert curve.shape == (501,)
         assert np.all(np.diff(curve) <= 1e-12)
-        res, = train_gd(envs, cfg, tc, [rng.fork("t")])
+        res, = train_gd([envs], cfg, tc, [rng.fork("t")])
         assert np.allclose(res.theta, theta, rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
@@ -82,7 +84,7 @@ class TestTrainGd:
             envs = [_linear_env(i, 200, np.array([2.0, -1.0]), 0.0, 0.3,
                                 rng.fork(f"e{i}"), task="classification")
                     for i in range(2)]
-            res, = train_gd(envs, cfg, tc, [rng.fork("t")])
+            res, = train_gd([envs], cfg, tc, [rng.fork("t")])
             outs.append((res.model.w.copy(), res.model.b, res.val_risk))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1] and outs[0][2] == outs[1][2]
@@ -91,7 +93,7 @@ class TestTrainGd:
         rng = RngStream(2)
         envs = [_linear_env(0, 300, np.array([0.01, 0.0]), 0.0, 0.0, rng.fork("e"))]
         cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
-        res, = train_gd(envs, cfg,
+        res, = train_gd([envs], cfg,
                         TrainConfig(lr=0.01, steps=1500, optimizer="adam"),
                         [rng.fork("t")])
         assert oracle.objective_and_gradient(res.model, envs, cfg)[0] < 1e-8
@@ -101,7 +103,7 @@ class TestTrainGd:
         envs = [_linear_env(0, 100, np.array([1.0]), 0.0, 0.0, rng.fork("e"))]
         cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
         tc = TrainConfig(lr=1e6, steps=400)
-        res, = train_gd(envs, cfg, tc, [rng.fork("t")])
+        res, = train_gd([envs], cfg, tc, [rng.fork("t")])
         assert res.diverged_step is not None and res.diverged_step > 0
         assert res.val_risk == float("inf")
         # the oracle's objective leaves the finite range at the same step
@@ -110,9 +112,12 @@ class TestTrainGd:
         assert exc.value.step == res.diverged_step
 
     def test_requires_environments(self):
-        with pytest.raises(ParameterError):
-            train_gd([], ObjectiveConfig(loss="square", lam=0.0, gamma=0.0),
-                     TrainConfig(), [RngStream(0)])
+        cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
+        with pytest.raises(ParameterError, match="at least one environment"):
+            train_gd([[]], cfg, TrainConfig(), [RngStream(0)])
+        envs = [_linear_env(0, 50, np.array([1.0]), 0.0, 0.1, RngStream(0))]
+        with pytest.raises(ParameterError, match="2 environment lists for 1 queries"):
+            train_gd([envs, envs], cfg, TrainConfig(), [RngStream(0)])
 
 
 class TestSplit:
@@ -222,11 +227,49 @@ class TestRandomSearch:
         b = random_search(self.SPEC, "IRM", (2, 2), RngStream(9), self.TC)
         assert a == b
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        serial = random_search(self.SPEC, "IBERM", (2, 2), RngStream(4), self.TC)
-        monkeypatch.setenv("IBIRM_THREADS", "2")
-        parallel = random_search(self.SPEC, "IBERM", (2, 2), RngStream(4), self.TC)
+    # A square-loss example (moment stacks, one batch per worker) and a
+    # classification one (row stacks, one batch per data seed).
+    SPECS = {"ex1": GeneratorSpec(example="ex1", n_per_env=60, n_envs=2),
+             "twod": SPEC}
+
+    @pytest.mark.parametrize("example", sorted(SPECS))
+    @pytest.mark.parametrize("threads,seeds", [("2", 3), ("3", 2)])
+    def test_parallel_matches_serial(self, monkeypatch, example, threads, seeds):
+        spec = self.SPECS[example]
+        serial = random_search(spec, "IBERM", (2, seeds), RngStream(4), self.TC)
+        monkeypatch.setenv("IBIRM_THREADS", threads)
+        parallel = random_search(spec, "IBERM", (2, seeds), RngStream(4), self.TC)
         assert serial == parallel
+
+    @pytest.mark.parametrize("example", sorted(SPECS))
+    @pytest.mark.parametrize("threads,seeds,workers",
+                             [("64", 2, 2), ("2", 3, 2), ("8", 1, 1)])
+    def test_pool_has_at_most_one_worker_per_batch(self, monkeypatch, example,
+                                                   threads, seeds, workers):
+        # The pool's batches run here, serially: no process is started.  One
+        # worker means no pool.
+        made = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setenv("IBIRM_THREADS", threads)
+        rows = random_search(self.SPECS[example], "ERM", (2, seeds), RngStream(0),
+                             self.TC)
+        assert made == ([] if workers == 1 else [workers])
+        assert [(r.data_seed, r.hparam_id) for r in rows] == \
+            [(s, q) for s in range(seeds) for q in range(2)]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_worker_count_names_the_variable(self, monkeypatch, value):
@@ -266,8 +309,8 @@ class TestBottleneckSlowsSpuriousWeight:
         tc = TrainConfig(lr=0.1, steps=800)
         erm_cfg = ObjectiveConfig(loss="logistic", lam=0.0, gamma=0.0)
         ib_cfg = ObjectiveConfig(loss="logistic", lam=0.0, gamma=0.9)
-        erm, = train_gd(envs, erm_cfg, tc, [rng.fork("t1")])
-        ib, = train_gd(envs, ib_cfg, tc, [rng.fork("t2")])
+        erm, = train_gd([envs], erm_cfg, tc, [rng.fork("t1")])
+        ib, = train_gd([envs], ib_cfg, tc, [rng.fork("t2")])
         r_erm = spurious_ratio(erm.model, fw, 1)
         r_ib = spurious_ratio(ib.model, fw, 1)
         assert r_ib < r_erm
