@@ -62,9 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _configs(args):
-    """The GeneratorSpec and TrainConfig that ``args`` resolve to.  An
-    example name ending in ``s`` is the scrambled example."""
-    example = args.example.rstrip("s")
+    """The GeneratorSpec and TrainConfig that ``args`` resolve to; the
+    spec's ``name`` is ``args.example``."""
+    example = args.example.removesuffix("s")
     spec = dict(example=example, n_envs=args.envs, scramble=example != args.example)
     train = {}
     for kwargs, keys in ((spec, SPEC_KEYS), (train, TRAIN_KEYS)):

@@ -11,14 +11,16 @@ Var_pooled is the population variance of predictions pooled over all
 environments (the gamma term appears once per environment, matching the
 per-environment placement in the penalized objective).
 
-The logistic and exponential losses are scored from the rows
-(:class:`EnvStack`), with the per-model path's float operations in its
-order, but for the logistic softplus, taken from the sigmoid's exp(-|ŷ|)
-instead of numpy's ``logaddexp``.  The square loss is an exact polynomial
-in a few moments of the rows, so it is scored from them
-(:class:`MomentStack`): one step costs O(E d²) instead of O(E n d), with a
-different rounding.  What each path promises against the per-model
-reference is the tolerance contract in :mod:`oodbench.trainer`.
+The loss follows from the task, and the stack that holds a batch's
+training rows names it.  Classification is trained on the logistic loss,
+scored from the rows (:class:`EnvStack`) with the per-model path's float
+operations in its order, but for the softplus, taken from the sigmoid's
+exp(-|ŷ|) instead of numpy's ``logaddexp``.  Regression is trained on the
+square loss, an exact polynomial in a few moments of the rows, so it is
+scored from them (:class:`MomentStack`): one step costs O(E d²) instead
+of O(E n d), with a different rounding.  What each path promises against
+the per-model reference is the tolerance contract in
+:mod:`oodbench.trainer`.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ __all__ = [
     "objective_and_gradient",
 ]
 
-LOSSES = ("square", "logistic", "exponential")
-
 
 @dataclass
 class LinearModel:
@@ -55,18 +55,15 @@ class LinearModel:
 
 @dataclass
 class ObjectiveConfig:
-    """loss kind plus penalty weights; (0, 0) is ERM, (lam>0, 0) is IRM,
-    (0, gamma>0) is IB-ERM, both positive is IB-IRM.  For a batch of
-    models ``lam`` and ``gamma`` are one weight per model, or one for all;
-    the batch is of one method, so each is all zero or all positive."""
+    """Penalty weights: (0, 0) is ERM, (lam>0, 0) is IRM, (0, gamma>0) is
+    IB-ERM, both positive is IB-IRM.  For a batch of models ``lam`` and
+    ``gamma`` are one weight per model, or one for all; the batch is of one
+    method, so each is all zero or all positive."""
 
-    loss: str = "square"
     lam: float | np.ndarray = 0.0
     gamma: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if self.loss not in LOSSES:
-            raise ParameterError(f"unknown loss {self.loss!r}")
         for name in ("lam", "gamma"):
             w = np.asarray(getattr(self, name))
             if not (np.all(w == 0) or np.all(w > 0)):
@@ -75,7 +72,8 @@ class ObjectiveConfig:
 
 @dataclass
 class EnvStack:
-    """The training rows of a batch of Q models, one block per model.
+    """The training rows of a batch of Q models, one block per model,
+    scored on the logistic loss.
 
     ``X[q, e]`` (n, d) and ``Y[q, e]`` (n,) are model q's rows of
     environment e; every environment has the same number of rows n.
@@ -83,7 +81,6 @@ class EnvStack:
 
     X: np.ndarray
     Y: np.ndarray
-    task: str
 
     def __post_init__(self):
         if self.X.ndim != 4 or self.Y.shape != self.X.shape[:3]:
@@ -109,10 +106,9 @@ class MomentStack:
     C: np.ndarray      # (Q, d, d)
     scale: np.ndarray  # (Q, d+1)
     n: int
-    task: str
 
 
-def moment_stack(queries, n_queries, task):
+def moment_stack(queries, n_queries):
     """The :class:`MomentStack` of a batch of ``n_queries`` models;
     ``queries`` yields, per model, its (X, y) rows of each environment, n
     rows each.  Only one model's rows are read at a time, and its moments
@@ -134,7 +130,7 @@ def moment_stack(queries, n_queries, task):
         C[q] = sum((x - mean).T @ (x - mean) for x in xs)
         scale[q, :-1] = sx
     n = blocks[0][1].size
-    return MomentStack(M, C, scale, n, task)
+    return MomentStack(M, C, scale, n)
 
 
 def predict(model, X):
@@ -144,16 +140,9 @@ def predict(model, X):
     return X @ model.w + model.b
 
 
-def _check_loss_task(loss, task):
-    if task == "regression" and loss != "square":
-        raise ParameterError(f"{loss} loss incompatible with regression")
-    if task == "classification" and loss == "square":
-        raise ParameterError("square loss incompatible with classification")
-
-
-def _env_terms(X, yhat, y, loss, penalized):
-    """Risk terms of every (model, environment) pair, from (Q, E, n)
-    predictions and labels of a logistic or exponential loss.
+def _env_terms(X, yhat, y, penalized):
+    """Logistic-loss terms of every (model, environment) pair, from (Q, E, n)
+    predictions and labels in {0, 1}.
 
     Returns the risks (Q, E), their gradients in (w, b) (Q, E, d+1), and,
     when ``penalized``, the scale derivative g (Q, E) with its gradients
@@ -162,8 +151,8 @@ def _env_terms(X, yhat, y, loss, penalized):
     batch's peak memory low; an in-place operation gives the same bits as
     its out-of-place form.
 
-    All but the logistic risk follow the per-model path's float operations
-    in its order.  One e = exp(-|ŷ|) per row gives both the sigmoid,
+    All but the risk follow the per-model path's float operations in its
+    order.  One e = exp(-|ŷ|) per row gives both the sigmoid,
     max(e, [ŷ ≥ 0]) / (1 + e), and the softplus, max(ŷ, 0) + log1p(e).
     As e is in [0, 1] or nan, the sigmoid's numerator is 1 where ŷ ≥ 0 and
     e elsewhere, as the per-model path takes it.  The softplus is the
@@ -172,47 +161,31 @@ def _env_terms(X, yhat, y, loss, penalized):
     """
     n = y.shape[-1]
     g = pen = None
-    if loss == "logistic":
-        e = np.abs(yhat)
-        np.negative(e, out=e)
-        np.exp(e, out=e)              # exp(-|yhat|), shared by both halves
-        s = np.maximum(e, yhat >= 0)
-        r = np.log1p(e)
-        e += 1.0
-        s /= e                        # sigmoid(yhat)
-        np.maximum(yhat, 0.0, out=e)
-        r += e                        # softplus(yhat) = max(yhat, 0) + log1p(e)
-        np.multiply(y, yhat, out=e)
-        r -= e
-        risk = _row_sum(r) / n
-        np.subtract(s, y, out=r)
-        if penalized:
-            g = _row_sum(np.multiply(r, yhat, out=e)) / n
-        r /= n                        # (s - y) / n
-        grad = _row_grad(X, r)
-        if penalized:
-            np.subtract(1.0, s, out=r)
-            r *= s
-            r *= yhat
-            r += s
-            r -= y
-            r /= n                    # (s (1 - s) yhat + s - y) / n
-            pen = _row_grad(X, r)
-    else:
-        ys = 2.0 * y - 1.0            # exponential loss uses labels in {-1, +1}
-        e = -ys * yhat
-        np.exp(e, out=e)
-        risk = _row_sum(e) / n
-        if penalized:
-            g = _row_sum(-ys * yhat * e) / n
-        r = -ys * e
-        r /= n
-        grad = _row_grad(X, r)
-        if penalized:
-            np.subtract(yhat, ys, out=r)
-            r *= e
-            r /= n                    # e (yhat - ys) / n
-            pen = _row_grad(X, r)
+    e = np.abs(yhat)
+    np.negative(e, out=e)
+    np.exp(e, out=e)              # exp(-|yhat|), shared by both halves
+    s = np.maximum(e, yhat >= 0)
+    r = np.log1p(e)
+    e += 1.0
+    s /= e                        # sigmoid(yhat)
+    np.maximum(yhat, 0.0, out=e)
+    r += e                        # softplus(yhat) = max(yhat, 0) + log1p(e)
+    np.multiply(y, yhat, out=e)
+    r -= e
+    risk = _row_sum(r) / n
+    np.subtract(s, y, out=r)
+    if penalized:
+        g = _row_sum(np.multiply(r, yhat, out=e)) / n
+    r /= n                        # (s - y) / n
+    grad = _row_grad(X, r)
+    if penalized:
+        np.subtract(1.0, s, out=r)
+        r *= s
+        r *= yhat
+        r += s
+        r -= y
+        r /= n                    # (s (1 - s) yhat + s - y) / n
+        pen = _row_grad(X, r)
     return risk, grad, g, pen
 
 
@@ -261,24 +234,21 @@ def objective_and_gradient(theta, stack, cfg):
     batch of Q linear models.
 
     ``theta`` is (Q, d+1), weights then intercept; model q is scored on its
-    own rows of ``stack``: a :class:`MomentStack` for the square loss, an
-    :class:`EnvStack` for the others.  Penalty weights are ``cfg.lam[q]``
-    and ``cfg.gamma[q]`` (or one weight for all); each penalty is on for
-    every model of the batch or for none.  Returns ``(values, grads)`` of
-    shapes (Q,) and (Q, d+1).
+    own rows of ``stack``: on the square loss from a :class:`MomentStack`,
+    on the logistic loss from an :class:`EnvStack`.  Penalty weights are
+    ``cfg.lam[q]`` and ``cfg.gamma[q]`` (or one weight for all); each
+    penalty is on for every model of the batch or for none.  Returns
+    ``(values, grads)`` of shapes (Q,) and (Q, d+1).
 
     Each model's result is the same whatever the batch holds: its float
     operations, and the order in which the terms are summed, do not depend
     on the other models.  From an :class:`EnvStack` they are the per-model
-    path's, so the result is bit-identical to scoring that model alone,
-    one environment after another.  A penalty whose weight is 0 is left
-    out of the sum, not added as 0.
+    path's but for the softplus (see :func:`_env_terms`), so the gradient
+    is bit-identical to scoring that model alone, one environment after
+    another.  A penalty whose weight is 0 is left out of the sum, not added
+    as 0.
     """
-    _check_loss_task(cfg.loss, stack.task)
     moments = isinstance(stack, MomentStack)
-    if moments != (cfg.loss == "square"):
-        raise ParameterError("the square loss is scored from a MomentStack, "
-                             "the other losses from an EnvStack")
     q, d = theta.shape[0], theta.shape[1] - 1
     lam = np.asarray(cfg.lam, dtype=float)
     gamma = np.asarray(cfg.gamma, dtype=float)
@@ -292,8 +262,7 @@ def objective_and_gradient(theta, stack, cfg):
         n_envs, n = stack.X.shape[1:3]
         yhat = np.matmul(stack.X, theta[:, None, :-1, None])[..., 0]
         yhat += theta[:, -1:, None]
-        risk_qe, grad_qe, g, g_grad = _env_terms(
-            stack.X, yhat, stack.Y, cfg.loss, use_irm)
+        risk_qe, grad_qe, g, g_grad = _env_terms(stack.X, yhat, stack.Y, use_irm)
     if use_irm:
         lam_q = lam.reshape(-1, 1)
         pen = lam_q * g * g

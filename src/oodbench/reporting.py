@@ -142,12 +142,22 @@ def aggregate_rows(records):
     for (example, n_envs, method), best in sorted(groups.items()):
         metrics = np.array([m for _, m in best.values()])
         finite = metrics[np.isfinite(metrics)]
-        mean, std = ((float(finite.mean()), float(finite.std())) if finite.size
+        mean, std = (_mean_std(finite) if finite.size
                      else (float("nan"), float("nan")))
         out.append(SummaryRow(example=example, n_envs=n_envs, method=method,
                               mean_metric=mean, std_metric=std,
                               n_diverged=metrics.size - finite.size))
     return out
+
+
+def _mean_std(values):
+    """The mean and population std of finite ``values``, taken at a power
+    of two scale that keeps the squares finite.  Scaling by a power of two
+    is exact, so the results are numpy's wherever numpy's squares neither
+    overflow nor underflow."""
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(values)))[1])
+    scaled = values / scale
+    return float(scaled.mean() * scale), float(scaled.std() * scale)
 
 
 def aggregate_report(sweep_files):

@@ -78,6 +78,11 @@ class GeneratorSpec:
         if self.example == "xor" and self.xor_variant not in XOR_VARIANTS:
             raise ParameterError(f"xor requires xor_variant in {XOR_VARIANTS}")
 
+    @property
+    def name(self):
+        """The example's name: a scrambled example's ends in ``s``."""
+        return self.example + "s" * self.scramble
+
 
 @dataclass
 class EnvDataset:

@@ -5,9 +5,11 @@ A sweep trains the queries of one method in batches: :func:`train_gd`
 builds each query's training statistics once and updates every query's
 parameters at each step with one batched call of
 :func:`~oodbench.objectives.objective_and_gradient`.  Each query names its
-own environments, so one batch may hold several data seeds.  On the square
-loss a batch holds every data seed of the method, or of one worker
-process's share of them; on the others it holds one data seed (see
+own environments, so one batch may hold several data seeds.  The task
+chooses the loss: regression (ex1) is trained on the square loss, every
+classification example on the logistic loss.  On the square loss a batch
+holds every data seed of the method, or of one worker process's share of
+them; on the logistic loss it holds one data seed (see
 :func:`random_search`).
 
 Tolerance contract.  The reference for training is the per-model path:
@@ -18,8 +20,6 @@ trained weights by 1.8% and val_risk from 0.358 to 0.402.  So the contract
 says which results equal the reference bit for bit and which are within a
 stated bound of it, and the tests check each part.
 
-* Exponential loss: every query's result is bit-identical to the
-  per-model path.
 * Logistic loss: theta, ``diverged_step``, ``val_risk`` and every sweep
   output are bit-identical to the per-model path.  The objective value,
   which training reads only to detect divergence, is not: the softplus is
@@ -140,14 +140,13 @@ def _training_rows(query_envs, rngs):
         yield [(env.X[train], env.Y[train]) for env, train, _ in _splits(envs, rng)]
 
 
-def _stack_queries(query_envs, rngs, loss):
-    """Each query's training rows: a :class:`MomentStack` for the square
-    loss, which never holds the rows of more than one query, and an
-    :class:`EnvStack` otherwise."""
-    task = query_envs[0][0].task
+def _stack_queries(query_envs, rngs):
+    """Each query's training rows: for regression a :class:`MomentStack`
+    (the square loss), which never holds the rows of more than one query,
+    and for classification an :class:`EnvStack` (the logistic loss)."""
     rows = _training_rows(query_envs, rngs)
-    if loss == "square":
-        return moment_stack(rows, len(rngs), task)
+    if query_envs[0][0].task == "regression":
+        return moment_stack(rows, len(rngs))
     for q, blocks in enumerate(rows):
         if q == 0:
             X = np.empty((len(rngs), len(blocks), *blocks[0][0].shape))
@@ -155,7 +154,7 @@ def _stack_queries(query_envs, rngs, loss):
         for e, (x, y) in enumerate(blocks):
             X[q, e] = x
             Y[q, e] = y
-    return EnvStack(X, Y, task)
+    return EnvStack(X, Y)
 
 
 def _keep_rows(a, keep):
@@ -184,11 +183,11 @@ def train_gd(query_envs, cfg, tc, rngs):
     queries of several data seeds.  Every query's environments must share
     one task, one number of rows and columns, and one number of
     environments.  Query q holds out 20% of each environment (split drawn
-    from ``rngs[q]``) and trains on the rest with penalty weights
-    ``cfg.lam`` and ``cfg.gamma`` and step size ``tc.lr``, each one value
-    per query or one for all; the queries are of one method, so each
-    penalty weight is all zero or all positive.  The average held-out risk
-    is reported as ``val_risk``, measured with the task risk
+    from ``rngs[q]``) and trains on the rest, on its task's loss, with
+    penalty weights ``cfg.lam`` and ``cfg.gamma`` and step size ``tc.lr``,
+    each one value per query or one for all; the queries are of one method,
+    so each penalty weight is all zero or all positive.  The average
+    held-out risk is reported as ``val_risk``, measured with the task risk
     (classification error or mean squared error) rather than the training
     surrogate, matching how trained models are evaluated.  A query whose
     objective value or parameters leave the finite range is stopped at that
@@ -212,7 +211,7 @@ def train_gd(query_envs, cfg, tc, rngs):
     lr, lam, gamma = (np.broadcast_to(np.asarray(x, dtype=float), (n_q,))
                       for x in (tc.lr, cfg.lam, cfg.gamma))
     lr = lr[:, None]
-    stack = _stack_queries(query_envs, rngs, cfg.loss)
+    stack = _stack_queries(query_envs, rngs)
     theta = np.zeros((n_q, query_envs[0][0].X.shape[1] + 1))
     ids = np.arange(n_q)  # the query each row of the batch belongs to
     final = np.empty_like(theta)
@@ -220,7 +219,7 @@ def train_gd(query_envs, cfg, tc, rngs):
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    batch_cfg = ObjectiveConfig(cfg.loss, lam, gamma)
+    batch_cfg = ObjectiveConfig(lam, gamma)
     # A diverging query overflows; its non-finite value is what reports it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(tc.steps + 1):
@@ -235,7 +234,7 @@ def train_gd(query_envs, cfg, tc, rngs):
                     a[keep] for a in (ids, theta, m, v, lr, lam, gamma, grad))
                 if keep.size == 0:
                     break
-                batch_cfg = ObjectiveConfig(cfg.loss, lam, gamma)
+                batch_cfg = ObjectiveConfig(lam, gamma)
                 stack = _keep_queries(stack, keep)
             if step == tc.steps:
                 break
@@ -320,19 +319,19 @@ def _generate(spec, method, seed, n_queries, rng):
     return _SeedData(seed, seed_rng, fw, params, envs, q_rngs, hparams)
 
 
-def _loss(spec):
-    """The training loss of ``spec``: ex1 is the one regression example
-    (the objective rejects a loss that does not fit the task)."""
-    return "square" if spec.example == "ex1" else "logistic"
+def _regression(spec):
+    """Whether ``spec`` is regression, trained on the square loss: ex1 is
+    the one regression example."""
+    return spec.example == "ex1"
 
 
-def _train(data, loss, tc_base):
+def _train(data, tc_base):
     """Train every query of the seeds ``data`` as one batch; one result
     list per seed."""
     lrs, lams, gammas = (np.array(col) for col in
                          zip(*(h for sd in data for h in sd.hparams)))
     results = train_gd([sd.envs for sd in data for _ in sd.q_rngs],
-                       ObjectiveConfig(loss, lams, gammas), replace(tc_base, lr=lrs),
+                       ObjectiveConfig(lams, gammas), replace(tc_base, lr=lrs),
                        [r.fork("train") for sd in data for r in sd.q_rngs])
     n = len(data[0].q_rngs)
     return [results[i * n:(i + 1) * n] for i in range(len(data))]
@@ -348,7 +347,7 @@ def _evaluate(spec, method, sd, results):
             scores = (result.val_risk, float(np.mean(metrics)), float(np.max(metrics)))
         else:
             scores = (float("inf"),) * 3
-        rows.append(SweepRow(spec.example, spec.n_envs, method, sd.seed, q,
+        rows.append(SweepRow(spec.name, spec.n_envs, method, sd.seed, q,
                              lam, gamma, lr, *scores))
     return rows
 
@@ -359,7 +358,7 @@ def _run_batch(spec, method, seeds, n_queries, rng, tc_base):
     their own stream: the batch's training stack and the test environments
     never occupy memory together."""
     data = [_generate(spec, method, seed, n_queries, rng) for seed in seeds]
-    results = _train(data, _loss(spec), tc_base)
+    results = _train(data, tc_base)
     return [row for sd, res in zip(data, results)
             for row in _evaluate(spec, method, sd, res)]
 
@@ -400,7 +399,7 @@ def random_search(spec, method, protocol, rng, tc_base):
         raise ParameterError("protocol counts must be >= 1")
     n_workers = _worker_count()
     seeds = range(n_seeds)
-    if _loss(spec) == "square":
+    if _regression(spec):
         k = min(n_workers, n_seeds)
         batches = [seeds[i * n_seeds // k:(i + 1) * n_seeds // k] for i in range(k)]
     else:

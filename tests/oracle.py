@@ -3,13 +3,18 @@ against.
 
 Training: the path the package used before it trained the queries of one
 data seed as a batch: one linear model at a time, its objective summed
-over its rows environment by environment.  The batched engine in
+over its rows environment by environment.  Its loss is an argument, by
+default the task's (square for regression, logistic for classification),
+which is the loss the package trains.  The batched engine in
 ``oodbench.trainer`` must reproduce it within the tolerance contract
-stated there: bit for bit for the exponential loss, and for the logistic
-loss but for its objective value, whose softplus the engine takes from
-the sigmoid's exp; and within a bound for the square loss, which the
-engine scores from moments.  The engine keeps no objective curve: the
-tests compare its objective with this one's at this one's iterates.
+stated there: bit for bit for the logistic loss but for its objective
+value, whose softplus the engine takes from the sigmoid's exp; and within
+a bound for the square loss, which the engine scores from moments.  The
+engine keeps no objective curve: the tests compare its objective with this
+one's at this one's iterates.  The oracle also keeps the exponential loss,
+which the package does not train, as the reference for the Theorem-5 flow:
+gradient descent on it over the 2D population is Euler's method for that
+flow.
 
 Flows: a generic fixed-step RK4 integrator, the right-hand side of the
 rotated Theorem-5 flow, and the scalar loop that stepped both rotated
@@ -29,8 +34,7 @@ from math import exp
 import numpy as np
 
 from oodbench.numeric_core import DivergenceError, ParameterError
-from oodbench.objectives import (EnvStack, LinearModel, _check_loss_task,
-                                 moment_stack, predict)
+from oodbench.objectives import EnvStack, LinearModel, moment_stack, predict
 from oodbench.objectives import objective_and_gradient as batched_objective_and_gradient
 from oodbench.sem_generators import EnvDataset
 from oodbench.trainer import VAL_FRACTION, TrainResult, evaluate
@@ -59,9 +63,25 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def risk(model, env, loss):
+# The loss the package trains on each task.
+TASK_LOSS = {"regression": "square", "classification": "logistic"}
+
+
+def _check_loss_task(loss, task):
+    """``loss``, or the task's loss when it is None, checked against the
+    task: the square loss fits regression only."""
+    if loss is None:
+        return TASK_LOSS[task]
+    if loss not in ("square", "logistic", "exponential"):
+        raise ParameterError(f"unknown loss {loss!r}")
+    if (loss == "square") != (task == "regression"):
+        raise ParameterError(f"{loss} loss incompatible with {task}")
+    return loss
+
+
+def risk(model, env, loss=None):
     """Mean loss of the model on one environment."""
-    _check_loss_task(loss, env.task)
+    loss = _check_loss_task(loss, env.task)
     yhat = predict(model, env.X)
     return _risk_from_pred(yhat, env.Y, loss)
 
@@ -76,10 +96,10 @@ def _risk_from_pred(yhat, y, loss):
     return float(np.mean(np.exp(-ys * yhat)))
 
 
-def irmv1_penalty(model, env, loss):
+def irmv1_penalty(model, env, loss=None):
     """Squared derivative of the environment risk with respect to a scalar
     multiplier of the predictions, evaluated at 1."""
-    _check_loss_task(loss, env.task)
+    loss = _check_loss_task(loss, env.task)
     yhat = predict(model, env.X)
     return _grad_wrt_scale(yhat, env.Y, loss) ** 2
 
@@ -128,8 +148,9 @@ def _scale_grad_grad(yhat, y, X, loss):
     return X.T @ dg, float(dg.sum())
 
 
-def objective_and_gradient(model, envs, cfg):
-    """Penalized objective value and its exact gradient in (w, b).
+def objective_and_gradient(model, envs, cfg, loss=None):
+    """Penalized objective value and its exact gradient in (w, b), on
+    ``loss`` (by default the task's).
 
     Returns ``(value, grad)`` with ``grad`` a vector of length d+1 whose
     last entry is the intercept derivative.
@@ -142,17 +163,17 @@ def objective_and_gradient(model, envs, cfg):
     grad_b = 0.0
     preds = []
     for env in envs:
-        _check_loss_task(cfg.loss, env.task)
+        env_loss = _check_loss_task(loss, env.task)
         yhat = predict(model, env.X)
         preds.append(yhat)
-        value += _risk_from_pred(yhat, env.Y, cfg.loss)
-        gw, gb = _risk_grad(yhat, env.Y, env.X, cfg.loss)
+        value += _risk_from_pred(yhat, env.Y, env_loss)
+        gw, gb = _risk_grad(yhat, env.Y, env.X, env_loss)
         grad_w += gw
         grad_b += gb
         if cfg.lam > 0:
-            g = _grad_wrt_scale(yhat, env.Y, cfg.loss)
+            g = _grad_wrt_scale(yhat, env.Y, env_loss)
             value += cfg.lam * g * g
-            dgw, dgb = _scale_grad_grad(yhat, env.Y, env.X, cfg.loss)
+            dgw, dgb = _scale_grad_grad(yhat, env.Y, env.X, env_loss)
             grad_w += cfg.lam * 2.0 * g * dgw
             grad_b += cfg.lam * 2.0 * g * dgb
     if cfg.gamma > 0:
@@ -181,9 +202,10 @@ def _split_env(env, rng):
     return take(train_idx), take(val_idx)
 
 
-def train_gd(envs, cfg, tc, rng):
-    """Full-batch training of one linear model from zero with scalar
-    ``cfg.lam``, ``cfg.gamma`` and ``tc.lr``.  Returns ``(theta, curve,
+def train_gd(envs, cfg, tc, rng, loss=None):
+    """Full-batch training of one linear model from zero on ``loss`` (by
+    default the task's), with scalar ``cfg.lam``, ``cfg.gamma`` and
+    ``tc.lr``.  Returns ``(theta, curve,
     val_risk)``; raises :class:`OracleDivergence` with the step index if the
     objective leaves the finite range."""
     d = envs[0].X.shape[1]
@@ -201,7 +223,7 @@ def train_gd(envs, cfg, tc, rng):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for step in range(tc.steps + 1):
         model = LinearModel(w=theta[:-1], b=theta[-1])
-        value, grad = objective_and_gradient(model, train_envs, cfg)
+        value, grad = objective_and_gradient(model, train_envs, cfg, loss)
         if not np.isfinite(value):
             raise OracleDivergence(f"objective diverged at step {step}",
                                    last_state=theta.copy(), step=step)
@@ -242,20 +264,20 @@ def train_queries(query_envs, cfg, tc, rngs):
     return results
 
 
-def stack_of(envs, loss):
+def stack_of(envs):
     """A batch of one model's training rows, every row of ``envs``, as the
-    package scores them under ``loss``."""
-    if loss == "square":
-        return moment_stack([[(env.X, env.Y) for env in envs]], 1, envs[0].task)
+    package scores them on their task's loss."""
+    if envs[0].task == "regression":
+        return moment_stack([[(env.X, env.Y) for env in envs]], 1)
     return EnvStack(np.stack([env.X for env in envs])[None],
-                    np.stack([env.Y for env in envs])[None], envs[0].task)
+                    np.stack([env.Y for env in envs])[None])
 
 
 def batched_objective(model, envs, cfg):
     """The package's batched objective for a batch of one model; returns
     ``(value, grad)`` as the per-model :func:`objective_and_gradient` does."""
     theta = np.concatenate([model.w, [model.b]])[None]
-    value, grad = batched_objective_and_gradient(theta, stack_of(envs, cfg.loss), cfg)
+    value, grad = batched_objective_and_gradient(theta, stack_of(envs), cfg)
     return value[0], grad[0]
 
 

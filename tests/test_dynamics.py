@@ -8,10 +8,9 @@ from oodbench.dynamics import (FlowSpec, equilibrium_x, simulate_flow,
                                theorem5_report)
 from oodbench.numeric_core import (DivergenceError, ParameterError, RngStream,
                                    lambert_w0)
-from oodbench.objectives import (EnvStack, LinearModel, ObjectiveConfig,
-                                 objective_and_gradient)
+from oodbench.objectives import LinearModel, ObjectiveConfig
 from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
-from oracle import (batched_objective, flow_rhs, rk4_integrate,
+from oracle import (flow_rhs, objective_and_gradient, rk4_integrate,
                     simulate_flow_full_loop)
 
 
@@ -53,15 +52,16 @@ class TestFlowRhs:
 
     def test_matches_sampled_objective_gradient(self):
         # rotated flow rhs equals minus the rotated gradient of the sampled
-        # bottleneck objective on signed 2D data, up to Monte Carlo error
+        # exponential-loss bottleneck objective on signed 2D data, up to
+        # Monte Carlo error
         p, gamma = 0.85, 0.5
         env = gen_2d(EnvParams(env_id=0, p=p), 400_000, RngStream(31))
         signed = EnvDataset(env_id=0, X=2.0 * env.X - 1.0, Y=env.Y,
                             task="classification")
         w_inv, w_spu = 0.4, 0.15
         model = LinearModel(w=np.array([w_inv, w_spu]), b=0.0)
-        cfg = ObjectiveConfig(loss="exponential", lam=0.0, gamma=gamma)
-        _, grad = batched_objective(model, [signed], cfg)
+        cfg = ObjectiveConfig(lam=0.0, gamma=gamma)
+        _, grad = objective_and_gradient(model, [signed], cfg, "exponential")
         x, y = w_inv + w_spu, w_inv - w_spu
         rhs = flow_rhs(FlowSpec(kind="ib_erm", p=p, gamma=gamma))(0.0, np.array([x, y]))
         rotated = np.array([-(grad[0] + grad[1]), -(grad[0] - grad[1])])
@@ -69,9 +69,13 @@ class TestFlowRhs:
 
 
 class TestEngineGradientFlow:
-    """Plain GD on the training engine's objective, on the exact 2D
+    """Plain GD on the exponential-loss objective, on the exact 2D
     population, is Euler's method for the Theorem-5 flow: the flow is the
-    gradient flow of the model the sweep trains."""
+    gradient flow of that objective.  The sweep trains the 2D task on the
+    logistic loss instead; the engine code the two losses share (the
+    predictions, the pooled-variance gradient, the sums over environments)
+    is tied to the same per-model objective bit for bit by
+    test_batched_engine.py."""
 
     # Largest gap in (w_inv, w_spu) over [0, T], per unit of dt.  Measured
     # at T = 5: 0.1732 (ERM) and 0.1711 (IB-ERM) at both step sizes; at
@@ -86,23 +90,24 @@ class TestEngineGradientFlow:
         x_spu = signs.copy()
         x_spu[::10] *= -1.0
         assert np.mean(x_spu == signs) == p
-        return EnvStack(np.column_stack([signs, x_spu])[None, None],
-                        ((signs + 1.0) / 2.0)[None, None], "classification")
+        return EnvDataset(env_id=0, X=np.column_stack([signs, x_spu]),
+                          Y=(signs + 1.0) / 2.0, task="classification")
 
     def _gap(self, gamma, dt, t_end=5.0):
         p = 0.9
-        stack = self._population(p)
-        cfg = ObjectiveConfig("exponential", 0.0, gamma)
+        env = self._population(p)
+        cfg = ObjectiveConfig(0.0, gamma)
         spec = FlowSpec(kind="ib_erm" if gamma else "erm", p=p, gamma=gamma)
         traj = simulate_flow(spec, t_end, dt)
         _, w_inv, w_spu, _ = traj.at(np.arange(traj.n_steps + 1))
-        theta = np.zeros((1, 3))
+        theta = np.zeros(3)
         gap = 0.0
         for i in range(traj.n_steps + 1):
-            gap = max(gap, abs(theta[0, 0] - w_inv[i]), abs(theta[0, 1] - w_spu[i]))
-            _, grad = objective_and_gradient(theta, stack, cfg)
+            gap = max(gap, abs(theta[0] - w_inv[i]), abs(theta[1] - w_spu[i]))
+            model = LinearModel(w=theta[:-1], b=theta[-1])
+            _, grad = objective_and_gradient(model, [env], cfg, "exponential")
             theta = theta - dt * grad
-        assert abs(theta[0, 2]) <= 1e-15  # the classes mirror: b stays 0
+        assert abs(theta[2]) <= 1e-15  # the classes mirror: b stays 0
         return gap
 
     @pytest.mark.parametrize("gamma", [0.0, 0.58])

@@ -56,7 +56,7 @@ class TestTrainGd:
         w_true, b_true = np.array([1.5, -2.0, 0.5]), 0.7
         envs = [_linear_env(i, 400, w_true, b_true, 0.0, rng.fork(f"e{i}"))
                 for i in range(2)]
-        cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
+        cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
         res, = train_gd([envs], cfg, TrainConfig(lr=0.05, steps=3000), [rng.fork("t")])
         # the ERM objective is the sum of the two environments' risks
         assert oracle.objective_and_gradient(res.model, envs, cfg)[0] < 2e-6
@@ -67,7 +67,7 @@ class TestTrainGd:
     def test_curve_monotone_for_small_lr(self):
         rng = RngStream(1)
         envs = [_linear_env(0, 300, np.array([1.0, -1.0]), 0.0, 0.5, rng.fork("e"))]
-        cfg = ObjectiveConfig(loss="square", lam=1.0, gamma=0.5)
+        cfg = ObjectiveConfig(lam=1.0, gamma=0.5)
         tc = TrainConfig(lr=0.01, steps=500)
         theta, curve, _ = oracle.train_gd(envs, cfg, tc, rng.fork("t"))
         assert curve.shape == (501,)
@@ -76,7 +76,7 @@ class TestTrainGd:
         assert np.allclose(res.theta, theta, rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
-        cfg = ObjectiveConfig(loss="logistic", lam=10.0, gamma=0.5)
+        cfg = ObjectiveConfig(lam=10.0, gamma=0.5)
         tc = TrainConfig(lr=0.05, steps=200)
         outs = []
         for _ in range(2):
@@ -92,7 +92,7 @@ class TestTrainGd:
     def test_adam_reaches_low_risk(self):
         rng = RngStream(2)
         envs = [_linear_env(0, 300, np.array([0.01, 0.0]), 0.0, 0.0, rng.fork("e"))]
-        cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
+        cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
         res, = train_gd([envs], cfg,
                         TrainConfig(lr=0.01, steps=1500, optimizer="adam"),
                         [rng.fork("t")])
@@ -101,7 +101,7 @@ class TestTrainGd:
     def test_divergence_reports_step(self):
         rng = RngStream(3)
         envs = [_linear_env(0, 100, np.array([1.0]), 0.0, 0.0, rng.fork("e"))]
-        cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
+        cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
         tc = TrainConfig(lr=1e6, steps=400)
         res, = train_gd([envs], cfg, tc, [rng.fork("t")])
         assert res.diverged_step is not None and res.diverged_step > 0
@@ -112,7 +112,7 @@ class TestTrainGd:
         assert exc.value.step == res.diverged_step
 
     def test_requires_environments(self):
-        cfg = ObjectiveConfig(loss="square", lam=0.0, gamma=0.0)
+        cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
         with pytest.raises(ParameterError, match="at least one environment"):
             train_gd([[]], cfg, TrainConfig(), [RngStream(0)])
         envs = [_linear_env(0, 50, np.array([1.0]), 0.0, 0.1, RngStream(0))]
@@ -307,8 +307,8 @@ class TestBottleneckSlowsSpuriousWeight:
         rng = RngStream(13)
         fw, params, envs = generate_training_envs(spec, rng.fork("data"))
         tc = TrainConfig(lr=0.1, steps=800)
-        erm_cfg = ObjectiveConfig(loss="logistic", lam=0.0, gamma=0.0)
-        ib_cfg = ObjectiveConfig(loss="logistic", lam=0.0, gamma=0.9)
+        erm_cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
+        ib_cfg = ObjectiveConfig(lam=0.0, gamma=0.9)
         erm, = train_gd([envs], erm_cfg, tc, [rng.fork("t1")])
         ib, = train_gd([envs], ib_cfg, tc, [rng.fork("t2")])
         r_erm = spurious_ratio(erm.model, fw, 1)
