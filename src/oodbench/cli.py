@@ -22,8 +22,8 @@ from .dynamics import theorem5_report
 from .entropy_lab import (LabeledMixture, conditional_entropy_gap,
                           gaussian_entropy_bound, sum_entropy_gap)
 from .reporting import (SWEEP_FIELDS, SUMMARY_FIELDS, aggregate_report,
-                        config_hash, format_summary_table, write_csv,
-                        write_json)
+                        aggregate_rows, config_hash, format_summary_table,
+                        write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -74,13 +74,25 @@ def _configs(args):
     return GeneratorSpec(**spec), TrainConfig(**train)
 
 
+def _meta(args, **config):
+    """Output-file metadata: the root seed and a hash of the resolved config."""
+    return {"root_seed": args.seed,
+            "config_hash": config_hash({"command": args.command, **config})}
+
+
+def _summarise(summary, out, meta):
+    """Write ``summary.csv`` into ``out``, if given; print the table."""
+    if out:
+        os.makedirs(out, exist_ok=True)
+        write_csv(os.path.join(out, "summary.csv"), SUMMARY_FIELDS,
+                  [astuple(r) for r in summary], meta)
+    print(format_summary_table(summary))
+
+
 def cmd_generate(args):
     spec, _ = _configs(args)
     _, _, envs = generate_training_envs(spec, RngStream(args.seed))
-    meta = {"root_seed": args.seed,
-            "config_hash": config_hash({"command": "generate",
-                                        "spec": asdict(spec),
-                                        "seed": args.seed})}
+    meta = _meta(args, spec=asdict(spec), seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     files = []
     for env in envs:
@@ -115,30 +127,19 @@ def cmd_sweep(args):
     for method in methods:
         rows.extend(random_search(spec, method, (args.queries, args.seeds),
                                   rng.fork(f"method/{method}"), tc))
-    meta = {"root_seed": args.seed,
-            "config_hash": config_hash({"command": "sweep",
-                                        "spec": asdict(spec),
-                                        "train": asdict(tc),
-                                        "queries": args.queries,
-                                        "seeds": args.seeds,
-                                        "methods": methods,
-                                        "seed": args.seed})}
+    meta = _meta(args, spec=asdict(spec), train=asdict(tc),
+                 queries=args.queries, seeds=args.seeds, methods=methods,
+                 seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    sweep_path = os.path.join(args.out, "sweep.csv")
-    write_csv(sweep_path, SWEEP_FIELDS, [astuple(r) for r in rows], meta)
-    summary = aggregate_report([sweep_path])
-    write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_FIELDS,
-              [astuple(r) for r in summary], meta)
-    print(format_summary_table(summary))
+    write_csv(os.path.join(args.out, "sweep.csv"), SWEEP_FIELDS,
+              [astuple(r) for r in rows], meta)
+    _summarise(aggregate_rows([asdict(r) for r in rows]), args.out, meta)
     return EXIT_OK
 
 
 def cmd_dynamics(args):
     report = theorem5_report(args.p, args.gamma, args.eps, args.dt)
-    meta = {"root_seed": args.seed,
-            "config_hash": config_hash({"command": "dynamics", "p": args.p,
-                                        "gamma": args.gamma, "eps": args.eps,
-                                        "dt": args.dt})}
+    meta = _meta(args, p=args.p, gamma=args.gamma, eps=args.eps, dt=args.dt)
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for name, key in (("ib_erm", "ib_trajectory"), ("erm", "erm_trajectory")):
@@ -158,10 +159,10 @@ def cmd_dynamics(args):
 def _random_pmf(rng):
     """A pmf on 2 to 8 atoms drawn uniformly from [-5, 5]."""
     k = 2 + rng.categorical([1.0 / 7] * 7)
-    support = np.sort(rng.uniform_array((k,), -5.0, 5.0))
+    support = np.sort(rng.uniform(-5.0, 5.0, shape=(k,)))
     while (support[1:] - support[:-1] < 1e-6).any():
-        support = np.sort(rng.uniform_array((k,), -5.0, 5.0))
-    probs = rng.uniform_array((k,), 0.05, 1.0)
+        support = np.sort(rng.uniform(-5.0, 5.0, shape=(k,)))
+    probs = rng.uniform(0.05, 1.0, shape=(k,))
     return Pmf(support, probs / probs.sum())
 
 
@@ -186,7 +187,7 @@ def run_entropy_suite(seed=0, trials=1000):
     for i in range(trials):
         ri = r.fork(f"trial{i}")
         k = 2 + ri.fork("k").categorical([0.5, 0.3, 0.2])
-        weights = ri.fork("w").uniform_array((k,), 0.05, 1.0)
+        weights = ri.fork("w").uniform(0.05, 1.0, shape=(k,))
         weights /= weights.sum()
         comps = tuple((float(w), _random_pmf(ri.fork(f"pmf{j}")))
                       for j, w in enumerate(weights))
@@ -228,27 +229,17 @@ def cmd_entropy(args):
               f"{res['worst_gap']:>16.3e}{verdict:>9}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        meta = {"root_seed": args.seed,
-                "config_hash": config_hash({"command": "entropy",
-                                            "seed": args.seed,
-                                            "trials": args.trials})}
         write_csv(os.path.join(args.out, "entropy.csv"),
                   ("check", "trials", "worst_gap", "pass"),
                   [(r["check"], r["trials"], r["worst_gap"], r["pass"])
-                   for r in results], meta)
+                   for r in results],
+                  _meta(args, seed=args.seed, trials=args.trials))
     return EXIT_OK if all_pass else EXIT_VALIDATION
 
 
 def cmd_report(args):
-    summary = aggregate_report(args.files)
-    meta = {"root_seed": args.seed,
-            "config_hash": config_hash({"command": "report",
-                                        "files": sorted(args.files)})}
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_FIELDS,
-                  [astuple(r) for r in summary], meta)
-    print(format_summary_table(summary))
+    _summarise(aggregate_report(args.files), args.out,
+               _meta(args, files=sorted(args.files)))
     return EXIT_OK
 
 
@@ -256,27 +247,36 @@ def build_parser():
     parser = _Parser(prog="oodbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out="out", keys=()):
+        """The flags every command but ``report`` shares; ``keys`` are the
+        settings only its config file gives."""
+        only = ", ".join(f"{k} ({JSON_TYPE_NAMES[t]})" for k, t in dict(keys).items())
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="out")
-        p.add_argument("--config", default=None)
-
-    spec_keys = dict.fromkeys(SPEC_KEYS)
+        p.add_argument("--out", default=out)
+        p.add_argument("--config", default=None, help=(
+            "a JSON object of settings: a key names a flag (an explicit flag "
+            "wins)" + (f" or one of {only}" if only else "")))
+        p.set_defaults(**dict.fromkeys(keys))
 
     g = sub.add_parser("generate", help="write one CSV per environment")
-    common(g)
+    common(g, keys=SPEC_KEYS)
     g.add_argument("--example", choices=EXAMPLE_CHOICES, default="ex2")
     g.add_argument("--envs", type=int, default=3)
-    g.set_defaults(func=cmd_generate, **spec_keys)
+    g.set_defaults(func=cmd_generate)
 
-    s = sub.add_parser("sweep", help="random hyperparameter search")
-    common(s)
+    s = sub.add_parser("sweep", help="random hyperparameter search",
+                       description=(
+                           "Random hyperparameter search. IBIRM_THREADS=N "
+                           "trains the data seeds over N worker processes, "
+                           "with the same output. The config key optimizer "
+                           "is gd (default) or adam."))
+    common(s, keys={**SPEC_KEYS, **TRAIN_KEYS})
     s.add_argument("--example", choices=EXAMPLE_CHOICES, default="ex2")
     s.add_argument("--envs", type=int, default=3)
     s.add_argument("--queries", type=int, default=20)
     s.add_argument("--seeds", type=int, default=10)
     s.add_argument("--methods", default="erm,irm,iberm,ibirm")
-    s.set_defaults(func=cmd_sweep, **spec_keys, **dict.fromkeys(TRAIN_KEYS))
+    s.set_defaults(func=cmd_sweep)
 
     d = sub.add_parser("dynamics", help="verify the learning-speed bounds")
     common(d)
@@ -287,9 +287,7 @@ def build_parser():
     d.set_defaults(func=cmd_dynamics)
 
     e = sub.add_parser("entropy", help="run the entropy lemma suite")
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--out", default=None)
-    e.add_argument("--config", default=None)
+    common(e, out=None)
     e.add_argument("--trials", type=int, default=1000)
     e.set_defaults(func=cmd_entropy)
 
@@ -328,7 +326,8 @@ def _apply_config_file(args, parser, argv):
 def _check_config_value(command, key, value, path):
     """A usage error unless ``value`` has the JSON type of setting ``key``.
     null is taken only where the default is None.  A setting with a flag
-    also takes a string, which argparse parses as the flag's argument."""
+    also takes a string, which argparse parses as the flag's argument; a
+    flag's choices bound its value too."""
     flag = next((a for a in command._actions if a.dest == key), None)
     kind = (flag.type or str) if flag else {**SPEC_KEYS, **TRAIN_KEYS}[key]
     if value is None:
@@ -340,6 +339,9 @@ def _check_config_value(command, key, value, path):
     if not ok:
         command.error(f"config file {path}: {key} must be "
                       f"{JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    if flag is not None and flag.choices and value not in flag.choices:
+        command.error(f"config file {path}: {key} must be one of "
+                      f"{', '.join(flag.choices)}, got {json.dumps(value)}")
 
 
 def main(argv=None):

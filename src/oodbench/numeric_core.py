@@ -71,25 +71,19 @@ class RngStream:
             raise ParameterError("fork label must be nonempty")
         return RngStream(self.root_seed, self.lineage + (str(label),))
 
-    # -- scalar draws ------------------------------------------------------
+    # -- draws; uniform and categorical give a scalar when ``shape`` is None
 
-    def uniform(self, a=0.0, b=1.0):
-        if not a <= b:
-            raise ParameterError(f"uniform requires a <= b, got ({a}, {b})")
-        return a + (b - a) * self._gen.random()
-
-    def categorical(self, probs):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-            raise ParameterError("categorical probs must be nonnegative and sum to 1")
-        return int(probs.cumsum().searchsorted(self._gen.random(), side="right"))
-
-    # -- array draws -------------------------------------------------------
-
-    def uniform_array(self, shape, a=0.0, b=1.0):
+    def uniform(self, a=0.0, b=1.0, shape=None):
         if not a <= b:
             raise ParameterError(f"uniform requires a <= b, got ({a}, {b})")
         return a + (b - a) * self._gen.random(shape)
+
+    def categorical(self, probs, shape=None):
+        probs = np.asarray(probs, dtype=float)
+        if probs.ndim != 1 or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
+            raise ParameterError("categorical probs must be nonnegative and sum to 1")
+        draws = probs.cumsum().searchsorted(self._gen.random(shape), side="right")
+        return int(draws) if shape is None else draws
 
     def gaussian_array(self, shape, std=1.0):
         if np.any(np.asarray(std) < 0):
@@ -102,13 +96,6 @@ class RngStream:
         if np.any(np.asarray(p) < 0) or np.any(np.asarray(p) > 1):
             raise ParameterError("bernoulli p must be in [0, 1]")
         return (self._gen.random(shape) < p).astype(np.int64)
-
-    def categorical_array(self, shape, probs):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ParameterError("categorical probs must be nonnegative and sum to 1")
-        u = self._gen.random(shape)
-        return np.searchsorted(np.cumsum(probs), u, side="right").astype(np.int64)
 
     def permutation(self, n):
         return self._gen.permutation(n)

@@ -8,8 +8,16 @@ The objective of one model over its training environments is
 
 where P_e is the squared derivative of R_e(s * yhat) at s = 1 and
 Var_pooled is the population variance of predictions pooled over all
-environments (the gamma term appears once per environment, matching the
-per-environment placement in the penalized objective).
+environments.  Every environment has the same number of rows, so
+
+    n_envs * Var_pooled = sum_e Var_e + sum_e (mu_e - mu)^2
+
+with Var_e and mu_e the variance and mean of environment e's predictions
+and mu their pooled mean: the gamma term is the per-environment sum of
+variances plus the spread of the environments' prediction means, and it
+equals that sum when the means agree.  The pooled form stays because
+every pinned IB output uses it; scoring the per-environment sum alone
+would change the sweep protocol.
 
 The loss follows from the task, and the stack that holds a batch's
 training rows names it.  Classification is trained on the logistic loss,

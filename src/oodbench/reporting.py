@@ -124,20 +124,18 @@ def write_json(path, payload, meta):
 
 
 def aggregate_rows(records):
-    """Aggregate parsed sweep records: per (example, n_envs, method) and
+    """Aggregate typed sweep records: per (example, n_envs, method) and
     seed, keep the query with minimal validation risk, then report the
     population mean and std of the test metric over seeds.  A seed whose
     kept query has no finite test metric (every query of it diverged) is
     counted in ``n_diverged`` and left out of the mean and std."""
     groups = {}
     for rec in records:
-        key = (rec["example"], int(rec["n_envs"]), rec["method"])
-        seed = int(rec["data_seed"])
-        val = float(rec["val_risk"])
-        metric = float(rec["test_metric"])
+        key = (rec["example"], rec["n_envs"], rec["method"])
         best = groups.setdefault(key, {})
+        seed, val = rec["data_seed"], rec["val_risk"]
         if seed not in best or val < best[seed][0]:
-            best[seed] = (val, metric)
+            best[seed] = (val, rec["test_metric"])
     out = []
     for (example, n_envs, method), best in sorted(groups.items()):
         metrics = np.array([m for _, m in best.values()])
@@ -184,6 +182,12 @@ def aggregate_report(sweep_files):
     return aggregate_rows(records)
 
 
+def _fmt_stat(v):
+    """Two decimals below 1e6 in magnitude; larger values, which two
+    decimals would print in full, in exponent form."""
+    return f"{v:.2f}" if abs(v) < 1e6 else f"{v:.2e}"
+
+
 def format_summary_table(rows):
     """Fixed-width text table with metrics shown as 'mean ± std (k
     diverged)'; a method whose every seed diverged shows '-' as its mean."""
@@ -191,7 +195,7 @@ def format_summary_table(rows):
     lines = [header, "-" * len(header)]
     for r in rows:
         stat = ("-" if np.isnan(r.mean_metric)
-                else f"{r.mean_metric:.2f} ± {r.std_metric:.2f}")
+                else f"{_fmt_stat(r.mean_metric)} ± {_fmt_stat(r.std_metric)}")
         cell = f"{stat} ({r.n_diverged} diverged)"
         lines.append(f"{r.example:<10}{r.n_envs:>6}{r.method:>8}  {cell:>28}")
     return "\n".join(lines)

@@ -179,8 +179,8 @@ def gen_example2(spec, params, fw, rng):
     p, s = params.p, params.s
     r = rng.fork(f"gen/env{params.env_id}")
     # Outcomes 1..4 with P = (ps, (1-p)s, p(1-s), (1-p)(1-s)).
-    u = r.fork("u").categorical_array((n,), [p * s, (1 - p) * s,
-                                             p * (1 - s), (1 - p) * (1 - s)]) + 1
+    u = r.fork("u").categorical([p * s, (1 - p) * s, p * (1 - s),
+                                 (1 - p) * (1 - s)], shape=(n,)) + 1
     cow = u <= 2
     grass = (u == 1) | (u == 4)
     theta_animal = np.where(cow[:, None], 1.0, -1.0) * np.ones(m)

@@ -7,7 +7,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oodbench.cli import EXAMPLE_CHOICES, _configs, build_parser, main
+from oodbench.cli import (EXAMPLE_CHOICES, SPEC_KEYS, TRAIN_KEYS, _configs,
+                          build_parser, main)
 from oodbench.dynamics import FlowSpec
 from oodbench.reporting import (SUMMARY_FIELDS, SWEEP_FIELDS, SummaryRow,
                                 aggregate_rows, atomic_write_text, config_hash,
@@ -497,7 +498,9 @@ class TestReportCommand:
                      "--out", rep_out])
         assert code == 0
         assert "ERM" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(rep_out, "summary.csv"))
+        # the sweep summarises its rows in memory: the same data rows
+        assert read_csv(os.path.join(rep_out, "summary.csv"))[1:] == \
+            read_csv(os.path.join(out, "summary.csv"))[1:]
 
     def test_scrambled_example_is_its_own_group(self, tmp_path, capsys):
         cfg = str(tmp_path / "cfg.json")
@@ -517,14 +520,17 @@ class TestReportCommand:
         assert [r["example"] for r in rows] == ["ex1", "ex1s"]
 
     def test_std_of_large_metrics_is_finite(self, tmp_path, capsys):
-        # squaring 1e160 overflows; the summary must not
+        # squaring 1e160 overflows; the summary must not, and the table
+        # prints the values in exponent form, not 161 digits
         path = str(tmp_path / "sweep.csv")
         atomic_write_text(path, ",".join(SWEEP_FIELDS) + "\n" +
                           "ex2,3,ERM,0,0,0,0,0.01,0.2,1e160,1e160\n" +
                           "ex2,3,ERM,1,0,0,0,0.01,0.2,3e160,3e160\n")
         rep_out = str(tmp_path / "rep")
         assert main(["report", path, "--out", rep_out]) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        assert "2.00e+160 ± 1.00e+160 (0 diverged)" in out
+        assert max(len(line) for line in out.splitlines()) <= 80
         row, = read_csv(os.path.join(rep_out, "summary.csv"))[2]
         assert float(row["mean_metric"]) == 2e160
         assert float(row["std_metric"]) == 1e160
@@ -619,6 +625,50 @@ class TestConfigFile:
                      "--out", str(tmp_path / "sweep")]) == 64
         err = capsys.readouterr().err
         assert "cfg.json" in err and f"{key} must be" in err
+
+    @pytest.mark.parametrize("command,example", [("sweep", "twods"),
+                                                 ("generate", "xors")])
+    def test_example_outside_the_choices_is_usage_error(self, tmp_path, capsys,
+                                                       command, example):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"example": example, "steps": 5, "n_per_env": 40}
+                      if command == "sweep" else {"example": example}, fh)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert "cfg.json" in err and "example must be one of" in err
+        assert not out.exists()
+
+    def test_example_among_the_choices_runs(self, tmp_path, capsys):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"example": "ex1s", "steps": 5, "n_per_env": 40,
+                       "queries": 1, "seeds": 1, "methods": "erm"}, fh)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--config", path, "--out", out]) == 0
+        capsys.readouterr()
+        assert {r["example"] for r in read_csv(os.path.join(out, "sweep.csv"))[2]} \
+            == {"ex1s"}
+
+    @pytest.mark.parametrize("key", ["xor_q", "xor_a"])
+    def test_xor_probability_outside_unit_interval_exits_2(self, tmp_path,
+                                                            capsys, key):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({key: 1.5}, fh)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--example", "xor", "--config", path,
+                     "--out", str(out)]) == 2
+        name = key.removeprefix("xor_")
+        assert f"xor probability {name}=1.5 outside [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_help_names_every_config_key(self, capsys):
+        assert main(["sweep", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert [k for k in (*SPEC_KEYS, *TRAIN_KEYS) if k not in out] == []
+        assert "IBIRM_THREADS" in out
 
     def test_config_directory_exits_2(self, tmp_path, capsys):
         assert main(["generate", "--config", str(tmp_path),

@@ -148,7 +148,7 @@ class TestConditionalEntropyGap:
         for i in range(1000):
             r = rng.fork(f"t{i}")
             k = 2 + r.fork("k").categorical([0.5, 0.3, 0.2])
-            weights = r.fork("w").uniform_array((k,), 0.05, 1.0)
+            weights = r.fork("w").uniform(0.05, 1.0, shape=(k,))
             weights /= weights.sum()
             comps = tuple((float(w), _random_pmf(r.fork(f"pmf{j}")))
                           for j, w in enumerate(weights))
@@ -205,7 +205,7 @@ def _suite_gaps(seed, trials):
     for i in range(trials):
         ri = r.fork(f"trial{i}")
         k = 2 + ri.fork("k").categorical([0.5, 0.3, 0.2])
-        weights = ri.fork("w").uniform_array((k,), 0.05, 1.0)
+        weights = ri.fork("w").uniform(0.05, 1.0, shape=(k,))
         weights /= weights.sum()
         comps = tuple((float(w), _random_pmf(ri.fork(f"pmf{j}")))
                       for j, w in enumerate(weights))

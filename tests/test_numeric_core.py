@@ -49,7 +49,7 @@ class TestRngStream:
         for label in path:
             rng = rng.fork(label)
         ref = np.random.Generator(np.random.Philox(key=_path_key(42, path)))
-        assert np.array_equal(rng.uniform_array((5,)), ref.random(5))
+        assert np.array_equal(rng.uniform(shape=(5,)), ref.random(5))
         assert rng.uniform() == ref.random()
         assert np.array_equal(rng.permutation(10), ref.permutation(10))
 
@@ -65,7 +65,7 @@ class TestRngStream:
         child = RngStream(3).fork("a").fork("b")
         assert built == []
         child.uniform()
-        child.uniform_array((4,))
+        child.uniform(shape=(4,))
         assert len(built) == 1
         child.fork("c")
         assert len(built) == 1
@@ -87,7 +87,7 @@ class TestRngStream:
             RngStream(1).bernoulli_array((5,), 1.5)
 
     def test_uniform_mean(self):
-        u = RngStream(11).uniform_array((100_000,))
+        u = RngStream(11).uniform(shape=(100_000,))
         assert abs(u.mean() - 0.5) < 0.01
 
     def test_uniform_bad_bounds(self):
@@ -101,7 +101,7 @@ class TestRngStream:
 
     def test_categorical_distribution(self):
         probs = [0.2, 0.5, 0.3]
-        draws = RngStream(17).categorical_array((100_000,), probs)
+        draws = RngStream(17).categorical(probs, shape=(100_000,))
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, probs, atol=0.01)
 

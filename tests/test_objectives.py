@@ -121,6 +121,33 @@ class TestVariancePenalty:
         assert variance_penalty(LinearModel(w=np.array([1.0])), [e1, e2]) == 1.0
 
 
+class TestBottleneckTerm:
+    """The gamma term is n_envs * gamma * Var_pooled: the per-environment
+    sum of variances plus the spread of the environments' means."""
+
+    @pytest.mark.parametrize("task", ["regression", "classification"],
+                             ids=["MomentStack", "EnvStack"])
+    @pytest.mark.parametrize("shift", [0.0, 3.0], ids=["equal", "shifted"])
+    def test_is_the_sum_of_variances_plus_the_spread_of_means(self, task, shift):
+        rng = RngStream(31)
+        # each environment's X centred, then moved by shift * e
+        envs = [make_env(env.X - env.X.mean(axis=0) + shift * e, env.Y, task)
+                for e, env in enumerate(random_envs(rng, task=task))]
+        model = LinearModel(w=rng.fork("w").gaussian_array((4,)), b=0.3)
+        gamma = 0.4
+        term = (batched_objective(model, envs, ObjectiveConfig(gamma=gamma))[0]
+                - batched_objective(model, envs, ObjectiveConfig())[0])
+        preds = [predict(model, env.X) for env in envs]
+        mu = np.concatenate(preds).mean()
+        sum_var = gamma * sum(p.var() for p in preds)
+        spread = gamma * sum((p.mean() - mu) ** 2 for p in preds)
+        if shift == 0.0:
+            assert abs(term - sum_var) <= 1e-12 * sum_var
+        else:
+            assert spread > 0.1 * sum_var
+            assert abs(term - sum_var - spread) <= 1e-12 * term
+
+
 def scored(loss):
     """The objective that scores ``loss``: the package's for the loss of a
     task, the oracle's per-model one for the exponential loss, which the
@@ -282,5 +309,5 @@ class TestLogisticKernel:
         sign = np.where(r.fork("sign").bernoulli_array((n,), 0.5), 1.0, -1.0)
         z = np.concatenate([
             40.0 * r.fork("near").gaussian_array((n,)),
-            sign * 10.0 ** r.fork("exp").uniform_array((n,), -300.0, 308.0)])
+            sign * 10.0 ** r.fork("exp").uniform(-300.0, 308.0, shape=(n,))])
         self._check(z)

@@ -1,0 +1,51 @@
+"""Static checks of ``src/oodbench`` with the standard library's ``ast``:
+every import of a module is used in it, and every module-level function
+and class is used somewhere in the package, so a name that only tests
+call fails."""
+
+import ast
+import pathlib
+
+import pytest
+
+import oodbench
+
+SOURCES = sorted(pathlib.Path(oodbench.__file__).parent.glob("*.py"))
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+         for path in SOURCES}
+
+
+def _used_names(tree):
+    """Names a module reads: bare names and attribute names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    used = _used_names(tree)
+    assert [name for name in _imported_names(tree) if name not in used] == []
+
+
+def test_every_function_and_class_is_used_in_the_package():
+    used = set().union(*(_used_names(tree) for tree in TREES.values()))
+    defined = [f"{module}.{node.name}" for module, tree in TREES.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert [name for name in defined if name.partition(".")[2] not in used] == []
