@@ -80,7 +80,7 @@ def atomic_write_text(path, text):
     os.makedirs(dirname, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=dirname, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -101,8 +101,11 @@ def read_csv(path):
     """Read a metadata-prefixed CSV; returns (meta, fieldnames, rows of
     string dicts)."""
     meta = {}
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"{path}: not UTF-8 text ({exc})") from exc
     body = []
     for line in lines:
         if line.startswith("#"):

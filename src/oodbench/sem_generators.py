@@ -75,13 +75,24 @@ class GeneratorSpec:
             raise ParameterError(f"unknown example {self.example!r}")
         if self.m < 1 or self.o < 1 or self.n_per_env < 2 or self.n_envs < 1:
             raise ParameterError("require m >= 1, o >= 1, n_per_env >= 2, n_envs >= 1")
-        if self.example == "xor" and self.xor_variant not in XOR_VARIANTS:
-            raise ParameterError(f"xor requires xor_variant in {XOR_VARIANTS}")
+        # Checked on every example, so a bad xor setting never passes
+        # silently where it is ignored.
+        if self.xor_variant not in XOR_VARIANTS:
+            raise ParameterError(f"xor_variant must be one of {XOR_VARIANTS}, "
+                                 f"got {self.xor_variant!r}")
+        for name, prob in (("q", self.xor_q), ("a", self.xor_a)):
+            if not 0.0 <= prob <= 1.0:
+                raise ParameterError(f"xor probability {name}={prob} outside [0, 1]")
 
     @property
     def name(self):
         """The example's name: a scrambled example's ends in ``s``."""
         return self.example + "s" * self.scramble
+
+    @property
+    def task(self):
+        """The example's task: ex1 is the one regression example."""
+        return "regression" if self.example == "ex1" else "classification"
 
 
 @dataclass
@@ -170,7 +181,7 @@ def gen_example1(spec, params, fw, rng):
     y_tilde = z_inv @ fw.W_yz.T + r.fork("y_tilde").gaussian_array((n, m), std=sigma)
     z_spu = y_tilde @ fw.W_zy.T + r.fork("z_spu").gaussian_array((n, o), std=1.0)
     y = (2.0 / (m + o)) * y_tilde.sum(axis=1)
-    return _assemble(params.env_id, z_inv, z_spu, y, "regression", fw.S)
+    return _assemble(params.env_id, z_inv, z_spu, y, spec.task, fw.S)
 
 
 def gen_example2(spec, params, fw, rng):
@@ -222,9 +233,8 @@ def gen_binary_xor(spec, params, rng):
     """Binary XOR constructions showing when invariance and/or the
     bottleneck are needed."""
     n, q, a, u = spec.n_per_env, spec.xor_q, spec.xor_a, params.u
-    for name, prob in (("q", q), ("a", a), ("u", u)):
-        if not 0.0 <= prob <= 1.0:
-            raise ParameterError(f"xor probability {name}={prob} outside [0, 1]")
+    if not 0.0 <= u <= 1.0:
+        raise ParameterError(f"xor probability u={u} outside [0, 1]")
     r = rng.fork(f"gen/env{params.env_id}")
     if spec.xor_variant == "both":
         x_inv = r.fork("x_inv").bernoulli_array((n,), 0.5)

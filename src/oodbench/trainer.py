@@ -5,12 +5,10 @@ A sweep trains the queries of one method in batches: :func:`train_gd`
 builds each query's training statistics once and updates every query's
 parameters at each step with one batched call of
 :func:`~oodbench.objectives.objective_and_gradient`.  Each query names its
-own environments, so one batch may hold several data seeds.  The task
-chooses the loss: regression (ex1) is trained on the square loss, every
-classification example on the logistic loss.  On the square loss a batch
-holds every data seed of the method, or of one worker process's share of
-them; on the logistic loss it holds one data seed (see
-:func:`random_search`).
+own environments, so one batch may hold several data seeds; the rule that
+cuts a sweep's data seeds into batches is stated in :func:`random_search`.
+The task chooses the loss: regression (ex1) is trained on the square loss,
+every classification example on the logistic loss.
 
 Tolerance contract.  The reference for training is the per-model path:
 each query trained alone, its objective summed over its rows environment
@@ -66,10 +64,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .numeric_core import ParameterError, RngStream
+from .numeric_core import ParameterError
 from .objectives import (EnvStack, LinearModel, ObjectiveConfig,
                          moment_stack, objective_and_gradient, predict)
-from .sem_generators import (EnvDataset, FixedWeights, default_test_envs,
+from .sem_generators import (EnvDataset, default_test_envs,
                              generate_training_envs)
 
 __all__ = [
@@ -294,73 +292,40 @@ def _sample_hparams(method, rng):
     return lr, lam, gamma
 
 
-@dataclass
-class _SeedData:
-    """One data seed of a sweep: what its trainings and its test
-    environments are drawn from."""
-
-    seed: int
-    seed_rng: RngStream
-    fw: FixedWeights
-    params: list
-    envs: list           # training environments, latents dropped
-    q_rngs: list         # one stream per query
-    hparams: list        # (lr, lam, gamma) per query
-
-
-def _generate(spec, method, seed, n_queries, rng):
-    seed_rng = rng.fork(f"seed{seed}")
-    fw, params, envs = generate_training_envs(spec, seed_rng.fork("data"))
-    # Training reads only each environment's rows: the latents are dropped
-    # so that they do not stay resident through training.
-    envs = [replace(env, Z_inv=None, Z_spu=None) for env in envs]
-    q_rngs = [seed_rng.fork(f"query{q}") for q in range(n_queries)]
-    hparams = [_sample_hparams(method, r.fork("hparams")) for r in q_rngs]
-    return _SeedData(seed, seed_rng, fw, params, envs, q_rngs, hparams)
-
-
-def _regression(spec):
-    """Whether ``spec`` is regression, trained on the square loss: ex1 is
-    the one regression example."""
-    return spec.example == "ex1"
-
-
-def _train(data, tc_base):
-    """Train every query of the seeds ``data`` as one batch; one result
-    list per seed."""
-    lrs, lams, gammas = (np.array(col) for col in
-                         zip(*(h for sd in data for h in sd.hparams)))
-    results = train_gd([sd.envs for sd in data for _ in sd.q_rngs],
-                       ObjectiveConfig(lams, gammas), replace(tc_base, lr=lrs),
-                       [r.fork("train") for sd in data for r in sd.q_rngs])
-    n = len(data[0].q_rngs)
-    return [results[i * n:(i + 1) * n] for i in range(len(data))]
-
-
-def _evaluate(spec, method, sd, results):
-    """The sweep rows of one data seed, in query order."""
-    test_envs = default_test_envs(spec, sd.params, sd.fw, sd.seed_rng.fork("data"))
-    rows = []
-    for q, ((lr, lam, gamma), result) in enumerate(zip(sd.hparams, results)):
-        if result.diverged_step is None:
-            metrics = [evaluate(result.model, te) for te in test_envs]
-            scores = (result.val_risk, float(np.mean(metrics)), float(np.max(metrics)))
-        else:
-            scores = (float("inf"),) * 3
-        rows.append(SweepRow(spec.name, spec.n_envs, method, sd.seed, q,
-                             lam, gamma, lr, *scores))
-    return rows
-
-
 def _run_batch(spec, method, seeds, n_queries, rng, tc_base):
-    """The sweep rows of the data seeds ``seeds``, trained as one batch.
-    The test environments are drawn after training, seed by seed, from
-    their own stream: the batch's training stack and the test environments
-    never occupy memory together."""
-    data = [_generate(spec, method, seed, n_queries, rng) for seed in seeds]
-    results = _train(data, tc_base)
-    return [row for sd, res in zip(data, results)
-            for row in _evaluate(spec, method, sd, res)]
+    """The sweep rows of the data seeds ``seeds``, in seed then query order:
+    every query of the batch is trained by one :func:`train_gd` call.  The
+    test environments are drawn after training, seed by seed, from their
+    own stream: the batch's training stack and the test environments never
+    occupy memory together."""
+    data = []  # per seed: (seed, its stream, fixed weights, params, envs)
+    for seed in seeds:
+        seed_rng = rng.fork(f"seed{seed}")
+        fw, params, envs = generate_training_envs(spec, seed_rng.fork("data"))
+        # Training reads only each environment's rows: the latents are
+        # dropped so that they do not stay resident through training.
+        envs = [replace(env, Z_inv=None, Z_spu=None) for env in envs]
+        data.append((seed, seed_rng, fw, params, envs))
+    q_rngs = [stream.fork(f"query{q}")
+              for _, stream, *_ in data for q in range(n_queries)]
+    hparams = [_sample_hparams(method, r.fork("hparams")) for r in q_rngs]
+    lrs, lams, gammas = (np.array(col) for col in zip(*hparams))
+    results = train_gd([envs for *_, envs in data for _ in range(n_queries)],
+                       ObjectiveConfig(lams, gammas), replace(tc_base, lr=lrs),
+                       [r.fork("train") for r in q_rngs])
+    rows = []
+    for i, (seed, seed_rng, fw, params, _) in enumerate(data):
+        test_envs = default_test_envs(spec, params, fw, seed_rng.fork("data"))
+        own = slice(i * n_queries, (i + 1) * n_queries)
+        for q, ((lr, lam, gamma), result) in enumerate(zip(hparams[own], results[own])):
+            if result.diverged_step is None:
+                metrics = [evaluate(result.model, te) for te in test_envs]
+                scores = (result.val_risk, float(np.mean(metrics)), float(np.max(metrics)))
+            else:
+                scores = (float("inf"),) * 3
+            rows.append(SweepRow(spec.name, spec.n_envs, method, seed, q,
+                                 lam, gamma, lr, *scores))
+    return rows
 
 
 def _worker_count():
@@ -382,15 +347,17 @@ def random_search(spec, method, protocol, rng, tc_base):
     benchmark, run ``n_queries`` trainings with sampled hyperparameters,
     and record validation risk plus the shifted-test metric per query.
 
-    The data seeds are cut into contiguous batches, each trained by one
-    :func:`train_gd` call.  A square-loss batch holds moments, not rows,
-    so its cost per query falls with its size: the seeds are cut into one
-    batch per worker process.  A row stack costs the same per query at any
-    size and grows with it, so every data seed is its own batch.  The
-    batches run serially, or over ``IBIRM_THREADS`` worker processes (at
-    most one per batch); the rows are the same either way, because every
-    query owns an independently forked stream and its result does not
-    depend on its batch.
+    Batching rule.  The ``n`` data seeds are cut into ``k`` contiguous
+    batches, batch i holding seeds ``i*n//k`` to ``(i+1)*n//k - 1``, and
+    each batch is trained by one :func:`train_gd` call.  On regression
+    ``k = min(workers, n)``: a square-loss batch holds moments, not rows,
+    so its cost per query falls with its size, and each worker process
+    gets one batch.  On classification ``k = n``: a row stack costs the
+    same per query at any size and grows with it, so every data seed is
+    its own batch.  The batches run serially, or over ``IBIRM_THREADS``
+    worker processes (at most one per batch); the rows are the same either
+    way, because every query owns an independently forked stream and its
+    result does not depend on its batch.
     """
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
@@ -399,12 +366,9 @@ def random_search(spec, method, protocol, rng, tc_base):
         raise ParameterError("protocol counts must be >= 1")
     n_workers = _worker_count()
     seeds = range(n_seeds)
-    if _regression(spec):
-        k = min(n_workers, n_seeds)
-        batches = [seeds[i * n_seeds // k:(i + 1) * n_seeds // k] for i in range(k)]
-    else:
-        batches = [seeds[i:i + 1] for i in seeds]
-    n_workers = min(n_workers, len(batches))
+    k = min(n_workers, n_seeds) if spec.task == "regression" else n_seeds
+    batches = [seeds[i * n_seeds // k:(i + 1) * n_seeds // k] for i in range(k)]
+    n_workers = min(n_workers, k)
     args = (repeat(spec), repeat(method), batches, repeat(n_queries),
             repeat(rng), repeat(tc_base))
     if n_workers > 1:

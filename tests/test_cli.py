@@ -561,6 +561,14 @@ class TestReportCommand:
         assert main(["report", str(tmp_path)]) == 2
         assert str(tmp_path) in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes((",".join(SWEEP_FIELDS) + "\n" +
+                         "caf\xe9,3,ERM,0,0,0,0,0.01,0.2,0.1,0.1\n")
+                        .encode("latin-1"))
+        assert main(["report", str(bad)]) == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -662,6 +670,16 @@ class TestConfigFile:
                      "--out", str(out)]) == 2
         name = key.removeprefix("xor_")
         assert f"xor probability {name}=1.5 outside [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_xor_settings_are_checked_on_another_example(self, tmp_path, capsys):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"xor_variant": "bogus", "xor_q": 1.5}, fh)
+        out = tmp_path / "gen"
+        assert main(["generate", "--example", "ex1", "--config", path,
+                     "--out", str(out)]) == 2
+        assert "xor_variant must be one of" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_help_names_every_config_key(self, capsys):

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.sem_generators import (EnvParams, GeneratorSpec,
+from oodbench.sem_generators import (EXAMPLES, EnvParams, GeneratorSpec,
                                      draw_fixed_weights, env_params,
                                      gen_2d, gen_binary_xor, gen_example1,
                                      gen_example2, gen_example3,
@@ -47,6 +49,18 @@ class TestEnvParams:
     def test_bad_example_rejected(self):
         with pytest.raises(ParameterError):
             GeneratorSpec(example="ex9")
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "twod"])
+    @pytest.mark.parametrize("setting, message", [
+        ({"xor_variant": "bogus"}, "xor_variant must be one of"),
+        ({"xor_q": 1.5}, "xor probability q=1.5 outside [0, 1]"),
+        ({"xor_a": -0.1}, "xor probability a=-0.1 outside [0, 1]"),
+        ({"xor_q": float("nan")}, "xor probability q=nan outside [0, 1]"),
+    ], ids=["variant", "q", "a", "q_nan"])
+    def test_xor_settings_checked_on_every_example(self, example, setting,
+                                                   message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            GeneratorSpec(example=example, **setting)
 
 
 class TestExample1:
@@ -253,6 +267,14 @@ class TestInvMargin:
 
 
 class TestBenchmarkInstance:
+    @pytest.mark.parametrize("scramble", [False, True], ids=["plain", "scrambled"])
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_every_environment_carries_the_spec_task(self, example, scramble):
+        spec = GeneratorSpec(example=example, n_per_env=20, scramble=scramble)
+        _, _, envs = generate_training_envs(spec, RngStream(3))
+        assert [env.task for env in envs] == [spec.task] * spec.n_envs
+        assert spec.task == ("regression" if example == "ex1" else "classification")
+
     def test_fixed_weights_shared_across_envs(self):
         spec = GeneratorSpec(example="ex2", n_per_env=100, scramble=True)
         fw, params, envs = generate_training_envs(spec, RngStream(1))

@@ -1,7 +1,8 @@
 """Static checks of ``src/oodbench`` with the standard library's ``ast``:
-every import of a module is used in it, and every module-level function
-and class is used somewhere in the package, so a name that only tests
-call fails."""
+every import of a module is used in it, every module-level function and
+class is used somewhere in the package, so a name that only tests call
+fails, and every text-mode ``open`` or ``os.fdopen`` names its encoding,
+so no file's bytes depend on the locale."""
 
 import ast
 import pathlib
@@ -49,3 +50,34 @@ def test_every_function_and_class_is_used_in_the_package():
                for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assert [name for name in defined if name.partition(".")[2] not in used] == []
+
+
+def _text_opens_without_encoding(tree):
+    """Line numbers of the ``open(...)`` and ``os.fdopen(...)`` calls of a
+    module that open a file in text mode and pass no ``encoding=``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fdopen")):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in mode.value
+        if not binary and "encoding" not in keywords:
+            yield node.lineno
+
+
+def test_encoding_check_flags_only_text_mode_without_encoding():
+    tree = ast.parse("open(p)\n"
+                     "os.fdopen(fd, 'w', newline='')\n"
+                     "open(p, mode='a')\n"
+                     "open(p, 'rb')\n"
+                     "os.fdopen(fd, mode='wb')\n"
+                     "open(p, 'w', encoding='utf-8')\n")
+    assert sorted(_text_opens_without_encoding(tree)) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_text_open_names_its_encoding(module):
+    assert list(_text_opens_without_encoding(TREES[module])) == []
