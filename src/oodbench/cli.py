@@ -71,7 +71,12 @@ def _configs(args):
         for key in keys:
             if getattr(args, key, None) is not None:
                 kwargs[key] = getattr(args, key)
-    return GeneratorSpec(**spec), TrainConfig(**train)
+    gen = GeneratorSpec(**spec)  # reports a bad value first
+    stray = [key for key in spec if key.startswith("xor_") and example != "xor"]
+    if stray:  # ignored by the data, but not by config_hash
+        raise ParameterError(f"{', '.join(stray)} applies only to the xor "
+                             f"example, not {args.example}")
+    return gen, TrainConfig(**train)
 
 
 def _meta(args, **config):

@@ -20,15 +20,16 @@ every pinned IB output uses it; scoring the per-environment sum alone
 would change the sweep protocol.
 
 The loss follows from the task, and the stack that holds a batch's
-training rows names it.  Classification is trained on the logistic loss,
-scored from the rows (:class:`EnvStack`) with the per-model path's float
-operations in its order, but for the softplus, taken from the sigmoid's
-exp(-|ŷ|) instead of numpy's ``logaddexp``.  Regression is trained on the
-square loss, an exact polynomial in a few moments of the rows, so it is
-scored from them (:class:`MomentStack`): one step costs O(E d²) instead
-of O(E n d), with a different rounding.  What each path promises against
-the per-model reference is the tolerance contract in
-:mod:`oodbench.trainer`.
+training data, with its penalty weights, names it.  Classification is
+trained on the logistic loss, scored from the rows (:class:`EnvStack`)
+with the per-model path's float operations in its order, but for the
+softplus, taken from the sigmoid's exp(-|ŷ|) instead of numpy's
+``logaddexp``.  Regression is trained on the square loss, an exact
+polynomial in a few moments of the rows, so it is scored from them
+(:class:`MomentStack`), with a different rounding: ERM and IB-ERM are one
+quadratic form per model, O(d²) a step, and the IRM penalty adds O(E d²),
+instead of O(E n d) on the rows.  What each path promises against the
+per-model reference is the tolerance contract in :mod:`oodbench.trainer`.
 """
 
 from __future__ import annotations
@@ -81,14 +82,18 @@ class ObjectiveConfig:
 @dataclass
 class EnvStack:
     """The training rows of a batch of Q models, one block per model,
-    scored on the logistic loss.
+    scored on the logistic loss, and the models' penalty weights.
 
     ``X[q, e]`` (n, d) and ``Y[q, e]`` (n,) are model q's rows of
     environment e; every environment has the same number of rows n.
+    ``lam[q]`` and ``gamma[q]`` are model q's weights (see
+    :class:`ObjectiveConfig`).
     """
 
     X: np.ndarray
     Y: np.ndarray
+    lam: np.ndarray
+    gamma: np.ndarray
 
     def __post_init__(self):
         if self.X.ndim != 4 or self.Y.shape != self.X.shape[:3]:
@@ -97,48 +102,51 @@ class EnvStack:
 
 @dataclass
 class MomentStack:
-    """The square-loss statistics of a batch of Q models' training rows.
+    """The square-loss objective of a batch of Q models: one quadratic form
+    per model, with its penalty weights folded in, built once from its
+    training rows.
 
-    For model q's n rows of environment e, ``M[q, e]`` = BᵀB with
-    B = [X / scale[q], 1, -y], so that n times the environment's mean
-    squared residual at theta is ψᵀMψ with ψ = [theta * scale[q], 1].
-    ``C[q]`` is the scatter matrix of X / scale[q] about its mean, over the
-    rows of every environment, pooled.  Each scale is the least power of
-    two at or above its column's largest magnitude (1 for the intercept),
-    so the division is exact and the scaled columns are at most 1 in
-    magnitude: a huge value in X gives an overflowing gradient, as it does
-    on the rows, not a NaN objective from 0 * inf at theta = 0.
+    With B = [X / scale[q], 1, -y] on model q's n rows of environment e,
+    n times the environment's mean squared residual is ψᵀM_eψ for
+    M_e = BᵀB and ψ = [theta * scale[q], 1], and the bottleneck term
+    n_envs * gamma * Var_pooled is gamma φᵀCφ / n for C the scatter of
+    X / scale[q] about its pooled mean and φ = ψ[:d].  So the objective
+    but the IRM penalty is ψᵀKψ / n, K = Σ_e M_e + gamma[q] C (C in the
+    weight block).  The IRM penalty lam g_e² = (√lam g_e)² reads ``M``,
+    √lam times each M_e but its last row, kept only when lam > 0.
+
+    A column's scale is the least power of two above every magnitude in
+    the column (1 for an all-zero column and the intercept), over the rows
+    or a superset: a data seed's rows in :func:`oodbench.trainer.train_gd`.
+    It commutes with rounding, so M_e and C times the scales are the
+    unscaled moments bit for bit unless an entry leaves the normal range;
+    and a huge value in X gives an overflowing gradient, as on the rows,
+    not a NaN objective from 0 * inf.
     """
 
-    M: np.ndarray      # (Q, E, d+2, d+2)
-    C: np.ndarray      # (Q, d, d)
+    K: np.ndarray      # (Q, d+2, d+2)
     scale: np.ndarray  # (Q, d+1)
+    step: np.ndarray   # (Q, d+1): scale * 2 / n, the gradient's factor
     n: int
+    M: np.ndarray | None = None  # (Q, E, d+1, d+2)
+    u: np.ndarray | None = None  # (Q, E, d+1): -M[..., -1]
 
 
-def moment_stack(queries, n_queries):
-    """The :class:`MomentStack` of a batch of ``n_queries`` models;
-    ``queries`` yields, per model, its (X, y) rows of each environment, n
-    rows each.  Only one model's rows are read at a time, and its moments
-    are written into arrays sized for the batch.  ``C`` is taken about the
-    pooled mean in two passes, not as a difference of raw moments."""
-    for q, blocks in enumerate(queries):
-        if q == 0:
-            n_envs, d = len(blocks), blocks[0][0].shape[1]
-            M = np.empty((n_queries, n_envs, d + 2, d + 2))
-            C = np.empty((n_queries, d, d))
-            scale = np.ones((n_queries, d + 1))
-        top = np.max([np.abs(x).max(axis=0) for x, _ in blocks], axis=0)
-        sx = np.ldexp(1.0, np.frexp(top)[1])
-        bs = [np.column_stack([x / sx, np.ones(y.size), -y]) for x, y in blocks]
-        for e, b in enumerate(bs):
-            M[q, e] = b.T @ b
-        xs = [b[:, :-2] for b in bs]
-        mean = sum(x.sum(axis=0) for x in xs) / sum(len(x) for x in xs)
-        C[q] = sum((x - mean).T @ (x - mean) for x in xs)
-        scale[q, :-1] = sx
-    n = blocks[0][1].size
-    return MomentStack(M, C, scale, n)
+def moment_stack(M, C, scale, n, cfg):
+    """The :class:`MomentStack` of per-environment moments ``M``
+    (Q, E, d+2, d+2) and pooled scatter matrices ``C`` (Q, d, d) of
+    X / ``scale``, n rows per environment, at the penalty weights of
+    ``cfg`` (one per model, or one for all)."""
+    d = C.shape[1]
+    lam, gamma = (np.reshape(np.asarray(w, dtype=float), (-1, 1, 1))
+                  for w in (cfg.lam, cfg.gamma))
+    K = M.sum(axis=1)
+    if gamma.any():
+        K[:, :d, :d] += gamma * C
+    if not lam.any():
+        return MomentStack(K, scale, scale * (2.0 / n), n)
+    M = np.sqrt(lam[..., None]) * M[..., :-1, :]
+    return MomentStack(K, scale, scale * (2.0 / n), n, M, -M[..., -1])
 
 
 def predict(model, X):
@@ -197,29 +205,6 @@ def _env_terms(X, yhat, y, penalized):
     return risk, grad, g, pen
 
 
-def _moment_terms(psi, st, penalized):
-    """The terms of :func:`_env_terms` for the square loss, from the
-    moments of ``st`` at ψ = [theta * scale, 1] (see :class:`MomentStack`).
-
-    With v = Mψ = [Sφ - u, c - uᵀφ] for S = AᵀA, u = Aᵀy, c = yᵀy and
-    φ = theta * scale: sum((ŷ - y) ŷ) = φᵀ(Sφ - u), and the summed
-    squared residual is that plus c - uᵀφ.  So R = (φᵀ(Sφ - u) + c - uᵀφ)
-    / n with gradient scale * 2 (Sφ - u) / n, and g = 2 φᵀ(Sφ - u) / n
-    with gradient scale * 2 (2 Sφ - u) / n.  g is not taken as a
-    difference of R and c - uᵀφ, which would cancel while ŷ is small.
-    """
-    n = st.n
-    v = np.matmul(st.M, psi[:, None, :, None])[..., 0]
-    fit = _row_sum(v[..., :-1] * psi[:, None, :-1])
-    risk = (fit + v[..., -1]) / n
-    step = st.scale[:, None] * (2.0 / n)
-    grad = v[..., :-1] * step
-    if not penalized:
-        return risk, grad, None, None
-    # 2 Sφ - u = 2 (Sφ - u) + u, and u is minus M's last column
-    return risk, grad, 2.0 * fit / n, 2.0 * grad - st.M[..., :-1, -1] * step
-
-
 def _row_grad(X, r):
     """Gradients in (w, b) of row terms with derivative ``r`` in ŷ."""
     return np.concatenate([_matvec(X, r), _row_sum(r)[..., None]], axis=-1)
@@ -237,40 +222,58 @@ def _matvec(X, r):
     return np.matmul(X.swapaxes(-1, -2), r[..., None])[..., 0]
 
 
-def objective_and_gradient(theta, stack, cfg):
+def _square_objective(theta, st):
+    """:func:`objective_and_gradient` on a :class:`MomentStack`: with
+    v = Kψ the value is ψᵀv / n and the gradient v times 2 scale / n.  The
+    IRM penalty adds lam g_e², where g_e = 2 φᵀ(S_eφ - u_e) / n from
+    v_e = M_eψ = [S_eφ - u_e, ...] (S_e = AᵀA, u_e = Aᵀy, A = [X / scale, 1]
+    and φ = ψ[:-1]), with gradient step (2 S_eφ - u_e) = step (2 v_e + u_e)
+    in theta; the stack's √lam is carried through.  g_e is not a difference
+    of the risk and c - uᵀφ, which would cancel while ŷ is small."""
+    psi = np.ones((theta.shape[0], theta.shape[1] + 1))
+    np.multiply(theta, st.scale, out=psi[:, :-1])
+    v = np.matmul(st.K, psi[..., None])[..., 0]
+    value = _row_sum(v * psi) / st.n
+    grad = v[:, :-1] * st.step
+    if st.M is not None:
+        q, n_envs, k = st.M.shape[:3]
+        # every environment's √lam M_eψ, but its last entry, in one product
+        v = np.matmul(st.M.reshape(q, n_envs * k, -1), psi[..., None])
+        v = v.reshape(q, n_envs, k)
+        g = _row_sum(v * psi[:, None, :-1]) * (2.0 / st.n)  # √lam g_e
+        value += _row_sum(g * g)
+        v *= 2.0
+        v += st.u                 # √lam (2 S_eφ - u_e)
+        grad += 2.0 * st.step * np.matmul(g[:, None, :], v)[:, 0]
+    return value, grad
+
+
+def objective_and_gradient(theta, stack):
     """Penalized objective values and their exact gradients in (w, b) for a
     batch of Q linear models.
 
     ``theta`` is (Q, d+1), weights then intercept; model q is scored on its
-    own rows of ``stack``: on the square loss from a :class:`MomentStack`,
-    on the logistic loss from an :class:`EnvStack`.  Penalty weights are
-    ``cfg.lam[q]`` and ``cfg.gamma[q]`` (or one weight for all); each
-    penalty is on for every model of the batch or for none.  Returns
-    ``(values, grads)`` of shapes (Q,) and (Q, d+1).
+    own data in ``stack`` at its own penalty weights, which the stack holds:
+    on the square loss from a :class:`MomentStack`, on the logistic loss
+    from an :class:`EnvStack`.  Each penalty is on for every model of the
+    batch or for none, and one whose weight is 0 is left out of the sum,
+    not added as 0.  Returns ``(values, grads)`` of shapes (Q,) and (Q, d+1).
 
-    Each model's result is the same whatever the batch holds: its float
-    operations, and the order in which the terms are summed, do not depend
-    on the other models.  From an :class:`EnvStack` they are the per-model
-    path's but for the softplus (see :func:`_env_terms`), so the gradient
-    is bit-identical to scoring that model alone, one environment after
-    another.  A penalty whose weight is 0 is left out of the sum, not added
-    as 0.
+    A model's float operations, and the order in which its terms are summed,
+    do not depend on the other models of the batch.  From an
+    :class:`EnvStack` they are the per-model path's but for the softplus
+    (see :func:`_env_terms`), so the gradient is bit-identical to scoring
+    that model alone, one environment after another.
     """
-    moments = isinstance(stack, MomentStack)
+    if isinstance(stack, MomentStack):
+        return _square_objective(theta, stack)
     q, d = theta.shape[0], theta.shape[1] - 1
-    lam = np.asarray(cfg.lam, dtype=float)
-    gamma = np.asarray(cfg.gamma, dtype=float)
+    lam, gamma = stack.lam, stack.gamma
     use_irm, use_ib = bool(lam.any()), bool(gamma.any())
-    if moments:
-        n_envs, n = stack.M.shape[1], stack.n
-        psi = np.ones((q, d + 2))
-        np.multiply(theta, stack.scale, out=psi[:, :-1])
-        risk_qe, grad_qe, g, g_grad = _moment_terms(psi, stack, use_irm)
-    else:
-        n_envs, n = stack.X.shape[1:3]
-        yhat = np.matmul(stack.X, theta[:, None, :-1, None])[..., 0]
-        yhat += theta[:, -1:, None]
-        risk_qe, grad_qe, g, g_grad = _env_terms(stack.X, yhat, stack.Y, use_irm)
+    n_envs, n = stack.X.shape[1:3]
+    yhat = np.matmul(stack.X, theta[:, None, :-1, None])[..., 0]
+    yhat += theta[:, -1:, None]
+    risk_qe, grad_qe, g, g_grad = _env_terms(stack.X, yhat, stack.Y, use_irm)
     if use_irm:
         lam_q = lam.reshape(-1, 1)
         pen = lam_q * g * g
@@ -286,19 +289,12 @@ def objective_and_gradient(theta, stack, cfg):
             grad += pen_grad[:, e]
     if use_ib:
         n_all = n_envs * n
-        if moments:
-            # wᵀCw with C the pooled scatter matrix: the variance times n_all
-            phi_w = psi[:, :d]
-            C_phi = np.matmul(stack.C, phi_w[..., None])[..., 0]
-            var = _row_sum(C_phi * phi_w) / n_all
-            var_w = stack.scale[:, :-1] * C_phi
-        else:
-            # predictions pooled over the environments
-            allp = yhat.reshape(q, n_all)
-            centered = allp - (_row_sum(allp) / n_all)[:, None]
-            var_w = _matvec(stack.X.reshape(q, n_all, d), centered)
-            centered **= 2
-            var = _row_sum(centered) / n_all
+        # predictions pooled over the environments
+        allp = yhat.reshape(q, n_all)
+        centered = allp - (_row_sum(allp) / n_all)[:, None]
+        var_w = _matvec(stack.X.reshape(q, n_all, d), centered)
+        centered **= 2
+        var = _row_sum(centered) / n_all
         value += n_envs * gamma * var
         coef = np.reshape(n_envs * gamma * (2.0 / n_all), (-1, 1))
         # the intercept shifts every prediction equally: no variance gradient

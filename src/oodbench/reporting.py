@@ -98,10 +98,10 @@ def write_csv(path, fieldnames, rows, meta):
 
 
 def read_csv(path):
-    """Read a metadata-prefixed CSV; returns (meta, fieldnames, rows of
-    string dicts)."""
+    """Read a metadata-prefixed UTF-8 CSV, byte-order mark or not; returns
+    (meta, fieldnames, rows of string dicts)."""
     meta = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
             lines = fh.read().splitlines()
         except UnicodeDecodeError as exc:

@@ -20,36 +20,35 @@ stated bound of it, and the tests check each part.
 
 * Logistic loss: theta, ``diverged_step``, ``val_risk`` and every sweep
   output are bit-identical to the per-model path.  The objective value,
-  which training reads only to detect divergence, is not: the softplus is
-  max(yhat, 0) + log1p(exp(-|yhat|)), reusing the sigmoid's exp, where
-  the per-model path calls numpy's ``logaddexp``.  Each row's softplus is
-  within 4 ulp of ``logaddexp``'s, with the same inf and nan pattern, so
-  each row's risk term is within 4 ulp of the larger of its softplus and
-  |y yhat| (measured: 2 ulp over 1.1e6 rows).  On the tested grid, at
-  each of the per-model path's iterates, the value is within 1e-15
-  relative of the per-model path's (measured: 3.6e-16).  The softplus
-  enters only the value, never the gradient, which is bit-identical.
-* Square loss, per call: the objective is computed from per-environment
-  moments (:class:`~oodbench.objectives.MomentStack`), not from rows.  Its
-  value and gradient are within 1e-14 of the per-model path's, relative to
-  the magnitudes of their terms (the same terms summed on absolute values,
-  so that no term cancels; near the optimum the gradient itself cancels).
-  Measured: at most 3.5e-16.
+  which training reads only to detect divergence, is not: its softplus,
+  max(yhat, 0) + log1p(exp(-|yhat|)) reusing the sigmoid's exp, is within
+  4 ulp of numpy's ``logaddexp`` with the same inf and nan pattern, so a
+  row's risk term is within 4 ulp of the larger of its softplus and
+  |y yhat| (measured: 2 ulp over 1.1e6 rows).  At the per-model path's
+  iterates on the tested grid the value is within 1e-15 relative
+  (measured: 3.6e-16).
+* Square loss, per call: the objective is one quadratic form per query,
+  built from the moments of its rows
+  (:class:`~oodbench.objectives.MomentStack`).  Its value and gradient are
+  within 1e-14 of the per-model path's, relative to the magnitudes of
+  their terms (summed on absolute values, so that none cancels; near the
+  optimum the gradient itself cancels).  Measured: at most 3.5e-16 on the
+  tested grid, 7.1e-16 at the benchmark's shape (ex1, 96 queries).
 * Square loss, per sweep: against the per-model path at seeds 0 and 7919,
   the same queries diverge and the same query is selected in every
-  (method, seed) cell.  Under GD each finite val_risk and test metric is
-  within 1e-7 relative, and each summary mean too (measured at most
-  1.6e-9 and 9.0e-10 on the tested protocol; 2.3e-10 and 2.8e-11 on the
+  (method, seed) cell.  Under GD each finite val_risk and test metric, and
+  each summary mean, is within 1e-7 relative (measured at most 1.4e-9
+  and 8.1e-10 on the tested protocol; 1.9e-10 and 2.3e-11 on the
   benchmark's, 12 queries x 8 seeds x 2000 steps).  Adam's step
   m / sqrt(v) has about unit size whatever the gradient's, so a last-bit
   difference in a near-zero gradient entry becomes a step-sized one.  On
   the tested protocol (500 steps) Adam stays within 1e-3 per query and
-  1e-5 in summary means (measured 1.3e-5 and 8.1e-8).  Over the
-  benchmark's 2000 steps at lr up to 0.1 its runs are chaotic: diverged
-  sets and selections still agree at both seeds, and summary means within
-  1.6e-3, but single queries' val_risk moved by up to 146%.  The per-model
-  path is as chaotic: moving lr by one ulp moves its val_risk on one such
-  query from 2.42 to 0.094.
+  1e-5 in summary means (measured 1.7e-5 and 1.4e-7).  Over the
+  benchmark's 2000 steps at lr up to 0.1 it is chaotic, as the per-model
+  path is (one ulp of lr moved one query's val_risk from 2.42 to 0.094),
+  and this clause does not hold there: the diverged sets agree, but the
+  selection differs in 1 of 32 cells at each seed, summary means by up
+  to 5.3e-3 and single queries' val_risk by up to 312%.
 * Always: a query's result is bit-reproducible, and does not depend on
   which other queries of its method share its batch (of its data seed or
   of others), on when they diverge and leave it, or on how many worker
@@ -131,28 +130,53 @@ def _splits(envs, rng):
         yield (env, *_split(env.n, split_rng.fork(f"env{env.env_id}")))
 
 
-def _training_rows(query_envs, rngs):
-    """Yield, query by query, its (X, y) training rows of each environment;
-    a query's split is dropped once its rows are taken."""
-    for envs, rng in zip(query_envs, rngs):
-        yield [(env.X[train], env.Y[train]) for env, train, _ in _splits(envs, rng)]
+def _square_moments(query_envs, rngs):
+    """Each query's square-loss moments of its training rows, as
+    :func:`~oodbench.objectives.moment_stack` takes them: (M, C, scale, n).
+    Each query gathers its training rows from one block [X / scale, 1, -y]
+    per environment of its data seed (the queries that share one
+    environment list), dropped before the next seed's.  ``C`` is taken
+    about the query's pooled mean in two passes, not as a difference of
+    raw moments."""
+    envs = query_envs[0]
+    n_q, n_envs, d = len(rngs), len(envs), envs[0].X.shape[1]
+    M = np.empty((n_q, n_envs, d + 2, d + 2))
+    C = np.empty((n_q, d, d))
+    scale = np.ones((n_q, d + 1))
+    seeds = {}  # id of a seed's environment list -> (the list, its queries)
+    for q, envs in enumerate(query_envs):
+        seeds.setdefault(id(envs), (envs, []))[1].append(q)
+    env_ix = np.arange(n_envs)[:, None]
+    for envs, queries in seeds.values():
+        top = np.max([np.abs(env.X).max(axis=0) for env in envs], axis=0)
+        sx = np.ldexp(1.0, np.frexp(top)[1])
+        scale[queries, :-1] = sx
+        block = np.stack([np.column_stack([env.X / sx, np.ones(env.n), -env.Y])
+                          for env in envs])
+        for q in queries:
+            rows = block[env_ix, [train for _, train, _ in _splits(envs, rngs[q])]]
+            M[q] = np.matmul(rows.swapaxes(1, 2), rows)
+            x = rows[..., :-2]
+            x = x - x.sum(axis=1).sum(axis=0) / (x.shape[0] * x.shape[1])
+            # times a copy: BLAS rounds a buffer's product with itself otherwise
+            C[q] = np.matmul(x.swapaxes(1, 2), x.copy()).sum(axis=0)
+    return M, C, scale, rows.shape[1]
 
 
-def _stack_queries(query_envs, rngs):
-    """Each query's training rows: for regression a :class:`MomentStack`
-    (the square loss), which never holds the rows of more than one query,
-    and for classification an :class:`EnvStack` (the logistic loss)."""
-    rows = _training_rows(query_envs, rngs)
+def _stack_queries(query_envs, rngs, cfg):
+    """Each query's training data at its penalty weights ``cfg``: for
+    regression a :class:`MomentStack` (the square loss), which never holds
+    more than one data seed's rows, and for classification an
+    :class:`EnvStack` (the logistic loss)."""
     if query_envs[0][0].task == "regression":
-        return moment_stack(rows, len(rngs))
-    for q, blocks in enumerate(rows):
-        if q == 0:
-            X = np.empty((len(rngs), len(blocks), *blocks[0][0].shape))
-            Y = np.empty(X.shape[:3])
-        for e, (x, y) in enumerate(blocks):
-            X[q, e] = x
-            Y[q, e] = y
-    return EnvStack(X, Y)
+        return moment_stack(*_square_moments(query_envs, rngs), cfg)
+    for q, (envs, rng) in enumerate(zip(query_envs, rngs)):
+        for e, (env, train, _) in enumerate(_splits(envs, rng)):
+            if q == e == 0:
+                X = np.empty((len(rngs), len(envs), train.size, env.X.shape[1]))
+                Y = np.empty(X.shape[:3])
+            X[q, e], Y[q, e] = env.X[train], env.Y[train]
+    return EnvStack(X, Y, cfg.lam, cfg.gamma)
 
 
 def _keep_rows(a, keep):
@@ -206,10 +230,10 @@ def train_gd(query_envs, cfg, tc, rngs):
                              "number of rows and columns, and one number of "
                              "environments")
     n_q = len(rngs)
-    lr, lam, gamma = (np.broadcast_to(np.asarray(x, dtype=float), (n_q,))
+    lr, lam, gamma = (np.broadcast_to(np.asarray(x, dtype=float), (n_q,)).copy()
                       for x in (tc.lr, cfg.lam, cfg.gamma))
     lr = lr[:, None]
-    stack = _stack_queries(query_envs, rngs)
+    stack = _stack_queries(query_envs, rngs, ObjectiveConfig(lam, gamma))
     theta = np.zeros((n_q, query_envs[0][0].X.shape[1] + 1))
     ids = np.arange(n_q)  # the query each row of the batch belongs to
     final = np.empty_like(theta)
@@ -217,22 +241,20 @@ def train_gd(query_envs, cfg, tc, rngs):
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    batch_cfg = ObjectiveConfig(lam, gamma)
     # A diverging query overflows; its non-finite value is what reports it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(tc.steps + 1):
-            value, grad = objective_and_gradient(theta, stack, batch_cfg)
+            value, grad = objective_and_gradient(theta, stack)
             finite = np.isfinite(value) & np.isfinite(theta).all(axis=1)
             if not finite.all():
                 for row in np.flatnonzero(~finite):
                     diverged_step[ids[row]] = step
                     final[ids[row]] = theta[row]
                 keep = np.flatnonzero(finite)
-                ids, theta, m, v, lr, lam, gamma, grad = (
-                    a[keep] for a in (ids, theta, m, v, lr, lam, gamma, grad))
+                ids, theta, m, v, lr, grad = (
+                    a[keep] for a in (ids, theta, m, v, lr, grad))
                 if keep.size == 0:
                     break
-                batch_cfg = ObjectiveConfig(lam, gamma)
                 stack = _keep_queries(stack, keep)
             if step == tc.steps:
                 break

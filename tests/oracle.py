@@ -264,20 +264,39 @@ def train_queries(query_envs, cfg, tc, rngs):
     return results
 
 
-def stack_of(envs):
-    """A batch of one model's training rows, every row of ``envs``, as the
-    package scores them on their task's loss."""
+def square_moments(blocks):
+    """The square-loss moments of one model's rows, ``blocks`` holding its
+    (X, y) rows of each environment, environment by environment, each
+    column scaled by its largest magnitude over these rows alone (the
+    scale rule of ``MomentStack``).  Returns the (M, C, scale) of a batch
+    of one, as ``moment_stack`` takes them."""
+    top = np.max([np.abs(x).max(axis=0) for x, _ in blocks], axis=0)
+    sx = np.ldexp(1.0, np.frexp(top)[1])
+    bs = [np.column_stack([x / sx, np.ones(y.size), -y]) for x, y in blocks]
+    M = np.stack([b.T @ b for b in bs])
+    xs = [b[:, :-2] for b in bs]
+    mean = sum(x.sum(axis=0) for x in xs) / sum(len(x) for x in xs)
+    C = sum((x - mean).T @ (x - mean) for x in xs)
+    return M[None], C[None], np.append(sx, 1.0)[None]
+
+
+def stack_of(envs, cfg):
+    """A batch of one model's training data, every row of ``envs``, at the
+    penalty weights of ``cfg``, as the package scores it on its task's
+    loss."""
     if envs[0].task == "regression":
-        return moment_stack([[(env.X, env.Y) for env in envs]], 1)
+        return moment_stack(*square_moments([(env.X, env.Y) for env in envs]),
+                            envs[0].n, cfg)
     return EnvStack(np.stack([env.X for env in envs])[None],
-                    np.stack([env.Y for env in envs])[None])
+                    np.stack([env.Y for env in envs])[None],
+                    np.full(1, float(cfg.lam)), np.full(1, float(cfg.gamma)))
 
 
 def batched_objective(model, envs, cfg):
     """The package's batched objective for a batch of one model; returns
     ``(value, grad)`` as the per-model :func:`objective_and_gradient` does."""
     theta = np.concatenate([model.w, [model.b]])[None]
-    value, grad = batched_objective_and_gradient(theta, stack_of(envs), cfg)
+    value, grad = batched_objective_and_gradient(theta, stack_of(envs, cfg))
     return value[0], grad[0]
 
 

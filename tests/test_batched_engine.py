@@ -16,8 +16,10 @@ import pytest
 import oracle
 from oodbench.numeric_core import ParameterError, RngStream
 from oodbench.objectives import LinearModel, ObjectiveConfig
-from oodbench.sem_generators import EnvDataset
-from oodbench.trainer import TrainConfig, train_gd
+from oodbench.objectives import objective_and_gradient
+from oodbench.sem_generators import EnvDataset, GeneratorSpec, generate_training_envs
+from oodbench.trainer import (METHODS, TrainConfig, _sample_hparams, _splits,
+                              _square_moments, _stack_queries, train_gd)
 
 TASK = {"square": "regression", "logistic": "classification"}
 
@@ -80,11 +82,12 @@ def _oracle(envs, query, tc, rng):
 # The square-loss contract, per call: value and gradient (max-norm) within
 # these multiples of their terms' magnitudes (see _magnitudes) of the
 # per-row oracle.  Measured on this grid, over the 174 (GD) and 248 (Adam)
-# calls of the oracle's trainings: at most 2.3e-16 (value) and 3.5e-16
-# (gradient).
+# calls of the oracle's trainings: at most 3.4e-16 (value) and 3.5e-16
+# (gradient); at the benchmark's shape (see
+# test_folded_objective_at_the_benchmark_shape), at most 2.8e-16 and 7.1e-16.
 CALL_RTOL = 1e-14
 # Per training, 60 steps: theta and val_risk within this relative distance
-# (max-norm) of the oracle's.  Measured: 7.9e-14 (GD) and 6.5e-16 (Adam).
+# (max-norm) of the oracle's.  Measured: 6.6e-14 (GD) and 1.3e-15 (Adam).
 TRAIN_RTOL = 1e-12
 # Logistic loss, per call: the objective value within this relative
 # distance of the oracle's; the gradient is bit for bit.  Measured on this
@@ -286,3 +289,80 @@ def test_gradient_overflow_stops_only_that_query():
         assert np.isfinite(with_b.val_risk)
         assert np.array_equal(with_b.theta, without_b.theta)
         assert with_b.val_risk == without_b.val_risk
+
+
+def _ex1_queries(method, n_seeds=8, n_queries=12):
+    """The benchmark's ex1 batch of one method: per data seed, its
+    environments and one stream per query; and the sampled (lam, gamma)."""
+    spec = GeneratorSpec(example="ex1")
+    root = RngStream(0).fork(f"method/{method}")
+    query_envs, rngs, weights = [], [], []
+    for seed in range(n_seeds):
+        seed_rng = root.fork(f"seed{seed}")
+        _, _, envs = generate_training_envs(spec, seed_rng.fork("data"))
+        for q in range(n_queries):
+            q_rng = seed_rng.fork(f"query{q}")
+            _, lam, gamma = _sample_hparams(method, q_rng.fork("hparams"))
+            query_envs.append(envs)
+            rngs.append(q_rng.fork("train"))
+            weights.append((lam, gamma))
+    return query_envs, rngs, weights
+
+
+def _train_split(envs, rng):
+    """A query's training rows of each environment, drawn by the oracle."""
+    split_rng = rng.fork("split")
+    return [oracle._split_env(env, split_rng.fork(f"env{env.env_id}"))[0]
+            for env in envs]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_folded_objective_at_the_benchmark_shape(method):
+    # ex1 at 12 queries x 8 seeds: Q = 96, E = 3, d = 10, n = 800, each
+    # query at its sampled weights and a nonzero theta, against the per-row
+    # oracle within the per-call contract
+    query_envs, rngs, weights = _ex1_queries(method)
+    lam, gamma = (np.array(col) for col in zip(*weights))
+    stack = _stack_queries(query_envs, rngs, ObjectiveConfig(lam, gamma))
+    assert stack.K.shape == (96, 12, 12) and stack.n == 800
+    assert (stack.M is None) == (method in ("ERM", "IBERM"))
+    theta = 0.3 * RngStream(9).fork(method).gaussian_array((96, 11))
+    values, grads = objective_and_gradient(theta, stack)
+    worst = [0.0, 0.0]
+    for q, (envs, rng) in enumerate(zip(query_envs, rngs)):
+        model = LinearModel(w=theta[q, :-1], b=theta[q, -1])
+        cfg = ObjectiveConfig(*weights[q])
+        train = _train_split(envs, rng)
+        value, grad = oracle.objective_and_gradient(model, train, cfg)
+        v_scale, g_scale = _magnitudes(model, train, cfg)
+        worst[0] = max(worst[0], abs(values[q] - value) / v_scale)
+        worst[1] = max(worst[1], np.max(np.abs(grads[q] - grad)) / np.max(g_scale))
+    assert worst[0] <= CALL_RTOL and worst[1] <= CALL_RTOL, worst
+
+
+def test_moments_are_built_per_seed_bit_for_bit():
+    # Two data seeds of three queries each.  In the second, one row that
+    # query 0 holds out gets the largest magnitude of column 0 by far, so
+    # the seed's scale of that column is not the one query 0's own rows
+    # give.  Every query's unscaled moments must be those of its own
+    # training rows scaled by their own maxima, bit for bit.
+    query_envs, rngs, _ = _ex1_queries("ERM", n_seeds=2, n_queries=3)
+    envs = query_envs[3]
+    held_row = next(_splits(envs, rngs[3]))[2][0]  # held out of env 0
+    envs = list(envs)
+    X = envs[0].X.copy()
+    X[held_row, 0] = 1e3 * np.abs(X[:, 0]).max()
+    envs[0] = replace(envs[0], X=X)
+    query_envs[3:] = [envs] * 3
+    M, C, scale, n = _square_moments(query_envs, rngs)
+    assert n == 800
+    moved = 0
+    for q, (envs, rng) in enumerate(zip(query_envs, rngs)):
+        train = _train_split(envs, rng)
+        M0, C0, scale0 = oracle.square_moments([(env.X, env.Y) for env in train])
+        s, s0 = np.append(scale[q], 1.0), np.append(scale0[0], 1.0)
+        assert np.array_equal(M[q] * s[:, None] * s, M0[0] * s0[:, None] * s0)
+        sx, sx0 = scale[q, :-1], scale0[0, :-1]
+        assert np.array_equal(C[q] * sx[:, None] * sx, C0[0] * sx0[:, None] * sx0)
+        moved += int(np.any(scale[q] != scale0[0]))
+    assert moved >= 1

@@ -267,11 +267,12 @@ class TestSweepCommand:
     # example cell became the scrambled name (ex2s, ex3s, not ex2, ex3);
     # no other byte of them changed.
     # ex1 is trained from moments: test_square_contract.py ties it to the
-    # per-model path.
+    # per-model path.  It was taken again when the square loss became one
+    # quadratic form per query; only last digits moved.
     GOLDEN = {
         "ex1": (["--queries", "3", "--seeds", "2"], {"steps": 300},
-                "b07b5fdedad46198de1a96b99a15b2a12e2bd424b41c24c8d13c59ca44381ef3",
-                "3884bc8b28ed12aaa36d00df647fb8df38a5f95835c7a72849d00be5521f8863"),
+                "6ebc189591c91d1387f37797ef1afc3e74a3ba91891577b05defd5737bf31899",
+                "0788f8f60018c5b14b156d49bb771400c4ad760b1a8f2c8efa1d6a94a01df5aa"),
         "ex2": (["--queries", "2", "--seeds", "1"], {"steps": 500},
                 "e99d1daec10c7119d8a9623e9545e46735c1f59291096a071747b8dd6fa74f0e",
                 "1a9f6d4054b600844cf3d76c6e315f78002b59499913f90e2a1808114947f931"),
@@ -502,6 +503,32 @@ class TestReportCommand:
         assert read_csv(os.path.join(rep_out, "summary.csv"))[1:] == \
             read_csv(os.path.join(out, "summary.csv"))[1:]
 
+    def test_byte_order_mark_reads_as_the_plain_file(self, tmp_path, capsys):
+        out = str(tmp_path / "sweep")
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"n_per_env": 60, "steps": 20, "queries": 2,
+                       "seeds": 2}, fh)
+        assert main(["sweep", "--example", "twod", "--envs", "2",
+                     "--methods", "erm,irm", "--seed", "1", "--config", cfg,
+                     "--out", out]) == 0
+        plain = os.path.join(out, "sweep.csv")
+        marked = str(tmp_path / "marked.csv")
+        with open(plain, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        with open(marked, "w", encoding="utf-8-sig", newline="") as fh:
+            fh.write(text)
+        with open(marked, "rb") as fh:
+            assert fh.read(4) == b"\xef\xbb\xbf#"
+        capsys.readouterr()
+        summaries = []
+        for name, path in (("plain", plain), ("marked", marked)):
+            rep_out = str(tmp_path / name)
+            assert main(["report", path, "--out", rep_out]) == 0
+            summaries.append((capsys.readouterr().out,
+                              read_csv(os.path.join(rep_out, "summary.csv"))[1:]))
+        assert summaries[0] == summaries[1]
+
     def test_scrambled_example_is_its_own_group(self, tmp_path, capsys):
         cfg = str(tmp_path / "cfg.json")
         with open(cfg, "w") as fh:
@@ -680,6 +707,23 @@ class TestConfigFile:
         assert main(["generate", "--example", "ex1", "--config", path,
                      "--out", str(out)]) == 2
         assert "xor_variant must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "generate"])
+    @pytest.mark.parametrize("key,value", [("xor_variant", "invariance_only"),
+                                           ("xor_q", 0.2), ("xor_a", 0.3)])
+    def test_xor_setting_on_another_example_exits_2(self, tmp_path, capsys,
+                                                    command, key, value):
+        # a valid value that the example would ignore, changing only its
+        # config_hash
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({key: value}, fh)
+        out = tmp_path / "out"
+        assert main([command, "--example", "ex1s", "--config", path,
+                     "--out", str(out)]) == 2
+        assert f"{key} applies only to the xor example, not ex1s" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_help_names_every_config_key(self, capsys):

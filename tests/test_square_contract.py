@@ -1,5 +1,5 @@
 """The square-loss sweep against the per-model oracle, under the tolerance
-contract of ``oodbench.objectives``: ex1 through the CLI, once with the
+contract of ``oodbench.trainer``: ex1 through the CLI, once with the
 engine (moments) and once with every query trained alone on its rows."""
 
 import json
@@ -16,8 +16,8 @@ from oodbench.reporting import read_csv
 
 # optimizer -> (CLI flags, config file, per-query bound, summary-mean bound).
 # The bounds are relative.  Measured at seeds 0 / 7919: GD per query
-# 3.8e-15 / 1.6e-9 and summary means 2.8e-15 / 9.0e-10; Adam per query
-# 1.3e-5 / 4.3e-9 and summary means 8.1e-8 / 2.7e-10.  Adam is looser: its
+# 3.9e-15 / 1.4e-9 and summary means 2.3e-15 / 8.1e-10; Adam per query
+# 1.7e-5 / 2.3e-9 and summary means 1.4e-7 / 1.5e-10.  Adam is looser: its
 # step m / sqrt(v) has about unit size whatever the gradient's, so a
 # last-bit difference in a near-zero gradient entry becomes a step-sized
 # one.
