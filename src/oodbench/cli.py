@@ -12,6 +12,8 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple
+from itertools import repeat
+from operator import sub
 
 import numpy as np
 
@@ -146,13 +148,17 @@ def cmd_dynamics(args):
     report = theorem5_report(args.p, args.gamma, args.eps, args.dt)
     meta = _meta(args, p=args.p, gamma=args.gamma, eps=args.eps, dt=args.dt)
     os.makedirs(args.out, exist_ok=True)
-    rows = []
+    flows = []
     for name, key in (("ib_erm", "ib_trajectory"), ("erm", "erm_trajectory")):
         traj = report[key]
         n_points = traj.n_steps + 1
         stride = max(1, -(-n_points // TRAJECTORY_MAX_ROWS))
-        rows.extend((name, *row) for row in
-                    zip(*traj.at(np.arange(0, n_points, stride))))
+        flows.append((name, traj.at(np.arange(0, n_points, stride))))
+    # Rows are made one flow at a time as write_csv reads them: tolist()
+    # columns are cheaper to walk than numpy arrays, but both flows' rows
+    # held as Python objects at once would raise the peak memory.
+    rows = (row for name, columns in flows
+            for row in zip(repeat(name), *(c.tolist() for c in columns)))
     write_csv(os.path.join(args.out, "trajectory.csv"),
               ("flow", "t", "w_inv", "w_spu", "ratio"), rows, meta)
     verdict = {k: v for k, v in report.items() if not k.endswith("_trajectory")}
@@ -161,12 +167,19 @@ def cmd_dynamics(args):
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
 
 
+# The categorical law of a random pmf's atom count less 2: uniform on 0..6.
+_ATOM_COUNT_PROBS = [1.0 / 7] * 7
+
+
 def _random_pmf(rng):
     """A pmf on 2 to 8 atoms drawn uniformly from [-5, 5]."""
-    k = 2 + rng.categorical([1.0 / 7] * 7)
-    support = np.sort(rng.uniform(-5.0, 5.0, shape=(k,)))
-    while (support[1:] - support[:-1] < 1e-6).any():
-        support = np.sort(rng.uniform(-5.0, 5.0, shape=(k,)))
+    k = 2 + rng.categorical(_ATOM_COUNT_PROBS)
+    while True:
+        support = rng.uniform(-5.0, 5.0, shape=(k,))
+        support.sort()
+        s = support.tolist()
+        if min(map(sub, s[1:], s)) >= 1e-6:
+            break
     probs = rng.uniform(0.05, 1.0, shape=(k,))
     return Pmf(support, probs / probs.sum())
 

@@ -20,11 +20,13 @@ that value through the last full step, and only the shortened final step
 still runs.  So a trajectory holds just the RK4 prefix up to both fixed
 points, the fill's last point and the shortened step(s), whatever the
 horizon, and every point it yields is bit-identical to stepping through the
-whole grid; a map that never reaches a fixed point holds every step.
+whole grid; a map that never reaches a fixed point holds every step, up
+to a cap past which the flow is refused.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import exp
 
@@ -39,6 +41,14 @@ __all__ = [
     "simulate_flow",
     "theorem5_report",
 ]
+
+# The most full RK4 steps a penalized flow coordinate may take before its
+# fixed point; a flow that needs more is refused.  This suite's choice, by
+# measurement at p 0.9 and dt 1e-2: the fixed point comes at 8,797 points
+# for gamma 0.58 (the paper point), 176,536 for 1e-2, 1,086,426 for 1e-3
+# (1.3 s) and 1,924,047 for 5e-4 (2.5 s).  The cap admits those and ends
+# gamma 1e-300, which would take 3.4e8 steps, in a few seconds.
+MAX_HELD_STEPS = 2 ** 21
 
 
 @dataclass
@@ -113,32 +123,47 @@ def equilibrium_x(gamma):
     return float(lambert_w0(1.0 / (2.0 * gamma)))
 
 
-def _rk4_coordinate(c, g2, dt, t_end, n_full, n_steps):
-    """Classical RK4 for du/dt = c (e^{-u} - g2 u) from u(0) = 0.
+def _rk4_coordinate(c, gamma, dt, t_end, n_full, n_steps):
+    """Classical RK4 for du/dt = c (e^{-u} - 2 gamma u) from u(0) = 0.
 
     Step i starts at t = i dt; the first ``n_full`` steps have length dt and
     the rest are shortened to land on t_end.  A full step that leaves u
     unchanged is a fixed point of the step map, which depends on (u, h)
     alone, so u stays there through step n_full.  Returns ``(u, j)``: u at
     grid points 0..j, where j is that fixed point (or n_full if there is
-    none), followed by u at grid points n_full+1..n_steps.
+    none), followed by u at grid points n_full+1..n_steps.  A fill that
+    would hold more than MAX_HELD_STEPS points is a ParameterError.
     """
+    g2 = 2.0 * gamma
+
     def step(u, h):
+        half = 0.5 * h
         k1 = c * (exp(-u) - g2 * u)
-        k2 = c * (exp(-(u + 0.5 * h * k1)) - g2 * (u + 0.5 * h * k1))
-        k3 = c * (exp(-(u + 0.5 * h * k2)) - g2 * (u + 0.5 * h * k2))
-        k4 = c * (exp(-(u + h * k3)) - g2 * (u + h * k3))
+        v = u + half * k1
+        k2 = c * (exp(-v) - g2 * v)
+        v = u + half * k2
+        k3 = c * (exp(-v) - g2 * v)
+        v = u + h * k3
+        k4 = c * (exp(-v) - g2 * v)
         return u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    u = [0.0]
-    for _ in range(n_full):
-        u.append(step(u[-1], dt))
-        if u[-1] == u[-2]:
+    held = array("d", [0.0])
+    u = 0.0
+    for _ in range(min(n_full, MAX_HELD_STEPS)):
+        nxt = step(u, dt)
+        held.append(nxt)
+        if nxt == u:
             break
-    j = len(u) - 1
+        u = nxt
+    else:
+        if n_full > MAX_HELD_STEPS:
+            raise ParameterError(
+                f"gamma = {gamma:g} with dt = {dt:g} does not settle within "
+                f"{MAX_HELD_STEPS:,} RK4 steps, the most a flow may hold")
+    j = len(held) - 1
     for i in range(n_full, n_steps):
-        u.append(step(u[-1], t_end - i * dt))
-    return np.array(u), j
+        held.append(step(held[-1], t_end - i * dt))
+    return np.array(held), j
 
 
 def simulate_flow(spec, t_end, dt):
@@ -161,10 +186,10 @@ def simulate_flow(spec, t_end, dt):
     n_full = n_steps
     while n_full > 0 and dt > t_end - (n_full - 1) * dt:
         n_full -= 1
-    g2 = 2.0 * spec.gamma
     try:
-        x, jx = _rk4_coordinate(2.0 * spec.p, g2, dt, t_end, n_full, n_steps)
-        y, jy = _rk4_coordinate(2.0 * (1.0 - spec.p), g2, dt, t_end, n_full, n_steps)
+        x, jx = _rk4_coordinate(2.0 * spec.p, spec.gamma, dt, t_end, n_full, n_steps)
+        y, jy = _rk4_coordinate(2.0 * (1.0 - spec.p), spec.gamma, dt, t_end,
+                                n_full, n_steps)
     except OverflowError as exc:
         raise DivergenceError(f"flow integration overflowed: {exc}") from exc
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):

@@ -31,9 +31,11 @@ class LabeledMixture:
     components: tuple  # of (weight, Pmf)
 
     def __post_init__(self):
-        weights = np.array([w for w, _ in self.components], dtype=float)
-        if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-12:
-            raise ParameterError("mixture weights must be nonnegative and sum to 1")
+        # A nan or inf weight makes the sum nan or inf, which fails the test.
+        weights = [float(w) for w, _ in self.components]
+        if not (abs(sum(weights) - 1.0) <= 1e-12 and min(weights) >= 0.0):
+            raise ParameterError("mixture weights must be finite, nonnegative "
+                                 "and sum to 1")
 
 
 def pmf_entropy(p):

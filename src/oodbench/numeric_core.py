@@ -10,8 +10,12 @@ fork the same labels in any order see identical samples.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from math import isfinite
+from operator import lt
 
 import numpy as np
 
@@ -37,12 +41,26 @@ _TWO_PI = 2.0 * np.pi
 
 
 def _path_key(root_seed, path):
-    h = hashlib.sha256()
-    h.update(str(int(root_seed)).encode())
-    for label in path:
-        h.update(b"/")
-        h.update(label.encode())
-    return int.from_bytes(h.digest()[:16], "little")
+    """The 128-bit key of a label path: the first 16 bytes, little-endian,
+    of the sha256 of the root seed's digits and each label, joined by "/"."""
+    text = "/".join((str(int(root_seed)),) + tuple(path))
+    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "little")
+
+
+class _PhiloxKey:
+    """A 128-bit key in the form in which Philox reads its key from a seed
+    sequence: ``generate_state(2, np.uint64)`` gives the key's two 64-bit
+    words, low first, as ``Philox(key=...)`` splits the integer.
+
+    It becomes a numpy ``ISeedSequence`` by registration on the first
+    build, so that importing this module does not import ``numpy.random``.
+    """
+
+    def __init__(self, key):
+        self.words = (key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.words, dtype=np.uint64)
 
 
 class RngStream:
@@ -55,6 +73,12 @@ class RngStream:
 
     A stream holds only its seed and label path until its first draw, which
     builds its Philox generator; a stream that only forks never builds one.
+    The generator's whole state is the 128-bit Philox key
+    ``_path_key(root_seed, path)`` and a zero counter: its draws are
+    ``Generator(Philox(key=_path_key(root_seed, path)))``'s.  Philox is
+    handed the key as a seed sequence (:class:`_PhiloxKey`), so no OS
+    entropy is read: ``Philox(key=...)`` would seed a ``SeedSequence`` from
+    it and then ignore it, which is most of the cost of a build.
     """
 
     def __init__(self, root_seed, _path=()):
@@ -63,8 +87,11 @@ class RngStream:
 
     @cached_property
     def _gen(self):
-        return np.random.Generator(
-            np.random.Philox(key=_path_key(self.root_seed, self.lineage)))
+        seed_sequence = np.random.bit_generator.ISeedSequence
+        if not issubclass(_PhiloxKey, seed_sequence):
+            seed_sequence.register(_PhiloxKey)
+        return np.random.Generator(np.random.Philox(
+            _PhiloxKey(_path_key(self.root_seed, self.lineage))))
 
     def fork(self, label):
         if not label:
@@ -74,26 +101,37 @@ class RngStream:
     # -- draws; uniform and categorical give a scalar when ``shape`` is None
 
     def uniform(self, a=0.0, b=1.0, shape=None):
-        if not a <= b:
-            raise ParameterError(f"uniform requires a <= b, got ({a}, {b})")
+        # b - a is nan or inf if either bound is, or if the width overflows
+        if not (a <= b and b - a < np.inf):
+            raise ParameterError(f"uniform requires a <= b with b - a finite, "
+                                 f"got ({a}, {b})")
         return a + (b - a) * self._gen.random(shape)
 
     def categorical(self, probs, shape=None):
         probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 1 or (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-9:
-            raise ParameterError("categorical probs must be nonnegative and sum to 1")
-        draws = probs.cumsum().searchsorted(self._gen.random(shape), side="right")
-        return int(draws) if shape is None else draws
+        if probs.ndim != 1:
+            raise ParameterError("categorical probs must be 1-d")
+        probs = probs.tolist()
+        # A nan or inf entry makes the sum nan or inf, which fails the test.
+        if not (abs(sum(probs) - 1.0) <= 1e-9 and min(probs) >= 0.0):
+            raise ParameterError("categorical probs must be finite, nonnegative "
+                                 "and sum to 1")
+        # The running sums are np.cumsum's: one sequential add per entry.
+        cum = list(accumulate(probs))
+        if shape is None:
+            return bisect_right(cum, self._gen.random())
+        return np.searchsorted(cum, self._gen.random(shape), side="right")
 
     def gaussian_array(self, shape, std=1.0):
-        if np.any(np.asarray(std) < 0):
-            raise ParameterError("gaussian std must be >= 0")
+        std = np.asarray(std)
+        if not np.all((std >= 0) & (std < np.inf)):
+            raise ParameterError("gaussian std must be finite and >= 0")
         n = int(np.prod(shape)) if shape else 1
         z = self._box_muller(n).reshape(shape)
-        return np.asarray(std) * z
+        return std * z
 
     def bernoulli_array(self, shape, p):
-        if np.any(np.asarray(p) < 0) or np.any(np.asarray(p) > 1):
+        if not np.all((np.asarray(p) >= 0) & (np.asarray(p) <= 1)):
             raise ParameterError("bernoulli p must be in [0, 1]")
         return (self._gen.random(shape) < p).astype(np.int64)
 
@@ -110,7 +148,12 @@ class RngStream:
 
 @dataclass(frozen=True)
 class Pmf:
-    """Finite discrete distribution with strictly increasing support."""
+    """Finite discrete distribution with finite, strictly increasing support.
+
+    The checks run on ``tolist()`` floats: a pmf has at most a few dozen
+    atoms, where one numpy call costs more than a Python pass.  A nan or
+    inf probability makes the sum nan or inf, which fails the sum test.
+    """
 
     support: np.ndarray
     probs: np.ndarray
@@ -122,10 +165,12 @@ class Pmf:
         object.__setattr__(self, "probs", probs)
         if support.ndim != 1 or probs.shape != support.shape:
             raise ParameterError("support and probs must be 1-d of equal length")
-        if (support[1:] - support[:-1] <= 0).any():
-            raise ParameterError("support must be strictly increasing")
-        if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-12:
-            raise ParameterError("probs must be nonnegative and sum to 1 within 1e-12")
+        s, p = support.tolist(), probs.tolist()
+        if not (all(map(isfinite, s)) and all(map(lt, s, s[1:]))):
+            raise ParameterError("support must be finite and strictly increasing")
+        if not (abs(sum(p) - 1.0) <= 1e-12 and min(p) >= 0.0):
+            raise ParameterError("probs must be finite, nonnegative and sum to 1 "
+                                 "within 1e-12")
 
 
 def random_orthogonal(rng, dim):

@@ -25,7 +25,6 @@ from .numeric_core import ParameterError
 
 __all__ = [
     "SummaryRow",
-    "fmt_float",
     "config_hash",
     "atomic_write_text",
     "write_csv",
@@ -57,10 +56,10 @@ class SummaryRow:
     n_diverged: int = 0  # seeds whose selected query has no finite metric
 
 
-def fmt_float(v):
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+def _cell_format(kind):
+    """The %-format of a CSV cell of type ``kind``: 17 significant digits
+    for a float of any width, ``str`` for anything else."""
+    return "%.17g" if issubclass(kind, (float, np.floating)) else "%s"
 
 
 def config_hash(cfg):
@@ -90,10 +89,19 @@ def atomic_write_text(path, text):
 
 
 def write_csv(path, fieldnames, rows, meta):
-    """Write rows (sequences) with metadata header, atomically."""
+    """Write rows (sequences) with metadata header, atomically.  A row is
+    printed by one %-format of its cells, built once per sequence of cell
+    types (see :func:`_cell_format`)."""
     out = _meta_lines(meta)
     out.append(",".join(fieldnames))
-    out.extend(",".join(fmt_float(v) for v in row) for row in rows)
+    formats = {}
+    for row in rows:
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(map(_cell_format, kinds))
+        out.append(fmt % row)
     atomic_write_text(path, "\n".join(out) + "\n")
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 import tracemalloc
 from dataclasses import fields
 
@@ -9,11 +10,10 @@ import pytest
 
 from oodbench.cli import (EXAMPLE_CHOICES, SPEC_KEYS, TRAIN_KEYS, _configs,
                           build_parser, main)
-from oodbench.dynamics import FlowSpec
+from oodbench.dynamics import MAX_HELD_STEPS, FlowSpec
 from oodbench.reporting import (SUMMARY_FIELDS, SWEEP_FIELDS, SummaryRow,
                                 aggregate_rows, atomic_write_text, config_hash,
-                                fmt_float, format_summary_table, read_csv,
-                                write_csv)
+                                format_summary_table, read_csv, write_csv)
 from oodbench.trainer import SweepRow
 from oracle import simulate_flow_full_loop
 
@@ -37,14 +37,46 @@ def _sha256_untimed(text):
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-class TestFormatting:
-    def test_fmt_float_round_trips(self):
-        for v in (0.1, 1.0 / 3.0, 1e-300, -2.5e17, np.float64(np.pi)):
-            assert float(fmt_float(v)) == float(v)
+def _csv_body(path):
+    """The lines of a written CSV after its ``#`` metadata lines."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [line for line in fh.read().split("\n") if not line.startswith("#")]
 
-    def test_fmt_float_passes_strings_and_ints(self):
-        assert fmt_float("ERM") == "ERM"
-        assert fmt_float(7) == "7"
+
+class TestFormatting:
+    def test_float_cells_round_trip(self, tmp_path):
+        values = (0.1, 1.0 / 3.0, 1e-300, -2.5e17, np.float64(np.pi))
+        path = str(tmp_path / "t.csv")
+        write_csv(path, [f"c{i}" for i in range(len(values))], [values], {})
+        _, _, rows = read_csv(path)
+        assert [float(cell) for cell in rows[0].values()] == [float(v) for v in values]
+
+    def test_string_and_int_cells_print_as_str(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_csv(path, ("method", "seed"), [("ERM", 7)], {})
+        assert _csv_body(path) == ["method,seed", "ERM,7", ""]
+
+    # Each cell reads as format(float(v), ".17g") prints a numpy or Python
+    # float and as str(v) prints anything else; the two rows put different
+    # cell types in each column.
+    EDGE_ROWS = [
+        (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308,
+         np.float32(0.1), np.int64(-7), True, np.bool_(False), "ERM"),
+        (np.float64(0.1), -1e-300, 1.0 / 3.0, np.float32(-0.0), np.int64(2 ** 62),
+         np.float16(0.1), False, 3, np.bool_(True), "a%sb", 2.5),
+    ]
+    EDGE_BODY = [
+        "nan,inf,-inf,-0,4.9406564584124654e-324,1e+308,0.10000000149011612,"
+        "-7,True,False,ERM",
+        "0.10000000000000001,-1e-300,0.33333333333333331,-0,4611686018427387904,"
+        "0.0999755859375,False,3,True,a%sb,2.5",
+    ]
+
+    def test_cell_bytes_pinned_on_edge_values(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        fields = [f"c{i}" for i in range(11)]
+        write_csv(path, fields, self.EDGE_ROWS, {"root_seed": 0})
+        assert _csv_body(path) == [",".join(fields), *self.EDGE_BODY, ""]
 
     def test_config_hash_stable_and_order_free(self):
         a = config_hash({"b": 2, "a": 1})
@@ -435,6 +467,18 @@ class TestDynamicsCommand:
                                                    eps, message):
         assert main(["dynamics", "--eps", eps, "--out", str(tmp_path / "d")]) == 2
         assert message in capsys.readouterr().err
+
+    def test_flow_that_never_settles_exits_2_within_seconds(self, tmp_path, capsys):
+        # gamma 1e-300 at eps 1e-3 puts x* near 684 and T_ib near 3.4e6, a
+        # fill of 3.4e8 RK4 steps; the cap ends it after MAX_HELD_STEPS
+        out = tmp_path / "d"
+        start = time.monotonic()
+        assert main(["dynamics", "--gamma", "1e-300", "--out", str(out)]) == 2
+        assert time.monotonic() - start < 30.0
+        err = capsys.readouterr().err
+        assert "gamma = 1e-300 with dt = 0.01" in err
+        assert f"{MAX_HELD_STEPS:,} RK4 steps" in err
+        assert not out.exists()
 
     def test_unstable_step_exits_3(self, tmp_path):
         assert main(["dynamics", "--p", "0.9", "--gamma", "5.0",

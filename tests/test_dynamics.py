@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oodbench import dynamics
 from oodbench.dynamics import (FlowSpec, equilibrium_x, simulate_flow,
                                theorem5_report)
 from oodbench.numeric_core import (DivergenceError, ParameterError, RngStream,
@@ -202,6 +203,30 @@ class TestSimulateFlow:
         erm = simulate_flow(FlowSpec(kind="erm", p=0.9), t_end, 1e-2)
         assert erm.n_steps == traj.n_steps
         assert np.array_equal(erm.index, [0])
+
+    def test_held_steps_capped_at_the_fixed_point(self, monkeypatch):
+        # the paper point at eps 1e-4 settles at full step 8794 (see above):
+        # a cap of 8794 steps holds it, one step less refuses the flow
+        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
+        t_end = equilibrium_x(0.58) / (2 * 0.1 * 1e-4)
+        ref = simulate_flow(spec, t_end, 1e-2)
+        monkeypatch.setattr(dynamics, "MAX_HELD_STEPS", 8794)
+        traj = simulate_flow(spec, t_end, 1e-2)
+        assert np.array_equal(traj.index, ref.index)
+        assert np.array_equal(traj.w_inv, ref.w_inv)
+        assert np.array_equal(traj.w_spu, ref.w_spu)
+        monkeypatch.setattr(dynamics, "MAX_HELD_STEPS", 8793)
+        with pytest.raises(ParameterError, match="gamma = 0.58 with dt = 0.01 does "
+                           "not settle within 8,793 RK4 steps"):
+            simulate_flow(spec, t_end, 1e-2)
+
+    def test_short_grid_is_not_capped(self, monkeypatch):
+        # t_end 5 at dt 1e-2 has 499 full steps and no fixed point: a cap
+        # of exactly 499 steps holds every one of them
+        monkeypatch.setattr(dynamics, "MAX_HELD_STEPS", 499)
+        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
+        traj = simulate_flow(spec, 5.0, 1e-2)
+        assert traj.index.size == traj.n_steps + 1 == 501
 
     @pytest.mark.parametrize("idx", [[5], [3, 0, 7], [10, 10], []])
     def test_at_any_indices(self, idx):

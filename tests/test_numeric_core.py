@@ -1,9 +1,15 @@
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.special
 
+import oodbench
+from oodbench.entropy_lab import LabeledMixture
 from oodbench.numeric_core import (ParameterError, Pmf, RngStream, _path_key,
                                    lambert_w0, random_orthogonal)
 from oracle import OracleDivergence, rk4_integrate
@@ -104,6 +110,133 @@ class TestRngStream:
         draws = RngStream(17).categorical(probs, shape=(100_000,))
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, probs, atol=0.01)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _stream(root, path):
+    rng = RngStream(root)
+    for label in path:
+        rng = rng.fork(label)
+    return rng
+
+
+def _reference(root, path):
+    """The generator a stream's draws are defined by: Philox keyed by the
+    path key, with numpy's own OS-entropy seed sequence built and unused."""
+    return np.random.Generator(np.random.Philox(key=_path_key(root, path)))
+
+
+def _reference_gaussian(ref, n, std):
+    u = ref.random((n, 2))
+    return std * (np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1]))
+
+
+class TestStreamBuild:
+    # 240 label paths of one to three labels; their keys are spread over
+    # all 128 bits, the top one included (the check below counts them).
+    PATHS = [("entropy", f"trial{i}", "p")[: 1 + i % 3] + (f"label{i}",)
+             for i in range(240)]
+
+    def test_paths_cover_both_halves_of_the_key_space(self):
+        top = [_path_key(i, path) >> 127 for i, path in enumerate(self.PATHS)]
+        assert len(set(self.PATHS)) == 240
+        assert 60 <= sum(top) <= 180
+
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_every_draw_kind_matches_philox_on_the_path_key(self, half):
+        probs = [0.2, 0.5, 0.3]
+        cum = np.cumsum(probs)
+        for root, path in enumerate(self.PATHS):
+            if _path_key(root, path) >> 127 != half:
+                continue
+            rng, ref = _stream(root, path), _reference(root, path)
+            assert np.array_equal(rng.uniform(-5.0, 5.0, shape=(4,)),
+                                  -5.0 + 10.0 * ref.random(4))
+            assert rng.uniform() == ref.random()
+            assert rng.categorical(probs) == cum.searchsorted(ref.random(), side="right")
+            assert np.array_equal(rng.categorical(probs, shape=(6,)),
+                                  cum.searchsorted(ref.random(6), side="right"))
+            assert np.array_equal(rng.gaussian_array((3, 2), std=0.5),
+                                  _reference_gaussian(ref, 6, 0.5).reshape(3, 2))
+            assert np.array_equal(rng.bernoulli_array((7,), 0.3),
+                                  (ref.random(7) < 0.3).astype(np.int64))
+            assert np.array_equal(rng.permutation(9), ref.permutation(9))
+            assert rng._gen.bit_generator.state["state"]["key"].tolist() == \
+                ref.bit_generator.state["state"]["key"].tolist()
+
+    def test_drawn_stream_survives_pickling(self):
+        # as a worker process receives it: built, part-drawn, then pickled
+        rng = _stream(7, ("method/IBIRM", "seed3"))
+        rng.uniform(shape=(5,))
+        blob = pickle.dumps(rng)
+        want = rng.uniform(shape=(8,))
+        assert np.array_equal(pickle.loads(blob).uniform(shape=(8,)), want)
+        src = os.path.dirname(os.path.dirname(oodbench.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "import pickle, sys\n"
+             "rng = pickle.loads(sys.stdin.buffer.read())\n"
+             "print(repr(rng.uniform(shape=(8,)).tolist()))"],
+            input=blob, capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert fresh.stdout.decode().strip() == repr(want.tolist())
+
+    def test_interleaved_streams_stay_independent(self):
+        a, b = _stream(3, ("a",)), _stream(3, ("b",))
+        mixed_a, mixed_b = [], []
+        for i in range(20):
+            mixed_a.append(a.uniform(shape=(i % 3 + 1,)))
+            mixed_b.append(b.gaussian_array((i % 2 + 1,)))
+        alone_a, alone_b = _stream(3, ("a",)), _stream(3, ("b",))
+        for i in range(20):
+            assert np.array_equal(alone_a.uniform(shape=(i % 3 + 1,)), mixed_a[i])
+        for i in range(20):
+            assert np.array_equal(alone_b.gaussian_array((i % 2 + 1,)), mixed_b[i])
+
+
+class TestNonFiniteInputsRejected:
+    POINT = Pmf([0.0, 1.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("build", [
+        lambda: Pmf([0.0, NAN], [0.5, 0.5]),
+        lambda: Pmf([NAN, 0.0], [0.5, 0.5]),
+        lambda: Pmf([0.0, 1.0], [NAN, 1.0]),
+        lambda: Pmf([0.0, 1.0], [1.0, NAN]),
+        lambda: Pmf([INF, INF], [0.5, 0.5]),
+        lambda: Pmf([-INF, 0.0], [0.5, 0.5]),
+        lambda: Pmf([INF], [1.0]),
+        lambda: Pmf([0.0, 1.0], [INF, 1.0]),
+        lambda: RngStream(0).categorical([NAN, 1.0]),
+        lambda: RngStream(0).categorical([1.0, NAN]),
+        lambda: RngStream(0).categorical([INF, 1.0], shape=(3,)),
+        lambda: LabeledMixture(((NAN, TestNonFiniteInputsRejected.POINT),)),
+        lambda: LabeledMixture(((0.5, TestNonFiniteInputsRejected.POINT),
+                                (INF, TestNonFiniteInputsRejected.POINT))),
+        lambda: RngStream(0).gaussian_array((3,), std=NAN),
+        lambda: RngStream(0).gaussian_array((3,), std=INF),
+        lambda: RngStream(0).gaussian_array((2,), std=np.array([1.0, NAN])),
+        lambda: RngStream(0).bernoulli_array((3,), NAN),
+        lambda: RngStream(0).uniform(0.0, INF),
+        lambda: RngStream(0).uniform(NAN, 1.0),
+        lambda: RngStream(0).uniform(-1e308, 1e308),
+    ], ids=["pmf-support-nan", "pmf-support-nan-first", "pmf-probs-nan",
+            "pmf-probs-nan-last", "pmf-support-inf", "pmf-support-minus-inf",
+            "pmf-support-single-inf", "pmf-probs-inf", "categorical-nan",
+            "categorical-nan-last", "categorical-inf", "mixture-weight-nan",
+            "mixture-weight-inf", "gaussian-std-nan", "gaussian-std-inf",
+            "gaussian-std-array-nan", "bernoulli-p-nan", "uniform-inf",
+            "uniform-nan", "uniform-width-overflows"])
+    def test_rejected(self, build):
+        with pytest.raises(ParameterError):
+            build()
+
+    def test_finite_boundaries_still_accepted(self):
+        Pmf([-5.0, 5.0], [0.0, 1.0])
+        assert RngStream(0).categorical([0.0, 1.0]) == 1
+        assert np.all(RngStream(0).gaussian_array((3,), std=0.0) == 0.0)
+        assert np.all(RngStream(0).bernoulli_array((3,), 1.0) == 1)
 
 
 class TestPmf:

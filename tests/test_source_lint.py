@@ -1,8 +1,9 @@
 """Static checks of ``src/oodbench`` with the standard library's ``ast``:
 every import of a module is used in it, every module-level function and
 class is used somewhere in the package, so a name that only tests call
-fails, and every text-mode ``open`` or ``os.fdopen`` names its encoding,
-so no file's bytes depend on the locale."""
+fails, every text-mode ``open`` or ``os.fdopen`` names its encoding, so no
+file's bytes depend on the locale, and only ``numeric_core`` touches
+``numpy.random``, so every draw comes from a keyed ``RngStream``."""
 
 import ast
 import pathlib
@@ -81,3 +82,38 @@ def test_encoding_check_flags_only_text_mode_without_encoding():
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_text_open_names_its_encoding(module):
     assert list(_text_opens_without_encoding(TREES[module])) == []
+
+
+def _numpy_random_uses(tree):
+    """Line numbers where a module reaches ``numpy.random``: as the
+    attribute ``np.random`` or ``numpy.random``, or by an import of it or of
+    anything in it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                yield node.lineno
+        elif isinstance(node, ast.Import):
+            if any(alias.name.startswith("numpy.random") for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if (node.module.startswith("numpy.random") or node.module == "numpy"
+                    and any(alias.name == "random" for alias in node.names)):
+                yield node.lineno
+
+
+def test_numpy_random_check_flags_every_way_in():
+    tree = ast.parse("x = np.random.default_rng(0)\n"
+                     "import numpy.random\n"
+                     "from numpy.random import Generator\n"
+                     "from numpy import random as npr\n"
+                     "y = numpy.random.rand()\n"
+                     "import random\n"
+                     "z = rng.random(3)\n"
+                     "from numpy import linalg\n")
+    assert sorted(_numpy_random_uses(tree)) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"numeric_core"}))
+def test_only_numeric_core_touches_numpy_random(module):
+    assert list(_numpy_random_uses(TREES[module])) == []
