@@ -20,7 +20,7 @@ import numpy as np
 from .numeric_core import DivergenceError, ParameterError, Pmf, RngStream
 from .sem_generators import GeneratorSpec, generate_training_envs
 from .trainer import METHODS, TrainConfig, random_search
-from .dynamics import theorem5_report
+from .dynamics import flow_weights, plain_flow, theorem5_report
 from .entropy_lab import (LabeledMixture, conditional_entropy_gap,
                           gaussian_entropy_bound, sum_entropy_gap)
 from .reporting import (SWEEP_FIELDS, SUMMARY_FIELDS, aggregate_report,
@@ -148,20 +148,21 @@ def cmd_dynamics(args):
     report = theorem5_report(args.p, args.gamma, args.eps, args.dt)
     meta = _meta(args, p=args.p, gamma=args.gamma, eps=args.eps, dt=args.dt)
     os.makedirs(args.out, exist_ok=True)
-    flows = []
-    for name, key in (("ib_erm", "ib_trajectory"), ("erm", "erm_trajectory")):
-        traj = report[key]
-        n_points = traj.n_steps + 1
-        stride = max(1, -(-n_points // TRAJECTORY_MAX_ROWS))
-        flows.append((name, traj.at(np.arange(0, n_points, stride))))
+    verdict = dict(report)
+    ib = verdict.pop("ib_trajectory")
+    n_points = ib.n_steps + 1
+    stride = max(1, -(-n_points // TRAJECTORY_MAX_ROWS))
+    times, *ib_columns = ib.at(np.arange(0, n_points, stride))
+    # The plain flow's rows are at the penalized flow's grid times.
+    flows = (("ib_erm", ib_columns),
+             ("erm", flow_weights(args.p, *plain_flow(args.p, times))))
     # Rows are made one flow at a time as write_csv reads them: tolist()
     # columns are cheaper to walk than numpy arrays, but both flows' rows
     # held as Python objects at once would raise the peak memory.
     rows = (row for name, columns in flows
-            for row in zip(repeat(name), *(c.tolist() for c in columns)))
+            for row in zip(repeat(name), *(c.tolist() for c in (times, *columns))))
     write_csv(os.path.join(args.out, "trajectory.csv"),
               ("flow", "t", "w_inv", "w_spu", "ratio"), rows, meta)
-    verdict = {k: v for k, v in report.items() if not k.endswith("_trajectory")}
     write_json(os.path.join(args.out, "verdict.json"), verdict, meta)
     print(json.dumps(verdict, indent=2, default=float))
     return EXIT_OK if report["pass"] else EXIT_VALIDATION

@@ -67,11 +67,10 @@ def config_hash(cfg):
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _meta_lines(meta):
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(f"# version={__version__}")
-    lines.append(f"# timestamp={datetime.now(timezone.utc).isoformat()}")
-    return lines
+def _run_meta(meta):
+    """``meta`` followed by the suite version and the time of the write."""
+    return {**meta, "version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat()}
 
 
 def atomic_write_text(path, text):
@@ -92,7 +91,7 @@ def write_csv(path, fieldnames, rows, meta):
     """Write rows (sequences) with metadata header, atomically.  A row is
     printed by one %-format of its cells, built once per sequence of cell
     types (see :func:`_cell_format`)."""
-    out = _meta_lines(meta)
+    out = [f"# {k}={v}" for k, v in _run_meta(meta).items()]
     out.append(",".join(fieldnames))
     formats = {}
     for row in rows:
@@ -128,9 +127,7 @@ def read_csv(path):
 
 
 def write_json(path, payload, meta):
-    doc = {"meta": {**meta, "version": __version__,
-                    "timestamp": datetime.now(timezone.utc).isoformat()},
-           **payload}
+    doc = {"meta": _run_meta(meta), **payload}
     atomic_write_text(path, json.dumps(doc, indent=2, default=float) + "\n")
 
 

@@ -369,6 +369,12 @@ def random_search(spec, method, protocol, rng, tc_base):
     benchmark, run ``n_queries`` trainings with sampled hyperparameters,
     and record validation risk plus the shifted-test metric per query.
 
+    Data seed s draws its environments from ``rng.fork(f"seed{s}")``.
+    ``cli.cmd_sweep`` passes each method its own ``method/<name>`` fork, so
+    the methods of one sweep train and test on different draws at the same
+    data seed: their summaries compare unpaired draws, and each seed's
+    environments are generated once per method.
+
     Batching rule.  The ``n`` data seeds are cut into ``k`` contiguous
     batches, batch i holding seeds ``i*n//k`` to ``(i+1)*n//k - 1``, and
     each batch is trained by one :func:`train_gd` call.  On regression

@@ -350,20 +350,13 @@ def rk4_integrate(rhs, y0, t0, t1, dt):
     return Trajectory(times, states)
 
 
-def flow_rhs(spec):
+def flow_rhs(p, gamma):
     """Right-hand side of the rotated flow as a callable for the
-    integrator (state is (x, y))."""
-    p, gamma = spec.p, spec.gamma
-    if spec.kind == "erm":
-        def rhs(t, state):
-            x, y = state
-            return np.array([2.0 * p * np.exp(-x),
-                             2.0 * (1.0 - p) * np.exp(-y)])
-    else:
-        def rhs(t, state):
-            x, y = state
-            return np.array([2.0 * p * (np.exp(-x) - 2.0 * gamma * x),
-                             2.0 * (1.0 - p) * (np.exp(-y) - 2.0 * gamma * y)])
+    integrator (state is (x, y)); gamma = 0 is the plain flow."""
+    def rhs(t, state):
+        x, y = state
+        return np.array([2.0 * p * (np.exp(-x) - 2.0 * gamma * x),
+                         2.0 * (1.0 - p) * (np.exp(-y) - 2.0 * gamma * y)])
     return rhs
 
 
@@ -383,9 +376,10 @@ class DenseTrajectory:
         return np.abs(out, out=out)
 
 
-def simulate_flow_full_loop(spec, t_end, dt):
+def simulate_flow_full_loop(p, gamma, t_end, dt):
     """Scalar RK4 on both rotated coordinates through every step of the
-    horizon, converted back to (w_inv, w_spu)."""
+    horizon, converted back to (w_inv, w_spu); gamma = 0 is the plain
+    flow."""
     n_full, rem = divmod(t_end, dt)
     n_steps = int(n_full) + (1 if rem > 1e-12 * dt else 0)
     times = np.empty(n_steps + 1)
@@ -393,9 +387,9 @@ def simulate_flow_full_loop(spec, t_end, dt):
     ys = np.empty(n_steps + 1)
     times[0] = 0.0
     xs[0] = ys[0] = 0.0
-    cx = 2.0 * spec.p
-    cy = 2.0 * (1.0 - spec.p)
-    g2 = 2.0 * spec.gamma if spec.kind == "ib_erm" else 0.0
+    cx = 2.0 * p
+    cy = 2.0 * (1.0 - p)
+    g2 = 2.0 * gamma
     try:
         _run_steps(n_steps, dt, t_end, cx, cy, g2, times, xs, ys)
     except OverflowError as exc:

@@ -10,7 +10,7 @@ import pytest
 
 from oodbench.cli import (EXAMPLE_CHOICES, SPEC_KEYS, TRAIN_KEYS, _configs,
                           build_parser, main)
-from oodbench.dynamics import MAX_HELD_STEPS, FlowSpec
+from oodbench.dynamics import MAX_HELD_STEPS
 from oodbench.reporting import (SUMMARY_FIELDS, SWEEP_FIELDS, SummaryRow,
                                 aggregate_rows, atomic_write_text, config_hash,
                                 format_summary_table, read_csv, write_csv)
@@ -394,7 +394,7 @@ class TestDynamicsCommand:
         assert hashlib.sha256(ib.encode()).hexdigest() == self.IB_ROWS_SHA
         # the plain flow is closed form; the loop's RK4 rows agree
         # within its truncation error
-        ref = simulate_flow_full_loop(FlowSpec(kind="erm", p=0.9), verdict["t_ib"], 1e-2)
+        ref = simulate_flow_full_loop(0.9, 0.0, verdict["t_ib"], 1e-2)
         stride = -(-len(ref.times) // 4000)
         _, _, rows = read_csv(path)
         got = np.array([[float(r[k]) for k in ("t", "w_inv", "w_spu", "ratio")]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oodbench import dynamics
-from oodbench.dynamics import (FlowSpec, equilibrium_x, simulate_flow,
-                               theorem5_report)
+from oodbench.dynamics import (equilibrium_x, flow_weights, plain_flow,
+                               simulate_flow, theorem5_report)
 from oodbench.numeric_core import (DivergenceError, ParameterError, RngStream,
                                    lambert_w0)
 from oodbench.objectives import LinearModel, ObjectiveConfig
@@ -39,16 +39,15 @@ class TestEquilibrium:
 
     @pytest.mark.parametrize("gamma", [0.1, 0.58, 1.0, 10.0])
     def test_rhs_vanishes_at_equilibrium(self, gamma):
-        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=gamma)
         x_star = equilibrium_x(gamma)
-        rhs = flow_rhs(spec)(0.0, np.array([x_star, x_star]))
+        rhs = flow_rhs(0.9, gamma)(0.0, np.array([x_star, x_star]))
         assert np.max(np.abs(rhs)) <= 1e-10
 
 
 class TestFlowRhs:
     def test_erm_at_origin(self):
         p = 0.8
-        rhs = flow_rhs(FlowSpec(kind="erm", p=p))(0.0, np.zeros(2))
+        rhs = flow_rhs(p, 0.0)(0.0, np.zeros(2))
         assert np.allclose(rhs, [2 * p, 2 * (1 - p)])
 
     def test_matches_sampled_objective_gradient(self):
@@ -64,7 +63,7 @@ class TestFlowRhs:
         cfg = ObjectiveConfig(lam=0.0, gamma=gamma)
         _, grad = objective_and_gradient(model, [signed], cfg, "exponential")
         x, y = w_inv + w_spu, w_inv - w_spu
-        rhs = flow_rhs(FlowSpec(kind="ib_erm", p=p, gamma=gamma))(0.0, np.array([x, y]))
+        rhs = flow_rhs(p, gamma)(0.0, np.array([x, y]))
         rotated = np.array([-(grad[0] + grad[1]), -(grad[0] - grad[1])])
         assert np.max(np.abs(rhs - rotated)) < 0.02
 
@@ -98,12 +97,14 @@ class TestEngineGradientFlow:
         p = 0.9
         env = self._population(p)
         cfg = ObjectiveConfig(0.0, gamma)
-        spec = FlowSpec(kind="ib_erm" if gamma else "erm", p=p, gamma=gamma)
-        traj = simulate_flow(spec, t_end, dt)
-        _, w_inv, w_spu, _ = traj.at(np.arange(traj.n_steps + 1))
+        # the plain flow (gamma 0) is taken at the penalized flow's grid times
+        traj = simulate_flow(p, gamma or 0.58, t_end, dt)
+        times, w_inv, w_spu, _ = traj.at(np.arange(traj.n_steps + 1))
+        if not gamma:
+            w_inv, w_spu, _ = flow_weights(p, *plain_flow(p, times))
         theta = np.zeros(3)
         gap = 0.0
-        for i in range(traj.n_steps + 1):
+        for i in range(times.size):
             gap = max(gap, abs(theta[0] - w_inv[i]), abs(theta[1] - w_spu[i]))
             model = LinearModel(w=theta[:-1], b=theta[-1])
             _, grad = objective_and_gradient(model, [env], cfg, "exponential")
@@ -121,8 +122,7 @@ class TestEngineGradientFlow:
 
 class TestSimulateFlow:
     def test_monotone_increase_to_equilibrium(self):
-        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
-        _, w_inv, w_spu = _dense(simulate_flow(spec, 60.0, dt=1e-2))
+        _, w_inv, w_spu = _dense(simulate_flow(0.9, 0.58, 60.0, dt=1e-2))
         x = w_inv + w_spu
         y = w_inv - w_spu
         assert np.all(np.diff(x) >= -1e-12)
@@ -132,28 +132,27 @@ class TestSimulateFlow:
         assert abs(y[-1] - x_star) <= 1e-6
 
     def test_boundary_bias_symmetric(self):
-        spec = FlowSpec(kind="ib_erm", p=0.5, gamma=0.3)
-        _, _, w_spu = _dense(simulate_flow(spec, 5.0, dt=1e-2))
+        _, _, w_spu = _dense(simulate_flow(0.5, 0.3, 5.0, dt=1e-2))
         assert np.max(np.abs(w_spu)) < 1e-12
 
     def test_lyapunov_decrease(self):
-        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
-        _, w_inv, w_spu = _dense(simulate_flow(spec, 30.0, dt=1e-2))
+        _, w_inv, w_spu = _dense(simulate_flow(0.9, 0.58, 30.0, dt=1e-2))
         x_star = equilibrium_x(0.58)
         v = (w_inv + w_spu - x_star) ** 2
         assert np.all(np.diff(v) <= 1e-14)
 
     @pytest.mark.parametrize("kind,gamma", [("erm", 0.0), ("ib_erm", 0.58)])
     def test_fast_path_matches_generic_integrator(self, kind, gamma):
-        spec = FlowSpec(kind=kind, p=0.9, gamma=gamma)
-        times, w_inv, w_spu = _dense(simulate_flow(spec, 7.3, dt=1e-2))
-        ref = rk4_integrate(flow_rhs(spec), np.zeros(2), 0.0, 7.3, 1e-2)
+        p = 0.9
+        times, w_inv, w_spu = _dense(simulate_flow(p, 0.58, 7.3, dt=1e-2))
+        ref = rk4_integrate(flow_rhs(p, gamma), np.zeros(2), 0.0, 7.3, 1e-2)
         assert np.array_equal(times, ref.times)
         if kind == "erm":
-            # the plain flow is solved in closed form on the grid; RK4's own
-            # truncation error here is 5.4e-11
-            x = np.log1p(2 * spec.p * times)
-            y = np.log1p(2 * (1 - spec.p) * times)
+            # the plain flow is solved in closed form at the grid times;
+            # RK4's own truncation error here is 5.4e-11
+            w_inv, w_spu, _ = flow_weights(p, *plain_flow(p, times))
+            x = np.log1p(2 * p * times)
+            y = np.log1p(2 * (1 - p) * times)
             assert np.array_equal(w_inv, 0.5 * (x + y))
             assert np.array_equal(w_spu, 0.5 * (x - y))
             assert np.max(np.abs(ref.states - np.column_stack([x, y]))) < 1e-10
@@ -178,62 +177,59 @@ class TestSimulateFlow:
         (0.9, 0.58, 1e-2, 5.0),      # horizon ends before any fixed point
     ])
     def test_fill_matches_full_loop(self, p, gamma, dt, t_end):
-        spec = FlowSpec(kind="ib_erm", p=p, gamma=gamma)
-        traj = simulate_flow(spec, t_end, dt)
-        ref = simulate_flow_full_loop(spec, t_end, dt)
+        traj = simulate_flow(p, gamma, t_end, dt)
+        ref = simulate_flow_full_loop(p, gamma, t_end, dt)
         times, w_inv, w_spu, ratio = traj.at(np.arange(traj.n_steps + 1))
         assert np.array_equal(times, ref.times)
         assert np.array_equal(w_inv, ref.w_inv)
         assert np.array_equal(w_spu, ref.w_spu)
         assert np.array_equal(ratio, ref.ratio(p))
         # the held points are the grid's own values at their indices
+        _, w_inv, w_spu, _ = traj.at(traj.index)
         assert np.array_equal(traj.times, ref.times[traj.index])
-        assert np.array_equal(traj.w_inv, ref.w_inv[traj.index])
-        assert np.array_equal(traj.w_spu, ref.w_spu[traj.index])
+        assert np.array_equal(w_inv, ref.w_inv[traj.index])
+        assert np.array_equal(w_spu, ref.w_spu[traj.index])
 
     def test_holds_prefix_fill_end_and_tail_only(self):
         # paper point at eps 1e-4: y reaches its fixed point at step 8794,
         # and the 2,575,287-step grid ends in one shortened step
-        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
         t_end = equilibrium_x(0.58) / (2 * 0.1 * 1e-4)
-        traj = simulate_flow(spec, t_end, 1e-2)
+        traj = simulate_flow(0.9, 0.58, t_end, 1e-2)
         assert traj.n_steps == 2_575_287
         assert np.array_equal(traj.index, np.r_[0:8795, traj.n_steps - 1, traj.n_steps])
         assert traj.times[-1] == t_end
-        erm = simulate_flow(FlowSpec(kind="erm", p=0.9), t_end, 1e-2)
-        assert erm.n_steps == traj.n_steps
-        assert np.array_equal(erm.index, [0])
+        # each coordinate holds its prefix and the one shortened step
+        assert traj.n_full == traj.n_steps - 1
+        assert traj.jy == 8794 and traj.y.size == traj.jy + 2
+        assert traj.jx < traj.jy and traj.x.size == traj.jx + 2
 
     def test_held_steps_capped_at_the_fixed_point(self, monkeypatch):
         # the paper point at eps 1e-4 settles at full step 8794 (see above):
         # a cap of 8794 steps holds it, one step less refuses the flow
-        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
         t_end = equilibrium_x(0.58) / (2 * 0.1 * 1e-4)
-        ref = simulate_flow(spec, t_end, 1e-2)
+        ref = simulate_flow(0.9, 0.58, t_end, 1e-2)
         monkeypatch.setattr(dynamics, "MAX_HELD_STEPS", 8794)
-        traj = simulate_flow(spec, t_end, 1e-2)
+        traj = simulate_flow(0.9, 0.58, t_end, 1e-2)
         assert np.array_equal(traj.index, ref.index)
-        assert np.array_equal(traj.w_inv, ref.w_inv)
-        assert np.array_equal(traj.w_spu, ref.w_spu)
+        assert np.array_equal(traj.x, ref.x)
+        assert np.array_equal(traj.y, ref.y)
         monkeypatch.setattr(dynamics, "MAX_HELD_STEPS", 8793)
         with pytest.raises(ParameterError, match="gamma = 0.58 with dt = 0.01 does "
                            "not settle within 8,793 RK4 steps"):
-            simulate_flow(spec, t_end, 1e-2)
+            simulate_flow(0.9, 0.58, t_end, 1e-2)
 
     def test_short_grid_is_not_capped(self, monkeypatch):
         # t_end 5 at dt 1e-2 has 499 full steps and no fixed point: a cap
         # of exactly 499 steps holds every one of them
         monkeypatch.setattr(dynamics, "MAX_HELD_STEPS", 499)
-        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
-        traj = simulate_flow(spec, 5.0, 1e-2)
+        traj = simulate_flow(0.9, 0.58, 5.0, 1e-2)
         assert traj.index.size == traj.n_steps + 1 == 501
 
     @pytest.mark.parametrize("idx", [[5], [3, 0, 7], [10, 10], []])
     def test_at_any_indices(self, idx):
         # sampled points need not be sorted or distinct
-        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=0.58)
-        traj = simulate_flow(spec, 0.1, 1e-2)
-        ref = simulate_flow_full_loop(spec, 0.1, 1e-2)
+        traj = simulate_flow(0.9, 0.58, 0.1, 1e-2)
+        ref = simulate_flow_full_loop(0.9, 0.58, 0.1, 1e-2)
         idx = np.array(idx, dtype=np.int64)
         times, w_inv, _, ratio = traj.at(idx)
         assert np.array_equal(times, ref.times[idx])
@@ -241,27 +237,41 @@ class TestSimulateFlow:
         assert np.array_equal(ratio, ref.ratio(0.9)[idx])
 
     def test_unstable_step_diverges_like_full_loop(self):
-        spec = FlowSpec(kind="ib_erm", p=0.9, gamma=5.0)
         t_end = equilibrium_x(5.0) / (2 * 0.1 * 0.05)
         with pytest.raises(DivergenceError):
-            simulate_flow_full_loop(spec, t_end, 1.0)
+            simulate_flow_full_loop(0.9, 5.0, t_end, 1.0)
         with pytest.raises(DivergenceError):
-            simulate_flow(spec, t_end, 1.0)
+            simulate_flow(0.9, 5.0, t_end, 1.0)
 
     @pytest.mark.parametrize("t_end", [1e20, math.inf])
     def test_grid_beyond_exact_float_times_rejected(self, t_end):
         with pytest.raises(ParameterError):
-            simulate_flow(FlowSpec(kind="ib_erm", p=0.9, gamma=0.58), t_end, 1e-2)
+            simulate_flow(0.9, 0.58, t_end, 1e-2)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_nonpositive_dt_rejected(self, dt):
         with pytest.raises(ParameterError):
-            simulate_flow(FlowSpec(kind="ib_erm", p=0.9, gamma=0.58), 5.0, dt)
+            simulate_flow(0.9, 0.58, 5.0, dt)
+
+    # Each check is written so that nan fails it.
+    @pytest.mark.parametrize("p,gamma,message", [
+        (0.49, 0.58, "p must lie in"), (1.0, 0.58, "p must lie in"),
+        (math.nan, 0.58, "p must lie in"), (0.9, 0.0, "gamma must be > 0"),
+        (0.9, -1.0, "gamma must be > 0"), (0.9, math.nan, "gamma must be > 0")])
+    def test_bad_p_or_gamma_rejected(self, p, gamma, message):
+        with pytest.raises(ParameterError, match=message):
+            simulate_flow(p, gamma, 5.0, 1e-2)
 
     def test_erm_matches_analytic_solution(self):
-        # plain flow solves dx/dt = 2 p e^{-x}: x(t) = ln(1 + 2 p t)
+        # plain flow solves dx/dt = 2 p e^{-x}: x(t) = ln(1 + 2 p t); RK4
+        # through the whole grid agrees with it
         p = 0.75
-        times, w_inv, w_spu = _dense(simulate_flow(FlowSpec(kind="erm", p=p), 20.0, dt=1e-3))
+        ref = simulate_flow_full_loop(p, 0.0, 20.0, 1e-3)
+        times = ref.times
+        w_inv, w_spu, ratio = flow_weights(p, *plain_flow(p, times))
+        assert np.max(np.abs(w_inv - ref.w_inv)) < 1e-8
+        assert np.max(np.abs(w_spu - ref.w_spu)) < 1e-8
+        assert np.max(np.abs(ratio - ref.ratio(p))) < 1e-8
         x = w_inv + w_spu
         y = w_inv - w_spu
         assert np.max(np.abs(x - np.log1p(2 * p * times))) < 1e-8
@@ -312,8 +322,7 @@ class TestTheorem5Report:
     ])
     def test_verdict_matches_full_loop(self, p, gamma, eps, dt):
         rep = theorem5_report(p, gamma, eps, dt)
-        ref = simulate_flow_full_loop(FlowSpec(kind="ib_erm", p=p, gamma=gamma),
-                                      rep["t_ib"], dt)
+        ref = simulate_flow_full_loop(p, gamma, rep["t_ib"], dt)
         ratio = ref.ratio(p)
         above = np.nonzero(ratio >= eps)[0]
         assert ratio[-1] < eps
