@@ -126,8 +126,9 @@ def equilibrium_x(gamma):
     return float(lambert_w0(1.0 / (2.0 * gamma)))
 
 
-def _rk4_coordinate(c, gamma, dt, t_end, n_full, n_steps):
-    """Classical RK4 for du/dt = c (e^{-u} - 2 gamma u) from u(0) = 0.
+def _rk4_coordinate(p, c, gamma, dt, t_end, n_full, n_steps):
+    """Classical RK4 for du/dt = c (e^{-u} - 2 gamma u) from u(0) = 0: the
+    rotated coordinate of rate c, 2p or 2(1 - p), of the flow at ``p``.
 
     Step i starts at t = i dt; the first ``n_full`` steps have length dt and
     the rest are shortened to land on t_end.  A full step that leaves u
@@ -135,7 +136,8 @@ def _rk4_coordinate(c, gamma, dt, t_end, n_full, n_steps):
     alone, so u stays there through step n_full.  Returns ``(u, j)``: u at
     grid points 0..j, where j is that fixed point (or n_full if there is
     none), followed by u at grid points n_full+1..n_steps.  A fill that
-    would hold more than MAX_HELD_STEPS points is a ParameterError.
+    would hold more than MAX_HELD_STEPS points (a small gamma, or p near 1)
+    is a ParameterError.
     """
     g2 = 2.0 * gamma
 
@@ -161,8 +163,9 @@ def _rk4_coordinate(c, gamma, dt, t_end, n_full, n_steps):
     else:
         if n_full > MAX_HELD_STEPS:
             raise ParameterError(
-                f"gamma = {gamma:g} with dt = {dt:g} does not settle within "
-                f"{MAX_HELD_STEPS:,} RK4 steps, the most a flow may hold")
+                f"p = {p}, gamma = {gamma:g} with dt = {dt:g} does not settle "
+                f"within {MAX_HELD_STEPS:,} RK4 steps, the most a flow may "
+                f"hold: the coordinate of rate {c:g} is still moving")
     j = len(held) - 1
     for i in range(n_full, n_steps):
         held.append(step(held[-1], t_end - i * dt))
@@ -190,8 +193,8 @@ def simulate_flow(p, gamma, t_end, dt):
     while n_full > 0 and dt > t_end - (n_full - 1) * dt:
         n_full -= 1
     try:
-        x, jx = _rk4_coordinate(2.0 * p, gamma, dt, t_end, n_full, n_steps)
-        y, jy = _rk4_coordinate(2.0 * (1.0 - p), gamma, dt, t_end, n_full, n_steps)
+        x, jx = _rk4_coordinate(p, 2.0 * p, gamma, dt, t_end, n_full, n_steps)
+        y, jy = _rk4_coordinate(p, 2.0 * (1.0 - p), gamma, dt, t_end, n_full, n_steps)
     except OverflowError as exc:
         raise DivergenceError(f"flow integration overflowed: {exc}") from exc
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):

@@ -20,16 +20,19 @@ every pinned IB output uses it; scoring the per-environment sum alone
 would change the sweep protocol.
 
 The loss follows from the task, and the stack that holds a batch's
-training data, with its penalty weights, names it.  Classification is
-trained on the logistic loss, scored from the rows (:class:`EnvStack`)
+training data, with its penalty weights, names it; both are built here
+from each query's environments and training rows.  Classification is
+trained on the logistic loss, scored from the rows (:func:`env_stack`)
 with the per-model path's float operations in its order, but for the
 softplus, taken from the sigmoid's exp(-|ŷ|) instead of numpy's
 ``logaddexp``.  Regression is trained on the square loss, an exact
 polynomial in a few moments of the rows, so it is scored from them
-(:class:`MomentStack`), with a different rounding: ERM and IB-ERM are one
+(:func:`moment_stack`), with a different rounding: ERM and IB-ERM are one
 quadratic form per model, O(d²) a step, and the IRM penalty adds O(E d²),
-instead of O(E n d) on the rows.  What each path promises against the
-per-model reference is the tolerance contract in :mod:`oodbench.trainer`.
+instead of O(E n d) on the rows.  The build computes the bottleneck's
+scatter only for IB-ERM and IB-IRM, the per-environment moments only for
+IRM and IB-IRM.  What each path promises against the per-model reference
+is the tolerance contract in :mod:`oodbench.trainer`.
 """
 
 from __future__ import annotations
@@ -41,25 +44,13 @@ import numpy as np
 from .numeric_core import ParameterError
 
 __all__ = [
-    "LinearModel",
     "ObjectiveConfig",
     "EnvStack",
     "MomentStack",
+    "env_stack",
     "moment_stack",
-    "predict",
     "objective_and_gradient",
 ]
-
-
-@dataclass
-class LinearModel:
-    w: np.ndarray
-    b: float = 0.0
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        if not (np.all(np.isfinite(self.w)) and np.isfinite(self.b)):
-            raise ParameterError("model parameters must be finite")
 
 
 @dataclass
@@ -73,16 +64,24 @@ class ObjectiveConfig:
     gamma: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        for name in ("lam", "gamma"):
-            w = np.asarray(getattr(self, name))
-            if not (np.all(w == 0) or np.all(w > 0)):
-                raise ParameterError(f"{name} must be all zero or all positive")
+        _penalties(self.lam, self.gamma)
+
+
+def _penalties(lam, gamma):
+    """Whether the IRM and the bottleneck penalty are on, each weight
+    checked to be all zero or all positive."""
+    for name, w in (("lam", lam), ("gamma", gamma)):
+        w = np.asarray(w)
+        if not (np.all(w == 0) or np.all(w > 0)):
+            raise ParameterError(f"{name} must be all zero or all positive")
+    return bool(np.any(lam)), bool(np.any(gamma))
 
 
 @dataclass
 class EnvStack:
     """The training rows of a batch of Q models, one block per model,
-    scored on the logistic loss, and the models' penalty weights.
+    scored on the logistic loss, and the models' penalty weights; built by
+    :func:`env_stack`.
 
     ``X[q, e]`` (n, d) and ``Y[q, e]`` (n,) are model q's rows of
     environment e; every environment has the same number of rows n.
@@ -95,16 +94,27 @@ class EnvStack:
     lam: np.ndarray
     gamma: np.ndarray
 
-    def __post_init__(self):
-        if self.X.ndim != 4 or self.Y.shape != self.X.shape[:3]:
-            raise ParameterError("EnvStack needs X of shape (Q, E, n, d) and Y (Q, E, n)")
+
+def env_stack(query_envs, query_rows, lam, gamma):
+    """The :class:`EnvStack` of Q queries: query q's rows ``query_rows[q][e]``
+    of each environment ``query_envs[q][e]``, at its penalty weights
+    ``lam[q]`` and ``gamma[q]``.  ``query_rows`` may be an iterator; each
+    query's indices are read once, in query order."""
+    _penalties(lam, gamma)
+    for q, (envs, rows) in enumerate(zip(query_envs, query_rows)):
+        for e, (env, train) in enumerate(zip(envs, rows)):
+            if q == e == 0:
+                X = np.empty((len(query_envs), len(envs), train.size, env.X.shape[1]))
+                Y = np.empty(X.shape[:3])
+            X[q, e], Y[q, e] = env.X[train], env.Y[train]
+    return EnvStack(X, Y, lam, gamma)
 
 
 @dataclass
 class MomentStack:
     """The square-loss objective of a batch of Q models: one quadratic form
     per model, with its penalty weights folded in, built once from its
-    training rows.
+    training rows by :func:`moment_stack`.
 
     With B = [X / scale[q], 1, -y] on model q's n rows of environment e,
     n times the environment's mean squared residual is ψᵀM_eψ for
@@ -112,16 +122,17 @@ class MomentStack:
     n_envs * gamma * Var_pooled is gamma φᵀCφ / n for C the scatter of
     X / scale[q] about its pooled mean and φ = ψ[:d].  So the objective
     but the IRM penalty is ψᵀKψ / n, K = Σ_e M_e + gamma[q] C (C in the
-    weight block).  The IRM penalty lam g_e² = (√lam g_e)² reads ``M``,
-    √lam times each M_e but its last row, kept only when lam > 0.
+    weight block, and only when gamma > 0).  The IRM penalty
+    lam g_e² = (√lam g_e)² reads ``M``, √lam times each M_e but its last
+    row, built only when lam > 0.
 
     A column's scale is the least power of two above every magnitude in
     the column (1 for an all-zero column and the intercept), over the rows
-    or a superset: a data seed's rows in :func:`oodbench.trainer.train_gd`.
-    It commutes with rounding, so M_e and C times the scales are the
-    unscaled moments bit for bit unless an entry leaves the normal range;
-    and a huge value in X gives an overflowing gradient, as on the rows,
-    not a NaN objective from 0 * inf.
+    or a superset: every row of the model's environments.  It
+    commutes with rounding, so M_e and C times the scales are the unscaled
+    moments bit for bit unless an entry leaves the normal range; and a
+    huge value in X gives an overflowing gradient, as on the rows, not a
+    NaN objective from 0 * inf.
     """
 
     K: np.ndarray      # (Q, d+2, d+2)
@@ -129,31 +140,45 @@ class MomentStack:
     step: np.ndarray   # (Q, d+1): scale * 2 / n, the gradient's factor
     n: int
     M: np.ndarray | None = None  # (Q, E, d+1, d+2)
-    u: np.ndarray | None = None  # (Q, E, d+1): -M[..., -1]
 
 
-def moment_stack(M, C, scale, n, cfg):
-    """The :class:`MomentStack` of per-environment moments ``M``
-    (Q, E, d+2, d+2) and pooled scatter matrices ``C`` (Q, d, d) of
-    X / ``scale``, n rows per environment, at the penalty weights of
-    ``cfg`` (one per model, or one for all)."""
-    d = C.shape[1]
-    lam, gamma = (np.reshape(np.asarray(w, dtype=float), (-1, 1, 1))
-                  for w in (cfg.lam, cfg.gamma))
-    K = M.sum(axis=1)
-    if gamma.any():
-        K[:, :d, :d] += gamma * C
-    if not lam.any():
-        return MomentStack(K, scale, scale * (2.0 / n), n)
-    M = np.sqrt(lam[..., None]) * M[..., :-1, :]
-    return MomentStack(K, scale, scale * (2.0 / n), n, M, -M[..., -1])
-
-
-def predict(model, X):
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != model.w.size:
-        raise ParameterError(f"X has {X.shape[1]} columns, model expects {model.w.size}")
-    return X @ model.w + model.b
+def moment_stack(query_envs, query_rows, lam, gamma):
+    """The :class:`MomentStack` of the queries that :func:`env_stack` takes.
+    A query gathers its rows from one block [X / scale, 1, -y] per
+    environment, built once per run of consecutive queries on one
+    environment list (a data seed's) and dropped at the next.  Only what the
+    method reads is computed: C where gamma > 0, about the query's pooled
+    mean in two passes, not as a difference of raw moments; the scaled M_e
+    where lam > 0; and K, summed per query."""
+    use_irm, use_ib = _penalties(lam, gamma)
+    n_q, n_envs = len(query_envs), len(query_envs[0])
+    d = query_envs[0][0].X.shape[1]
+    K = np.empty((n_q, d + 2, d + 2))
+    scale = np.ones((n_q, d + 1))
+    M = np.empty((n_q, n_envs, d + 1, d + 2)) if use_irm else None
+    env_ix = np.arange(n_envs)[:, None]
+    block_envs = None
+    for q, (envs, rows) in enumerate(zip(query_envs, query_rows)):
+        if envs is not block_envs:
+            block = None  # the last list's block is dropped before this one's
+            top = np.max([np.abs(env.X).max(axis=0) for env in envs], axis=0)
+            sx = np.ldexp(1.0, np.frexp(top)[1])
+            block = np.stack([np.column_stack([env.X / sx, np.ones(env.n), -env.Y])
+                              for env in envs])
+            block_envs = envs
+        scale[q, :-1] = sx
+        B = block[env_ix, rows]
+        M_q = np.matmul(B.swapaxes(1, 2), B)
+        K[q] = M_q.sum(axis=0)
+        if use_ib:
+            x = B[..., :-2]
+            x = x - x.sum(axis=1).sum(axis=0) / (x.shape[0] * x.shape[1])
+            # times a copy: BLAS rounds a buffer's product with itself otherwise
+            K[q, :d, :d] += gamma[q] * np.matmul(x.swapaxes(1, 2), x.copy()).sum(axis=0)
+        if use_irm:
+            np.multiply(np.sqrt(lam[q]), M_q[:, :-1], out=M[q])
+    n = B.shape[1]
+    return MomentStack(K, scale, scale * (2.0 / n), n, M)
 
 
 def _env_terms(X, yhat, y, penalized):
@@ -228,7 +253,8 @@ def _square_objective(theta, st):
     IRM penalty adds lam g_e², where g_e = 2 φᵀ(S_eφ - u_e) / n from
     v_e = M_eψ = [S_eφ - u_e, ...] (S_e = AᵀA, u_e = Aᵀy, A = [X / scale, 1]
     and φ = ψ[:-1]), with gradient step (2 S_eφ - u_e) = step (2 v_e + u_e)
-    in theta; the stack's √lam is carried through.  g_e is not a difference
+    in theta, u_e being minus M_e's last column; the stack's √lam is
+    carried through.  g_e is not a difference
     of the risk and c - uᵀφ, which would cancel while ŷ is small."""
     psi = np.ones((theta.shape[0], theta.shape[1] + 1))
     np.multiply(theta, st.scale, out=psi[:, :-1])
@@ -243,7 +269,7 @@ def _square_objective(theta, st):
         g = _row_sum(v * psi[:, None, :-1]) * (2.0 / st.n)  # √lam g_e
         value += _row_sum(g * g)
         v *= 2.0
-        v += st.u                 # √lam (2 S_eφ - u_e)
+        v -= st.M[..., -1]        # √lam (2 S_eφ - u_e)
         grad += 2.0 * st.step * np.matmul(g[:, None, :], v)[:, 0]
     return value, grad
 

@@ -133,17 +133,19 @@ def write_json(path, payload, meta):
 
 def aggregate_rows(records):
     """Aggregate typed sweep records: per (example, n_envs, method) and
-    seed, keep the query with minimal validation risk, then report the
-    population mean and std of the test metric over seeds.  A seed whose
-    kept query has no finite test metric (every query of it diverged) is
-    counted in ``n_diverged`` and left out of the mean and std."""
+    seed, keep the query with minimal validation risk, nan ranked after
+    every number and the first of equals kept, then report the population
+    mean and std of the test metric over seeds.  A seed whose kept query
+    has no finite test metric (every query of it diverged) is counted in
+    ``n_diverged`` and left out of the mean and std."""
     groups = {}
     for rec in records:
         key = (rec["example"], rec["n_envs"], rec["method"])
         best = groups.setdefault(key, {})
-        seed, val = rec["data_seed"], rec["val_risk"]
-        if seed not in best or val < best[seed][0]:
-            best[seed] = (val, rec["test_metric"])
+        val = rec["val_risk"]
+        rank, seed = (val != val, val), rec["data_seed"]  # nan last
+        if seed not in best or rank < best[seed][0]:
+            best[seed] = (rank, rec["test_metric"])
     out = []
     for (example, n_envs, method), best in sorted(groups.items()):
         metrics = np.array([m for _, m in best.values()])

@@ -2,8 +2,9 @@
 out-of-distribution evaluation metrics.
 
 A sweep trains the queries of one method in batches: :func:`train_gd`
-builds each query's training statistics once and updates every query's
-parameters at each step with one batched call of
+draws each query's split, has :mod:`oodbench.objectives` build every
+query's training stack once from it, and updates every query's parameters
+(a row: weights then intercept) at each step with one batched call of
 :func:`~oodbench.objectives.objective_and_gradient`.  Each query names its
 own environments, so one batch may hold several data seeds; the rule that
 cuts a sweep's data seeds into batches is stated in :func:`random_search`.
@@ -18,9 +19,10 @@ trained weights by 1.8% and val_risk from 0.358 to 0.402.  So the contract
 says which results equal the reference bit for bit and which are within a
 stated bound of it, and the tests check each part.
 
-* Logistic loss: theta, ``diverged_step``, ``val_risk`` and every sweep
-  output are bit-identical to the per-model path.  The objective value,
-  which training reads only to detect divergence, is not: its softplus,
+* Logistic loss, on the rows (:func:`~oodbench.objectives.env_stack`):
+  theta, ``diverged_step``, ``val_risk`` and every sweep output are
+  bit-identical to the per-model path.  The objective value, which
+  training reads only to detect divergence, is not: its softplus,
   max(yhat, 0) + log1p(exp(-|yhat|)) reusing the sigmoid's exp, is within
   4 ulp of numpy's ``logaddexp`` with the same inf and nan pattern, so a
   row's risk term is within 4 ulp of the larger of its softplus and
@@ -28,12 +30,14 @@ stated bound of it, and the tests check each part.
   iterates on the tested grid the value is within 1e-15 relative
   (measured: 3.6e-16).
 * Square loss, per call: the objective is one quadratic form per query,
-  built from the moments of its rows
-  (:class:`~oodbench.objectives.MomentStack`).  Its value and gradient are
-  within 1e-14 of the per-model path's, relative to the magnitudes of
-  their terms (summed on absolute values, so that none cancels; near the
-  optimum the gradient itself cancels).  Measured: at most 3.5e-16 on the
-  tested grid, 7.1e-16 at the benchmark's shape (ex1, 96 queries).
+  built from the moments of its rows by
+  :func:`~oodbench.objectives.moment_stack` (the scatter only for IB-ERM
+  and IB-IRM, the per-environment moments only for IRM and IB-IRM).  Its
+  value and gradient are within 1e-14 of the per-model path's, relative
+  to the magnitudes of their terms (summed on absolute values, so that
+  none cancels; near the optimum the gradient itself cancels).  Measured:
+  at most 3.5e-16 on the tested grid, 7.1e-16 at the benchmark's shape
+  (ex1, 96 queries).
 * Square loss, per sweep: against the per-model path at seeds 0 and 7919,
   the same queries diverge and the same query is selected in every
   (method, seed) cell.  Under GD each finite val_risk and test metric, and
@@ -64,10 +68,9 @@ from itertools import repeat
 import numpy as np
 
 from .numeric_core import ParameterError
-from .objectives import (EnvStack, LinearModel, ObjectiveConfig,
-                         moment_stack, objective_and_gradient, predict)
-from .sem_generators import (EnvDataset, default_test_envs,
-                             generate_training_envs)
+from .objectives import (ObjectiveConfig, env_stack, moment_stack,
+                         objective_and_gradient)
+from .sem_generators import default_test_envs, generate_training_envs
 
 __all__ = [
     "TrainConfig",
@@ -108,10 +111,6 @@ class TrainResult:
     # ``theta`` is then the state of that step and ``val_risk`` is inf.
     diverged_step: int | None = None
 
-    @property
-    def model(self):
-        return LinearModel(w=self.theta[:-1], b=self.theta[-1])
-
 
 def _split(n, rng):
     """Deterministic 80/20 split of ``n`` rows: (train rows, held-out rows)."""
@@ -130,53 +129,14 @@ def _splits(envs, rng):
         yield (env, *_split(env.n, split_rng.fork(f"env{env.env_id}")))
 
 
-def _square_moments(query_envs, rngs):
-    """Each query's square-loss moments of its training rows, as
-    :func:`~oodbench.objectives.moment_stack` takes them: (M, C, scale, n).
-    Each query gathers its training rows from one block [X / scale, 1, -y]
-    per environment of its data seed (the queries that share one
-    environment list), dropped before the next seed's.  ``C`` is taken
-    about the query's pooled mean in two passes, not as a difference of
-    raw moments."""
-    envs = query_envs[0]
-    n_q, n_envs, d = len(rngs), len(envs), envs[0].X.shape[1]
-    M = np.empty((n_q, n_envs, d + 2, d + 2))
-    C = np.empty((n_q, d, d))
-    scale = np.ones((n_q, d + 1))
-    seeds = {}  # id of a seed's environment list -> (the list, its queries)
-    for q, envs in enumerate(query_envs):
-        seeds.setdefault(id(envs), (envs, []))[1].append(q)
-    env_ix = np.arange(n_envs)[:, None]
-    for envs, queries in seeds.values():
-        top = np.max([np.abs(env.X).max(axis=0) for env in envs], axis=0)
-        sx = np.ldexp(1.0, np.frexp(top)[1])
-        scale[queries, :-1] = sx
-        block = np.stack([np.column_stack([env.X / sx, np.ones(env.n), -env.Y])
-                          for env in envs])
-        for q in queries:
-            rows = block[env_ix, [train for _, train, _ in _splits(envs, rngs[q])]]
-            M[q] = np.matmul(rows.swapaxes(1, 2), rows)
-            x = rows[..., :-2]
-            x = x - x.sum(axis=1).sum(axis=0) / (x.shape[0] * x.shape[1])
-            # times a copy: BLAS rounds a buffer's product with itself otherwise
-            C[q] = np.matmul(x.swapaxes(1, 2), x.copy()).sum(axis=0)
-    return M, C, scale, rows.shape[1]
-
-
-def _stack_queries(query_envs, rngs, cfg):
-    """Each query's training data at its penalty weights ``cfg``: for
-    regression a :class:`MomentStack` (the square loss), which never holds
-    more than one data seed's rows, and for classification an
-    :class:`EnvStack` (the logistic loss)."""
-    if query_envs[0][0].task == "regression":
-        return moment_stack(*_square_moments(query_envs, rngs), cfg)
-    for q, (envs, rng) in enumerate(zip(query_envs, rngs)):
-        for e, (env, train, _) in enumerate(_splits(envs, rng)):
-            if q == e == 0:
-                X = np.empty((len(rngs), len(envs), train.size, env.X.shape[1]))
-                Y = np.empty(X.shape[:3])
-            X[q, e], Y[q, e] = env.X[train], env.Y[train]
-    return EnvStack(X, Y, cfg.lam, cfg.gamma)
+def _stack_queries(query_envs, rngs, lam, gamma):
+    """Each query's training stack, built by :mod:`oodbench.objectives` for
+    its task's loss.  Each query's split is drawn as the build reaches it,
+    so no query's indices outlive its build."""
+    rows = ([train for _, train, _ in _splits(envs, rng)]
+            for envs, rng in zip(query_envs, rngs))
+    build = moment_stack if query_envs[0][0].task == "regression" else env_stack
+    return build(query_envs, rows, lam, gamma)
 
 
 def _keep_rows(a, keep):
@@ -233,7 +193,7 @@ def train_gd(query_envs, cfg, tc, rngs):
     lr, lam, gamma = (np.broadcast_to(np.asarray(x, dtype=float), (n_q,)).copy()
                       for x in (tc.lr, cfg.lam, cfg.gamma))
     lr = lr[:, None]
-    stack = _stack_queries(query_envs, rngs, ObjectiveConfig(lam, gamma))
+    stack = _stack_queries(query_envs, rngs, lam, gamma)
     theta = np.zeros((n_q, query_envs[0][0].X.shape[1] + 1))
     ids = np.arange(n_q)  # the query each row of the batch belongs to
     final = np.empty_like(theta)
@@ -275,21 +235,21 @@ def train_gd(query_envs, cfg, tc, rngs):
             continue
         # the held-out rows are drawn again from the split's stream, so that
         # no query's indices are kept through training
-        model = LinearModel(w=final[q, :-1], b=final[q, -1])
         val_risk = float(np.mean([
-            evaluate(model, EnvDataset(env.env_id, env.X[val], env.Y[val], env.task))
+            evaluate(final[q], env.X[val], env.Y[val], env.task)
             for env, _, val in _splits(query_envs[q], rngs[q])]))
         results.append(TrainResult(final[q], val_risk))
     return results
 
 
-def evaluate(model, env):
-    """The task metric of ``env``: mse for regression, class_error
+def evaluate(theta, X, Y, task):
+    """The task metric of the linear model ``theta`` (weights then
+    intercept) on rows ``X``, ``Y``: mse for regression, class_error
     (decision threshold at 0) for classification."""
-    yhat = predict(model, env.X)
-    if env.task == "regression":
-        return float(np.mean((yhat - env.Y) ** 2))
-    return float(np.mean((yhat >= 0).astype(float) != env.Y))
+    yhat = X @ theta[:-1] + theta[-1]
+    if task == "regression":
+        return float(np.mean((yhat - Y) ** 2))
+    return float(np.mean((yhat >= 0).astype(float) != Y))
 
 
 @dataclass
@@ -319,7 +279,10 @@ def _run_batch(spec, method, seeds, n_queries, rng, tc_base):
     every query of the batch is trained by one :func:`train_gd` call.  The
     test environments are drawn after training, seed by seed, from their
     own stream: the batch's training stack and the test environments never
-    occupy memory together."""
+    occupy memory together.  Every data seed's training environments are
+    kept until :func:`train_gd` has scored their queries' val risk, so a
+    square-loss batch, whose stack holds moments and not rows, still holds
+    the rows of all its seeds through training."""
     data = []  # per seed: (seed, its stream, fixed weights, params, envs)
     for seed in seeds:
         seed_rng = rng.fork(f"seed{seed}")
@@ -341,7 +304,8 @@ def _run_batch(spec, method, seeds, n_queries, rng, tc_base):
         own = slice(i * n_queries, (i + 1) * n_queries)
         for q, ((lr, lam, gamma), result) in enumerate(zip(hparams[own], results[own])):
             if result.diverged_step is None:
-                metrics = [evaluate(result.model, te) for te in test_envs]
+                metrics = [evaluate(result.theta, te.X, te.Y, te.task)
+                           for te in test_envs]
                 scores = (result.val_risk, float(np.mean(metrics)), float(np.max(metrics)))
             else:
                 scores = (float("inf"),) * 3

@@ -14,7 +14,8 @@ engine keeps no objective curve: the tests compare its objective with this
 one's at this one's iterates.  The oracle also keeps the exponential loss,
 which the package does not train, as the reference for the Theorem-5 flow:
 gradient descent on it over the 2D population is Euler's method for that
-flow.
+flow.  A model of this path is a checked :class:`LinearModel`, scored by
+:func:`predict`; the package holds a trained model as its parameter row.
 
 Flows: a generic fixed-step RK4 integrator, the right-hand side of the
 rotated Theorem-5 flow, and the scalar loop that stepped both rotated
@@ -34,10 +35,28 @@ from math import exp
 import numpy as np
 
 from oodbench.numeric_core import DivergenceError, ParameterError
-from oodbench.objectives import EnvStack, LinearModel, moment_stack, predict
+from oodbench.objectives import env_stack, moment_stack
 from oodbench.objectives import objective_and_gradient as batched_objective_and_gradient
 from oodbench.sem_generators import EnvDataset
 from oodbench.trainer import VAL_FRACTION, TrainResult, evaluate
+
+
+@dataclass
+class LinearModel:
+    w: np.ndarray
+    b: float = 0.0
+
+    def __post_init__(self):
+        self.w = np.asarray(self.w, dtype=float)
+        if not (np.all(np.isfinite(self.w)) and np.isfinite(self.b)):
+            raise ParameterError("model parameters must be finite")
+
+
+def predict(model, X):
+    X = np.asarray(X, dtype=float)
+    if X.shape[1] != model.w.size:
+        raise ParameterError(f"X has {X.shape[1]} columns, model expects {model.w.size}")
+    return X @ model.w + model.b
 
 
 class OracleDivergence(DivergenceError):
@@ -239,8 +258,7 @@ def train_gd(envs, cfg, tc, rng, loss=None):
             vhat = v / (1 - beta2 ** (step + 1))
             theta = theta - tc.lr * mhat / (np.sqrt(vhat) + eps)
 
-    model = LinearModel(w=theta[:-1], b=theta[-1])
-    val_risk = float(np.mean([evaluate(model, e) for e in val_envs]))
+    val_risk = float(np.mean([evaluate(theta, e.X, e.Y, e.task) for e in val_envs]))
     return theta, curve, val_risk
 
 
@@ -269,7 +287,8 @@ def square_moments(blocks):
     (X, y) rows of each environment, environment by environment, each
     column scaled by its largest magnitude over these rows alone (the
     scale rule of ``MomentStack``).  Returns the (M, C, scale) of a batch
-    of one, as ``moment_stack`` takes them."""
+    of one: each environment's M_e = BᵀB, the pooled scatter C of the
+    scaled X, and the column scales."""
     top = np.max([np.abs(x).max(axis=0) for x, _ in blocks], axis=0)
     sx = np.ldexp(1.0, np.frexp(top)[1])
     bs = [np.column_stack([x / sx, np.ones(y.size), -y]) for x, y in blocks]
@@ -284,12 +303,9 @@ def stack_of(envs, cfg):
     """A batch of one model's training data, every row of ``envs``, at the
     penalty weights of ``cfg``, as the package scores it on its task's
     loss."""
-    if envs[0].task == "regression":
-        return moment_stack(*square_moments([(env.X, env.Y) for env in envs]),
-                            envs[0].n, cfg)
-    return EnvStack(np.stack([env.X for env in envs])[None],
-                    np.stack([env.Y for env in envs])[None],
-                    np.full(1, float(cfg.lam)), np.full(1, float(cfg.gamma)))
+    build = moment_stack if envs[0].task == "regression" else env_stack
+    return build([envs], [[np.arange(env.n) for env in envs]],
+                 np.full(1, float(cfg.lam)), np.full(1, float(cfg.gamma)))
 
 
 def batched_objective(model, envs, cfg):

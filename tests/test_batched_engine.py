@@ -15,11 +15,10 @@ import pytest
 
 import oracle
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import LinearModel, ObjectiveConfig
-from oodbench.objectives import objective_and_gradient
+from oodbench.objectives import ObjectiveConfig, objective_and_gradient
 from oodbench.sem_generators import EnvDataset, GeneratorSpec, generate_training_envs
 from oodbench.trainer import (METHODS, TrainConfig, _sample_hparams, _splits,
-                              _square_moments, _stack_queries, train_gd)
+                              _stack_queries, train_gd)
 
 TASK = {"square": "regression", "logistic": "classification"}
 
@@ -278,7 +277,7 @@ def test_gradient_overflow_stops_only_that_query():
     train_b, _ = oracle._split_env(env, b.fork("split").fork("env0"))
     with np.errstate(over="ignore"):
         value, grad = oracle.objective_and_gradient(
-            LinearModel(w=np.zeros(2), b=0.0), [train_b], cfg)
+            oracle.LinearModel(w=np.zeros(2), b=0.0), [train_b], cfg)
     assert np.isfinite(value) and not np.isfinite(grad).all()
     ra, rb, rc = train_gd([[env]] * 3, cfg, tc, [a, b, c])
     assert rb.diverged_step == 1
@@ -323,14 +322,14 @@ def test_folded_objective_at_the_benchmark_shape(method):
     # oracle within the per-call contract
     query_envs, rngs, weights = _ex1_queries(method)
     lam, gamma = (np.array(col) for col in zip(*weights))
-    stack = _stack_queries(query_envs, rngs, ObjectiveConfig(lam, gamma))
+    stack = _stack_queries(query_envs, rngs, lam, gamma)
     assert stack.K.shape == (96, 12, 12) and stack.n == 800
     assert (stack.M is None) == (method in ("ERM", "IBERM"))
     theta = 0.3 * RngStream(9).fork(method).gaussian_array((96, 11))
     values, grads = objective_and_gradient(theta, stack)
     worst = [0.0, 0.0]
     for q, (envs, rng) in enumerate(zip(query_envs, rngs)):
-        model = LinearModel(w=theta[q, :-1], b=theta[q, -1])
+        model = oracle.LinearModel(w=theta[q, :-1], b=theta[q, -1])
         cfg = ObjectiveConfig(*weights[q])
         train = _train_split(envs, rng)
         value, grad = oracle.objective_and_gradient(model, train, cfg)
@@ -345,7 +344,10 @@ def test_moments_are_built_per_seed_bit_for_bit():
     # query 0 holds out gets the largest magnitude of column 0 by far, so
     # the seed's scale of that column is not the one query 0's own rows
     # give.  Every query's unscaled moments must be those of its own
-    # training rows scaled by their own maxima, bit for bit.
+    # training rows scaled by their own maxima, bit for bit: Σ_e M_e from an
+    # ERM stack's K, Σ_e M_e + gamma C from an IB-ERM stack's at a
+    # power-of-two gamma, and M_e but its last row from an IRM stack's M at
+    # lam = 1.
     query_envs, rngs, _ = _ex1_queries("ERM", n_seeds=2, n_queries=3)
     envs = query_envs[3]
     held_row = next(_splits(envs, rngs[3]))[2][0]  # held out of env 0
@@ -354,15 +356,25 @@ def test_moments_are_built_per_seed_bit_for_bit():
     X[held_row, 0] = 1e3 * np.abs(X[:, 0]).max()
     envs[0] = replace(envs[0], X=X)
     query_envs[3:] = [envs] * 3
-    M, C, scale, n = _square_moments(query_envs, rngs)
-    assert n == 800
+    zero, one, half = np.zeros(6), np.ones(6), np.full(6, 0.5)
+    erm, iberm, irm = (_stack_queries(query_envs, rngs, lam, gamma)
+                       for lam, gamma in ((zero, zero), (zero, half), (one, zero)))
+    assert erm.M is None and iberm.M is None and irm.M is not None
     moved = 0
     for q, (envs, rng) in enumerate(zip(query_envs, rngs)):
         train = _train_split(envs, rng)
         M0, C0, scale0 = oracle.square_moments([(env.X, env.Y) for env in train])
-        s, s0 = np.append(scale[q], 1.0), np.append(scale0[0], 1.0)
-        assert np.array_equal(M[q] * s[:, None] * s, M0[0] * s0[:, None] * s0)
-        sx, sx0 = scale[q, :-1], scale0[0, :-1]
-        assert np.array_equal(C[q] * sx[:, None] * sx, C0[0] * sx0[:, None] * sx0)
-        moved += int(np.any(scale[q] != scale0[0]))
+        K0 = M0[0].sum(axis=0)
+        K0_ib = K0.copy()
+        K0_ib[:-2, :-2] += 0.5 * C0[0]
+        s0 = np.append(scale0[0], 1.0)
+        for stack in (erm, iberm, irm):
+            assert stack.n == 800
+            assert np.array_equal(stack.scale[q], irm.scale[q])
+        s = np.append(irm.scale[q], 1.0)
+        assert np.array_equal(erm.K[q] * s[:, None] * s, K0 * s0[:, None] * s0)
+        assert np.array_equal(iberm.K[q] * s[:, None] * s, K0_ib * s0[:, None] * s0)
+        assert np.array_equal(irm.M[q] * s[:-1, None] * s,
+                              M0[0, :, :-1] * s0[:-1, None] * s0)
+        moved += int(np.any(s != s0))
     assert moved >= 1

@@ -480,6 +480,18 @@ class TestDynamicsCommand:
         assert f"{MAX_HELD_STEPS:,} RK4 steps" in err
         assert not out.exists()
 
+    def test_slow_coordinate_near_p_1_exits_2_naming_p(self, tmp_path, capsys):
+        # at the default gamma the coordinate y, of rate 2(1 - p) = 2e-8,
+        # is the one that does not settle: the message names p
+        out = tmp_path / "d"
+        start = time.monotonic()
+        assert main(["dynamics", "--p", "0.99999999", "--out", str(out)]) == 2
+        assert time.monotonic() - start < 30.0
+        err = capsys.readouterr().err
+        assert "p = 0.99999999, gamma = 0.58 with dt = 0.01" in err
+        assert "rate 2e-08" in err
+        assert not out.exists()
+
     def test_unstable_step_exits_3(self, tmp_path):
         assert main(["dynamics", "--p", "0.9", "--gamma", "5.0",
                      "--eps", "0.05", "--dt", "1.0",
@@ -605,6 +617,24 @@ class TestReportCommand:
         row, = read_csv(os.path.join(rep_out, "summary.csv"))[2]
         assert float(row["mean_metric"]) == 2e160
         assert float(row["std_metric"]) == 1e160
+
+    def test_nan_val_risk_is_ranked_last_in_either_order(self, tmp_path, capsys):
+        # one seed, two queries: val_risk nan with test metric 9, and 0.5
+        # with 1; the numbered query is kept whichever row comes first
+        rows = ["ex2,3,ERM,0,0,0,0,0.01,nan,9.0,9.0",
+                "ex2,3,ERM,0,1,0,0,0.01,0.5,1.0,1.0"]
+        bodies = []
+        for name, order in (("nan_first", rows), ("nan_last", rows[::-1])):
+            path = str(tmp_path / f"{name}.csv")
+            atomic_write_text(path, ",".join(SWEEP_FIELDS) + "\n" +
+                              "\n".join(order) + "\n")
+            rep_out = tmp_path / name
+            assert main(["report", path, "--out", str(rep_out)]) == 0
+            assert "1.00 ± 0.00 (0 diverged)" in capsys.readouterr().out
+            bodies.append(_csv_body(rep_out / "summary.csv"))
+        assert bodies[0] == bodies[1]
+        assert read_csv(str(tmp_path / "nan_first" / "summary.csv"))[2][0][
+            "mean_metric"] == "1"
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.csv")]) == 2

@@ -9,10 +9,10 @@ from oodbench.dynamics import (equilibrium_x, flow_weights, plain_flow,
                                simulate_flow, theorem5_report)
 from oodbench.numeric_core import (DivergenceError, ParameterError, RngStream,
                                    lambert_w0)
-from oodbench.objectives import LinearModel, ObjectiveConfig
+from oodbench.objectives import ObjectiveConfig
 from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
-from oracle import (flow_rhs, objective_and_gradient, rk4_integrate,
-                    simulate_flow_full_loop)
+from oracle import (LinearModel, flow_rhs, objective_and_gradient,
+                    rk4_integrate, simulate_flow_full_loop)
 
 
 def _dense(traj):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import LinearModel, ObjectiveConfig, _env_terms, predict
+from oodbench.objectives import ObjectiveConfig, _env_terms
 from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
-from oracle import (_sigmoid, batched_objective, irmv1_penalty,
-                    objective_and_gradient, risk, variance_penalty)
+from oracle import (LinearModel, _sigmoid, batched_objective, irmv1_penalty,
+                    objective_and_gradient, predict, risk, variance_penalty)
 
 
 def make_env(X, Y, task):

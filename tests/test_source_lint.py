@@ -2,8 +2,10 @@
 every import of a module is used in it, every module-level function and
 class is used somewhere in the package, so a name that only tests call
 fails, every text-mode ``open`` or ``os.fdopen`` names its encoding, so no
-file's bytes depend on the locale, and only ``numeric_core`` touches
-``numpy.random``, so every draw comes from a keyed ``RngStream``."""
+file's bytes depend on the locale, only ``numeric_core`` touches
+``numpy.random``, so every draw comes from a keyed ``RngStream``, and the
+training stacks stay behind their boundary: ``objectives`` builds them from
+plain environments, and ``trainer`` neither builds nor names one."""
 
 import ast
 import pathlib
@@ -117,3 +119,53 @@ def test_numpy_random_check_flags_every_way_in():
 @pytest.mark.parametrize("module", sorted(set(TREES) - {"numeric_core"}))
 def test_only_numeric_core_touches_numpy_random(module):
     assert list(_numpy_random_uses(TREES[module])) == []
+
+
+def _package_imports(tree):
+    """(package module, name) for each name a module imports from the
+    package, at any depth: ``from .objectives import f`` and ``from
+    oodbench.objectives import f`` give ("objectives", "f"), and ``from .
+    import trainer`` or ``import oodbench.trainer`` give ("trainer", "*")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "oodbench":
+                    continue
+                module = module.partition(".")[2]
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, "*")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, module = alias.name.partition(".")
+                if head == "oodbench" and module:
+                    yield module.partition(".")[0], "*"
+
+
+def test_package_import_check_reads_every_form():
+    tree = ast.parse("from .objectives import EnvStack, f\n"
+                     "from . import trainer\n"
+                     "from oodbench.sem_generators import EnvDataset\n"
+                     "import oodbench.trainer\n"
+                     "import numpy.linalg\n"
+                     "from numpy import linalg\n"
+                     "def g():\n"
+                     "    from .sem_generators import gen_2d\n")
+    assert sorted(_package_imports(tree)) == [
+        ("objectives", "EnvStack"), ("objectives", "f"),
+        ("sem_generators", "EnvDataset"), ("sem_generators", "gen_2d"),
+        ("trainer", "*"), ("trainer", "*")]
+
+
+STACKS = ("EnvStack", "MomentStack")
+
+
+def test_trainer_neither_imports_nor_names_a_stack():
+    tree = TREES["trainer"]
+    assert [name for _, name in _package_imports(tree) if name in STACKS] == []
+    assert sorted(_used_names(tree) & set(STACKS)) == []
+
+
+def test_objectives_imports_nothing_from_trainer_or_generators():
+    assert [(module, name) for module, name in _package_imports(TREES["objectives"])
+            if module in ("trainer", "sem_generators")] == []

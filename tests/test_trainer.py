@@ -6,11 +6,12 @@ import pytest
 import oracle
 from oodbench import trainer
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import LinearModel, ObjectiveConfig
+from oodbench.objectives import ObjectiveConfig
 from oodbench.sem_generators import (EnvDataset, FixedWeights, GeneratorSpec,
                                      generate_training_envs)
 from oodbench.trainer import (METHODS, SweepRow, TrainConfig, _split,
                               evaluate, random_search, train_gd)
+from oracle import LinearModel
 
 
 def _linear_env(env_id, n, w, b, noise_std, rng, task="regression"):
@@ -19,6 +20,11 @@ def _linear_env(env_id, n, w, b, noise_std, rng, task="regression"):
     if task == "classification":
         y = (y >= 0).astype(float)
     return EnvDataset(env_id=env_id, X=x, Y=y, task=task)
+
+
+def _model(result):
+    """A trained query as the oracle's model."""
+    return LinearModel(w=result.theta[:-1], b=result.theta[-1])
 
 
 def spurious_ratio(model, fw, m):
@@ -59,10 +65,10 @@ class TestTrainGd:
         cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
         res, = train_gd([envs], cfg, TrainConfig(lr=0.05, steps=3000), [rng.fork("t")])
         # the ERM objective is the sum of the two environments' risks
-        assert oracle.objective_and_gradient(res.model, envs, cfg)[0] < 2e-6
+        assert oracle.objective_and_gradient(_model(res), envs, cfg)[0] < 2e-6
         assert res.val_risk < 1e-6
-        assert np.allclose(res.model.w, w_true, atol=1e-3)
-        assert abs(res.model.b - b_true) < 1e-3
+        assert np.allclose(res.theta[:-1], w_true, atol=1e-3)
+        assert abs(res.theta[-1] - b_true) < 1e-3
 
     def test_curve_monotone_for_small_lr(self):
         rng = RngStream(1)
@@ -85,7 +91,7 @@ class TestTrainGd:
                                 rng.fork(f"e{i}"), task="classification")
                     for i in range(2)]
             res, = train_gd([envs], cfg, tc, [rng.fork("t")])
-            outs.append((res.model.w.copy(), res.model.b, res.val_risk))
+            outs.append((res.theta[:-1].copy(), res.theta[-1], res.val_risk))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1] and outs[0][2] == outs[1][2]
 
@@ -96,7 +102,7 @@ class TestTrainGd:
         res, = train_gd([envs], cfg,
                         TrainConfig(lr=0.01, steps=1500, optimizer="adam"),
                         [rng.fork("t")])
-        assert oracle.objective_and_gradient(res.model, envs, cfg)[0] < 1e-8
+        assert oracle.objective_and_gradient(_model(res), envs, cfg)[0] < 1e-8
 
     def test_divergence_reports_step(self):
         rng = RngStream(3)
@@ -137,24 +143,26 @@ class TestSplit:
 
 class TestEvaluate:
     def test_mse_hand_value(self):
-        env = EnvDataset(env_id=0, X=np.array([[1.0], [2.0]]),
-                         Y=np.array([1.0, 1.0]), task="regression")
-        model = LinearModel(w=np.array([1.0]), b=0.0)
+        X, Y = np.array([[1.0], [2.0]]), np.array([1.0, 1.0])
         # predictions (1, 2): errors (0, 1), mse 1/2
-        assert evaluate(model, env) == pytest.approx(0.5)
+        assert evaluate(np.array([1.0, 0.0]), X, Y, "regression") == 0.5
+        # the intercept shifts them to (0.5, 1.5): mse 1/4
+        assert evaluate(np.array([1.0, -0.5]), X, Y, "regression") == 0.25
 
     def test_class_error_hand_count(self):
-        env = EnvDataset(env_id=0, X=np.array([[1.0], [-1.0], [2.0], [-2.0]]),
-                         Y=np.array([1.0, 1.0, 0.0, 0.0]), task="classification")
-        model = LinearModel(w=np.array([1.0]), b=0.0)
+        X = np.array([[1.0], [-1.0], [2.0], [-2.0]])
+        Y = np.array([1.0, 1.0, 0.0, 0.0])
         # thresholded predictions (1, 0, 1, 0): wrong on samples 2 and 3
-        assert evaluate(model, env) == pytest.approx(0.5)
+        assert evaluate(np.array([1.0, 0.0]), X, Y, "classification") == 0.5
+        # intercept 1.5 gives predictions (2.5, 0.5, 3.5, -0.5): wrong on 3
+        assert evaluate(np.array([1.0, 1.5]), X, Y, "classification") == 0.25
 
     def test_threshold_is_closed_at_zero(self):
-        env = EnvDataset(env_id=0, X=np.array([[0.0]]), Y=np.array([1.0]),
-                         task="classification")
-        model = LinearModel(w=np.array([1.0]), b=0.0)
-        assert evaluate(model, env) == 0.0
+        X, Y = np.array([[0.0], [1.0]]), np.array([1.0, 1.0])
+        # a prediction of exactly 0 is class 1: predictions (0, 1) are both
+        # right, and (-1, 0) wrong on the first sample only
+        assert evaluate(np.array([1.0, 0.0]), X, Y, "classification") == 0.0
+        assert evaluate(np.array([1.0, -1.0]), X, Y, "classification") == 0.5
 
 
 class TestSpuriousRatio:
@@ -311,6 +319,6 @@ class TestBottleneckSlowsSpuriousWeight:
         ib_cfg = ObjectiveConfig(lam=0.0, gamma=0.9)
         erm, = train_gd([envs], erm_cfg, tc, [rng.fork("t1")])
         ib, = train_gd([envs], ib_cfg, tc, [rng.fork("t2")])
-        r_erm = spurious_ratio(erm.model, fw, 1)
-        r_ib = spurious_ratio(ib.model, fw, 1)
+        r_erm = spurious_ratio(_model(erm), fw, 1)
+        r_ib = spurious_ratio(_model(ib), fw, 1)
         assert r_ib < r_erm
