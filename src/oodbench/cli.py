@@ -18,7 +18,8 @@ from operator import sub
 import numpy as np
 
 from .numeric_core import DivergenceError, ParameterError, Pmf, RngStream
-from .sem_generators import GeneratorSpec, generate_training_envs
+from .sem_generators import (EXAMPLES, SCRAMBLED, GeneratorSpec,
+                             generate_training_envs)
 from .trainer import METHODS, TrainConfig, random_search
 from .dynamics import flow_weights, plain_flow, theorem5_report
 from .entropy_lab import (LabeledMixture, conditional_entropy_gap,
@@ -32,7 +33,8 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_USAGE = 64
 
-EXAMPLE_CHOICES = ("ex1", "ex1s", "ex2", "ex2s", "ex3", "ex3s", "twod", "xor")
+EXAMPLE_CHOICES = tuple(name for ex in EXAMPLES
+                        for name in ((ex, ex + "s") if ex in SCRAMBLED else (ex,)))
 
 # Trajectory CSVs keep at most this many rows per flow, strided evenly over
 # the grid.  Only these rows are ever computed: a trajectory holds its RK4
@@ -327,7 +329,8 @@ def _apply_config_file(args, parser, argv):
     with open(args.config, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # Bad JSON or UTF-8 and too long an integer literal are ValueErrors.
+        except (ValueError, RecursionError) as exc:
             command.error(f"config file {args.config}: {exc}")
     if not isinstance(cfg, dict):
         command.error(f"config file {args.config} must hold a JSON object")

@@ -106,7 +106,8 @@ def write_csv(path, fieldnames, rows, meta):
 
 def read_csv(path):
     """Read a metadata-prefixed UTF-8 CSV, byte-order mark or not; returns
-    (meta, fieldnames, rows of string dicts)."""
+    (meta, fieldnames, rows of string dicts).  A repeated column, a ragged
+    row or an overlong field is a ParameterError naming the file."""
     meta = {}
     with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
@@ -122,8 +123,19 @@ def read_csv(path):
             body.append(line)
     if not body:
         raise ParameterError(f"{path}: no header row")
-    reader = csv.DictReader(body)
-    return meta, tuple(reader.fieldnames), list(reader)
+    reader = csv.reader(body)
+    try:
+        header, *rows = reader
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise ParameterError(f"{path}: bad row {reader.line_num}: {exc}") from exc
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ParameterError(f"{path}: header repeats {', '.join(repeated)}")
+    for i, cells in enumerate(rows, 2):
+        if len(cells) != len(header):
+            raise ParameterError(f"{path}: bad row {i}: {len(cells)} cells, "
+                                 f"header has {len(header)}")
+    return meta, tuple(header), [dict(zip(header, cells)) for cells in rows]
 
 
 def write_json(path, payload, meta):
@@ -177,7 +189,6 @@ def aggregate_report(sweep_files):
         if missing:
             raise ParameterError(f"{path}: missing columns {sorted(missing)}")
         for i, row in enumerate(rows):
-            # A short row's missing cells read as None: int/float raise TypeError.
             try:
                 records.append({
                     "example": row["example"],
@@ -187,7 +198,7 @@ def aggregate_report(sweep_files):
                     "val_risk": float(row["val_risk"]),
                     "test_metric": float(row["test_metric"]),
                 })
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ParameterError(f"{path}: bad row {i + 2}: {exc}") from exc
     return aggregate_rows(records)
 

@@ -1,10 +1,10 @@
 """Synthetic environment generators for the linear structural equation
-model benchmarks, plus the shifted test environments used for
-out-of-distribution evaluation.
-
-All generators record the latent invariant/spurious blocks alongside the
-observed features, so test-time shifts can be applied in latent space and
-the observed matrix rebuilt through the scrambler.
+model benchmarks.  Each example's generator in ``GENERATORS`` draws the
+invariant latents, spurious latents and label of one environment from its
+stream ``gen/env<id>``.  :func:`generate_env` assembles every training and
+test environment from them, and makes a test environment's shift there, in
+latent space, with the stream ``shift_perm``.  The sweep goldens pin both
+stream labels.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ __all__ = [
     "GeneratorSpec",
     "EnvDataset",
     "FixedWeights",
+    "GENERATORS",
     "env_params",
     "draw_fixed_weights",
     "generate_env",
@@ -28,12 +29,10 @@ __all__ = [
     "gen_example3",
     "gen_2d",
     "gen_binary_xor",
-    "make_test_env",
     "generate_training_envs",
     "default_test_envs",
 ]
 
-EXAMPLES = ("ex1", "ex2", "ex3", "twod", "xor")
 XOR_VARIANTS = ("both", "invariance_only", "bottleneck_only")
 
 # Example 2 constants: animal/background prototypes and their scales.
@@ -103,7 +102,6 @@ class EnvDataset:
     task: str  # "regression" | "classification"
     Z_inv: np.ndarray | None = None
     Z_spu: np.ndarray | None = None
-    scrambler: np.ndarray | None = None  # S used to mix latents into X
 
     @property
     def n(self):
@@ -165,30 +163,21 @@ def env_params(spec, rng):
     return out
 
 
-def _assemble(env_id, z_inv, z_spu, y, task, s):
-    z = np.hstack([z_inv, z_spu])
-    x = z @ s.T
-    return EnvDataset(env_id=env_id, X=x, Y=y, task=task,
-                      Z_inv=z_inv, Z_spu=z_spu, scrambler=s)
-
-
-def gen_example1(spec, params, fw, rng):
+def gen_example1(spec, params, fw, r):
     """Linear regression SEM (partially informative invariant features)."""
     n, m, o = spec.n_per_env, spec.m, spec.o
     sigma = np.sqrt(params.sigma_sq)
-    r = rng.fork(f"gen/env{params.env_id}")
     z_inv = r.fork("z_inv").gaussian_array((n, m), std=sigma)
     y_tilde = z_inv @ fw.W_yz.T + r.fork("y_tilde").gaussian_array((n, m), std=sigma)
     z_spu = y_tilde @ fw.W_zy.T + r.fork("z_spu").gaussian_array((n, o), std=1.0)
     y = (2.0 / (m + o)) * y_tilde.sum(axis=1)
-    return _assemble(params.env_id, z_inv, z_spu, y, spec.task, fw.S)
+    return z_inv, z_spu, y
 
 
-def gen_example2(spec, params, fw, rng):
+def gen_example2(spec, params, fw, r):
     """Cow-versus-camel classification SEM with selection bias."""
     n, m, o = spec.n_per_env, spec.m, spec.o
     p, s = params.p, params.s
-    r = rng.fork(f"gen/env{params.env_id}")
     # Outcomes 1..4 with P = (ps, (1-p)s, p(1-s), (1-p)(1-s)).
     u = r.fork("u").categorical([p * s, (1 - p) * s, p * (1 - s),
                                  (1 - p) * (1 - s)], shape=(n,)) + 1
@@ -201,41 +190,37 @@ def gen_example2(spec, params, fw, rng):
     z_spu = (r.fork("z_spu").gaussian_array((n, o), std=LATENT_NOISE_STD)
              + theta_background) * NU_BACKGROUND
     y = (z_inv.sum(axis=1) >= 0).astype(float)
-    return _assemble(params.env_id, z_inv, z_spu, y, "classification", fw.S)
+    return z_inv, z_spu, y
 
 
-def gen_example3(spec, params, fw, rng):
+def gen_example3(spec, params, fw, r):
     """Linearized spiral classification SEM (anti-causal invariant features)."""
     n, m, o = spec.n_per_env, spec.m, spec.o
-    r = rng.fork(f"gen/env{params.env_id}")
     y = r.fork("y").bernoulli_array((n,), 0.5).astype(float)
     sign = np.where(y[:, None] == 0, 1.0, -1.0)
     theta_inv = THETA_INV_SCALE * np.ones(m)
     z_inv = sign * theta_inv + r.fork("z_inv").gaussian_array((n, m), std=LATENT_NOISE_STD)
     z_spu = sign * params.theta_spu + r.fork("z_spu").gaussian_array((n, o), std=LATENT_NOISE_STD)
-    return _assemble(params.env_id, z_inv, z_spu, y, "classification", fw.S)
+    return z_inv, z_spu, y
 
 
-def gen_2d(params, n, rng):
+def gen_2d(spec, params, fw, r):
     """Two-feature toy classification task with selection bias p > 1/2."""
     if params.p is None or params.p <= 0.5:
         raise ParameterError("gen_2d requires selection bias p > 1/2")
-    r = rng.fork(f"gen/env{params.env_id}")
+    n = spec.n_per_env
     x_inv = r.fork("x_inv").bernoulli_array((n,), 0.5).astype(float)
     w = r.fork("w").bernoulli_array((n,), 1.0 - params.p).astype(float)
     x_spu = np.logical_xor(x_inv, w).astype(float)
-    y = x_inv.copy()
-    return _assemble(params.env_id, x_inv[:, None], x_spu[:, None], y,
-                     "classification", np.eye(2))
+    return x_inv[:, None], x_spu[:, None], x_inv.copy()
 
 
-def gen_binary_xor(spec, params, rng):
+def gen_binary_xor(spec, params, fw, r):
     """Binary XOR constructions showing when invariance and/or the
     bottleneck are needed."""
     n, q, a, u = spec.n_per_env, spec.xor_q, spec.xor_a, params.u
     if not 0.0 <= u <= 1.0:
         raise ParameterError(f"xor probability u={u} outside [0, 1]")
-    r = rng.fork(f"gen/env{params.env_id}")
     if spec.xor_variant == "both":
         x_inv = r.fork("x_inv").bernoulli_array((n,), 0.5)
         noise = r.fork("n").bernoulli_array((n,), q)
@@ -260,31 +245,29 @@ def gen_binary_xor(spec, params, rng):
         g2 = r.fork("g2").bernoulli_array((n,), 0.5)
         z_inv = np.stack([x_inv, g1, g2], axis=1).astype(float)
         z_spu = x_spu[:, None].astype(float)
-    d = z_inv.shape[1] + z_spu.shape[1]
-    return _assemble(params.env_id, z_inv, z_spu, y.astype(float),
-                     "classification", np.eye(d))
+    return z_inv, z_spu, y.astype(float)
 
 
-def generate_env(spec, params, fw, rng):
-    """Dispatch to the generator for ``spec.example``."""
-    if spec.example == "ex1":
-        return gen_example1(spec, params, fw, rng)
-    if spec.example == "ex2":
-        return gen_example2(spec, params, fw, rng)
-    if spec.example == "ex3":
-        return gen_example3(spec, params, fw, rng)
-    if spec.example == "twod":
-        return gen_2d(params, spec.n_per_env, rng)
-    return gen_binary_xor(spec, params, rng)
+GENERATORS = {"ex1": gen_example1, "ex2": gen_example2, "ex3": gen_example3,
+              "twod": gen_2d, "xor": gen_binary_xor}
+EXAMPLES = tuple(GENERATORS)
+SCRAMBLED = ("ex1", "ex2", "ex3")
 
 
-def make_test_env(spec, params, fw, rng):
-    """Generate an environment and permute its spurious latents across
-    samples, destroying their correlation with the label."""
-    env = generate_env(spec, params, fw, rng)
-    perm = rng.fork("shift_perm").permutation(env.n)
-    return _assemble(env.env_id, env.Z_inv, env.Z_spu[perm], env.Y, env.task,
-                     env.scrambler)
+def generate_env(spec, params, fw, rng, shift=False):
+    """Environment ``params.env_id``: latents and label drawn by the
+    example's generator from ``rng.fork("gen/env<id>")``.  ``shift`` is the
+    OOD test shift, made here: ``rng.fork("shift_perm")`` permutes the
+    spurious latents across samples, cutting their tie to the label.  X is
+    the latents mixed by ``fw.S`` for a ``SCRAMBLED`` example, else as drawn."""
+    z_inv, z_spu, y = GENERATORS[spec.example](
+        spec, params, fw, rng.fork(f"gen/env{params.env_id}"))
+    if shift:
+        z_spu = z_spu[rng.fork("shift_perm").permutation(len(y))]
+    z = np.hstack([z_inv, z_spu])
+    x = z @ fw.S.T if spec.example in SCRAMBLED else z
+    return EnvDataset(env_id=params.env_id, X=x, Y=y, task=spec.task,
+                      Z_inv=z_inv, Z_spu=z_spu)
 
 
 def generate_training_envs(spec, rng):
@@ -297,7 +280,9 @@ def generate_training_envs(spec, rng):
 
 
 def default_test_envs(spec, params, fw, rng):
-    """Default OOD protocol: one :func:`make_test_env` test environment per
-    training environment."""
+    """Default OOD protocol: one test environment per training environment,
+    which :func:`generate_env` draws (``gen/env<id>``) and shifts
+    (``shift_perm``) under ``rng`` forked by ``test_envs`` and ``env<id>``."""
     r = rng.fork("test_envs")
-    return [make_test_env(spec, p, fw, r.fork(f"env{p.env_id}")) for p in params]
+    return [generate_env(spec, p, fw, r.fork(f"env{p.env_id}"), shift=True)
+            for p in params]

@@ -14,6 +14,7 @@ from oodbench.dynamics import MAX_HELD_STEPS
 from oodbench.reporting import (SUMMARY_FIELDS, SWEEP_FIELDS, SummaryRow,
                                 aggregate_rows, atomic_write_text, config_hash,
                                 format_summary_table, read_csv, write_csv)
+from oodbench.sem_generators import EXAMPLES, SCRAMBLED
 from oodbench.trainer import SweepRow
 from oracle import simulate_flow_full_loop
 
@@ -170,6 +171,12 @@ class TestConfigs:
     def test_example_name_round_trips(self, name):
         spec, _ = _configs(build_parser().parse_args(["sweep", "--example", name]))
         assert spec.name == name
+
+    def test_every_scrambled_name_maps_to_a_scrambled_example(self):
+        specs = [_configs(build_parser().parse_args(["sweep", "--example", n]))[0]
+                 for n in EXAMPLE_CHOICES]
+        assert [s.example for s in specs if s.scramble] == list(SCRAMBLED)
+        assert [s.example for s in specs if not s.scramble] == list(EXAMPLES)
 
 
 class TestGenerateCommand:
@@ -651,12 +658,22 @@ class TestReportCommand:
         "ex2,three,ERM,0,0,0,0,0.01,0.2,0.1,0.1",
         "ex2,3,ERM,0.5,0,0,0,0.01,0.2,0.1,0.1",
         "ex2,3,ERM",
-    ], ids=["n_envs", "data_seed", "short_row"])
+        "ex2,3,ERM,0,0,0,0,0.01,0.2,0.1,0.1,0.1",
+        "x" * 131_073 + ",3,ERM,0,0,0,0,0.01,0.2,0.1,0.1",
+    ], ids=["n_envs", "data_seed", "short_row", "long_row", "overlong_field"])
     def test_bad_cell_exits_2(self, tmp_path, capsys, row):
         bad = str(tmp_path / "bad.csv")
         atomic_write_text(bad, ",".join(SWEEP_FIELDS) + "\n" + row + "\n")
         assert main(["report", bad]) == 2
         assert "bad.csv: bad row 2" in capsys.readouterr().err
+
+    def test_repeated_column_exits_2(self, tmp_path, capsys):
+        # read from the last copy, the row's ex1 would be its example
+        bad = str(tmp_path / "bad.csv")
+        atomic_write_text(bad, ",".join(SWEEP_FIELDS) + ",example\n" +
+                          "ex2,3,ERM,0,0,0,0,0.01,0.2,0.1,0.1,ex1\n")
+        assert main(["report", bad]) == 2
+        assert "bad.csv: header repeats example" in capsys.readouterr().err
 
     def test_directory_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 2
@@ -721,6 +738,18 @@ class TestConfigFile:
         assert main(["generate", "--config", cfg,
                      "--out", str(tmp_path / "gen")]) == 64
         assert "cfg.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"seed": 1' + "0" * 5000 + "}"],
+                             ids=["deep_nesting", "long_integer"])
+    def test_json_past_the_parser_limits_is_usage_error(self, tmp_path, capsys,
+                                                        text):
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["generate", "--config", cfg,
+                     "--out", str(tmp_path / "gen")]) == 64
+        assert f"config file {cfg}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg,key", [({"steps": "5"}, "steps"),
                                          ({"n_per_env": "abc"}, "n_per_env"),

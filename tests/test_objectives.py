@@ -5,7 +5,8 @@ import pytest
 
 from oodbench.numeric_core import ParameterError, RngStream
 from oodbench.objectives import ObjectiveConfig, _env_terms
-from oodbench.sem_generators import EnvDataset, EnvParams, gen_2d
+from oodbench.sem_generators import (EnvDataset, EnvParams, GeneratorSpec,
+                                     generate_env)
 from oracle import (LinearModel, _sigmoid, batched_objective, irmv1_penalty,
                     objective_and_gradient, predict, risk, variance_penalty)
 
@@ -226,7 +227,8 @@ class TestObjectiveAndGradient:
         # signed 2D data: value should match the p-weighted exponential
         # closed form plus gamma * w^T Sigma w, within Monte Carlo error
         p, gamma, n = 0.9, 0.4, 200_000
-        env = gen_2d(EnvParams(env_id=0, p=p), n, RngStream(17))
+        env = generate_env(GeneratorSpec(example="twod", n_per_env=n),
+                           EnvParams(env_id=0, p=p), None, RngStream(17))
         signed = make_env(2.0 * env.X - 1.0, env.Y, "classification")
         w_inv, w_spu = 0.3, 0.1
         model = LinearModel(w=np.array([w_inv, w_spu]), b=0.0)
@@ -242,7 +244,8 @@ class TestObjectiveAndGradient:
         # identity selector has strictly larger prediction variance than
         # either single-feature selector at equal training error
         p = 0.8
-        env = gen_2d(EnvParams(env_id=0, p=p), 100_000, RngStream(23))
+        env = generate_env(GeneratorSpec(example="twod", n_per_env=100_000),
+                           EnvParams(env_id=0, p=p), None, RngStream(23))
         signed = make_env(2.0 * env.X - 1.0, 2.0 * env.Y - 1.0, "classification")
         inv_only = LinearModel(w=np.array([1.0, 0.0]))
         spu_only = LinearModel(w=np.array([0.0, 1.0]))

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.sem_generators import (EXAMPLES, EnvParams, GeneratorSpec,
-                                     draw_fixed_weights, env_params,
-                                     gen_2d, gen_binary_xor, gen_example1,
-                                     gen_example2, gen_example3,
-                                     generate_env, generate_training_envs,
-                                     make_test_env)
+from oodbench.sem_generators import (EXAMPLES, GENERATORS, SCRAMBLED,
+                                     EnvParams, GeneratorSpec,
+                                     default_test_envs, draw_fixed_weights,
+                                     env_params, gen_2d, gen_binary_xor,
+                                     generate_env, generate_training_envs)
 
 
 def rng():
     return RngStream(42)
+
+
+def twod(p, n):
+    """A 2D environment of selection bias ``p`` and ``n`` rows."""
+    return generate_env(GeneratorSpec(example="twod", n_per_env=n),
+                        EnvParams(env_id=0, p=p), None, rng())
 
 
 class TestEnvParams:
@@ -69,14 +74,14 @@ class TestExample1:
         fw = draw_fixed_weights(spec, rng())
         fw.W_yz[:] = np.eye(3)
         fw.W_zy[:] = 0.0
-        env = gen_example1(spec, EnvParams(env_id=0, sigma_sq=0.0), fw, rng())
+        env = generate_env(spec, EnvParams(env_id=0, sigma_sq=0.0), fw, rng())
         assert np.allclose(env.Z_inv, 0.0)
         assert np.allclose(env.Y, 0.0)
 
     def test_mean_of_y_near_zero(self):
         spec = GeneratorSpec(example="ex1", n_per_env=10_000)
         fw = draw_fixed_weights(spec, rng())
-        env = gen_example1(spec, EnvParams(env_id=0, sigma_sq=1.5), fw, rng())
+        env = generate_env(spec, EnvParams(env_id=0, sigma_sq=1.5), fw, rng())
         # all constituent means are zero; stderr of the mean over n draws
         stderr = env.Y.std() / np.sqrt(env.n)
         assert abs(env.Y.mean()) < 3 * stderr
@@ -84,14 +89,14 @@ class TestExample1:
     def test_scramble_reconstruction(self):
         spec = GeneratorSpec(example="ex1", n_per_env=200, scramble=True)
         fw = draw_fixed_weights(spec, rng())
-        env = gen_example1(spec, EnvParams(env_id=0, sigma_sq=0.1), fw, rng())
+        env = generate_env(spec, EnvParams(env_id=0, sigma_sq=0.1), fw, rng())
         latents = env.X @ np.linalg.inv(fw.S).T
         assert np.max(np.abs(latents - np.hstack([env.Z_inv, env.Z_spu]))) < 1e-10
 
     def test_task_is_regression(self):
         spec = GeneratorSpec(example="ex1", n_per_env=10)
         fw = draw_fixed_weights(spec, rng())
-        env = gen_example1(spec, EnvParams(env_id=0, sigma_sq=0.1), fw, rng())
+        env = generate_env(spec, EnvParams(env_id=0, sigma_sq=0.1), fw, rng())
         assert env.task == "regression"
 
 
@@ -99,7 +104,7 @@ class TestExample2:
     def test_degenerate_categorical(self):
         spec = GeneratorSpec(example="ex2", n_per_env=500)
         fw = draw_fixed_weights(spec, rng())
-        env = gen_example2(spec, EnvParams(env_id=0, p=1.0, s=1.0), fw, rng())
+        env = generate_env(spec, EnvParams(env_id=0, p=1.0, s=1.0), fw, rng())
         # all cow-on-grass: labels all 1, latent means positive
         assert np.all(env.Y == 1.0)
         assert np.all(env.Z_inv.mean(axis=0) > 0)
@@ -108,13 +113,13 @@ class TestExample2:
     def test_label_frequency_tracks_s(self):
         spec = GeneratorSpec(example="ex2", n_per_env=10_000)
         fw = draw_fixed_weights(spec, rng())
-        env = gen_example2(spec, EnvParams(env_id=0, p=0.95, s=0.3), fw, rng())
+        env = generate_env(spec, EnvParams(env_id=0, p=0.95, s=0.3), fw, rng())
         assert abs(env.Y.mean() - 0.3) < 0.02
 
     def test_grass_given_cow_tracks_p(self):
         spec = GeneratorSpec(example="ex2", n_per_env=10_000)
         fw = draw_fixed_weights(spec, rng())
-        env = gen_example2(spec, EnvParams(env_id=0, p=0.95, s=0.5), fw, rng())
+        env = generate_env(spec, EnvParams(env_id=0, p=0.95, s=0.5), fw, rng())
         cow = env.Z_inv.sum(axis=1) >= 0
         grass = env.Z_spu.sum(axis=1) >= 0
         assert abs(np.mean(grass[cow]) - 0.95) < 0.02
@@ -122,7 +127,7 @@ class TestExample2:
     def test_labels_binary(self):
         spec = GeneratorSpec(example="ex2", n_per_env=100)
         fw = draw_fixed_weights(spec, rng())
-        env = gen_example2(spec, EnvParams(env_id=0, p=0.95, s=0.5), fw, rng())
+        env = generate_env(spec, EnvParams(env_id=0, p=0.95, s=0.5), fw, rng())
         assert set(np.unique(env.Y)) <= {0.0, 1.0}
 
 
@@ -136,20 +141,20 @@ class TestExample3:
 
     def test_fair_labels(self):
         spec, fw, params, r = self.make()
-        env = gen_example3(spec, params[0], fw, r)
+        env = generate_env(spec, params[0], fw, r)
         assert abs(env.Y.mean() - 0.5) < 0.015
 
     def test_conditional_invariant_mean(self):
         spec, fw, params, r = self.make()
-        env = gen_example3(spec, params[0], fw, r)
+        env = generate_env(spec, params[0], fw, r)
         z0 = env.Z_inv[env.Y == 0]
         stderr = z0.std(axis=0) / np.sqrt(z0.shape[0])
         assert np.all(np.abs(z0.mean(axis=0) - 0.1) < 3 * stderr + 1e-12)
 
     def test_spurious_means_vary_across_envs(self):
         spec, fw, params, r = self.make(n=2000)
-        e0 = gen_example3(spec, params[0], fw, r)
-        e1 = gen_example3(spec, params[1], fw, r)
+        e0 = generate_env(spec, params[0], fw, r)
+        e1 = generate_env(spec, params[1], fw, r)
         # identical invariant construction, different spurious prototypes
         assert not np.allclose(params[0].theta_spu, params[1].theta_spu)
         m0 = e0.Z_spu[e0.Y == 0].mean(axis=0)
@@ -159,28 +164,29 @@ class TestExample3:
 
 class TestTwoD:
     def test_p_one_spurious_equals_invariant(self):
-        env = gen_2d(EnvParams(env_id=0, p=1.0), 500, rng())
+        env = twod(1.0, 500)
         assert np.array_equal(env.X[:, 0], env.X[:, 1])
 
     def test_label_equals_invariant(self):
-        env = gen_2d(EnvParams(env_id=0, p=0.8), 500, rng())
+        env = twod(0.8, 500)
         assert np.array_equal(env.Y, env.X[:, 0])
 
     def test_agreement_frequency(self):
-        env = gen_2d(EnvParams(env_id=0, p=0.9), 100_000, rng())
+        env = twod(0.9, 100_000)
         agree = np.mean(env.X[:, 0] == env.X[:, 1])
         assert abs(agree - 0.9) < 0.005
 
     def test_low_bias_rejected(self):
         with pytest.raises(ParameterError):
-            gen_2d(EnvParams(env_id=0, p=0.5), 10, rng())
+            gen_2d(GeneratorSpec(example="twod", n_per_env=10),
+                   EnvParams(env_id=0, p=0.5), None, rng())
 
 
 class TestBinaryXor:
     def test_noiseless_identities(self):
         spec = GeneratorSpec(example="xor", n_per_env=500, xor_variant="both",
                              xor_q=0.0, xor_a=0.0)
-        env = gen_binary_xor(spec, EnvParams(env_id=0, u=0.0), rng())
+        env = generate_env(spec, EnvParams(env_id=0, u=0.0), None, rng())
         x_inv, x_spu1, x_spu2 = env.X.T
         assert np.array_equal(env.Y, x_inv)
         assert np.array_equal(x_spu1, env.Y)
@@ -188,7 +194,7 @@ class TestBinaryXor:
 
     def test_spurious_flip_frequency(self):
         spec = GeneratorSpec(example="xor", n_per_env=100_000, xor_variant="both")
-        env = gen_binary_xor(spec, EnvParams(env_id=0, u=0.25), rng())
+        env = generate_env(spec, EnvParams(env_id=0, u=0.25), None, rng())
         assert abs(np.mean(env.X[:, 1] != env.Y) - 0.25) < 0.005
 
     def test_invariance_only_bayes_errors(self):
@@ -196,7 +202,7 @@ class TestBinaryXor:
         q, u = 0.2, 0.05
         spec = GeneratorSpec(example="xor", n_per_env=200_000,
                              xor_variant="invariance_only", xor_q=q)
-        env = gen_binary_xor(spec, EnvParams(env_id=0, u=u), rng())
+        env = generate_env(spec, EnvParams(env_id=0, u=u), None, rng())
         x1, x2, x_spu = env.X.T
         err_spu = np.mean(x_spu != env.Y)
         err_inv = np.mean(np.bitwise_xor(x1.astype(int), x2.astype(int)) != env.Y)
@@ -207,7 +213,7 @@ class TestBinaryXor:
     def test_probability_domain(self):
         spec = GeneratorSpec(example="xor", n_per_env=10, xor_variant="both")
         with pytest.raises(ParameterError):
-            gen_binary_xor(spec, EnvParams(env_id=0, u=1.5), rng())
+            gen_binary_xor(spec, EnvParams(env_id=0, u=1.5), None, rng())
 
 
 class TestTestEnvShifts:
@@ -221,14 +227,14 @@ class TestTestEnvShifts:
     def test_scramble_preserves_labels_and_invariants(self):
         spec, params, fw = self.make_env2(n=1000)
         base = generate_env(spec, params, fw, RngStream(3))
-        shifted = make_test_env(spec, params, fw, RngStream(3))
+        shifted = generate_env(spec, params, fw, RngStream(3), shift=True)
         assert np.array_equal(base.Y, shifted.Y)
         assert np.array_equal(base.Z_inv, shifted.Z_inv)
         assert sorted(map(tuple, base.Z_spu)) == sorted(map(tuple, shifted.Z_spu))
 
     def test_scramble_destroys_spurious_correlation(self):
         spec, params, fw = self.make_env2()
-        shifted = make_test_env(spec, params, fw, RngStream(3))
+        shifted = generate_env(spec, params, fw, RngStream(3), shift=True)
         grass = shifted.Z_spu.sum(axis=1) >= 0
         corr = np.corrcoef(grass.astype(float), shifted.Y)[0, 1]
         assert abs(corr) < 3.5 / np.sqrt(shifted.n)
@@ -239,7 +245,7 @@ class TestTestEnvShifts:
         fw = draw_fixed_weights(spec, r)
         params = env_params(spec, r)[0]
         env = generate_env(spec, params, fw, r)
-        shifted = make_test_env(spec, params, fw, r)
+        shifted = generate_env(spec, params, fw, r, shift=True)
         assert np.array_equal(env.Z_inv, shifted.Z_inv)
         grass = shifted.Z_spu.sum(axis=1) >= 0
         corr = np.corrcoef(grass.astype(float), shifted.Y)[0, 1]
@@ -250,7 +256,7 @@ class TestTestEnvShifts:
     def test_shift_isolates_invariant_marginal(self):
         spec, params, fw = self.make_env2()
         base = generate_env(spec, params, fw, RngStream(3))
-        shifted = make_test_env(spec, params, fw, RngStream(3))
+        shifted = generate_env(spec, params, fw, RngStream(3), shift=True)
         assert np.allclose(base.Z_inv.mean(axis=0), shifted.Z_inv.mean(axis=0))
         assert np.allclose(base.Z_inv.var(axis=0), shifted.Z_inv.var(axis=0))
 
@@ -276,10 +282,33 @@ class TestBenchmarkInstance:
         assert spec.task == ("regression" if example == "ex1" else "classification")
 
     def test_fixed_weights_shared_across_envs(self):
+        # every training and shifted test environment is mixed by the seed's
+        # one scrambler, bit for bit
         spec = GeneratorSpec(example="ex2", n_per_env=100, scramble=True)
         fw, params, envs = generate_training_envs(spec, RngStream(1))
-        for env in envs:
-            assert env.scrambler is fw.S
+        assert not np.array_equal(fw.S, np.eye(spec.m + spec.o))
+        for env in envs + default_test_envs(spec, params, fw, RngStream(1)):
+            assert np.array_equal(env.X,
+                                  np.hstack([env.Z_inv, env.Z_spu]) @ fw.S.T)
+
+    def test_generators_cover_the_examples(self):
+        assert tuple(GENERATORS) == EXAMPLES
+        assert set(SCRAMBLED) < set(EXAMPLES)
+
+    @pytest.mark.parametrize("example", EXAMPLES)
+    def test_generator_returns_the_latents_and_label(self, example):
+        # drawn from the environment's own stream; unscrambled, X is the
+        # stacked latents
+        spec = GeneratorSpec(example=example, n_per_env=20)
+        r = RngStream(5)
+        fw = draw_fixed_weights(spec, r)
+        params = env_params(spec, r)[1]
+        z_inv, z_spu, y = GENERATORS[example](spec, params, fw, r.fork("gen/env1"))
+        env = generate_env(spec, params, fw, r)
+        assert y.shape == (20,) and z_inv.shape[0] == z_spu.shape[0] == 20
+        for got, want in ((env.Z_inv, z_inv), (env.Z_spu, z_spu), (env.Y, y),
+                          (env.X, np.hstack([z_inv, z_spu]))):
+            assert np.array_equal(got, want)
 
     def test_label_map_invariant_across_envs(self):
         # same invariant latents produce the same labels in every environment

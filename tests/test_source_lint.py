@@ -3,9 +3,10 @@ every import of a module is used in it, every module-level function and
 class is used somewhere in the package, so a name that only tests call
 fails, every text-mode ``open`` or ``os.fdopen`` names its encoding, so no
 file's bytes depend on the locale, only ``numeric_core`` touches
-``numpy.random``, so every draw comes from a keyed ``RngStream``, and the
+``numpy.random``, so every draw comes from a keyed ``RngStream``, the
 training stacks stay behind their boundary: ``objectives`` builds them from
-plain environments, and ``trainer`` neither builds nor names one."""
+plain environments, and ``trainer`` neither builds nor names one, and an
+``EnvDataset`` is built in one place, ``generate_env``."""
 
 import ast
 import pathlib
@@ -169,3 +170,32 @@ def test_trainer_neither_imports_nor_names_a_stack():
 def test_objectives_imports_nothing_from_trainer_or_generators():
     assert [(module, name) for module, name in _package_imports(TREES["objectives"])
             if module in ("trainer", "sem_generators")] == []
+
+
+def _calls_of(trees, name):
+    """(module, enclosing top-level function or class, line) of each call
+    of ``name``, bare or as an attribute; None outside any definition."""
+    for module, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    yield module, getattr(top, "name", None), node.lineno
+
+
+def test_call_check_finds_every_form():
+    tree = ast.parse("def f():\n"
+                     "    return EnvDataset(1)\n"
+                     "class C:\n"
+                     "    def g(self):\n"
+                     "        return sg.EnvDataset(2)\n"
+                     "x = EnvDataset\n"
+                     "y = EnvDataset(3)\n")
+    assert list(_calls_of({"m": tree}, "EnvDataset")) == [
+        ("m", "f", 2), ("m", "C", 5), ("m", None, 7)]
+
+
+def test_env_dataset_is_built_only_in_generate_env():
+    assert [(module, top) for module, top, _ in _calls_of(TREES, "EnvDataset")] \
+        == [("sem_generators", "generate_env")]
