@@ -30,14 +30,19 @@ polynomial in a few moments of the rows, so it is scored from them
 (:func:`moment_stack`), with a different rounding: ERM and IB-ERM are one
 quadratic form per model, O(d²) a step, and the IRM penalty adds O(E d²),
 instead of O(E n d) on the rows.  The build computes the bottleneck's
-scatter only for IB-ERM and IB-IRM, the per-environment moments only for
-IRM and IB-IRM.  What each path promises against the per-model reference
-is the tolerance contract in :mod:`oodbench.trainer`.
+scatter only for the queries with gamma > 0, the per-environment moments
+only for those with lam > 0.  So a square-loss batch may mix methods: a
+query whose weight is 0 has no term of that penalty, and its value and
+gradient are bit for bit those of a batch of its method alone.  A
+logistic batch is of one method: each weight is all zero or all
+positive, as it computes each penalty for the whole batch.  What each
+path promises against the per-model reference is the tolerance contract
+in :mod:`oodbench.trainer`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -49,6 +54,7 @@ __all__ = [
     "MomentStack",
     "env_stack",
     "moment_stack",
+    "keep_queries",
     "objective_and_gradient",
 ]
 
@@ -57,24 +63,30 @@ __all__ = [
 class ObjectiveConfig:
     """Penalty weights: (0, 0) is ERM, (lam>0, 0) is IRM, (0, gamma>0) is
     IB-ERM, both positive is IB-IRM.  For a batch of models ``lam`` and
-    ``gamma`` are one weight per model, or one for all; the batch is of one
-    method, so each is all zero or all positive."""
+    ``gamma`` are one weight >= 0 per model, or one for all.  The stack of
+    the task's loss checks what else it needs (see :func:`env_stack`)."""
 
     lam: float | np.ndarray = 0.0
     gamma: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        _penalties(self.lam, self.gamma)
+        _nonnegative(self.lam, self.gamma)
 
 
-def _penalties(lam, gamma):
-    """Whether the IRM and the bottleneck penalty are on, each weight
-    checked to be all zero or all positive."""
+def _nonnegative(lam, gamma):
+    """Check that every penalty weight is >= 0 (so not nan)."""
+    for name, w in (("lam", lam), ("gamma", gamma)):
+        if not np.all(np.asarray(w) >= 0):
+            raise ParameterError(f"{name} must be >= 0")
+
+
+def _one_pattern(lam, gamma):
+    """Check that each penalty weight is all zero or all positive: the
+    batch is of one method."""
     for name, w in (("lam", lam), ("gamma", gamma)):
         w = np.asarray(w)
         if not (np.all(w == 0) or np.all(w > 0)):
             raise ParameterError(f"{name} must be all zero or all positive")
-    return bool(np.any(lam)), bool(np.any(gamma))
 
 
 @dataclass
@@ -85,8 +97,8 @@ class EnvStack:
 
     ``X[q, e]`` (n, d) and ``Y[q, e]`` (n,) are model q's rows of
     environment e; every environment has the same number of rows n.
-    ``lam[q]`` and ``gamma[q]`` are model q's weights (see
-    :class:`ObjectiveConfig`).
+    ``lam[q]`` and ``gamma[q]`` are model q's weights, each all zero or
+    all positive (see :class:`ObjectiveConfig`).
     """
 
     X: np.ndarray
@@ -99,8 +111,10 @@ def env_stack(query_envs, query_rows, lam, gamma):
     """The :class:`EnvStack` of Q queries: query q's rows ``query_rows[q][e]``
     of each environment ``query_envs[q][e]``, at its penalty weights
     ``lam[q]`` and ``gamma[q]``.  ``query_rows`` may be an iterator; each
-    query's indices are read once, in query order."""
-    _penalties(lam, gamma)
+    query's indices are read once, in query order.  The queries are of one
+    method: a penalty is computed for the whole batch or for none, so a
+    batch that mixes methods is a ParameterError."""
+    _one_pattern(lam, gamma)
     for q, (envs, rows) in enumerate(zip(query_envs, query_rows)):
         for e, (env, train) in enumerate(zip(envs, rows)):
             if q == e == 0:
@@ -122,9 +136,10 @@ class MomentStack:
     n_envs * gamma * Var_pooled is gamma φᵀCφ / n for C the scatter of
     X / scale[q] about its pooled mean and φ = ψ[:d].  So the objective
     but the IRM penalty is ψᵀKψ / n, K = Σ_e M_e + gamma[q] C (C in the
-    weight block, and only when gamma > 0).  The IRM penalty
+    weight block, and only when gamma[q] > 0).  The IRM penalty
     lam g_e² = (√lam g_e)² reads ``M``, √lam times each M_e but its last
-    row, built only when lam > 0.
+    row, built only for the models ``irm``, those with lam > 0; a model
+    with lam = 0 has no row and no IRM term, so a batch may mix methods.
 
     A column's scale is the least power of two above every magnitude in
     the column (1 for an all-zero column and the intercept), over the rows
@@ -139,23 +154,28 @@ class MomentStack:
     scale: np.ndarray  # (Q, d+1)
     step: np.ndarray   # (Q, d+1): scale * 2 / n, the gradient's factor
     n: int
-    M: np.ndarray | None = None  # (Q, E, d+1, d+2)
+    M: np.ndarray | None = None    # (Q_irm, E, d+1, d+2), None if Q_irm = 0
+    irm: np.ndarray | None = None  # (Q_irm,): the models M's rows are of
 
 
 def moment_stack(query_envs, query_rows, lam, gamma):
-    """The :class:`MomentStack` of the queries that :func:`env_stack` takes.
-    A query gathers its rows from one block [X / scale, 1, -y] per
-    environment, built once per run of consecutive queries on one
-    environment list (a data seed's) and dropped at the next.  Only what the
-    method reads is computed: C where gamma > 0, about the query's pooled
-    mean in two passes, not as a difference of raw moments; the scaled M_e
-    where lam > 0; and K, summed per query."""
-    use_irm, use_ib = _penalties(lam, gamma)
+    """The :class:`MomentStack` of the queries that :func:`env_stack` takes,
+    whose weights may differ in pattern from query to query: the queries of
+    several methods make one batch.  A query gathers its rows from one
+    block [X / scale, 1, -y] per environment, built once per run of
+    consecutive queries on one environment list (a data seed's) and
+    dropped at the next.  Only what each query's method reads is computed:
+    C where gamma[q] > 0, about the query's pooled mean in two passes, not
+    as a difference of raw moments; the scaled M_e where lam[q] > 0; and K,
+    summed per query."""
+    _nonnegative(lam, gamma)
     n_q, n_envs = len(query_envs), len(query_envs[0])
     d = query_envs[0][0].X.shape[1]
     K = np.empty((n_q, d + 2, d + 2))
     scale = np.ones((n_q, d + 1))
-    M = np.empty((n_q, n_envs, d + 1, d + 2)) if use_irm else None
+    irm = np.flatnonzero(np.asarray(lam) > 0)
+    M = np.empty((irm.size, n_envs, d + 1, d + 2))
+    M_rows = iter(M)
     env_ix = np.arange(n_envs)[:, None]
     block_envs = None
     for q, (envs, rows) in enumerate(zip(query_envs, query_rows)):
@@ -170,15 +190,49 @@ def moment_stack(query_envs, query_rows, lam, gamma):
         B = block[env_ix, rows]
         M_q = np.matmul(B.swapaxes(1, 2), B)
         K[q] = M_q.sum(axis=0)
-        if use_ib:
+        if gamma[q] > 0:
             x = B[..., :-2]
             x = x - x.sum(axis=1).sum(axis=0) / (x.shape[0] * x.shape[1])
             # times a copy: BLAS rounds a buffer's product with itself otherwise
             K[q, :d, :d] += gamma[q] * np.matmul(x.swapaxes(1, 2), x.copy()).sum(axis=0)
-        if use_irm:
-            np.multiply(np.sqrt(lam[q]), M_q[:, :-1], out=M[q])
+        if lam[q] > 0:
+            np.multiply(np.sqrt(lam[q]), M_q[:, :-1], out=next(M_rows))
     n = B.shape[1]
-    return MomentStack(K, scale, scale * (2.0 / n), n, M)
+    if not irm.size:
+        M = irm = None
+    return MomentStack(K, scale, scale * (2.0 / n), n, M, irm)
+
+
+def keep_queries(stack, keep):
+    """``stack`` with only the queries ``keep`` (increasing), compacted in
+    place, so that no second copy of a training stack is made.  A
+    :class:`MomentStack`'s ``M`` keeps the rows of the kept queries, and is
+    None once it has none."""
+    kept = {f.name: _keep_rows(getattr(stack, f.name), keep)
+            for f in fields(stack) if f.name not in ("M", "irm")
+            and isinstance(getattr(stack, f.name), np.ndarray)}
+    if getattr(stack, "M", None) is not None:
+        rows = np.flatnonzero(np.isin(stack.irm, keep))
+        kept["M"] = _keep_rows(stack.M, rows) if rows.size else None
+        kept["irm"] = np.searchsorted(keep, stack.irm[rows]) if rows.size else None
+    return replace(stack, **kept)
+
+
+# Rows that _keep_rows gathers at once: few Python steps per compaction, and
+# a copy of at most 200 kB for an IRM row of the benchmark's ex1 (d = 10).
+KEEP_CHUNK = 64
+
+
+def _keep_rows(a, keep):
+    """Move rows ``keep`` (increasing) of ``a`` to its front, in place, and
+    return that front.  The rows past the kept prefix are gathered
+    ``KEEP_CHUNK`` at a time: as keep[i] >= i, each is read before a write
+    reaches it, and no copy larger than a chunk is made."""
+    for i in range(np.count_nonzero(keep == np.arange(keep.size)), keep.size,
+                   KEEP_CHUNK):
+        rows = keep[i:i + KEEP_CHUNK]
+        a[i:i + rows.size] = a[rows]
+    return a[:keep.size]
 
 
 def _env_terms(X, yhat, y, penalized):
@@ -263,14 +317,15 @@ def _square_objective(theta, st):
     grad = v[:, :-1] * st.step
     if st.M is not None:
         q, n_envs, k = st.M.shape[:3]
+        psi = psi[st.irm]
         # every environment's √lam M_eψ, but its last entry, in one product
         v = np.matmul(st.M.reshape(q, n_envs * k, -1), psi[..., None])
         v = v.reshape(q, n_envs, k)
         g = _row_sum(v * psi[:, None, :-1]) * (2.0 / st.n)  # √lam g_e
-        value += _row_sum(g * g)
+        value[st.irm] += _row_sum(g * g)
         v *= 2.0
         v -= st.M[..., -1]        # √lam (2 S_eφ - u_e)
-        grad += 2.0 * st.step * np.matmul(g[:, None, :], v)[:, 0]
+        grad[st.irm] += 2.0 * st.step[st.irm] * np.matmul(g[:, None, :], v)[:, 0]
     return value, grad
 
 
@@ -281,9 +336,11 @@ def objective_and_gradient(theta, stack):
     ``theta`` is (Q, d+1), weights then intercept; model q is scored on its
     own data in ``stack`` at its own penalty weights, which the stack holds:
     on the square loss from a :class:`MomentStack`, on the logistic loss
-    from an :class:`EnvStack`.  Each penalty is on for every model of the
-    batch or for none, and one whose weight is 0 is left out of the sum,
-    not added as 0.  Returns ``(values, grads)`` of shapes (Q,) and (Q, d+1).
+    from an :class:`EnvStack`.  A penalty whose weight is 0 is left out of
+    a model's sum, not added as 0: on the logistic loss each penalty is on
+    for every model of the batch or for none, and on the square loss a
+    batch may mix methods.  Returns ``(values, grads)`` of shapes (Q,) and
+    (Q, d+1).
 
     A model's float operations, and the order in which its terms are summed,
     do not depend on the other models of the batch.  From an

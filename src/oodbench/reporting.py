@@ -17,6 +17,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -37,10 +38,13 @@ __all__ = [
 ]
 
 # The columns of sweep.csv and summary.csv: the fields of trainer.SweepRow
-# and of SummaryRow, in order, written with dataclasses.astuple.
+# and of SummaryRow, in order.
 SWEEP_FIELDS = ("example", "n_envs", "method", "data_seed", "hparam_id",
                 "lambda", "gamma", "lr", "val_risk", "test_metric",
-                "test_metric_max")
+                "test_metric_max", "diverged_step")
+# The columns ``report`` reads: sweep.csv written before it had a
+# diverged_step column reads too.
+_REPORT_FIELDS = SWEEP_FIELDS[:-1]
 
 SUMMARY_FIELDS = ("example", "n_envs", "method", "mean_metric", "std_metric",
                   "n_diverged")
@@ -58,8 +62,11 @@ class SummaryRow:
 
 def _cell_format(kind):
     """The %-format of a CSV cell of type ``kind``: 17 significant digits
-    for a float of any width, ``str`` for anything else."""
-    return "%.17g" if issubclass(kind, (float, np.floating)) else "%s"
+    for a float of any width, an empty cell for None, ``str`` for anything
+    else."""
+    if issubclass(kind, (float, np.floating)):
+        return "%.17g"
+    return "%.0s" if kind is type(None) else "%s"
 
 
 def config_hash(cfg):
@@ -106,28 +113,28 @@ def write_csv(path, fieldnames, rows, meta):
 
 def read_csv(path):
     """Read a metadata-prefixed UTF-8 CSV, byte-order mark or not; returns
-    (meta, fieldnames, rows of string dicts).  A repeated column, a ragged
-    row or an overlong field is a ParameterError naming the file."""
+    (meta, fieldnames, rows of string dicts).  The ``#`` lines before the
+    header are the metadata; the ``csv`` module splits the rest into rows,
+    so a quoted cell may hold a line break, and blank lines are skipped.  A
+    repeated column, a ragged row or an overlong field is a ParameterError
+    naming the file."""
     meta = {}
     with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
-            lines = fh.read().splitlines()
+            line = fh.readline()
+            while line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                meta[key] = value
+                line = fh.readline()
+            reader = csv.reader(chain([line], fh))
+            table = [cells for cells in reader if cells]
         except UnicodeDecodeError as exc:
             raise ParameterError(f"{path}: not UTF-8 text ({exc})") from exc
-    body = []
-    for line in lines:
-        if line.startswith("#"):
-            key, _, value = line[1:].strip().partition("=")
-            meta[key] = value
-        elif line:
-            body.append(line)
-    if not body:
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            raise ParameterError(f"{path}: bad row {reader.line_num}: {exc}") from exc
+    if not table:
         raise ParameterError(f"{path}: no header row")
-    reader = csv.reader(body)
-    try:
-        header, *rows = reader
-    except csv.Error as exc:  # a field longer than csv.field_size_limit()
-        raise ParameterError(f"{path}: bad row {reader.line_num}: {exc}") from exc
+    header, *rows = table
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
         raise ParameterError(f"{path}: header repeats {', '.join(repeated)}")
@@ -185,7 +192,7 @@ def aggregate_report(sweep_files):
     records = []
     for path in sweep_files:
         _, fields, rows = read_csv(path)
-        missing = set(SWEEP_FIELDS) - set(fields)
+        missing = set(_REPORT_FIELDS) - set(fields)
         if missing:
             raise ParameterError(f"{path}: missing columns {sorted(missing)}")
         for i, row in enumerate(rows):

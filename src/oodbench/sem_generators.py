@@ -74,6 +74,8 @@ class GeneratorSpec:
             raise ParameterError(f"unknown example {self.example!r}")
         if self.m < 1 or self.o < 1 or self.n_per_env < 2 or self.n_envs < 1:
             raise ParameterError("require m >= 1, o >= 1, n_per_env >= 2, n_envs >= 1")
+        if self.scramble and self.example not in SCRAMBLED:
+            raise ParameterError(f"{self.example} has no scrambled variant")
         # Checked on every example, so a bad xor setting never passes
         # silently where it is ignored.
         if self.xor_variant not in XOR_VARIANTS:

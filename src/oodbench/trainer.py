@@ -1,13 +1,21 @@
 """Full-batch training, the random-search model-selection protocol, and
 out-of-distribution evaluation metrics.
 
-A sweep trains the queries of one method in batches: :func:`train_gd`
-draws each query's split, has :mod:`oodbench.objectives` build every
-query's training stack once from it, and updates every query's parameters
-(a row: weights then intercept) at each step with one batched call of
-:func:`~oodbench.objectives.objective_and_gradient`.  Each query names its
-own environments, so one batch may hold several data seeds; the rule that
-cuts a sweep's data seeds into batches is stated in :func:`random_search`.
+A sweep is seed-major.  Data seed s's environments are drawn once, from
+``rng.fork(f"seed{s}").fork("data")``, a stream that names no method, and
+every method of the sweep trains on that draw and is scored on that seed's
+test environments: the methods are compared on paired data, as DomainBed
+(Gulrajani & Lopez-Paz 2020) gives every algorithm of a trial the same
+data.  Each query keeps its own stream, ``method/<m>/seed<s>/query<q>``,
+from which its hyperparameters and its split are drawn.
+
+:func:`train_gd` draws each query's split, has :mod:`oodbench.objectives`
+build every query's training stack once from it, and updates every
+query's parameters (a row: weights then intercept) at each step with one
+batched call of :func:`~oodbench.objectives.objective_and_gradient`.  Each
+query names its own environments and penalty weights, so one batch may
+hold several data seeds and, on the square loss, several methods; the
+rule that cuts a sweep into batches is stated in :func:`random_search`.
 The task chooses the loss: regression (ex1) is trained on the square loss,
 every classification example on the logistic loss.
 
@@ -31,45 +39,48 @@ stated bound of it, and the tests check each part.
   (measured: 3.6e-16).
 * Square loss, per call: the objective is one quadratic form per query,
   built from the moments of its rows by
-  :func:`~oodbench.objectives.moment_stack` (the scatter only for IB-ERM
-  and IB-IRM, the per-environment moments only for IRM and IB-IRM).  Its
-  value and gradient are within 1e-14 of the per-model path's, relative
-  to the magnitudes of their terms (summed on absolute values, so that
-  none cancels; near the optimum the gradient itself cancels).  Measured:
-  at most 3.5e-16 on the tested grid, 7.1e-16 at the benchmark's shape
-  (ex1, 96 queries).
+  :func:`~oodbench.objectives.moment_stack` (the scatter only for queries
+  with gamma > 0, the per-environment moments only for those with
+  lam > 0).  Its value and gradient are within 1e-14 of the per-model
+  path's, relative to the magnitudes of their terms (summed on absolute
+  values, so that none cancels; near the optimum the gradient itself
+  cancels).  Measured: at most 3.5e-16 on the tested grid, 7.5e-16 at the
+  benchmark's shape (ex1, 96 queries of one method).
 * Square loss, per sweep: against the per-model path at seeds 0 and 7919,
   the same queries diverge and the same query is selected in every
-  (method, seed) cell.  Under GD each finite val_risk and test metric, and
-  each summary mean, is within 1e-7 relative (measured at most 1.4e-9
-  and 8.1e-10 on the tested protocol; 1.9e-10 and 2.3e-11 on the
-  benchmark's, 12 queries x 8 seeds x 2000 steps).  Adam's step
-  m / sqrt(v) has about unit size whatever the gradient's, so a last-bit
-  difference in a near-zero gradient entry becomes a step-sized one.  On
-  the tested protocol (500 steps) Adam stays within 1e-3 per query and
-  1e-5 in summary means (measured 1.7e-5 and 1.4e-7).  Over the
-  benchmark's 2000 steps at lr up to 0.1 it is chaotic, as the per-model
-  path is (one ulp of lr moved one query's val_risk from 2.42 to 0.094),
-  and this clause does not hold there: the diverged sets agree, but the
-  selection differs in 1 of 32 cells at each seed, summary means by up
-  to 5.3e-3 and single queries' val_risk by up to 312%.
+  (method, seed) cell.  Under GD on the tested protocol each finite
+  val_risk and test metric, and each summary mean, is within 1e-7
+  relative (measured at most 9.5e-13 and 3.8e-15).  On the benchmark's
+  protocol, 12 queries x 8 seeds x 2000 steps, the diverged sets and the
+  selection still agree, but one IB-IRM query at seed 0 (lr 2.3e-3) ends
+  7.8e-6 from the per-model path, and summary means 1.3e-6 (4.8e-13 and
+  3.2e-15 at seed 7919).  Adam's step m / sqrt(v) has about unit size
+  whatever the gradient's, so a last-bit difference in a near-zero
+  gradient entry becomes a step-sized one.  On the tested protocol (500
+  steps) Adam stays within 1e-3 per query and 1e-5 in summary means
+  (measured 5.4e-14 and 8.3e-15).  Over the benchmark's 2000 steps at lr
+  up to 0.1 it is chaotic, as the per-model path is (one ulp of lr moved
+  one query's val_risk from 2.42 to 0.094), and this clause does not hold
+  there: the diverged sets agree, but the selection differs in 2 of 32
+  cells at seed 7919 (none at seed 0), summary means by up to 1.6e-2 and
+  single queries' val_risk by up to 270%.
 * Always: a query's result is bit-reproducible, and does not depend on
-  which other queries of its method share its batch (of its data seed or
-  of others), on when they diverge and leave it, or on how many worker
-  processes run the seeds.
+  which other queries share its batch (of its data seed or of others, and
+  on the square loss of its method or of others), on when they diverge
+  and leave it, or on how many worker processes run the seeds.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
-from itertools import repeat
+from dataclasses import dataclass, replace
+from itertools import islice, repeat
 
 import numpy as np
 
 from .numeric_core import ParameterError
-from .objectives import (ObjectiveConfig, env_stack, moment_stack,
-                         objective_and_gradient)
+from .objectives import (ObjectiveConfig, env_stack, keep_queries,
+                         moment_stack, objective_and_gradient)
 from .sem_generators import default_test_envs, generate_training_envs
 
 __all__ = [
@@ -139,23 +150,6 @@ def _stack_queries(query_envs, rngs, lam, gamma):
     return build(query_envs, rows, lam, gamma)
 
 
-def _keep_rows(a, keep):
-    """Move rows ``keep`` (increasing) of ``a`` to its front, in place, and
-    return that front: no second copy of a training stack is made."""
-    for dst, src in enumerate(keep):
-        if dst != src:
-            a[dst] = a[src]
-    return a[:len(keep)]
-
-
-def _keep_queries(stack, keep):
-    """``stack`` with only the queries ``keep`` (increasing), compacted in
-    place."""
-    return replace(stack, **{f.name: _keep_rows(getattr(stack, f.name), keep)
-                             for f in fields(stack)
-                             if isinstance(getattr(stack, f.name), np.ndarray)})
-
-
 def train_gd(query_envs, cfg, tc, rngs):
     """Deterministic full-batch training of one linear model per stream in
     ``rngs``, all of them as one batch.
@@ -167,8 +161,9 @@ def train_gd(query_envs, cfg, tc, rngs):
     environments.  Query q holds out 20% of each environment (split drawn
     from ``rngs[q]``) and trains on the rest, on its task's loss, with
     penalty weights ``cfg.lam`` and ``cfg.gamma`` and step size ``tc.lr``,
-    each one value per query or one for all; the queries are of one method,
-    so each penalty weight is all zero or all positive.  The average
+    each one value per query or one for all.  On the square loss the
+    queries may be of several methods; on the logistic loss they are of
+    one, so each penalty weight is all zero or all positive.  The average
     held-out risk is reported as ``val_risk``, measured with the task risk
     (classification error or mean squared error) rather than the training
     surrogate, matching how trained models are evaluated.  A query whose
@@ -215,7 +210,7 @@ def train_gd(query_envs, cfg, tc, rngs):
                     a[keep] for a in (ids, theta, m, v, lr, grad))
                 if keep.size == 0:
                     break
-                stack = _keep_queries(stack, keep)
+                stack = keep_queries(stack, keep)
             if step == tc.steps:
                 break
             if tc.optimizer == "gd":
@@ -265,6 +260,7 @@ class SweepRow:
     val_risk: float
     test_metric: float
     test_metric_max: float
+    diverged_step: int | None  # None for a query that finished
 
 
 def _sample_hparams(method, rng):
@@ -274,43 +270,58 @@ def _sample_hparams(method, rng):
     return lr, lam, gamma
 
 
-def _run_batch(spec, method, seeds, n_queries, rng, tc_base):
-    """The sweep rows of the data seeds ``seeds``, in seed then query order:
-    every query of the batch is trained by one :func:`train_gd` call.  The
-    test environments are drawn after training, seed by seed, from their
-    own stream: the batch's training stack and the test environments never
-    occupy memory together.  Every data seed's training environments are
-    kept until :func:`train_gd` has scored their queries' val risk, so a
-    square-loss batch, whose stack holds moments and not rows, still holds
-    the rows of all its seeds through training."""
-    data = []  # per seed: (seed, its stream, fixed weights, params, envs)
+def _run_batch(spec, methods, seeds, n_queries, rng, tc_base):
+    """The sweep rows of the data seeds ``seeds`` for every one of
+    ``methods``, in seed, method, query order.  Each seed's training
+    environments are drawn once and shared by every method's queries; on
+    regression one :func:`train_gd` call trains every query of the batch,
+    on classification one call per seed and method.  The training
+    environments are dropped once every query is trained, and the test
+    environments are drawn after that, one seed at a time, from the seed's
+    data stream: the batch's training stack and the test environments never
+    occupy memory together.  A square-loss batch, whose stack holds moments
+    and not rows, still holds the rows of all its seeds through training."""
+    method_rngs = [rng.fork(f"method/{method}") for method in methods]
+    data, query_envs, keys, q_rngs = [], [], [], []
     for seed in seeds:
-        seed_rng = rng.fork(f"seed{seed}")
-        fw, params, envs = generate_training_envs(spec, seed_rng.fork("data"))
+        data_rng = rng.fork(f"seed{seed}").fork("data")
+        fw, params, envs = generate_training_envs(spec, data_rng)
         # Training reads only each environment's rows: the latents are
         # dropped so that they do not stay resident through training.
         envs = [replace(env, Z_inv=None, Z_spu=None) for env in envs]
-        data.append((seed, seed_rng, fw, params, envs))
-    q_rngs = [stream.fork(f"query{q}")
-              for _, stream, *_ in data for q in range(n_queries)]
-    hparams = [_sample_hparams(method, r.fork("hparams")) for r in q_rngs]
+        data.append((seed, data_rng, fw, params))
+        for method, method_rng in zip(methods, method_rngs):
+            seed_rng = method_rng.fork(f"seed{seed}")
+            for q in range(n_queries):
+                keys.append((method, q))
+                q_rngs.append(seed_rng.fork(f"query{q}"))
+                query_envs.append(envs)
+    del envs
+    hparams = [_sample_hparams(method, r.fork("hparams"))
+               for (method, _), r in zip(keys, q_rngs)]
     lrs, lams, gammas = (np.array(col) for col in zip(*hparams))
-    results = train_gd([envs for *_, envs in data for _ in range(n_queries)],
-                       ObjectiveConfig(lams, gammas), replace(tc_base, lr=lrs),
-                       [r.fork("train") for r in q_rngs])
+    train_rngs = [r.fork("train") for r in q_rngs]
+    size = len(keys) if spec.task == "regression" else n_queries
+    results = []
+    for batch in (slice(i, i + size) for i in range(0, len(keys), size)):
+        results += train_gd(query_envs[batch],
+                            ObjectiveConfig(lams[batch], gammas[batch]),
+                            replace(tc_base, lr=lrs[batch]), train_rngs[batch])
+    del query_envs
     rows = []
-    for i, (seed, seed_rng, fw, params, _) in enumerate(data):
-        test_envs = default_test_envs(spec, params, fw, seed_rng.fork("data"))
-        own = slice(i * n_queries, (i + 1) * n_queries)
-        for q, ((lr, lam, gamma), result) in enumerate(zip(hparams[own], results[own])):
+    queries = zip(keys, hparams, results)
+    for seed, data_rng, fw, params in data:
+        test_envs = [(te.X, te.Y, te.task)
+                     for te in default_test_envs(spec, params, fw, data_rng)]
+        for (method, q), (lr, lam, gamma), result in islice(
+                queries, len(methods) * n_queries):
             if result.diverged_step is None:
-                metrics = [evaluate(result.theta, te.X, te.Y, te.task)
-                           for te in test_envs]
+                metrics = [evaluate(result.theta, *te) for te in test_envs]
                 scores = (result.val_risk, float(np.mean(metrics)), float(np.max(metrics)))
             else:
                 scores = (float("inf"),) * 3
             rows.append(SweepRow(spec.name, spec.n_envs, method, seed, q,
-                                 lam, gamma, lr, *scores))
+                                 lam, gamma, lr, *scores, result.diverged_step))
     return rows
 
 
@@ -328,31 +339,41 @@ def _worker_count():
     return n
 
 
-def random_search(spec, method, protocol, rng, tc_base):
-    """Random hyperparameter search: per data seed, regenerate the
-    benchmark, run ``n_queries`` trainings with sampled hyperparameters,
-    and record validation risk plus the shifted-test metric per query.
+def random_search(spec, methods, protocol, rng, tc_base):
+    """Random hyperparameter search of every one of ``methods`` on paired
+    data: per data seed, draw the benchmark once, run ``n_queries``
+    trainings of each method with sampled hyperparameters, and record
+    validation risk plus the shifted-test metric per query.  Returns the
+    rows in method, seed, query order.
 
-    Data seed s draws its environments from ``rng.fork(f"seed{s}")``.
-    ``cli.cmd_sweep`` passes each method its own ``method/<name>`` fork, so
-    the methods of one sweep train and test on different draws at the same
-    data seed: their summaries compare unpaired draws, and each seed's
-    environments are generated once per method.
+    Data seed s draws its environments from ``rng.fork(f"seed{s}")``, a
+    stream that names no method, so every method trains and tests on the
+    same draw.  Query q of method m at seed s draws its hyperparameters and
+    split from ``rng.fork(f"method/{m}").fork(f"seed{s}").fork(f"query{q}")``,
+    so a method's rows do not depend on which other methods are swept.
 
     Batching rule.  The ``n`` data seeds are cut into ``k`` contiguous
     batches, batch i holding seeds ``i*n//k`` to ``(i+1)*n//k - 1``, and
-    each batch is trained by one :func:`train_gd` call.  On regression
-    ``k = min(workers, n)``: a square-loss batch holds moments, not rows,
-    so its cost per query falls with its size, and each worker process
-    gets one batch.  On classification ``k = n``: a row stack costs the
-    same per query at any size and grows with it, so every data seed is
-    its own batch.  The batches run serially, or over ``IBIRM_THREADS``
-    worker processes (at most one per batch); the rows are the same either
-    way, because every query owns an independently forked stream and its
-    result does not depend on its batch.
+    each batch draws its seeds' data once.  On regression ``k = min(workers,
+    n)`` and one :func:`train_gd` call trains every query of every method
+    of the batch: a square-loss batch holds moments, not rows, so its cost
+    per query falls with its size, a query whose penalty weight is 0 has no
+    term of that penalty, and each worker process gets one batch.  On
+    classification ``k = n`` and each data seed is trained by one call per
+    method: a row stack costs the same per query at any size and grows with
+    it, and a method mixed into a batch would add its penalty's products to
+    every query.  The batches run serially, or over ``IBIRM_THREADS`` worker
+    processes (at most one per batch); the rows are the same either way,
+    because every query owns an independently forked stream and its result
+    does not depend on its batch.
     """
-    if method not in METHODS:
-        raise ParameterError(f"unknown method {method!r}")
+    if not methods:
+        raise ParameterError("the method list names no method")
+    for method in methods:
+        if method not in METHODS:
+            raise ParameterError(f"unknown method {method!r}")
+    if len(set(methods)) < len(methods):
+        raise ParameterError(f"the method list repeats a method: {', '.join(methods)}")
     n_queries, n_seeds = protocol
     if n_queries < 1 or n_seeds < 1:
         raise ParameterError("protocol counts must be >= 1")
@@ -361,7 +382,7 @@ def random_search(spec, method, protocol, rng, tc_base):
     k = min(n_workers, n_seeds) if spec.task == "regression" else n_seeds
     batches = [seeds[i * n_seeds // k:(i + 1) * n_seeds // k] for i in range(k)]
     n_workers = min(n_workers, k)
-    args = (repeat(spec), repeat(method), batches, repeat(n_queries),
+    args = (repeat(spec), repeat(tuple(methods)), batches, repeat(n_queries),
             repeat(rng), repeat(tc_base))
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -369,4 +390,6 @@ def random_search(spec, method, protocol, rng, tc_base):
             per_batch = list(pool.map(_run_batch, *args))
     else:
         per_batch = list(map(_run_batch, *args))
-    return [row for rows in per_batch for row in rows]
+    order = {method: i for i, method in enumerate(methods)}
+    return sorted((row for rows in per_batch for row in rows),
+                  key=lambda row: order[row.method])

@@ -15,7 +15,7 @@ import pytest
 
 import oracle
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import ObjectiveConfig, objective_and_gradient
+from oodbench.objectives import ObjectiveConfig, env_stack, objective_and_gradient
 from oodbench.sem_generators import EnvDataset, GeneratorSpec, generate_training_envs
 from oodbench.trainer import (METHODS, TrainConfig, _sample_hparams, _splits,
                               _stack_queries, train_gd)
@@ -23,10 +23,10 @@ from oodbench.trainer import (METHODS, TrainConfig, _sample_hparams, _splits,
 TASK = {"square": "regression", "logistic": "classification"}
 
 # (lam, gamma, lr) per query, for GD and for Adam, in one batch per penalty
-# pattern (ERM, IRM, IB-ERM, IB-IRM), as a sweep trains the queries of one
-# method.  In each batch the second query's step size is the larger, meant
-# to diverge; on every loss some batch has one query that finishes and one
-# that diverges and leaves it.
+# pattern (ERM, IRM, IB-ERM, IB-IRM), as a logistic sweep trains the
+# queries of one method.  In each batch the second query's step size is the
+# larger, meant to diverge; on every loss some batch has one query that
+# finishes and one that diverges and leaves it.
 QUERIES = {
     "gd": [[(0.0, 0.0, 0.05), (0.0, 0.0, 1e300)],
            [(3.0, 0.0, 0.02), (50.0, 0.0, 3.0)],
@@ -83,7 +83,7 @@ def _oracle(envs, query, tc, rng):
 # per-row oracle.  Measured on this grid, over the 174 (GD) and 248 (Adam)
 # calls of the oracle's trainings: at most 3.4e-16 (value) and 3.5e-16
 # (gradient); at the benchmark's shape (see
-# test_folded_objective_at_the_benchmark_shape), at most 2.8e-16 and 7.1e-16.
+# test_folded_objective_at_the_benchmark_shape), at most 4.3e-16 and 7.5e-16.
 CALL_RTOL = 1e-14
 # Per training, 60 steps: theta and val_risk within this relative distance
 # (max-norm) of the oracle's.  Measured: 6.6e-14 (GD) and 1.3e-15 (Adam).
@@ -198,12 +198,12 @@ def test_matches_per_model_oracle(loss, optimizer, monkeypatch):
     assert max(g for _, g in errors) <= grad_bound
 
 
-def _train_each(entries):
+def _train_each(entries, tc=TrainConfig(steps=80)):
     """Train ``entries``, one (environments, (lam, gamma, lr), stream) per
-    query, as one batch of 80 steps."""
+    query, as one batch (of 80 GD steps unless ``tc`` says otherwise)."""
     cfg, lr = _batch([query for _, query, _ in entries])
-    return train_gd([envs for envs, _, _ in entries], cfg,
-                    TrainConfig(lr=lr, steps=80), [rng for _, _, rng in entries])
+    return train_gd([envs for envs, _, _ in entries], cfg, replace(tc, lr=lr),
+                    [rng for _, _, rng in entries])
 
 
 @pytest.mark.parametrize("loss", ["square", "logistic"])
@@ -241,15 +241,40 @@ def test_a_batch_mixing_environment_shapes_is_rejected(other):
 @pytest.mark.parametrize("lam,gamma", [([0.0, 3.0], 0.0), (0.0, [0.5, 0.0]),
                                        ([2.0, 0.0], [0.7, 0.5])])
 def test_a_batch_mixing_penalty_patterns_is_rejected(lam, gamma):
+    # The logistic stack computes each penalty for the whole batch, so it
+    # takes the queries of one method only; the square stack takes any
+    # weights >= 0 (test_a_square_batch_mixing_methods_keeps_each_querys_bits).
     lam, gamma = np.array(lam), np.array(gamma)
+    envs = _envs("logistic")
+    rows = [[np.arange(env.n) for env in envs]] * 2
     with pytest.raises(ParameterError, match="all zero or all positive"):
-        ObjectiveConfig(lam, gamma)
-    # a config changed after it was checked is checked again by train_gd
-    cfg = ObjectiveConfig(1.0, 1.0)
-    cfg.lam, cfg.gamma = lam, gamma
+        env_stack([envs] * 2, rows, lam, gamma)
     rngs = [RngStream(0).fork(f"query{q}") for q in range(2)]
     with pytest.raises(ParameterError, match="all zero or all positive"):
-        train_gd([_envs("logistic")] * 2, cfg, TrainConfig(lr=0.05, steps=5), rngs)
+        train_gd([envs] * 2, ObjectiveConfig(lam, gamma),
+                 TrainConfig(lr=0.05, steps=5), rngs)
+
+
+@pytest.mark.parametrize("optimizer", ["gd", "adam"])
+def test_a_square_batch_mixing_methods_keeps_each_querys_bits(optimizer):
+    # Every query of the four one-method batches, on two data seeds,
+    # trained as one batch as a square-loss sweep trains them: each query
+    # ends with the theta, diverged_step and val_risk bits of its
+    # one-method batch.
+    seed_envs = (_envs("square", seed=4), _envs("square", seed=6))
+    tc = TrainConfig(steps=60, optimizer=optimizer)
+    entries, alone = [], []
+    for queries, rngs in zip(QUERIES[optimizer], _streams(2, QUERIES[optimizer])):
+        method = [(envs, query, rng) for envs in seed_envs
+                  for query, rng in zip(queries, rngs)]
+        entries += method
+        alone += _train_each(method, tc)
+    mixed = _train_each(entries, tc)
+    for one, both in zip(alone, mixed):
+        assert both.diverged_step == one.diverged_step
+        assert both.theta.tobytes() == one.theta.tobytes()
+        assert both.val_risk == one.val_risk
+    assert {r.diverged_step is None for r in mixed} == {True, False}
 
 
 def test_gradient_overflow_stops_only_that_query():
@@ -291,14 +316,15 @@ def test_gradient_overflow_stops_only_that_query():
 
 
 def _ex1_queries(method, n_seeds=8, n_queries=12):
-    """The benchmark's ex1 batch of one method: per data seed, its
-    environments and one stream per query; and the sampled (lam, gamma)."""
+    """The queries of one method of the benchmark's ex1 sweep: per data
+    seed, its environments and one stream per query; and the sampled (lam,
+    gamma)."""
     spec = GeneratorSpec(example="ex1")
-    root = RngStream(0).fork(f"method/{method}")
+    root = RngStream(0)
     query_envs, rngs, weights = [], [], []
     for seed in range(n_seeds):
-        seed_rng = root.fork(f"seed{seed}")
-        _, _, envs = generate_training_envs(spec, seed_rng.fork("data"))
+        _, _, envs = generate_training_envs(spec, root.fork(f"seed{seed}").fork("data"))
+        seed_rng = root.fork(f"method/{method}").fork(f"seed{seed}")
         for q in range(n_queries):
             q_rng = seed_rng.fork(f"query{q}")
             _, lam, gamma = _sample_hparams(method, q_rng.fork("hparams"))

@@ -18,6 +18,10 @@ from oodbench.sem_generators import EXAMPLES, SCRAMBLED
 from oodbench.trainer import SweepRow
 from oracle import simulate_flow_full_loop
 
+# The sweep.csv columns before diverged_step was added: the handmade files
+# of the report tests use them, as report reads a file with or without it.
+PLAIN_FIELDS = SWEEP_FIELDS[:-1]
+
 
 def _strip_timestamp(text):
     return "\n".join(line for line in text.splitlines()
@@ -113,6 +117,23 @@ class TestCsvIo:
         path = str(tmp_path / "t.csv")
         atomic_write_text(path, "x\n")
         assert os.listdir(tmp_path) == ["t.csv"]
+
+    @pytest.mark.parametrize("cell,text", [
+        ("ER\u2028M", "ER\u2028M"),
+        ("ER\x85M", "ER\x85M"),
+        ("ER\x0bM", "ER\x0bM"),
+        ("ER\nM", '"ER\nM"'),
+        ("ER\r\nM", '"ER\r\nM"'),
+    ], ids=["line_separator", "next_line", "vertical_tab", "quoted_newline",
+            "quoted_crlf"])
+    def test_a_line_break_in_a_cell_stays_in_its_row(self, tmp_path, cell, text):
+        # the csv module splits the rows: a break that is not \n or \r
+        # ends no row, and a quoted cell keeps its line break
+        path = str(tmp_path / "t.csv")
+        atomic_write_text(path, f"# root_seed=0\nmethod,seed\n{text},1\nERM,2\n")
+        meta, fields, rows = read_csv(path)
+        assert meta == {"root_seed": "0"} and fields == ("method", "seed")
+        assert rows == [{"method": cell, "seed": "1"}, {"method": "ERM", "seed": "2"}]
 
     def test_empty_file_rejected(self, tmp_path):
         path = str(tmp_path / "empty.csv")
@@ -296,40 +317,37 @@ class TestSweepCommand:
         assert hashes[0] == hashes[2]
 
     # sha256 of sweep.csv and summary.csv with the timestamp line removed.
-    # Apart from the config_hash line and summary.csv's n_diverged column,
-    # ex2 is the bytes the per-model training engine wrote before queries
-    # were batched, and ex3s, twod and xor pin the scrambler, the shifted
-    # test environments and xor's default variant as written before the
-    # shifts and the xor default were narrowed to one path.  ex2s and ex3
-    # are the bytes written before the logistic softplus was fused into the
-    # sigmoid pass.  The ex2s and ex3s pins were taken again when the
-    # example cell became the scrambled name (ex2s, ex3s, not ex2, ex3);
-    # no other byte of them changed.
-    # ex1 is trained from moments: test_square_contract.py ties it to the
-    # per-model path.  It was taken again when the square loss became one
-    # quadratic form per query; only last digits moved.
+    # Every pin was taken again when the methods of a sweep were paired on
+    # one data draw per seed and sweep.csv gained its diverged_step column;
+    # every row's lambda, gamma and lr cells, and the metadata lines, kept
+    # their bytes.  Before that, ex2 was the bytes the per-model training
+    # engine wrote (but for the config_hash line and summary.csv's
+    # n_diverged column), and the other classification pins were checked
+    # against the earlier paths when the softplus, the shifted test
+    # environments and the scrambled names changed.  ex1 is trained from
+    # moments: test_square_contract.py ties it to the per-model path.
     GOLDEN = {
         "ex1": (["--queries", "3", "--seeds", "2"], {"steps": 300},
-                "6ebc189591c91d1387f37797ef1afc3e74a3ba91891577b05defd5737bf31899",
-                "0788f8f60018c5b14b156d49bb771400c4ad760b1a8f2c8efa1d6a94a01df5aa"),
+                "5bd5c730178b09abb414ed3a54a1cb6106c1df838b64812beb9f35fe484d1f8a",
+                "08e0f3ab8631b73b20e5b93d471ddd2b87c5cd375a7633a669d7e6058dee1ccb"),
         "ex2": (["--queries", "2", "--seeds", "1"], {"steps": 500},
-                "e99d1daec10c7119d8a9623e9545e46735c1f59291096a071747b8dd6fa74f0e",
-                "1a9f6d4054b600844cf3d76c6e315f78002b59499913f90e2a1808114947f931"),
+                "ee961e102a8ceec7e5d29da52772a9d13337c3c3f7096b6e37f0d3e7c3cef54e",
+                "0a3087b07a8f74ae95a79f4c0a0e31ede142740e350ddf25df6ebcdba89b4a5e"),
         "ex2s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                 "40abad4c8d66d08c31fb9d2557edeb9b570a681a89fe224139f65a506122561d",
-                 "18576acc6c7de0a49270fda106958b5b7710c38a2f0e497e61e5966fbb5eebb0"),
+                 "a45ec1057a39dae67a5f4ae9a0637bf2f1f6598a4c07589539c8e1126b012937",
+                 "571d83b91bac5214a3f886e86d3dc9c39e514557fe4da74a2b7dad2e8c6f0166"),
         "ex3": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                "b5824e42a9a45296fe2d82ad62c80a54c416cabc4c6b70e7c02203a325afc152",
-                "c5ec6ad1741d08d5ba9f7ed0995ccbb6218f45eb944ed147918318715c5489c4"),
+                "d12c31f947f3884827c4711ef0f44484e3bb5ec9d43624e7cd5b35ea5980b556",
+                "6efb74cac56e8d4a60ec188a53b3f3e6faa0fe9cbe3ebbcdad5bf7d251db0531"),
         "ex3s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                 "670dc53dacb4397557875522cf8151550f901cda1cca2521b60250f055717dbc",
-                 "7fcbd317b1cf33a98c0ddb30904c464ea4b53d2da76bf1ca148b73974adae5cf"),
+                 "f1edb885da613c8885a0f86285177e63a01f48f23d07569db94ec5c325c83a9a",
+                 "fcd139278bc820db4ab625157d34d068a8aca5e8aecaa89904b05428fb362ae8"),
         "twod": (["--queries", "2", "--seeds", "2"], {"steps": 200, "n_per_env": 200},
-                 "09e62bd73000428065b2a97baa902b18be188f5fb1372847ff297e2038d60ba4",
-                 "32dc2946f94486a46a1516f2e6bd0ea4e9186176a82e7e9c9e15226b7fb2f418"),
+                 "07230d3050b097a91b449acc067e31833ac7744e4f5944c05dd0ff3614ae463c",
+                 "5c5d84bddfb9158726090c34ec75e66e08c684282f869cdabf4259751a0ccd5f"),
         "xor": (["--queries", "3", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                "cdb5ae4a2b8a2055eb5d7a06ddc48d98bbcc71541d2ab67a73beccb405ccea95",
-                "ff33cdbeb310d648cf440ec7ecb97cf30d6dcc3dc992f0f286c970b1ac428855"),
+                "e11edc6003b1f0e61ee9d2eeac2dc24cda8eb0afd17181d2d02a9042fe3d9717",
+                "8c76b550d58fa79880611c4ce41104585b629dedb5f77b2a7b4e36ee64f293d7"),
     }
 
     @pytest.mark.parametrize("example", sorted(GOLDEN))
@@ -344,6 +362,41 @@ class TestSweepCommand:
         capsys.readouterr()
         for name, sha in (("sweep.csv", sweep_sha), ("summary.csv", summary_sha)):
             assert _sha256_untimed(_read(os.path.join(out, name))) == sha, name
+
+    def test_diverged_step_is_empty_for_a_finished_query(self, tmp_path, capsys):
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"steps": 300, "queries": 3, "seeds": 2}, fh)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--example", "ex1", "--config", cfg,
+                     "--out", out]) == 0
+        capsys.readouterr()
+        rows = read_csv(os.path.join(out, "sweep.csv"))[2]
+        finished = [r["diverged_step"] == "" for r in rows]
+        assert any(finished) and not all(finished)
+        for r, done in zip(rows, finished):
+            assert done == (r["val_risk"] != "inf")
+            assert done or 0 <= int(r["diverged_step"]) <= 300
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_one_method_sweep_is_its_rows_of_the_full_sweep(self, tmp_path,
+                                                            capsys, example):
+        # ex1 trains every method of a seed batch as one batch, ex2 one
+        # batch per method; either way a method's rows are its own
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"n_per_env": 100, "steps": 200, "queries": 3,
+                       "seeds": 2}, fh)
+        bodies = []
+        for name, methods in (("erm", ["--methods", "erm"]), ("all", [])):
+            out = str(tmp_path / name)
+            assert main(["sweep", "--example", example, *methods, "--seed", "4",
+                         "--config", cfg, "--out", out]) == 0
+            bodies.append(_csv_body(os.path.join(out, "sweep.csv")))
+        capsys.readouterr()
+        (_, *erm, _), (_, *every, _) = bodies
+        assert len(erm) == 6 and len(every) == 24
+        assert erm == [line for line in every if line.split(",")[2] == "ERM"]
 
     def test_bad_worker_count_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("IBIRM_THREADS", "abc")
@@ -613,7 +666,7 @@ class TestReportCommand:
         # squaring 1e160 overflows; the summary must not, and the table
         # prints the values in exponent form, not 161 digits
         path = str(tmp_path / "sweep.csv")
-        atomic_write_text(path, ",".join(SWEEP_FIELDS) + "\n" +
+        atomic_write_text(path, ",".join(PLAIN_FIELDS) + "\n" +
                           "ex2,3,ERM,0,0,0,0,0.01,0.2,1e160,1e160\n" +
                           "ex2,3,ERM,1,0,0,0,0.01,0.2,3e160,3e160\n")
         rep_out = str(tmp_path / "rep")
@@ -633,7 +686,7 @@ class TestReportCommand:
         bodies = []
         for name, order in (("nan_first", rows), ("nan_last", rows[::-1])):
             path = str(tmp_path / f"{name}.csv")
-            atomic_write_text(path, ",".join(SWEEP_FIELDS) + "\n" +
+            atomic_write_text(path, ",".join(PLAIN_FIELDS) + "\n" +
                               "\n".join(order) + "\n")
             rep_out = tmp_path / name
             assert main(["report", path, "--out", str(rep_out)]) == 0
@@ -648,7 +701,7 @@ class TestReportCommand:
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = str(tmp_path / "bad.csv")
-        atomic_write_text(bad, ",".join(SWEEP_FIELDS) + "\n" +
+        atomic_write_text(bad, ",".join(PLAIN_FIELDS) + "\n" +
                           "ex2,3,ERM,0,0,0,0,0.01,not_a_number,0.1,0.1\n")
         assert main(["report", bad]) == 2
         err = capsys.readouterr().err
@@ -663,14 +716,14 @@ class TestReportCommand:
     ], ids=["n_envs", "data_seed", "short_row", "long_row", "overlong_field"])
     def test_bad_cell_exits_2(self, tmp_path, capsys, row):
         bad = str(tmp_path / "bad.csv")
-        atomic_write_text(bad, ",".join(SWEEP_FIELDS) + "\n" + row + "\n")
+        atomic_write_text(bad, ",".join(PLAIN_FIELDS) + "\n" + row + "\n")
         assert main(["report", bad]) == 2
         assert "bad.csv: bad row 2" in capsys.readouterr().err
 
     def test_repeated_column_exits_2(self, tmp_path, capsys):
         # read from the last copy, the row's ex1 would be its example
         bad = str(tmp_path / "bad.csv")
-        atomic_write_text(bad, ",".join(SWEEP_FIELDS) + ",example\n" +
+        atomic_write_text(bad, ",".join(PLAIN_FIELDS) + ",example\n" +
                           "ex2,3,ERM,0,0,0,0,0.01,0.2,0.1,0.1,ex1\n")
         assert main(["report", bad]) == 2
         assert "bad.csv: header repeats example" in capsys.readouterr().err
@@ -681,7 +734,7 @@ class TestReportCommand:
 
     def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
-        bad.write_bytes((",".join(SWEEP_FIELDS) + "\n" +
+        bad.write_bytes((",".join(PLAIN_FIELDS) + "\n" +
                          "caf\xe9,3,ERM,0,0,0,0,0.01,0.2,0.1,0.1\n")
                         .encode("latin-1"))
         assert main(["report", str(bad)]) == 2

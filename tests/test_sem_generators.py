@@ -276,6 +276,12 @@ class TestBenchmarkInstance:
     @pytest.mark.parametrize("scramble", [False, True], ids=["plain", "scrambled"])
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_every_environment_carries_the_spec_task(self, example, scramble):
+        if scramble and example not in SCRAMBLED:
+            # twod and xor have no scrambler: the spec is rejected, not
+            # named as scrambled with X left as drawn
+            with pytest.raises(ParameterError, match="no scrambled variant"):
+                GeneratorSpec(example=example, n_per_env=20, scramble=True)
+            return
         spec = GeneratorSpec(example=example, n_per_env=20, scramble=scramble)
         _, _, envs = generate_training_envs(spec, RngStream(3))
         assert [env.task for env in envs] == [spec.task] * spec.n_envs

@@ -5,8 +5,10 @@ fails, every text-mode ``open`` or ``os.fdopen`` names its encoding, so no
 file's bytes depend on the locale, only ``numeric_core`` touches
 ``numpy.random``, so every draw comes from a keyed ``RngStream``, the
 training stacks stay behind their boundary: ``objectives`` builds them from
-plain environments, and ``trainer`` neither builds nor names one, and an
-``EnvDataset`` is built in one place, ``generate_env``."""
+plain environments, and ``trainer`` neither builds nor names one, an
+``EnvDataset`` is built in one place, ``generate_env``, and a sweep draws
+each data seed's training and test environments in one place, for every
+method."""
 
 import ast
 import pathlib
@@ -199,3 +201,14 @@ def test_call_check_finds_every_form():
 def test_env_dataset_is_built_only_in_generate_env():
     assert [(module, top) for module, top, _ in _calls_of(TREES, "EnvDataset")] \
         == [("sem_generators", "generate_env")]
+
+
+def test_a_sweep_draws_each_seed_in_one_place():
+    # One call each, in the seed-major sweep: a second call site would be a
+    # second draw of a seed's data, such as one per method.  ``generate``
+    # writes the one draw of its own command.
+    assert [(module, top) for module, top, _ in
+            _calls_of(TREES, "generate_training_envs")] == \
+        [("cli", "cmd_generate"), ("trainer", "_run_batch")]
+    assert [(module, top) for module, top, _ in
+            _calls_of(TREES, "default_test_envs")] == [("trainer", "_run_batch")]

@@ -15,9 +15,11 @@ from oodbench.cli import main
 from oodbench.reporting import read_csv
 
 # optimizer -> (CLI flags, config file, per-query bound, summary-mean bound).
-# The bounds are relative.  Measured at seeds 0 / 7919: GD per query
-# 3.9e-15 / 1.4e-9 and summary means 2.3e-15 / 8.1e-10; Adam per query
-# 1.7e-5 / 2.3e-9 and summary means 1.4e-7 / 1.5e-10.  Adam is looser: its
+# The bounds are relative.  Measured at seeds 0 / 7919, with the methods
+# paired on one draw per seed: GD per query 9.5e-13 / 4.3e-15 and summary
+# means 2.0e-15 / 3.8e-15; Adam per query 5.4e-14 / 1.2e-14 and summary
+# means 8.3e-15 / 6.4e-15.  On the earlier per-method draws they read GD
+# 1.4e-9 and 8.1e-10, Adam 1.7e-5 and 1.4e-7 at worst.  Adam is looser: its
 # step m / sqrt(v) has about unit size whatever the gradient's, so a
 # last-bit difference in a near-zero gradient entry becomes a step-sized
 # one.

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 
 import numpy as np
 import pytest
@@ -201,7 +202,7 @@ class TestRandomSearch:
     TC = TrainConfig(steps=30)
 
     def test_row_shape_and_hparam_ranges(self):
-        rows = random_search(self.SPEC, "IBIRM", (3, 2), RngStream(0), self.TC)
+        rows = random_search(self.SPEC, ["IBIRM"], (3, 2), RngStream(0), self.TC)
         assert len(rows) == 6
         assert {r.data_seed for r in rows} == {0, 1}
         assert {r.hparam_id for r in rows} == {0, 1, 2}
@@ -215,24 +216,29 @@ class TestRandomSearch:
             assert r.test_metric <= r.test_metric_max
 
     def test_penalty_weights_zero_when_unused(self):
-        erm = random_search(self.SPEC, "ERM", (2, 1), RngStream(0), self.TC)
+        erm = random_search(self.SPEC, ["ERM"], (2, 1), RngStream(0), self.TC)
         assert all(r.lam == 0.0 and r.gamma == 0.0 for r in erm)
-        irm = random_search(self.SPEC, "IRM", (2, 1), RngStream(0), self.TC)
+        irm = random_search(self.SPEC, ["IRM"], (2, 1), RngStream(0), self.TC)
         assert all(r.lam > 0.0 and r.gamma == 0.0 for r in irm)
-        iberm = random_search(self.SPEC, "IBERM", (2, 1), RngStream(0), self.TC)
+        iberm = random_search(self.SPEC, ["IBERM"], (2, 1), RngStream(0), self.TC)
         assert all(r.lam == 0.0 and r.gamma > 0.0 for r in iberm)
 
     def test_rejects_bad_inputs(self):
+        with pytest.raises(ParameterError, match="unknown method"):
+            random_search(self.SPEC, ["GroupDRO"], (1, 1), RngStream(0), self.TC)
+        with pytest.raises(ParameterError, match="names no method"):
+            random_search(self.SPEC, [], (1, 1), RngStream(0), self.TC)
+        with pytest.raises(ParameterError, match="repeats a method"):
+            random_search(self.SPEC, ["ERM", "IRM", "ERM"], (1, 1), RngStream(0),
+                          self.TC)
         with pytest.raises(ParameterError):
-            random_search(self.SPEC, "GroupDRO", (1, 1), RngStream(0), self.TC)
+            random_search(self.SPEC, ["ERM"], (0, 1), RngStream(0), self.TC)
         with pytest.raises(ParameterError):
-            random_search(self.SPEC, "ERM", (0, 1), RngStream(0), self.TC)
-        with pytest.raises(ParameterError):
-            random_search(self.SPEC, "ERM", (1, 0), RngStream(0), self.TC)
+            random_search(self.SPEC, ["ERM"], (1, 0), RngStream(0), self.TC)
 
     def test_deterministic_in_root_stream(self):
-        a = random_search(self.SPEC, "IRM", (2, 2), RngStream(9), self.TC)
-        b = random_search(self.SPEC, "IRM", (2, 2), RngStream(9), self.TC)
+        a = random_search(self.SPEC, ["IRM"], (2, 2), RngStream(9), self.TC)
+        b = random_search(self.SPEC, ["IRM"], (2, 2), RngStream(9), self.TC)
         assert a == b
 
     # A square-loss example (moment stacks, one batch per worker) and a
@@ -244,9 +250,9 @@ class TestRandomSearch:
     @pytest.mark.parametrize("threads,seeds", [("2", 3), ("3", 2)])
     def test_parallel_matches_serial(self, monkeypatch, example, threads, seeds):
         spec = self.SPECS[example]
-        serial = random_search(spec, "IBERM", (2, seeds), RngStream(4), self.TC)
+        serial = random_search(spec, METHODS, (2, seeds), RngStream(4), self.TC)
         monkeypatch.setenv("IBIRM_THREADS", threads)
-        parallel = random_search(spec, "IBERM", (2, seeds), RngStream(4), self.TC)
+        parallel = random_search(spec, METHODS, (2, seeds), RngStream(4), self.TC)
         assert serial == parallel
 
     @pytest.mark.parametrize("example", sorted(SPECS))
@@ -273,7 +279,7 @@ class TestRandomSearch:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setenv("IBIRM_THREADS", threads)
-        rows = random_search(self.SPECS[example], "ERM", (2, seeds), RngStream(0),
+        rows = random_search(self.SPECS[example], ["ERM"], (2, seeds), RngStream(0),
                              self.TC)
         assert made == ([] if workers == 1 else [workers])
         assert [(r.data_seed, r.hparam_id) for r in rows] == \
@@ -283,14 +289,14 @@ class TestRandomSearch:
     def test_bad_worker_count_names_the_variable(self, monkeypatch, value):
         monkeypatch.setenv("IBIRM_THREADS", value)
         with pytest.raises(ParameterError, match="IBIRM_THREADS"):
-            random_search(self.SPEC, "ERM", (1, 1), RngStream(0), self.TC)
+            random_search(self.SPEC, ["ERM"], (1, 1), RngStream(0), self.TC)
 
     def test_overflowing_query_does_not_abort(self, monkeypatch):
         # query 1's first update overflows its weights to inf while its
         # objective is still finite; only that query's row reports it
         spec = GeneratorSpec(example="ex1", n_per_env=60, n_envs=2)
         tc = TrainConfig(steps=40, optimizer="adam")
-        before = random_search(spec, "IBIRM", (3, 1), RngStream(2), tc)
+        before = random_search(spec, ["IBIRM"], (3, 1), RngStream(2), tc)
         sample = trainer._sample_hparams
 
         def huge_lr_for_query1(method, rng):
@@ -298,10 +304,52 @@ class TestRandomSearch:
             return (np.finfo(float).max if "query1" in rng.lineage else lr), lam, gamma
 
         monkeypatch.setattr(trainer, "_sample_hparams", huge_lr_for_query1)
-        after = random_search(spec, "IBIRM", (3, 1), RngStream(2), tc)
+        after = random_search(spec, ["IBIRM"], (3, 1), RngStream(2), tc)
         assert np.isfinite(before[1].val_risk)
         assert after[1].val_risk == after[1].test_metric == float("inf")
         assert after[0] == before[0] and after[2] == before[2]
+
+    @pytest.mark.parametrize("example", sorted(SPECS))
+    def test_methods_train_and_test_on_one_draw_per_seed(self, monkeypatch,
+                                                         example):
+        # Record, per (method, seed), the bytes of every query's training
+        # environments and of every test environment that scores a query.
+        # A test score is tied to its query by the trained theta's bytes.
+        seen, owner = {}, {}
+        train, score = trainer.train_gd, trainer.evaluate
+
+        def digest(*arrays):
+            return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+        def recording_train(query_envs, cfg, tc, rngs):
+            results = train(query_envs, cfg, tc, rngs)
+            for envs, rng, result in zip(query_envs, rngs, results):
+                key = (rng.lineage[0], rng.lineage[1])  # method/<m>, seed<s>
+                seen.setdefault(key, [set(), set()])[0].add(
+                    digest(*(a for env in envs for a in (env.X, env.Y))))
+                owner[result.theta.tobytes()] = key
+            return results
+
+        def recording_score(theta, X, Y, task):
+            key = owner.get(theta.tobytes())
+            if key is not None:
+                seen[key][1].add(digest(X, Y))
+            return score(theta, X, Y, task)
+
+        monkeypatch.setattr(trainer, "train_gd", recording_train)
+        monkeypatch.setattr(trainer, "evaluate", recording_score)
+        spec = self.SPECS[example]
+        rows = random_search(spec, METHODS, (2, 3), RngStream(6),
+                             TrainConfig(steps=30, optimizer="adam"))
+        assert all(np.isfinite(r.val_risk) for r in rows)
+        per_seed = []
+        for seed in range(3):
+            draws = [seen[(f"method/{m}", f"seed{seed}")] for m in METHODS]
+            train_draw, test_draw = draws[0]
+            assert len(train_draw) == 1 and len(test_draw) == spec.n_envs
+            assert all(draw == draws[0] for draw in draws)
+            per_seed.append(draws[0])
+        assert len({next(iter(train_draw)) for train_draw, _ in per_seed}) == 3
 
     def test_methods_tuple(self):
         assert METHODS == ("ERM", "IRM", "IBERM", "IBIRM")
