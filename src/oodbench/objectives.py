@@ -38,6 +38,15 @@ logistic batch is of one method: each weight is all zero or all
 positive, as it computes each penalty for the whole batch.  What each
 path promises against the per-model reference is the tolerance contract
 in :mod:`oodbench.trainer`.
+
+Training reads the value only to see whether it is finite.  On the
+logistic loss the value costs a log1p and more per row, so it is computed
+only for the models whose value :func:`_certified` cannot prove finite
+from theta alone: with every prediction at most B = ‖w‖₁ max|X| + |b| in
+magnitude, a row's risk term is at most 2B + 1, lam g² at most lam B² and
+n_envs gamma Var at most 4 n_envs gamma B², and a model whose bound stays
+2**24 below overflow is certified.  The gradient is computed the same way
+either way.
 """
 
 from __future__ import annotations
@@ -63,8 +72,9 @@ __all__ = [
 class ObjectiveConfig:
     """Penalty weights: (0, 0) is ERM, (lam>0, 0) is IRM, (0, gamma>0) is
     IB-ERM, both positive is IB-IRM.  For a batch of models ``lam`` and
-    ``gamma`` are one weight >= 0 per model, or one for all.  The stack of
-    the task's loss checks what else it needs (see :func:`env_stack`)."""
+    ``gamma`` are one finite weight >= 0 per model, or one for all.  The
+    stack of the task's loss checks what else it needs (see
+    :func:`env_stack`)."""
 
     lam: float | np.ndarray = 0.0
     gamma: float | np.ndarray = 0.0
@@ -74,10 +84,11 @@ class ObjectiveConfig:
 
 
 def _nonnegative(lam, gamma):
-    """Check that every penalty weight is >= 0 (so not nan)."""
+    """Check that every penalty weight is finite and >= 0 (so not nan)."""
     for name, w in (("lam", lam), ("gamma", gamma)):
-        if not np.all(np.asarray(w) >= 0):
-            raise ParameterError(f"{name} must be >= 0")
+        w = np.asarray(w)
+        if not np.all((w >= 0) & (w < np.inf)):
+            raise ParameterError(f"{name} must be finite and >= 0")
 
 
 def _one_pattern(lam, gamma):
@@ -96,13 +107,16 @@ class EnvStack:
     :func:`env_stack`.
 
     ``X[q, e]`` (n, d) and ``Y[q, e]`` (n,) are model q's rows of
-    environment e; every environment has the same number of rows n.
-    ``lam[q]`` and ``gamma[q]`` are model q's weights, each all zero or
-    all positive (see :class:`ObjectiveConfig`).
+    environment e, with labels in {0, 1}; every environment has the same
+    number of rows n.  ``xmax[q]`` is the largest |X| among model q's rows,
+    which bounds its predictions (see :func:`_certified`).  ``lam[q]`` and
+    ``gamma[q]`` are model q's weights, finite, and each all zero or all
+    positive (see :func:`env_stack`).
     """
 
     X: np.ndarray
     Y: np.ndarray
+    xmax: np.ndarray
     lam: np.ndarray
     gamma: np.ndarray
 
@@ -113,15 +127,21 @@ def env_stack(query_envs, query_rows, lam, gamma):
     ``lam[q]`` and ``gamma[q]``.  ``query_rows`` may be an iterator; each
     query's indices are read once, in query order.  The queries are of one
     method: a penalty is computed for the whole batch or for none, so a
-    batch that mixes methods is a ParameterError."""
+    batch that mixes methods is a ParameterError, as is a weight that is
+    not finite or a label other than 0 or 1."""
+    _nonnegative(lam, gamma)
     _one_pattern(lam, gamma)
     for q, (envs, rows) in enumerate(zip(query_envs, query_rows)):
         for e, (env, train) in enumerate(zip(envs, rows)):
             if q == e == 0:
                 X = np.empty((len(query_envs), len(envs), train.size, env.X.shape[1]))
                 Y = np.empty(X.shape[:3])
+                xmax = np.empty(len(query_envs))
             X[q, e], Y[q, e] = env.X[train], env.Y[train]
-    return EnvStack(X, Y, lam, gamma)
+        xmax[q] = np.abs(X[q]).max()  # nan if any entry is
+    if not np.all((Y == 0) | (Y == 1)):
+        raise ParameterError("logistic labels must be 0 or 1")
+    return EnvStack(X, Y, xmax, lam, gamma)
 
 
 @dataclass
@@ -235,16 +255,18 @@ def _keep_rows(a, keep):
     return a[:keep.size]
 
 
-def _env_terms(X, yhat, y, penalized):
+def _env_terms(X, yhat, y, penalized, scored):
     """Logistic-loss terms of every (model, environment) pair, from (Q, E, n)
     predictions and labels in {0, 1}.
 
-    Returns the risks (Q, E), their gradients in (w, b) (Q, E, d+1), and,
-    when ``penalized``, the scale derivative g (Q, E) with its gradients
-    (else None).  A mean is a row sum divided by n, which is how ``np.mean``
-    computes it.  Row-sized buffers are reused in place to keep a large
-    batch's peak memory low; an in-place operation gives the same bits as
-    its out-of-place form.
+    Returns the risks (len(scored), E) of the models ``scored`` (an index
+    array; None when it is empty, and no risk term is computed), the
+    gradients in (w, b) (Q, E, d+1), and, when ``penalized``, the scale
+    derivative g (Q, E) with its gradients (else None).  A mean is a row sum
+    divided by n, which is how ``np.mean`` computes it.  Row-sized buffers
+    are reused in place to keep a large batch's peak memory low; an in-place
+    operation gives the same bits as its out-of-place form, and a model's
+    rows give the same bits gathered or in place.
 
     All but the risk follow the per-model path's float operations in its
     order.  One e = exp(-|ŷ|) per row gives both the sigmoid,
@@ -252,25 +274,30 @@ def _env_terms(X, yhat, y, penalized):
     As e is in [0, 1] or nan, the sigmoid's numerator is 1 where ŷ ≥ 0 and
     e elsewhere, as the per-model path takes it.  The softplus is the
     formula of numpy's ``logaddexp(0, ŷ)`` with a vectorised exp; it agrees
-    with it to a few ulp (see :mod:`oodbench.trainer`).
+    with it to a few ulp (see :mod:`oodbench.trainer`).  The gradients read
+    no risk term, so skipping the risks leaves their bits alone.
     """
     n = y.shape[-1]
-    g = pen = None
+    risk = g = pen = None
     e = np.abs(yhat)
     np.negative(e, out=e)
     np.exp(e, out=e)              # exp(-|yhat|), shared by both halves
     s = np.maximum(e, yhat >= 0)
-    r = np.log1p(e)
+    if scored.size:
+        r = e[scored]
+        np.log1p(r, out=r)
+        t = yhat[scored]
+        u = y[scored]
+        u *= t                    # y yhat
+        np.maximum(t, 0.0, out=t)
+        r += t                    # softplus(yhat) = max(yhat, 0) + log1p(e)
+        r -= u
+        risk = _row_sum(r) / n
     e += 1.0
     s /= e                        # sigmoid(yhat)
-    np.maximum(yhat, 0.0, out=e)
-    r += e                        # softplus(yhat) = max(yhat, 0) + log1p(e)
-    np.multiply(y, yhat, out=e)
-    r -= e
-    risk = _row_sum(r) / n
-    np.subtract(s, y, out=r)
+    r = np.subtract(s, y, out=e)
     if penalized:
-        g = _row_sum(np.multiply(r, yhat, out=e)) / n
+        g = _row_sum(r * yhat) / n
     r /= n                        # (s - y) / n
     grad = _row_grad(X, r)
     if penalized:
@@ -329,7 +356,40 @@ def _square_objective(theta, st):
     return value, grad
 
 
-def objective_and_gradient(theta, stack):
+# The threshold of _certified: 2**24 below overflow, so that neither the
+# bound's own rounding nor the kernel's, each a relative 1 + O(N u), can
+# close the gap.
+CERTIFIED_MAX = 2.0 ** 1000
+
+
+def _certified(theta, stack, use_irm, use_ib):
+    """The models of an :class:`EnvStack` whose objective value is certainly
+    finite, found from theta alone, in O(Q d).
+
+    Every prediction of model q is at most B = ‖w‖₁ xmax[q] + |b| in
+    magnitude.  With labels in {0, 1} a row's risk term is at most 2B + 1
+    (log1p of a number in [0, 1] is below 1), and |g_e| at most B
+    (|s - y| ≤ 1), so lam g_e² ≤ lam B² (and lam |g_e| ≤ max(lam,
+    lam B²), as lam is finite); a centred prediction squared is at
+    most 4B², so n_envs gamma Var ≤ 4 n_envs gamma B².  Every partial sum of
+    the value is at most the N = n_envs n rows times the sum of those
+    terms, 4B² counted once more for the centred squares' own sum.  So a
+    model is certified where N (2B + 1 + c B²) ≤ :data:`CERTIFIED_MAX`, with
+    c = lam if the IRM penalty is on, plus 4 (n_envs gamma + 1) if the
+    bottleneck is.  A nan or inf B, or an n_envs gamma that overflows, makes
+    the bound nan or inf, which is not certified."""
+    n_envs, n = stack.X.shape[1:3]
+    b = np.abs(theta[:, :-1]).sum(axis=1)
+    b *= stack.xmax
+    b += np.abs(theta[:, -1])
+    c = stack.lam if use_irm else 0.0
+    if use_ib:
+        c = c + (n_envs * stack.gamma + 1.0) * 4.0
+    bound = b * (c * b + 2.0) + 1.0
+    return bound <= CERTIFIED_MAX / (n_envs * n)
+
+
+def objective_and_gradient(theta, stack, value=True):
     """Penalized objective values and their exact gradients in (w, b) for a
     batch of Q linear models.
 
@@ -342,6 +402,13 @@ def objective_and_gradient(theta, stack):
     batch may mix methods.  Returns ``(values, grads)`` of shapes (Q,) and
     (Q, d+1).
 
+    With ``value=False`` it returns ``(finite, grads)``, ``finite`` being
+    ``np.isfinite(values)``: all that training reads of the value.  The
+    square loss computes the value, O(d²).  The logistic loss computes it
+    only for the models that :func:`_certified` does not certify, those
+    whose bound on it is nan, inf or within 2**24 of overflow, as a
+    diverging model's is.  The gradient is the same as with ``value=True``.
+
     A model's float operations, and the order in which its terms are summed,
     do not depend on the other models of the batch.  From an
     :class:`EnvStack` they are the per-model path's but for the softplus
@@ -349,26 +416,27 @@ def objective_and_gradient(theta, stack):
     that model alone, one environment after another.
     """
     if isinstance(stack, MomentStack):
-        return _square_objective(theta, stack)
+        values, grad = _square_objective(theta, stack)
+        return (values if value else np.isfinite(values)), grad
     q, d = theta.shape[0], theta.shape[1] - 1
     lam, gamma = stack.lam, stack.gamma
     use_irm, use_ib = bool(lam.any()), bool(gamma.any())
     n_envs, n = stack.X.shape[1:3]
+    if value:
+        finite = np.zeros(q, dtype=bool)
+    else:
+        finite = _certified(theta, stack, use_irm, use_ib)
+    scored = np.flatnonzero(~finite)  # the models whose value is computed
     yhat = np.matmul(stack.X, theta[:, None, :-1, None])[..., 0]
     yhat += theta[:, -1:, None]
-    risk_qe, grad_qe, g, g_grad = _env_terms(stack.X, yhat, stack.Y, use_irm)
+    risk_qe, grad_qe, g, g_grad = _env_terms(stack.X, yhat, stack.Y, use_irm, scored)
     if use_irm:
-        lam_q = lam.reshape(-1, 1)
-        pen = lam_q * g * g
-        pen_grad = (lam_q * 2.0 * g)[..., None] * g_grad
+        pen_grad = (lam.reshape(-1, 1) * 2.0 * g)[..., None] * g_grad
     # Environment by environment, in the per-model order.
-    value = np.zeros(q)
     grad = np.zeros((q, d + 1))
     for e in range(n_envs):
-        value += risk_qe[:, e]
         grad += grad_qe[:, e]
         if use_irm:
-            value += pen[:, e]
             grad += pen_grad[:, e]
     if use_ib:
         n_all = n_envs * n
@@ -376,10 +444,21 @@ def objective_and_gradient(theta, stack):
         allp = yhat.reshape(q, n_all)
         centered = allp - (_row_sum(allp) / n_all)[:, None]
         var_w = _matvec(stack.X.reshape(q, n_all, d), centered)
-        centered **= 2
-        var = _row_sum(centered) / n_all
-        value += n_envs * gamma * var
         coef = np.reshape(n_envs * gamma * (2.0 / n_all), (-1, 1))
         # the intercept shifts every prediction equally: no variance gradient
         grad[:, :-1] += coef * var_w
-    return value, grad
+    if not scored.size:
+        return finite, grad
+    values = np.zeros(scored.size)
+    for e in range(n_envs):
+        values += risk_qe[:, e]
+        if use_irm:
+            values += lam[scored] * g[scored, e] * g[scored, e]
+    if use_ib:
+        centered = centered[scored]
+        centered **= 2
+        values += n_envs * gamma[scored] * (_row_sum(centered) / n_all)
+    if value:
+        return values, grad
+    finite[scored] = np.isfinite(values)
+    return finite, grad

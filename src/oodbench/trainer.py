@@ -36,7 +36,14 @@ stated bound of it, and the tests check each part.
   row's risk term is within 4 ulp of the larger of its softplus and
   |y yhat| (measured: 2 ulp over 1.1e6 rows).  At the per-model path's
   iterates on the tested grid the value is within 1e-15 relative
-  (measured: 3.6e-16).
+  (measured: 3.6e-16).  Training reads only whether the value is finite,
+  and a step computes it only for the queries whose value a bound from
+  theta alone does not prove finite: with every prediction at most
+  B = ‖w‖₁ max|X| + |b|, the value is at most
+  n_envs (2B + 1 + lam B²) + 4 n_envs gamma B², and a query is certified
+  where that bound stays 2**24 below overflow
+  (:func:`~oodbench.objectives._certified`).  So the divergence test, and
+  every output above, is that of computing the value at every step.
 * Square loss, per call: the objective is one quadratic form per query,
   built from the moments of its rows by
   :func:`~oodbench.objectives.moment_stack` (the scatter only for queries
@@ -150,6 +157,15 @@ def _stack_queries(query_envs, rngs, lam, gamma):
     return build(query_envs, rows, lam, gamma)
 
 
+def _per_query(name, x, n_q):
+    """The field ``name``, one value or one per query, as one per query."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1 or x.size not in (1, n_q):
+        raise ParameterError(f"{name} must be one value or one per query "
+                             f"({n_q}), got {x.size}")
+    return np.broadcast_to(x, (n_q,)).copy()
+
+
 def train_gd(query_envs, cfg, tc, rngs):
     """Deterministic full-batch training of one linear model per stream in
     ``rngs``, all of them as one batch.
@@ -185,8 +201,8 @@ def train_gd(query_envs, cfg, tc, rngs):
                              "number of rows and columns, and one number of "
                              "environments")
     n_q = len(rngs)
-    lr, lam, gamma = (np.broadcast_to(np.asarray(x, dtype=float), (n_q,)).copy()
-                      for x in (tc.lr, cfg.lam, cfg.gamma))
+    lr, lam, gamma = (_per_query(name, x, n_q) for name, x in
+                      (("lr", tc.lr), ("lam", cfg.lam), ("gamma", cfg.gamma)))
     lr = lr[:, None]
     stack = _stack_queries(query_envs, rngs, lam, gamma)
     theta = np.zeros((n_q, query_envs[0][0].X.shape[1] + 1))
@@ -199,8 +215,8 @@ def train_gd(query_envs, cfg, tc, rngs):
     # A diverging query overflows; its non-finite value is what reports it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for step in range(tc.steps + 1):
-            value, grad = objective_and_gradient(theta, stack)
-            finite = np.isfinite(value) & np.isfinite(theta).all(axis=1)
+            finite, grad = objective_and_gradient(theta, stack, value=False)
+            finite &= np.isfinite(theta).all(axis=1)
             if not finite.all():
                 for row in np.flatnonzero(~finite):
                     diverged_step[ids[row]] = step

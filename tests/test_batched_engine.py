@@ -277,6 +277,31 @@ def test_a_square_batch_mixing_methods_keeps_each_querys_bits(optimizer):
     assert {r.diverged_step is None for r in mixed} == {True, False}
 
 
+@pytest.mark.parametrize("source", ["penalty", "risk"])
+def test_a_value_overflow_with_finite_predictions_stops_as_the_oracle_does(source):
+    # The value leaves the finite range while theta and every prediction are
+    # still finite: from lam g² under a huge lam, or from the risk's row sum
+    # under a huge step on labels that no model fits.  The step is
+    # certified by no bound, so training computes the value and stops where
+    # the per-model path does, in the same state.
+    if source == "penalty":
+        envs, query = _envs("logistic"), (1e300, 0.0, 0.05)
+    else:
+        r = RngStream(12)
+        X = r.fork("x").gaussian_array((50, 2))
+        Y = r.fork("y").bernoulli_array((50,), 0.5).astype(float)
+        envs, query = [EnvDataset(env_id=0, X=X, Y=Y, task="classification")], (0.0, 0.0, 3e307)
+    rng = RngStream(3).fork("q")
+    tc = TrainConfig(steps=20)
+    result, = _train_each([(envs, query, rng)], tc)
+    theta, val_risk, step = _oracle(envs, query, tc, rng)
+    assert step is not None and result.diverged_step == step
+    assert result.theta.tobytes() == theta.tobytes()
+    assert result.val_risk == val_risk == np.inf
+    assert np.isfinite(theta).all()
+    assert all(np.isfinite(env.X @ theta[:-1] + theta[-1]).all() for env in envs)
+
+
 def test_gradient_overflow_stops_only_that_query():
     # One outlier row (x = 1e200 in a column that is 0 elsewhere, y = 1e150)
     # is in the training rows of query B only.  At step 0 B's objective is

@@ -1,10 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from oodbench import objectives
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import ObjectiveConfig, _env_terms
+from oodbench.objectives import (CERTIFIED_MAX, ObjectiveConfig, _certified,
+                                 _env_terms, env_stack, moment_stack,
+                                 objective_and_gradient as stack_objective)
 from oodbench.sem_generators import (EnvDataset, EnvParams, GeneratorSpec,
                                      generate_env)
 from oracle import (LinearModel, _sigmoid, batched_objective, irmv1_penalty,
@@ -173,10 +177,29 @@ def numerical_gradient(objective, model, envs, cfg, h=1e-6):
 
 class TestObjectiveConfig:
     # a batch mixing penalty patterns: test_batched_engine.py
-    @pytest.mark.parametrize("lam,gamma", [(-1.0, 0.0), (0.0, [0.5, -0.5])])
+    @pytest.mark.parametrize("lam,gamma", [(-1.0, 0.0), (0.0, [0.5, -0.5]),
+                                           (np.inf, 0.0), (0.0, [0.5, np.inf]),
+                                           (np.nan, 0.0)])
     def test_rejects_negative_weights(self, lam, gamma):
-        with pytest.raises(ParameterError):
-            ObjectiveConfig(np.array(lam), np.array(gamma))
+        lam, gamma = np.array(lam), np.array(gamma)
+        name = "gamma" if np.ndim(gamma) else "lam"
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            ObjectiveConfig(lam, gamma)
+        # the stacks take the weights as arrays, one per query, and check
+        # them again
+        envs = random_envs(RngStream(1), task="classification")
+        rows = [[np.arange(env.n) for env in envs]] * 2
+        lam, gamma = np.broadcast_to(lam, (2,)), np.broadcast_to(gamma, (2,))
+        for build in (env_stack, moment_stack):
+            with pytest.raises(ParameterError, match=f"{name} must be finite"):
+                build([envs] * 2, rows, lam, gamma)
+
+    def test_logistic_labels_must_be_0_or_1(self):
+        envs = random_envs(RngStream(1), task="classification")
+        envs[1].Y[3] = 2.0
+        rows = [[np.arange(env.n) for env in envs]]
+        with pytest.raises(ParameterError, match="labels must be 0 or 1"):
+            env_stack([envs], rows, np.zeros(1), np.zeros(1))
 
 
 class TestObjectiveAndGradient:
@@ -281,7 +304,7 @@ class TestLogisticKernel:
         with np.errstate(all="ignore"):
             risk_qe, grad_qe, _, _ = _env_terms(
                 np.ones((m, 1, 1, 1)), z.reshape(m, 1, 1).copy(),
-                np.full((m, 1, 1), y), False)
+                np.full((m, 1, 1), y), False, np.arange(m))
         return risk_qe[:, 0], grad_qe[:, 0, -1]
 
     def _check(self, z):
@@ -314,3 +337,153 @@ class TestLogisticKernel:
             40.0 * r.fork("near").gaussian_array((n,)),
             sign * 10.0 ** r.fork("exp").uniform(-300.0, 308.0, shape=(n,))])
         self._check(z)
+
+
+BIG = np.finfo(float).max
+WEIGHTS = [0.0, np.finfo(float).tiny, 1e4, BIG]
+
+
+def _stack(X, Y, lam, gamma, q):
+    """The EnvStack of ``q`` queries that all train on every row of the
+    environments (X[e], Y[e]), at weights lam and gamma."""
+    envs = [make_env(x, y, "classification") for x, y in zip(X, Y)]
+    rows = [np.arange(len(y)) for y in Y]
+    return env_stack([envs] * q, [rows] * q, np.full(q, lam), np.full(q, gamma))
+
+
+def _b_at_threshold(lam, gamma, n_envs, n, top):
+    """The B at which the bound of ``objectives._certified`` meets its
+    threshold ``top``, on n_envs environments of n rows: inf or nan where
+    no finite B does."""
+    limit = top / (n_envs * n)
+    with np.errstate(all="ignore"):
+        c = lam + ((n_envs * gamma + 1.0) * 4.0 if gamma else 0.0)
+        if c == 0:
+            return (limit - 1.0) / 2.0
+        return (np.sqrt(1.0 + c * (limit - 1.0)) - 1.0) / c
+
+
+def _check_certificate(theta, stack):
+    """Every certified model's exact value is finite; ``value=False``
+    reports exactly the exact values' finiteness, with the same gradient
+    bits.  Returns (certified, exact values)."""
+    use_irm, use_ib = bool(stack.lam.any()), bool(stack.gamma.any())
+    with np.errstate(all="ignore"):
+        certified = _certified(theta, stack, use_irm, use_ib)
+        values, grad = stack_objective(theta, stack)
+        finite, fast_grad = stack_objective(theta, stack, value=False)
+    assert np.isfinite(values[certified]).all()
+    assert np.array_equal(finite, np.isfinite(values))
+    assert np.array_equal(fast_grad, grad, equal_nan=True)
+    return certified, values
+
+
+class TestFiniteCertificate:
+    """``objective_and_gradient(..., value=False)`` computes the logistic
+    value only for the models whose bound on it is not certified far below
+    overflow (see ``objectives._certified``): a certified model's exact
+    value must be finite, and the finiteness it reports must be the exact
+    value's."""
+
+    def test_random_grid(self):
+        r = RngStream(41)
+        q, n_envs, n, d = 600, 3, 20, 4
+        seen = np.zeros(3, int)  # certified, computed and finite, not finite
+        for k, (lam, gamma) in enumerate([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0),
+                                          (1.0, 1.0)]):
+            for trial in range(4):
+                t = r.fork(f"{k}/{trial}")
+                X = (t.fork("x").gaussian_array((n_envs, n, d))
+                     * 10.0 ** t.fork("xs").uniform(-5.0, 300.0))
+                Y = t.fork("y").bernoulli_array((n_envs, n), 0.5).astype(float)
+                lam_t, gamma_t = (w * 10.0 ** t.fork(name).uniform(-3.0, 308.0)
+                                  for w, name in ((lam, "lam"), (gamma, "gamma")))
+                sign = np.where(t.fork("sign").bernoulli_array((q, d + 1), 0.5),
+                                1.0, -1.0)
+                theta = sign * 10.0 ** t.fork("theta").uniform(
+                    -300.0, 308.0, shape=(q, d + 1))
+                theta[t.fork("zero").bernoulli_array((q, d + 1), 0.3)] = 0.0
+                stack = _stack(X, Y, lam_t, gamma_t, q)
+                certified, values = _check_certificate(theta, stack)
+                seen += [certified.sum(), (~certified & np.isfinite(values)).sum(),
+                         (~np.isfinite(values)).sum()]
+        assert np.all(seen > 0), seen
+
+    @pytest.mark.parametrize("x_top", [1.0, 1e300])
+    @pytest.mark.parametrize("gamma", WEIGHTS)
+    @pytest.mark.parametrize("lam", WEIGHTS)
+    def test_edge_grid(self, lam, gamma, x_top):
+        r = RngStream(43)
+        n_envs, n, d = 2, 3, 2
+        X = r.fork("x").gaussian_array((n_envs, n, d))
+        X[0, 0, 0] = x_top
+        Y = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        b = _b_at_threshold(lam, gamma, n_envs, n, CERTIFIED_MAX)
+        # B either side of it, from the intercept or from a weight
+        near = [b * f for f in (1 - 2.0 ** -30, 1 + 2.0 ** -30)]
+        near += [v / _stack(X, Y, lam, gamma, 1).xmax[0] for v in near]
+        entries = [0.0, 1e-300, 1e308, np.inf, np.nan, *near]
+        entries += [-v for v in entries[1:]]
+        theta = np.array(list(itertools.product(entries, repeat=d + 1)))
+        certified, values = _check_certificate(theta, _stack(X, Y, lam, gamma, len(theta)))
+        if np.isfinite(b):
+            # the threshold falls between the near entries
+            lone = np.count_nonzero(theta, axis=1) == 1
+            assert certified[lone].any() and not certified[lone].all()
+
+    @pytest.mark.parametrize("top", [CERTIFIED_MAX, BIG / 4], ids=["2**1000", "max/4"])
+    @pytest.mark.parametrize("gamma", WEIGHTS)
+    @pytest.mark.parametrize("lam", WEIGHTS)
+    def test_sound_where_the_bound_is_nearly_reached(self, lam, gamma, top,
+                                                     monkeypatch):
+        # Rows on which every term nearly meets its bound: each prediction
+        # is ±B and wrong, so a row's risk is B and g_e is B; the centred
+        # predictions are ±B.  Models at and around the B where the bound
+        # meets the threshold, which is sound even at a quarter of the
+        # largest float: the margin below overflow is slack.
+        monkeypatch.setattr(objectives, "CERTIFIED_MAX", top)
+        n = 64
+        x = np.repeat([[-1.0], [1.0]], n // 2, axis=0)
+        y = np.repeat([1.0, 0.0], n // 2)
+        b = _b_at_threshold(lam, gamma, 2, n, top)
+        scales = np.concatenate([2.0 ** np.arange(-8, 9), 1 + 2.0 ** -np.arange(20, 40, 4),
+                                 1 - 2.0 ** -np.arange(20, 40, 4)])
+        theta = np.zeros((scales.size, 2))
+        theta[:, 0] = b * scales
+        stack = _stack([x, x], [y, y], lam, gamma, scales.size)
+        certified, _ = _check_certificate(theta, stack)
+        if np.isfinite(b):
+            assert certified.any() and not certified.all()
+
+    def test_square_loss_reports_the_finiteness_of_its_value(self):
+        r = RngStream(47)
+        envs = random_envs(r, task="regression")
+        rows = [[np.arange(env.n) for env in envs]] * 50
+        stack = moment_stack([envs] * 50, rows, np.full(50, 2.0), np.full(50, 0.5))
+        theta = 10.0 ** r.fork("theta").uniform(-10.0, 200.0, shape=(50, 5))
+        with np.errstate(all="ignore"):
+            values, grad = stack_objective(theta, stack)
+            finite, same_grad = stack_objective(theta, stack, value=False)
+        assert np.array_equal(finite, np.isfinite(values))
+        assert finite.any() and not finite.all()
+        assert np.array_equal(same_grad, grad, equal_nan=True)
+
+    @pytest.mark.parametrize("lam,gamma", [(0.0, 0.0), (3.0, 0.0), (0.0, 0.5),
+                                           (3.0, 0.5)])
+    def test_a_certified_step_evaluates_no_softplus(self, lam, gamma, monkeypatch):
+        # the regression this certificate exists for: a training step whose
+        # models are all certified computes no risk term
+        r = RngStream(53)
+        envs = random_envs(r)
+        rows = [[np.arange(env.n) for env in envs]] * 4
+        stack = env_stack([envs] * 4, rows, np.full(4, lam), np.full(4, gamma))
+        theta = 0.5 * r.fork("theta").gaussian_array((4, 5))
+
+        def no_log1p(*args, **kwargs):
+            raise AssertionError("log1p evaluated")
+
+        monkeypatch.setattr(np, "log1p", no_log1p)
+        finite, _ = stack_objective(theta, stack, value=False)
+        assert finite.all()
+        with pytest.raises(AssertionError, match="log1p evaluated"):
+            stack_objective(theta, stack)

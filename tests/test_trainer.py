@@ -126,6 +126,22 @@ class TestTrainGd:
         with pytest.raises(ParameterError, match="2 environment lists for 1 queries"):
             train_gd([envs, envs], cfg, TrainConfig(), [RngStream(0)])
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("lr", [0.01, 0.02, 0.03], "lr must be one value or one per query"),
+        ("lam", [1.0, 2.0, 3.0], "lam must be one value or one per query"),
+        ("gamma", [[0.5, 0.5]], "gamma must be one value or one per query"),
+        ("lam", np.inf, "lam must be finite"),
+        ("gamma", np.inf, "gamma must be finite"),
+    ])
+    def test_rejects_bad_per_query_fields(self, field, value, match):
+        # two queries of ex2; a weight set after ObjectiveConfig checked it
+        spec = GeneratorSpec(example="ex2", n_per_env=50)
+        _, _, envs = generate_training_envs(spec, RngStream(0))
+        cfg, tc = ObjectiveConfig(), TrainConfig(steps=5)
+        setattr(tc if field == "lr" else cfg, field, value)
+        with pytest.raises(ParameterError, match=match):
+            train_gd([envs] * 2, cfg, tc, [RngStream(1), RngStream(2)])
+
 
 class TestSplit:
     def test_sizes_and_disjointness(self):
