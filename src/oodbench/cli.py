@@ -18,8 +18,7 @@ from operator import sub
 import numpy as np
 
 from .numeric_core import DivergenceError, ParameterError, Pmf, RngStream
-from .sem_generators import (EXAMPLES, SCRAMBLED, GeneratorSpec,
-                             generate_training_envs)
+from .sem_generators import EXAMPLES, GeneratorSpec, generate_training_envs
 from .trainer import TrainConfig, random_search
 from .dynamics import flow_weights, plain_flow, theorem5_report
 from .entropy_lab import (LabeledMixture, conditional_entropy_gap,
@@ -33,8 +32,8 @@ EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_USAGE = 64
 
-EXAMPLE_CHOICES = tuple(name for ex in EXAMPLES
-                        for name in ((ex, ex + "s") if ex in SCRAMBLED else (ex,)))
+EXAMPLE_CHOICES = tuple(name for ex, record in EXAMPLES.items()
+                        for name in (ex, ex + "s")[:1 + record.scrambled])
 
 # Trajectory CSVs keep at most this many rows per flow, strided evenly over
 # the grid.  Only these rows are ever computed: a trajectory holds its RK4
@@ -76,10 +75,13 @@ def _configs(args):
             if getattr(args, key, None) is not None:
                 kwargs[key] = getattr(args, key)
     gen = GeneratorSpec(**spec)  # reports a bad value first
-    stray = [key for key in spec if key.startswith("xor_") and example != "xor"]
+    stray = [key for key in SPEC_KEYS
+             if key in spec and key not in EXAMPLES[example].settings]
     if stray:  # ignored by the data, but not by config_hash
-        raise ParameterError(f"{', '.join(stray)} applies only to the xor "
-                             f"example, not {args.example}")
+        readers = [name for name, record in EXAMPLES.items()
+                   if stray[0] in record.settings]
+        raise ParameterError(f"{stray[0]} applies only to the {', '.join(readers)} "
+                             f"example{'s' * (len(readers) > 1)}, not {args.example}")
     return gen, TrainConfig(**train)
 
 
@@ -281,8 +283,8 @@ def build_parser():
                        description=(
                            "Random hyperparameter search. IBIRM_THREADS=N "
                            "trains the data seeds over N worker processes, "
-                           "with the same output. The config key optimizer "
-                           "is gd (default) or adam."))
+                           "at most one per CPU, with the same output. The "
+                           "config key optimizer is gd (default) or adam."))
     common(s, keys={**SPEC_KEYS, **TRAIN_KEYS})
     s.add_argument("--example", choices=EXAMPLE_CHOICES, default="ex2")
     s.add_argument("--envs", type=int, default=3)

@@ -26,6 +26,7 @@ __all__ = [
     "Pmf",
     "random_orthogonal",
     "lambert_w0",
+    "power_of_two_scale",
 ]
 
 
@@ -186,6 +187,14 @@ def random_orthogonal(rng, dim):
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
+
+
+def power_of_two_scale(x):
+    """The least power of two above every ``|x|`` elementwise, at most
+    2**1023: 2**e for frexp's exponent e, so 1 at 0.  Dividing by it is
+    exact, and leaves a finite x below 2 in magnitude; uncapped, it would
+    be inf for |x| >= 2**1023."""
+    return np.ldexp(1.0, np.minimum(np.frexp(x)[1], 1023))
 
 
 def lambert_w0(x):

@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .numeric_core import ParameterError
+from .numeric_core import ParameterError, power_of_two_scale
 
 __all__ = [
     "ObjectiveConfig",
@@ -162,7 +162,8 @@ class MomentStack:
     with lam = 0 has no row and no IRM term, so a batch may mix methods.
 
     A column's scale is the least power of two above every magnitude in
-    the column (1 for an all-zero column and the intercept), over the rows
+    the column, at most 2**1023 (1 for an all-zero column and the
+    intercept; :func:`power_of_two_scale`), over the rows
     or a superset: every row of the model's environments.  It
     commutes with rounding, so M_e and C times the scales are the unscaled
     moments bit for bit unless an entry leaves the normal range; and a
@@ -202,7 +203,7 @@ def moment_stack(query_envs, query_rows, lam, gamma):
         if envs is not block_envs:
             block = None  # the last list's block is dropped before this one's
             top = np.max([np.abs(env.X).max(axis=0) for env in envs], axis=0)
-            sx = np.ldexp(1.0, np.frexp(top)[1])
+            sx = power_of_two_scale(top)
             block = np.stack([np.column_stack([env.X / sx, np.ones(env.n), -env.Y])
                               for env in envs])
             block_envs = envs

@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .numeric_core import ParameterError
+from .numeric_core import ParameterError, power_of_two_scale
 
 __all__ = [
     "SummaryRow",
@@ -182,7 +182,7 @@ def _mean_std(values):
     of two scale that keeps the squares finite.  Scaling by a power of two
     is exact, so the results are numpy's wherever numpy's squares neither
     overflow nor underflow."""
-    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(values)))[1])
+    scale = power_of_two_scale(np.max(np.abs(values)))
     scaled = values / scale
     return float(scaled.mean() * scale), float(scaled.std() * scale)
 

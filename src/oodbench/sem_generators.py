@@ -1,14 +1,24 @@
 """Synthetic environment generators for the linear structural equation
-model benchmarks.  Each example's generator in ``GENERATORS`` draws the
-invariant latents, spurious latents and label of one environment from its
-stream ``gen/env<id>``.  :func:`generate_env` assembles every training and
-test environment from them, and makes a test environment's shift there, in
-latent space, with the stream ``shift_perm``.  The sweep goldens pin both
-stream labels.
+model benchmarks.
+
+``EXAMPLES`` holds one :class:`Example` record per example, and every
+per-example decision of the package reads it: the example's generator,
+which draws the invariant latents, spurious latents and label of one
+environment from its stream ``gen/env<id>``; its parameter schedule, which
+draws environment e's parameter from ``env_params/env<e>``; its task; whether
+it has a scrambled variant; and the :class:`GeneratorSpec` settings it
+reads.  An environment's parameter is whatever its example's schedule
+returns: ex1's noise variance, ex2's (p, s), ex3's spurious prototype, the
+2D task's selection bias p and the XOR tasks' flip probability u.
+:func:`generate_env` assembles every training and test environment from
+the generator's draws, and makes a test environment's shift there, in
+latent space, with the stream ``shift_perm``.  The sweep goldens pin every
+stream label.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,11 +26,11 @@ import numpy as np
 from .numeric_core import ParameterError, random_orthogonal
 
 __all__ = [
-    "EnvParams",
+    "Example",
+    "EXAMPLES",
     "GeneratorSpec",
     "EnvDataset",
     "FixedWeights",
-    "GENERATORS",
     "env_params",
     "draw_fixed_weights",
     "generate_env",
@@ -45,19 +55,6 @@ LATENT_NOISE_STD = np.sqrt(0.1)
 
 
 @dataclass
-class EnvParams:
-    """Per-environment parameters; only the fields used by the chosen
-    example are populated."""
-
-    env_id: int
-    sigma_sq: float | None = None       # ex1
-    p: float | None = None              # ex2 selection bias / twod
-    s: float | None = None              # ex2 animal parameter
-    theta_spu: np.ndarray | None = None  # ex3
-    u: float | None = None              # xor
-
-
-@dataclass
 class GeneratorSpec:
     example: str = "ex2"
     m: int = 5
@@ -74,7 +71,7 @@ class GeneratorSpec:
             raise ParameterError(f"unknown example {self.example!r}")
         if self.m < 1 or self.o < 1 or self.n_per_env < 2 or self.n_envs < 1:
             raise ParameterError("require m >= 1, o >= 1, n_per_env >= 2, n_envs >= 1")
-        if self.scramble and self.example not in SCRAMBLED:
+        if self.scramble and not EXAMPLES[self.example].scrambled:
             raise ParameterError(f"{self.example} has no scrambled variant")
         # Checked on every example, so a bad xor setting never passes
         # silently where it is ignored.
@@ -92,8 +89,8 @@ class GeneratorSpec:
 
     @property
     def task(self):
-        """The example's task: ex1 is the one regression example."""
-        return "regression" if self.example == "ex1" else "classification"
+        """The example's task, from its record."""
+        return EXAMPLES[self.example].task
 
 
 @dataclass
@@ -112,63 +109,34 @@ class EnvDataset:
 
 @dataclass
 class FixedWeights:
-    """Weights drawn once per data seed and shared by every environment."""
+    """Weights drawn once per data seed and shared by every environment;
+    the scrambler ``S`` only for a scrambled spec."""
 
     W_yz: np.ndarray
     W_zy: np.ndarray
-    S: np.ndarray
+    S: np.ndarray | None = None
 
 
 def draw_fixed_weights(spec, rng):
     r = rng.fork("fixed_weights")
     w_yz = r.fork("W_yz").gaussian_array((spec.m, spec.m))
     w_zy = r.fork("W_zy").gaussian_array((spec.o, spec.m))
-    d = spec.m + spec.o
-    if spec.scramble:
-        s = random_orthogonal(r.fork("S"), d)
-    else:
-        s = np.eye(d)
+    s = random_orthogonal(r.fork("S"), spec.m + spec.o) if spec.scramble else None
     return FixedWeights(W_yz=w_yz, W_zy=w_zy, S=s)
 
 
 def env_params(spec, rng):
-    """Per-environment parameter schedule.
-
-    The first three environments use the fixed published constants; extra
-    environments draw their parameters from the stated ranges.  The 2D and
-    XOR bias schedule Uniform(0.7, 0.95) is this suite's choice.
-    """
+    """The parameter of each environment e, drawn by the example's schedule
+    from ``rng.fork("env_params").fork(f"env{e}")``."""
     r = rng.fork("env_params")
-    out = []
-    for e in range(spec.n_envs):
-        re = r.fork(f"env{e}")
-        if spec.example == "ex1":
-            fixed = (0.1, 1.5, 2.0)
-            sig = fixed[e] if e < 3 else re.uniform(1e-2, 10.0)
-            out.append(EnvParams(env_id=e, sigma_sq=sig))
-        elif spec.example == "ex2":
-            fixed_p = (0.95, 0.97, 0.99)
-            fixed_s = (0.3, 0.5, 0.7)
-            if e < 3:
-                p, s = fixed_p[e], fixed_s[e]
-            else:
-                p = re.fork("p").uniform(0.9, 1.0)
-                s = re.fork("s").uniform(0.3, 0.7)
-            out.append(EnvParams(env_id=e, p=p, s=s))
-        elif spec.example == "ex3":
-            theta = re.gaussian_array((spec.o,))
-            out.append(EnvParams(env_id=e, theta_spu=theta))
-        elif spec.example == "twod":
-            out.append(EnvParams(env_id=e, p=re.uniform(0.7, 0.95)))
-        else:  # xor
-            out.append(EnvParams(env_id=e, u=re.uniform(0.7, 0.95)))
-    return out
+    schedule = EXAMPLES[spec.example].schedule
+    return [schedule(spec, e, r.fork(f"env{e}")) for e in range(spec.n_envs)]
 
 
-def gen_example1(spec, params, fw, r):
+def gen_example1(spec, sigma_sq, fw, r):
     """Linear regression SEM (partially informative invariant features)."""
     n, m, o = spec.n_per_env, spec.m, spec.o
-    sigma = np.sqrt(params.sigma_sq)
+    sigma = np.sqrt(sigma_sq)
     z_inv = r.fork("z_inv").gaussian_array((n, m), std=sigma)
     y_tilde = z_inv @ fw.W_yz.T + r.fork("y_tilde").gaussian_array((n, m), std=sigma)
     z_spu = y_tilde @ fw.W_zy.T + r.fork("z_spu").gaussian_array((n, o), std=1.0)
@@ -176,10 +144,10 @@ def gen_example1(spec, params, fw, r):
     return z_inv, z_spu, y
 
 
-def gen_example2(spec, params, fw, r):
+def gen_example2(spec, p_s, fw, r):
     """Cow-versus-camel classification SEM with selection bias."""
     n, m, o = spec.n_per_env, spec.m, spec.o
-    p, s = params.p, params.s
+    p, s = p_s
     # Outcomes 1..4 with P = (ps, (1-p)s, p(1-s), (1-p)(1-s)).
     u = r.fork("u").categorical([p * s, (1 - p) * s, p * (1 - s),
                                  (1 - p) * (1 - s)], shape=(n,)) + 1
@@ -195,32 +163,32 @@ def gen_example2(spec, params, fw, r):
     return z_inv, z_spu, y
 
 
-def gen_example3(spec, params, fw, r):
+def gen_example3(spec, theta_spu, fw, r):
     """Linearized spiral classification SEM (anti-causal invariant features)."""
     n, m, o = spec.n_per_env, spec.m, spec.o
     y = r.fork("y").bernoulli_array((n,), 0.5).astype(float)
     sign = np.where(y[:, None] == 0, 1.0, -1.0)
     theta_inv = THETA_INV_SCALE * np.ones(m)
     z_inv = sign * theta_inv + r.fork("z_inv").gaussian_array((n, m), std=LATENT_NOISE_STD)
-    z_spu = sign * params.theta_spu + r.fork("z_spu").gaussian_array((n, o), std=LATENT_NOISE_STD)
+    z_spu = sign * theta_spu + r.fork("z_spu").gaussian_array((n, o), std=LATENT_NOISE_STD)
     return z_inv, z_spu, y
 
 
-def gen_2d(spec, params, fw, r):
+def gen_2d(spec, p, fw, r):
     """Two-feature toy classification task with selection bias p > 1/2."""
-    if params.p is None or params.p <= 0.5:
+    if p <= 0.5:
         raise ParameterError("gen_2d requires selection bias p > 1/2")
     n = spec.n_per_env
     x_inv = r.fork("x_inv").bernoulli_array((n,), 0.5).astype(float)
-    w = r.fork("w").bernoulli_array((n,), 1.0 - params.p).astype(float)
+    w = r.fork("w").bernoulli_array((n,), 1.0 - p).astype(float)
     x_spu = np.logical_xor(x_inv, w).astype(float)
     return x_inv[:, None], x_spu[:, None], x_inv.copy()
 
 
-def gen_binary_xor(spec, params, fw, r):
+def gen_binary_xor(spec, u, fw, r):
     """Binary XOR constructions showing when invariance and/or the
     bottleneck are needed."""
-    n, q, a, u = spec.n_per_env, spec.xor_q, spec.xor_a, params.u
+    n, q, a = spec.n_per_env, spec.xor_q, spec.xor_a
     if not 0.0 <= u <= 1.0:
         raise ParameterError(f"xor probability u={u} outside [0, 1]")
     if spec.xor_variant == "both":
@@ -250,25 +218,74 @@ def gen_binary_xor(spec, params, fw, r):
     return z_inv, z_spu, y.astype(float)
 
 
-GENERATORS = {"ex1": gen_example1, "ex2": gen_example2, "ex3": gen_example3,
-              "twod": gen_2d, "xor": gen_binary_xor}
-EXAMPLES = tuple(GENERATORS)
-SCRAMBLED = ("ex1", "ex2", "ex3")
+# Parameter schedules: environment e's parameter, drawn from ``r``.  ex1
+# and ex2 give their first three environments the published parameters and
+# draw the rest from the stated ranges.
+
+def _ex1_noise(spec, e, r):
+    """ex1's noise variance sigma_e^2; U(1e-2, 10) for e >= 3."""
+    return (0.1, 1.5, 2.0)[e] if e < 3 else r.uniform(1e-2, 10.0)
 
 
-def generate_env(spec, params, fw, rng, shift=False):
-    """Environment ``params.env_id``: latents and label drawn by the
-    example's generator from ``rng.fork("gen/env<id>")``.  ``shift`` is the
-    OOD test shift, made here: ``rng.fork("shift_perm")`` permutes the
-    spurious latents across samples, cutting their tie to the label.  X is
-    the latents mixed by ``fw.S`` for a ``SCRAMBLED`` example, else as drawn."""
-    z_inv, z_spu, y = GENERATORS[spec.example](
-        spec, params, fw, rng.fork(f"gen/env{params.env_id}"))
+def _ex2_bias(spec, e, r):
+    """ex2's (p, s); p from U(0.9, 1) and s from U(0.3, 0.7) for e >= 3."""
+    if e < 3:
+        return ((0.95, 0.3), (0.97, 0.5), (0.99, 0.7))[e]
+    return r.fork("p").uniform(0.9, 1.0), r.fork("s").uniform(0.3, 0.7)
+
+
+def _ex3_prototype(spec, e, r):
+    """ex3's spurious prototype theta_spu^e, drawn from N(0, I_o)."""
+    return r.gaussian_array((spec.o,))
+
+
+def _bias(spec, e, r):
+    """The 2D task's p and the XOR tasks' u.  Uniform(0.7, 0.95) is this
+    suite's choice."""
+    return r.uniform(0.7, 0.95)
+
+
+@dataclass(frozen=True)
+class Example:
+    """One example: ``generator(spec, param, fw, r)`` draws an
+    environment's latents and label; ``schedule(spec, e, r)`` draws
+    environment e's parameter; ``scrambled`` says whether the example has a
+    scrambled variant; ``settings`` are the config-file settings of
+    :class:`GeneratorSpec` that it reads."""
+
+    generator: Callable
+    schedule: Callable
+    task: str
+    scrambled: bool
+    settings: tuple
+
+
+LINEAR_SETTINGS = ("m", "o", "n_per_env")
+EXAMPLES = {
+    "ex1": Example(gen_example1, _ex1_noise, "regression", True, LINEAR_SETTINGS),
+    "ex2": Example(gen_example2, _ex2_bias, "classification", True, LINEAR_SETTINGS),
+    "ex3": Example(gen_example3, _ex3_prototype, "classification", True,
+                   LINEAR_SETTINGS),
+    "twod": Example(gen_2d, _bias, "classification", False, ("n_per_env",)),
+    "xor": Example(gen_binary_xor, _bias, "classification", False,
+                   ("n_per_env", "xor_variant", "xor_q", "xor_a")),
+}
+
+
+def generate_env(spec, env_id, param, fw, rng, shift=False):
+    """Environment ``env_id`` of parameter ``param``: latents and label
+    drawn by the example's generator from ``rng.fork("gen/env<id>")``.
+    ``shift`` is the OOD test shift, made here: ``rng.fork("shift_perm")``
+    permutes the spurious latents across samples, cutting their tie to the
+    label.  X is the latents mixed by ``fw.S`` for a scrambled spec, else
+    the stacked latents."""
+    z_inv, z_spu, y = EXAMPLES[spec.example].generator(
+        spec, param, fw, rng.fork(f"gen/env{env_id}"))
     if shift:
         z_spu = z_spu[rng.fork("shift_perm").permutation(len(y))]
     z = np.hstack([z_inv, z_spu])
-    x = z @ fw.S.T if spec.example in SCRAMBLED else z
-    return EnvDataset(env_id=params.env_id, X=x, Y=y, task=spec.task,
+    x = z @ fw.S.T if spec.scramble else z
+    return EnvDataset(env_id=env_id, X=x, Y=y, task=spec.task,
                       Z_inv=z_inv, Z_spu=z_spu)
 
 
@@ -277,7 +294,7 @@ def generate_training_envs(spec, rng):
     environments for one data seed."""
     fw = draw_fixed_weights(spec, rng)
     params = env_params(spec, rng)
-    envs = [generate_env(spec, p, fw, rng) for p in params]
+    envs = [generate_env(spec, e, p, fw, rng) for e, p in enumerate(params)]
     return fw, params, envs
 
 
@@ -286,5 +303,5 @@ def default_test_envs(spec, params, fw, rng):
     which :func:`generate_env` draws (``gen/env<id>``) and shifts
     (``shift_perm``) under ``rng`` forked by ``test_envs`` and ``env<id>``."""
     r = rng.fork("test_envs")
-    return [generate_env(spec, p, fw, r.fork(f"env{p.env_id}"), shift=True)
-            for p in params]
+    return [generate_env(spec, e, p, fw, r.fork(f"env{e}"), shift=True)
+            for e, p in enumerate(params)]

@@ -342,7 +342,9 @@ def _run_batch(spec, methods, seeds, n_queries, rng, tc_base):
 
 
 def _worker_count():
-    """Processes for the seeds of a sweep: ``IBIRM_THREADS``, 1 when unset."""
+    """Processes for the seeds of a sweep: ``IBIRM_THREADS``, 1 when unset,
+    and at most one per CPU that this process may run on: under fork a
+    pool starts every worker at its first task."""
     raw = os.environ.get("IBIRM_THREADS", "")
     if not raw:
         return 1
@@ -352,7 +354,7 @@ def _worker_count():
         n = 0
     if n < 1:
         raise ParameterError(f"IBIRM_THREADS must be an integer >= 1, got {raw!r}")
-    return n
+    return min(n, len(os.sched_getaffinity(0)))
 
 
 def random_search(spec, methods, protocol, rng, tc_base):
@@ -379,7 +381,8 @@ def random_search(spec, methods, protocol, rng, tc_base):
     method: a row stack costs the same per query at any size and grows with
     it, and a method mixed into a batch would add its penalty's products to
     every query.  The batches run serially, or over ``IBIRM_THREADS`` worker
-    processes (at most one per batch); the rows are the same either way,
+    processes (at most one per batch, and at most one per CPU that this
+    process may run on); the rows are the same either way,
     because every query owns an independently forked stream and its result
     does not depend on its batch.
     """

@@ -34,7 +34,7 @@ from math import exp
 
 import numpy as np
 
-from oodbench.numeric_core import DivergenceError, ParameterError
+from oodbench.numeric_core import DivergenceError, ParameterError, power_of_two_scale
 from oodbench.objectives import env_stack, moment_stack
 from oodbench.objectives import objective_and_gradient as batched_objective_and_gradient
 from oodbench.sem_generators import EnvDataset
@@ -290,7 +290,7 @@ def square_moments(blocks):
     of one: each environment's M_e = BᵀB, the pooled scatter C of the
     scaled X, and the column scales."""
     top = np.max([np.abs(x).max(axis=0) for x, _ in blocks], axis=0)
-    sx = np.ldexp(1.0, np.frexp(top)[1])
+    sx = power_of_two_scale(top)
     bs = [np.column_stack([x / sx, np.ones(y.size), -y]) for x, y in blocks]
     M = np.stack([b.T @ b for b in bs])
     xs = [b[:, :-2] for b in bs]

@@ -302,17 +302,20 @@ def test_a_value_overflow_with_finite_predictions_stops_as_the_oracle_does(sourc
     assert all(np.isfinite(env.X @ theta[:-1] + theta[-1]).all() for env in envs)
 
 
-def test_gradient_overflow_stops_only_that_query():
-    # One outlier row (x = 1e200 in a column that is 0 elsewhere, y = 1e150)
-    # is in the training rows of query B only.  At step 0 B's objective is
-    # finite (~1e300 / n) but its gradient overflows, so its first update
-    # leaves the weights infinite.  A and C hold the row out.
+@pytest.mark.parametrize("outlier", [1e200, 1e308])
+def test_gradient_overflow_stops_only_that_query(outlier):
+    # One outlier row (x = 1e200 or 1e308 in a column that is 0 elsewhere,
+    # y = 1e150) is in the training rows of query B only.  At step 0 B's
+    # objective is finite (~1e300 / n) but its gradient overflows, so its
+    # first update leaves the weights infinite.  A and C hold the row out.
+    # At 1e308 the column's scale is capped at 2**1023: the least power of
+    # two above it, inf, would end B at step 0.
     n = 50
     r = RngStream(8)
     x1 = r.fork("x").gaussian_array((n,))
     X = np.column_stack([np.zeros(n), x1])
     y = 2.0 * x1 + 0.1 * r.fork("eps").gaussian_array((n,))
-    X[0, 0], y[0] = 1e200, 1e150
+    X[0, 0], y[0] = outlier, 1e150
     env = EnvDataset(env_id=0, X=X, Y=y, task="regression")
 
     def holds_out_row0(k):

@@ -14,7 +14,7 @@ from oodbench.dynamics import MAX_HELD_STEPS
 from oodbench.reporting import (SUMMARY_FIELDS, SWEEP_FIELDS, SummaryRow,
                                 aggregate_rows, atomic_write_text, config_hash,
                                 format_summary_table, read_csv, write_csv)
-from oodbench.sem_generators import EXAMPLES, SCRAMBLED
+from oodbench.sem_generators import EXAMPLES
 from oodbench.trainer import SweepRow
 from oracle import simulate_flow_full_loop
 
@@ -196,7 +196,8 @@ class TestConfigs:
     def test_every_scrambled_name_maps_to_a_scrambled_example(self):
         specs = [_configs(build_parser().parse_args(["sweep", "--example", n]))[0]
                  for n in EXAMPLE_CHOICES]
-        assert [s.example for s in specs if s.scramble] == list(SCRAMBLED)
+        assert [s.example for s in specs if s.scramble] == \
+            [ex for ex, record in EXAMPLES.items() if record.scrambled]
         assert [s.example for s in specs if not s.scramble] == list(EXAMPLES)
 
 
@@ -678,6 +679,25 @@ class TestReportCommand:
         assert float(row["mean_metric"]) == 2e160
         assert float(row["std_metric"]) == 1e160
 
+    @pytest.mark.parametrize("metrics,cell,mean,std", [
+        ((1e308,), "1.00e+308 ± 0.00 (0 diverged)", 1e308, 0.0),
+        ((1e308, 1.5e308), "1.25e+308 ± 2.50e+307 (0 diverged)", 1.25e308, 2.5e307),
+        ((-2.0 ** 1023, 2.0 ** 1023), "0.00 ± 8.99e+307 (0 diverged)", 0.0, 2.0 ** 1023),
+    ], ids=["one", "two", "at_2**1023"])
+    def test_metrics_near_the_largest_float_are_summarised(self, tmp_path, capsys,
+                                                           metrics, cell, mean, std):
+        # a finite metric of magnitude 2**1023 or more has no finite power
+        # of two above it: the scale is capped at 2**1023, with no warning
+        path = str(tmp_path / "sweep.csv")
+        atomic_write_text(path, ",".join(PLAIN_FIELDS) + "\n" + "".join(
+            f"ex2,3,ERM,{seed},0,0,0,0.01,0.2,{m!r},{m!r}\n"
+            for seed, m in enumerate(metrics)))
+        rep_out = str(tmp_path / "rep")
+        assert main(["report", path, "--out", rep_out]) == 0
+        assert cell in capsys.readouterr().out
+        row, = read_csv(os.path.join(rep_out, "summary.csv"))[2]
+        assert (float(row["mean_metric"]), float(row["std_metric"])) == (mean, std)
+
     def test_nan_val_risk_is_ranked_last_in_either_order(self, tmp_path, capsys):
         # one seed, two queries: val_risk nan with test metric 9, and 0.5
         # with 1; the numbered query is kept whichever row comes first
@@ -880,6 +900,24 @@ class TestConfigFile:
                      "--out", str(out)]) == 2
         assert f"{key} applies only to the xor example, not ex1s" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "generate"])
+    @pytest.mark.parametrize("example", ["twod", "xor"])
+    @pytest.mark.parametrize("cfg", [{"m": 7}, {"o": 2}, {"m": 7, "o": 2}],
+                             ids=["m", "o", "m_o"])
+    def test_a_setting_the_example_does_not_read_exits_2(self, tmp_path, capsys,
+                                                         command, example, cfg):
+        # m and o size only ex1-ex3's latents: on twod and xor they would
+        # change nothing but config_hash
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "out"
+        assert main([command, "--example", example, "--config", path,
+                     "--out", str(out)]) == 2
+        assert f"{next(iter(cfg))} applies only to the ex1, ex2, ex3 examples, " \
+            f"not {example}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_help_names_every_config_key(self, capsys):

@@ -10,8 +10,7 @@ from oodbench.dynamics import (equilibrium_x, flow_weights, plain_flow,
 from oodbench.numeric_core import (DivergenceError, ParameterError, RngStream,
                                    lambert_w0)
 from oodbench.objectives import ObjectiveConfig
-from oodbench.sem_generators import (EnvDataset, EnvParams, GeneratorSpec,
-                                     generate_env)
+from oodbench.sem_generators import EnvDataset, GeneratorSpec, generate_env
 from oracle import (LinearModel, flow_rhs, objective_and_gradient,
                     rk4_integrate, simulate_flow_full_loop)
 
@@ -57,7 +56,7 @@ class TestFlowRhs:
         # Monte Carlo error
         p, gamma = 0.85, 0.5
         env = generate_env(GeneratorSpec(example="twod", n_per_env=400_000),
-                           EnvParams(env_id=0, p=p), None, RngStream(31))
+                           0, p, None, RngStream(31))
         signed = EnvDataset(env_id=0, X=2.0 * env.X - 1.0, Y=env.Y,
                             task="classification")
         w_inv, w_spu = 0.4, 0.15

@@ -9,8 +9,7 @@ from oodbench.numeric_core import ParameterError, RngStream
 from oodbench.objectives import (CERTIFIED_MAX, ObjectiveConfig, _certified,
                                  _env_terms, env_stack, moment_stack,
                                  objective_and_gradient as stack_objective)
-from oodbench.sem_generators import (EnvDataset, EnvParams, GeneratorSpec,
-                                     generate_env)
+from oodbench.sem_generators import EnvDataset, GeneratorSpec, generate_env
 from oracle import (LinearModel, _sigmoid, batched_objective, irmv1_penalty,
                     objective_and_gradient, predict, risk, variance_penalty)
 
@@ -251,7 +250,7 @@ class TestObjectiveAndGradient:
         # closed form plus gamma * w^T Sigma w, within Monte Carlo error
         p, gamma, n = 0.9, 0.4, 200_000
         env = generate_env(GeneratorSpec(example="twod", n_per_env=n),
-                           EnvParams(env_id=0, p=p), None, RngStream(17))
+                           0, p, None, RngStream(17))
         signed = make_env(2.0 * env.X - 1.0, env.Y, "classification")
         w_inv, w_spu = 0.3, 0.1
         model = LinearModel(w=np.array([w_inv, w_spu]), b=0.0)
@@ -268,7 +267,7 @@ class TestObjectiveAndGradient:
         # either single-feature selector at equal training error
         p = 0.8
         env = generate_env(GeneratorSpec(example="twod", n_per_env=100_000),
-                           EnvParams(env_id=0, p=p), None, RngStream(23))
+                           0, p, None, RngStream(23))
         signed = make_env(2.0 * env.X - 1.0, 2.0 * env.Y - 1.0, "classification")
         inv_only = LinearModel(w=np.array([1.0, 0.0]))
         spu_only = LinearModel(w=np.array([0.0, 1.0]))

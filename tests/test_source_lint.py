@@ -6,9 +6,11 @@ file's bytes depend on the locale, only ``numeric_core`` touches
 ``numpy.random``, so every draw comes from a keyed ``RngStream``, the
 training stacks stay behind their boundary: ``objectives`` builds them from
 plain environments, and ``trainer`` neither builds nor names one, an
-``EnvDataset`` is built in one place, ``generate_env``, and a sweep draws
+``EnvDataset`` is built in one place, ``generate_env``, a sweep draws
 each data seed's training and test environments in one place, for every
-method."""
+method, and no module compares anything with an example's name: every
+per-example decision reads the example's record in
+``sem_generators.EXAMPLES``."""
 
 import ast
 import pathlib
@@ -16,6 +18,7 @@ import pathlib
 import pytest
 
 import oodbench
+from oodbench.cli import EXAMPLE_CHOICES
 
 SOURCES = sorted(pathlib.Path(oodbench.__file__).parent.glob("*.py"))
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -212,3 +215,43 @@ def test_a_sweep_draws_each_seed_in_one_place():
         [("cli", "cmd_generate"), ("trainer", "_run_batch")]
     assert [(module, top) for module, top, _ in
             _calls_of(TREES, "default_test_envs")] == [("trainer", "_run_batch")]
+
+
+def _example_name_comparisons(tree):
+    """Line numbers where a module compares anything with an example's
+    name, plain or scrambled: a name literal as an operand of a comparison
+    or an element of a tuple, list or set operand, or as a ``case``
+    pattern."""
+    def named(node):
+        return isinstance(node, ast.Constant) and node.value in EXAMPLE_CHOICES
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(named(elt) for op in operands
+                   for elt in (op.elts if isinstance(op, (ast.Tuple, ast.List, ast.Set))
+                               else [op])):
+                yield node.lineno
+        elif isinstance(node, ast.MatchValue) and named(node.value):
+            yield node.lineno
+
+
+def test_example_name_check_finds_every_form():
+    tree = ast.parse("a = spec.example == 'ex1'\n"
+                     "b = 'twod' != name\n"
+                     "c = x in ('ex2', 'ex3')\n"
+                     "d = x not in {'xor'}\n"
+                     "e = x in ['ex1s']\n"
+                     "match spec.example:\n"
+                     "    case 'xor':\n"
+                     "        pass\n"
+                     "f = spec.example == 'ex9'\n"
+                     "g = EXAMPLES['ex1']\n"
+                     "h = x == name\n"
+                     "i = task == 'regression'\n")
+    assert sorted(_example_name_comparisons(tree)) == [1, 2, 3, 4, 5, 7]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_module_compares_with_an_example_name(module):
+    assert list(_example_name_comparisons(TREES[module])) == []

@@ -32,9 +32,10 @@ def spurious_ratio(model, fw, m):
     """Share of the model's weight that lives in the spurious latent block.
 
     Maps observed-space weights to latent coordinates via S^T w (valid for
-    orthogonal scramblers) and returns ||v_spu|| / ||v||.
+    orthogonal scramblers; an unscrambled spec has no S) and returns
+    ||v_spu|| / ||v||.
     """
-    v = fw.S.T @ model.w
+    v = model.w if fw.S is None else fw.S.T @ model.w
     spu = float(np.linalg.norm(v[m:]))
     inv = float(np.linalg.norm(v[:m]))
     denom = np.sqrt(spu * spu + inv * inv)
@@ -271,13 +272,10 @@ class TestRandomSearch:
         parallel = random_search(spec, METHODS, (2, seeds), RngStream(4), self.TC)
         assert serial == parallel
 
-    @pytest.mark.parametrize("example", sorted(SPECS))
-    @pytest.mark.parametrize("threads,seeds,workers",
-                             [("64", 2, 2), ("2", 3, 2), ("8", 1, 1)])
-    def test_pool_has_at_most_one_worker_per_batch(self, monkeypatch, example,
-                                                   threads, seeds, workers):
-        # The pool's batches run here, serially: no process is started.  One
-        # worker means no pool.
+    def _pool_sizes(self, monkeypatch, spec, threads, seeds, cpus):
+        """The ``max_workers`` of each pool a sweep of ``seeds`` data seeds
+        makes under ``IBIRM_THREADS=threads`` on ``cpus`` CPUs.  The pool's
+        batches run here, serially: no process is started."""
         made = []
 
         class Recorder:
@@ -294,12 +292,34 @@ class TestRandomSearch:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(trainer.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
         monkeypatch.setenv("IBIRM_THREADS", threads)
-        rows = random_search(self.SPECS[example], ["ERM"], (2, seeds), RngStream(0),
-                             self.TC)
-        assert made == ([] if workers == 1 else [workers])
+        rows = random_search(spec, ["ERM"], (2, seeds), RngStream(0), self.TC)
         assert [(r.data_seed, r.hparam_id) for r in rows] == \
             [(s, q) for s in range(seeds) for q in range(2)]
+        monkeypatch.delenv("IBIRM_THREADS")
+        assert rows == random_search(spec, ["ERM"], (2, seeds), RngStream(0), self.TC)
+        return made
+
+    @pytest.mark.parametrize("example", sorted(SPECS))
+    @pytest.mark.parametrize("threads,seeds,workers",
+                             [("64", 2, 2), ("2", 3, 2), ("8", 1, 1)])
+    def test_pool_has_at_most_one_worker_per_batch(self, monkeypatch, example,
+                                                   threads, seeds, workers):
+        # One worker means no pool.
+        made = self._pool_sizes(monkeypatch, self.SPECS[example], threads, seeds, 64)
+        assert made == ([] if workers == 1 else [workers])
+
+    @pytest.mark.parametrize("example", sorted(SPECS))
+    @pytest.mark.parametrize("threads,seeds,cpus,workers",
+                             [("8", 8, 2, 2), ("5", 6, 3, 3), ("8", 8, 1, 1)])
+    def test_pool_has_at_most_one_worker_per_cpu(self, monkeypatch, example,
+                                                 threads, seeds, cpus, workers):
+        # A pool under fork starts every worker at its first task, so more
+        # workers than CPUs only add processes.  One worker means no pool.
+        made = self._pool_sizes(monkeypatch, self.SPECS[example], threads, seeds, cpus)
+        assert made == ([] if workers == 1 else [workers])
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_worker_count_names_the_variable(self, monkeypatch, value):
