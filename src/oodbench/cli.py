@@ -12,17 +12,17 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple
-from itertools import repeat
-from operator import sub
+from itertools import accumulate, repeat
 
 import numpy as np
 
-from .numeric_core import DivergenceError, ParameterError, Pmf, RngStream
+from .numeric_core import (DivergenceError, ParameterError, RngStream,
+                           batch_random, to_interval)
 from .sem_generators import EXAMPLES, GeneratorSpec, generate_training_envs
 from .trainer import TrainConfig, random_search
 from .dynamics import flow_weights, plain_flow, theorem5_report
-from .entropy_lab import (LabeledMixture, conditional_entropy_gap,
-                          gaussian_entropy_bound, sum_entropy_gap)
+from .entropy_lab import (LabeledMixture, PmfBatch, conditional_entropy_gap,
+                          gaussian_entropy_bound, row_sums, sum_entropy_gap)
 from .reporting import (SWEEP_FIELDS, SUMMARY_FIELDS, aggregate_report,
                         aggregate_rows, config_hash, format_summary_table,
                         write_csv, write_json)
@@ -75,13 +75,19 @@ def _configs(args):
             if getattr(args, key, None) is not None:
                 kwargs[key] = getattr(args, key)
     gen = GeneratorSpec(**spec)  # reports a bad value first
+    record = EXAMPLES[example]
     stray = [key for key in SPEC_KEYS
-             if key in spec and key not in EXAMPLES[example].settings]
+             if key in spec and gen.xor_variant not in record.variants_reading(key)]
     if stray:  # ignored by the data, but not by config_hash
-        readers = [name for name, record in EXAMPLES.items()
-                   if stray[0] in record.settings]
-        raise ParameterError(f"{stray[0]} applies only to the {', '.join(readers)} "
-                             f"example{'s' * (len(readers) > 1)}, not {args.example}")
+        key = stray[0]
+        # the other variants of this example that read it, else the examples
+        readers = record.variants_reading(key)
+        kind, this = f"{example} variant", gen.xor_variant
+        if not readers:
+            readers = [name for name, other in EXAMPLES.items() if key in other.settings]
+            kind, this = "example", args.example
+        raise ParameterError(f"{key} applies only to the {', '.join(readers)} "
+                             f"{kind}{'s' * (len(readers) > 1)}, not {this}")
     return gen, TrainConfig(**train)
 
 
@@ -164,50 +170,123 @@ def cmd_dynamics(args):
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
 
 
-# The categorical law of a random pmf's atom count less 2: uniform on 0..6.
-_ATOM_COUNT_PROBS = [1.0 / 7] * 7
+# The running sums that RngStream.categorical searches, for the laws of a
+# random pmf's atom count less 2 (uniform on 0..6) and of a mixture's
+# component count less 2.
+_ATOM_COUNT_CUM = list(accumulate([1.0 / 7] * 7))
+_COMPONENT_COUNT_CUM = list(accumulate([0.5, 0.3, 0.2]))
+MAX_ATOMS = 8
+MAX_COMPONENTS = 4
+
+# The entropy suite scores its trials in batches of this many: large enough
+# that numpy's per-call cost is spread over many trials, small enough that
+# the suite's peak memory stays below 1 MB at any trial count.
+ENTROPY_CHUNK = 256
 
 
-def _random_pmf(rng):
-    """A pmf on 2 to 8 atoms drawn uniformly from [-5, 5]."""
-    k = 2 + rng.categorical(_ATOM_COUNT_PROBS)
-    while True:
-        support = rng.uniform(-5.0, 5.0, shape=(k,))
-        support.sort()
-        s = support.tolist()
-        if min(map(sub, s[1:], s)) >= 1e-6:
-            break
-    probs = rng.uniform(0.05, 1.0, shape=(k,))
-    return Pmf(support, probs / probs.sum())
+def _support(u, k):
+    """Supports of k[i] atoms uniform on [-5, 5] from the doubles u[i, :k[i]],
+    sorted and padded with +inf, and whether each keeps its atoms at least
+    1e-6 apart."""
+    atoms = np.where(np.arange(u.shape[1]) < k[:, None], to_interval(u, -5.0, 5.0),
+                     np.inf)
+    atoms.sort(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf in the padding
+        gaps = atoms[:, 1:] - atoms[:, :-1]
+    return atoms, ~(gaps < 1e-6).any(axis=1)
+
+
+def _random_pmfs(streams):
+    """A batch of pmfs on 2 to 8 atoms drawn uniformly from [-5, 5], row i
+    from ``streams[i]``, or empty where that is None.
+
+    A stream's draws are one for its atom count k, k for its support, drawn
+    again while two atoms lie within 1e-6 of each other, and then k for its
+    probabilities, uniform on [0.05, 1] and normalized.  All but a redrawn
+    support come from one :func:`batch_random` call for every stream.
+    """
+    drawn = [s for s in streams if s is not None]
+    u = batch_random(drawn, 1 + 2 * MAX_ATOMS)
+    k = 2 + np.searchsorted(_ATOM_COUNT_CUM, u[:, 0], side="right")
+    support, spread = _support(u[:, 1:1 + MAX_ATOMS], k)
+    col = np.arange(MAX_ATOMS)
+    drawn_probs = np.take_along_axis(
+        u, np.minimum(1 + k[:, None] + col, 2 * MAX_ATOMS), axis=1)
+    for i in np.flatnonzero(~spread).tolist():
+        n, start = int(k[i]), 1 + int(k[i])  # start: the next support's first draw
+        while True:
+            v = batch_random(drawn[i:i + 1], start % 4 + 2 * n, start // 4)
+            v = v[:, start % 4:]
+            atoms, ok = _support(v[:, :n], k[i:i + 1])
+            if ok[0]:
+                break
+            start += n
+        support[i, :n] = atoms[0]
+        drawn_probs[i, :n] = v[0, n:]
+    probs = np.where(col < k[:, None], to_interval(drawn_probs, 0.05, 1.0), 0.0)
+    probs /= row_sums(probs, k)[:, None]
+    if len(drawn) < len(streams):
+        rows = np.flatnonzero([s is not None for s in streams])
+        padded = (np.full((len(streams), MAX_ATOMS), np.inf),
+                  np.zeros((len(streams), MAX_ATOMS)),
+                  np.zeros(len(streams), dtype=k.dtype))
+        for out, drawn_rows in zip(padded, (support, probs, k)):
+            out[rows] = drawn_rows
+        support, probs, k = padded
+    return PmfBatch(support, probs, k)
+
+
+def _chunks(rng, trials):
+    """The suite's trial streams, ``rng.fork(f"trial{i}")`` for i < trials, in
+    lists of at most ENTROPY_CHUNK."""
+    for lo in range(0, trials, ENTROPY_CHUNK):
+        yield [rng.fork(f"trial{i}") for i in range(lo, min(lo + ENTROPY_CHUNK, trials))]
+
+
+def _sum_gaps(rng, trials):
+    """Each trial's H(X+Y) - max(H(X), H(Y)), one array per chunk."""
+    for chunk in _chunks(rng, trials):
+        pmfs = _random_pmfs([t.fork(label) for t in chunk for label in ("p", "q")])
+        yield sum_entropy_gap(*(PmfBatch(pmfs.support[i::2], pmfs.probs[i::2],
+                                         pmfs.size[i::2]) for i in (0, 1)))
+
+
+def _conditional_gaps(rng, trials):
+    """Each trial's conditioning gap over a mixture of 2 to 4 random pmfs
+    with weights uniform on [0.05, 1], normalized; one array per chunk."""
+    for chunk in _chunks(rng, trials):
+        u = batch_random([t.fork("k") for t in chunk] + [t.fork("w") for t in chunk],
+                         MAX_COMPONENTS)
+        k = 2 + np.searchsorted(_COMPONENT_COUNT_CUM, u[:len(chunk), 0], side="right")
+        used = np.arange(MAX_COMPONENTS) < k[:, None]
+        weights = np.where(used, to_interval(u[len(chunk):], 0.05, 1.0), 0.0)
+        weights /= row_sums(weights, k)[:, None]
+        pmfs = _random_pmfs([t.fork(f"pmf{j}") if j < n else None
+                             for t, n in zip(chunk, k.tolist())
+                             for j in range(MAX_COMPONENTS)])
+        yield conditional_entropy_gap(LabeledMixture(weights, pmfs))
 
 
 def run_entropy_suite(seed=0, trials=1000):
-    """Run the randomized entropy checks; returns a list of result dicts."""
+    """Run the randomized entropy checks; returns a list of result dicts.
+
+    Each check's trials are scored ENTROPY_CHUNK at a time, and trial i
+    draws from the stream forked by its label, so no gap depends on the
+    chunk size."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     rng = RngStream(seed).fork("entropy")
     results = []
 
     worst = np.inf
-    r = rng.fork("sum_gap")
-    for i in range(trials):
-        ri = r.fork(f"trial{i}")
-        gap = sum_entropy_gap(_random_pmf(ri.fork("p")), _random_pmf(ri.fork("q")))
-        worst = min(worst, gap)
+    for gaps in _sum_gaps(rng.fork("sum_gap"), trials):
+        worst = min(worst, *gaps.tolist())
     results.append({"check": "sum_entropy_strict", "trials": trials,
                     "worst_gap": worst, "pass": worst > 1e-9})
 
     worst = np.inf
-    r = rng.fork("cond_gap")
-    for i in range(trials):
-        ri = r.fork(f"trial{i}")
-        k = 2 + ri.fork("k").categorical([0.5, 0.3, 0.2])
-        weights = ri.fork("w").uniform(0.05, 1.0, shape=(k,))
-        weights /= weights.sum()
-        comps = tuple((float(w), _random_pmf(ri.fork(f"pmf{j}")))
-                      for j, w in enumerate(weights))
-        gap = conditional_entropy_gap(LabeledMixture(comps))
-        worst = min(worst, gap)
+    for gaps in _conditional_gaps(rng.fork("cond_gap"), trials):
+        worst = min(worst, *gaps.tolist())
     results.append({"check": "conditioning_reduces_entropy", "trials": trials,
                     "worst_gap": worst, "pass": worst >= -1e-12})
 

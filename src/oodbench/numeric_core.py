@@ -5,17 +5,21 @@ Everything here is pure given its inputs.  Random draws go through
 :class:`RngStream`, a splittable counter-based generator: streams are keyed
 by the hash of their label path from the root seed, so any two runs that
 fork the same labels in any order see identical samples.
+
+A stream's generator is Philox4x64-10 (Salmon et al. 2011), which is
+counter-based: its i-th double is a pure function of its 128-bit key and
+i.  So :func:`batch_random` gives many streams their first draws at once,
+in numpy arrays, with no generator built: row i of ``batch_random(streams,
+n)`` is bit for bit ``Generator(Philox(key=_path_key(...))).random(n)`` on
+``streams[i]``'s key.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import isfinite
-from operator import lt
 
 import numpy as np
 
@@ -23,7 +27,8 @@ __all__ = [
     "ParameterError",
     "DivergenceError",
     "RngStream",
-    "Pmf",
+    "batch_random",
+    "to_interval",
     "random_orthogonal",
     "lambert_w0",
     "power_of_two_scale",
@@ -41,11 +46,17 @@ class DivergenceError(RuntimeError):
 _TWO_PI = 2.0 * np.pi
 
 
-def _path_key(root_seed, path):
-    """The 128-bit key of a label path: the first 16 bytes, little-endian,
-    of the sha256 of the root seed's digits and each label, joined by "/"."""
+def _key_bytes(root_seed, path):
+    """The first 16 bytes of the sha256 of the root seed's digits and each
+    label of a path, joined by "/"."""
     text = "/".join((str(int(root_seed)),) + tuple(path))
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "little")
+    return hashlib.sha256(text.encode()).digest()[:16]
+
+
+def _path_key(root_seed, path):
+    """The 128-bit key of a label path: its :func:`_key_bytes`,
+    little-endian."""
+    return int.from_bytes(_key_bytes(root_seed, path), "little")
 
 
 class _PhiloxKey:
@@ -80,6 +91,10 @@ class RngStream:
     handed the key as a seed sequence (:class:`_PhiloxKey`), so no OS
     entropy is read: ``Philox(key=...)`` would seed a ``SeedSequence`` from
     it and then ignore it, which is most of the cost of a build.
+
+    :func:`batch_random` computes the same doubles from the key without a
+    generator: ``batch_random([s], n)[0]`` equals a fresh ``s``'s
+    ``uniform(shape=(n,))``, bit for bit.
     """
 
     def __init__(self, root_seed, _path=()):
@@ -106,7 +121,7 @@ class RngStream:
         if not (a <= b and b - a < np.inf):
             raise ParameterError(f"uniform requires a <= b with b - a finite, "
                                  f"got ({a}, {b})")
-        return a + (b - a) * self._gen.random(shape)
+        return to_interval(self._gen.random(shape), a, b)
 
     def categorical(self, probs, shape=None):
         probs = np.asarray(probs, dtype=float)
@@ -147,31 +162,88 @@ class RngStream:
         return r * np.cos(_TWO_PI * u[:, 1])
 
 
-@dataclass(frozen=True)
-class Pmf:
-    """Finite discrete distribution with finite, strictly increasing support.
+def to_interval(u, a, b):
+    """Doubles ``u`` in [0, 1) mapped onto [a, b), as :meth:`RngStream.uniform`
+    maps its draws: so ``to_interval(batch_random([s], n), a, b)[0]`` is a
+    fresh ``s``'s ``uniform(a, b, shape=(n,))``, bit for bit."""
+    return a + (b - a) * u
 
-    The checks run on ``tolist()`` floats: a pmf has at most a few dozen
-    atoms, where one numpy call costs more than a Python pass.  A nan or
-    inf probability makes the sum nan or inf, which fails the sum test.
+
+# Philox4x64-10's two round multipliers and two key increments, as numpy's
+# Philox uses them, shaped to pair with the (2, blocks, streams) halves of
+# the counter that batch_random holds.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157],
+                     dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B],
+                     dtype=np.uint64).reshape(2, 1, 1)
+_LOW32 = np.uint64(0xFFFF_FFFF)
+_32 = np.uint64(32)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _32
+
+
+def _mulhi(x):
+    """The high 64-bit words of the 128-bit products x·_PHILOX_M.  numpy has
+    no 128-bit integer, so they are summed from the products of 32-bit
+    halves, as in Hacker's Delight's mulhu: no partial sum overflows."""
+    x_lo = x & _LOW32
+    x_hi = x >> _32
+    t = x_hi * _PHILOX_M_LO
+    low = x_lo * _PHILOX_M_LO
+    low >>= _32
+    t += low                      # x_hi m_lo + (x_lo m_lo >> 32)
+    mid = np.bitwise_and(t, _LOW32, out=low)
+    t >>= _32
+    x_lo *= _PHILOX_M_HI
+    mid += x_lo                   # x_lo m_hi + (t mod 2**32)
+    mid >>= _32
+    x_hi *= _PHILOX_M_HI
+    x_hi += t
+    x_hi += mid
+    return x_hi
+
+
+def batch_random(streams, n, block=0):
+    """An (len(streams), n) array: row i holds the doubles 4·block to
+    4·block + n - 1 of ``streams[i]``'s ``random()`` sequence from its start,
+    whatever the stream has drawn so far.  At block 0 that is bit for bit
+    ``uniform(shape=(n,))`` on a fresh stream."""
+    key = np.frombuffer(b"".join([_key_bytes(s.root_seed, s.lineage)
+                                  for s in streams]), dtype="<u8")
+    return _philox_random(key.reshape(-1, 2), n, block)
+
+
+def _philox_random(key, n, block=0):
+    """The doubles 4·block to 4·block + n - 1 of ``Generator(Philox(key=k))
+    .random`` for each row (k mod 2**64, k >> 64) of the (S, 2) uint64 array
+    ``key``: Philox4x64-10 in uint64 arithmetic, all S streams at once.
+
+    Philox block b, of counter (b + 1, 0, 0, 0) as numpy's Philox
+    increments its counter before each block, gives four 64-bit words, and
+    a word x gives the double (x >> 11) · 2**-53.  A round maps the counter
+    (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1,
+    lo(M0 c0)), and the key (k0, k1) is bumped by the increments before
+    each round but the first; here the halves (c0, c2) and (c1, c3) are two
+    arrays, each (2, blocks, S).
     """
-
-    support: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-        if support.ndim != 1 or probs.shape != support.shape:
-            raise ParameterError("support and probs must be 1-d of equal length")
-        s, p = support.tolist(), probs.tolist()
-        if not (all(map(isfinite, s)) and all(map(lt, s, s[1:]))):
-            raise ParameterError("support must be finite and strictly increasing")
-        if not (abs(sum(p) - 1.0) <= 1e-12 and min(p) >= 0.0):
-            raise ParameterError("probs must be finite, nonnegative and sum to 1 "
-                                 "within 1e-12")
+    key = key.T[:, None, :]
+    n_blocks = -(-n // 4)
+    even = np.zeros((2, n_blocks, key.shape[2]), dtype=np.uint64)  # c0, c2
+    even[0] = np.arange(block + 1, block + 1 + n_blocks, dtype=np.uint64)[:, None]
+    odd = np.zeros_like(even)                                       # c1, c3
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        hi = _mulhi(even)[::-1]
+        hi ^= odd
+        hi ^= key
+        even, odd = hi, (even * _PHILOX_M)[::-1]
+    words = np.empty((key.shape[2], n_blocks, 4), dtype=np.uint64)
+    words[..., 0::2] = even.T
+    words[..., 1::2] = odd.T
+    del even, odd, hi
+    words = words.reshape(key.shape[2], 4 * n_blocks)[:, :n]
+    words >>= np.uint64(11)
+    return words * (1.0 / 9007199254740992.0)
 
 
 def random_orthogonal(rng, dim):

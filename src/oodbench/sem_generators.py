@@ -251,13 +251,23 @@ class Example:
     environment's latents and label; ``schedule(spec, e, r)`` draws
     environment e's parameter; ``scrambled`` says whether the example has a
     scrambled variant; ``settings`` are the config-file settings of
-    :class:`GeneratorSpec` that it reads."""
+    :class:`GeneratorSpec` that it reads, and ``unread`` pairs an
+    ``xor_variant`` with those of them that the variant leaves unread."""
 
     generator: Callable
     schedule: Callable
     task: str
     scrambled: bool
     settings: tuple
+    unread: tuple = ()
+
+    def variants_reading(self, key):
+        """The ``xor_variant`` values under which a spec of this example
+        reads setting ``key``: all of them, some, or none."""
+        if key not in self.settings:
+            return []
+        unread = dict(self.unread)
+        return [v for v in XOR_VARIANTS if key not in unread.get(v, ())]
 
 
 LINEAR_SETTINGS = ("m", "o", "n_per_env")
@@ -267,8 +277,12 @@ EXAMPLES = {
     "ex3": Example(gen_example3, _ex3_prototype, "classification", True,
                    LINEAR_SETTINGS),
     "twod": Example(gen_2d, _bias, "classification", False, ("n_per_env",)),
+    # invariance_only draws no second spurious feature (a), and
+    # bottleneck_only no label noise (q) either
     "xor": Example(gen_binary_xor, _bias, "classification", False,
-                   ("n_per_env", "xor_variant", "xor_q", "xor_a")),
+                   ("n_per_env", "xor_variant", "xor_q", "xor_a"),
+                   (("invariance_only", ("xor_a",)),
+                    ("bottleneck_only", ("xor_q", "xor_a")))),
 }
 
 

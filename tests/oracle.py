@@ -23,6 +23,11 @@ coordinates through the whole horizon, holding every grid point.
 ``oodbench.dynamics`` must reproduce that loop bit for bit on the
 penalized flow, at every grid point.
 
+Entropy: the path the entropy suite took before it scored its trials as
+arrays: one :class:`Pmf` at a time, drawn by :func:`_random_pmf` from its
+own stream's generator.  ``oodbench.entropy_lab`` must reproduce every
+trial's gap bit for bit.
+
 These functions are kept as they were and serve as the oracles the tests
 compare against.
 """
@@ -30,10 +35,12 @@ compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp
+from math import exp, isfinite
+from operator import lt, sub
 
 import numpy as np
 
+from oodbench.entropy_lab import MERGE_TOL
 from oodbench.numeric_core import DivergenceError, ParameterError, power_of_two_scale
 from oodbench.objectives import env_stack, moment_stack
 from oodbench.objectives import objective_and_gradient as batched_objective_and_gradient
@@ -435,3 +442,117 @@ def _run_steps(n_steps, dt, t_end, cx, cy, g2, times, xs, ys):
         times[i + 1] = t
         xs[i + 1] = x
         ys[i + 1] = y
+
+
+@dataclass(frozen=True)
+class Pmf:
+    """Finite discrete distribution with finite, strictly increasing support.
+
+    The checks run on ``tolist()`` floats: a pmf has at most a few dozen
+    atoms, where one numpy call costs more than a Python pass.  A nan or
+    inf probability makes the sum nan or inf, which fails the sum test.
+    """
+
+    support: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self):
+        support = np.asarray(self.support, dtype=float)
+        probs = np.asarray(self.probs, dtype=float)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "probs", probs)
+        if support.ndim != 1 or probs.shape != support.shape:
+            raise ParameterError("support and probs must be 1-d of equal length")
+        s, p = support.tolist(), probs.tolist()
+        if not (all(map(isfinite, s)) and all(map(lt, s, s[1:]))):
+            raise ParameterError("support must be finite and strictly increasing")
+        if not (abs(sum(p) - 1.0) <= 1e-12 and min(p) >= 0.0):
+            raise ParameterError("probs must be finite, nonnegative and sum to 1 "
+                                 "within 1e-12")
+
+
+@dataclass(frozen=True)
+class LabeledMixture:
+    """Weighted collection of per-environment distributions."""
+
+    components: tuple  # of (weight, Pmf)
+
+    def __post_init__(self):
+        # A nan or inf weight makes the sum nan or inf, which fails the test.
+        weights = [float(w) for w, _ in self.components]
+        if not (abs(sum(weights) - 1.0) <= 1e-12 and min(weights) >= 0.0):
+            raise ParameterError("mixture weights must be finite, nonnegative "
+                                 "and sum to 1")
+
+
+def pmf_entropy(p):
+    """Shannon entropy -sum p_i ln p_i with the 0 ln 0 = 0 convention."""
+    probs = p.probs[p.probs > 0]
+    return float(-(probs * np.log(probs)).sum())
+
+
+def _merge(support, probs):
+    """Sort the atoms and merge each group of them that lies within
+    MERGE_TOL of the group's first atom."""
+    order = np.argsort(support, kind="stable")
+    support, probs = support[order], probs[order]
+    if not (support[1:] - support[:-1] <= MERGE_TOL).any():
+        return Pmf(support, probs / probs.sum())
+    merged_s, merged_p = [support[0]], [probs[0]]
+    for s, q in zip(support[1:], probs[1:]):
+        if s - merged_s[-1] <= MERGE_TOL:
+            merged_p[-1] += q
+        else:
+            merged_s.append(s)
+            merged_p.append(q)
+    probs = np.array(merged_p)
+    return Pmf(np.array(merged_s), probs / probs.sum())
+
+
+def pmf_convolve(p, q):
+    """Exact distribution of the sum of independent variables with pmfs
+    ``p`` and ``q``; support values within 1e-12 are merged."""
+    sums = np.add.outer(p.support, q.support).ravel()
+    probs = np.multiply.outer(p.probs, q.probs).ravel()
+    return _merge(sums, probs)
+
+
+def sum_entropy_gap(p, q):
+    """H(X+Y) - max(H(X), H(Y)) for independent X, Y.
+
+    Nonnegative always; strictly positive whenever both supports have at
+    least two atoms.
+    """
+    return pmf_entropy(pmf_convolve(p, q)) - max(pmf_entropy(p), pmf_entropy(q))
+
+
+def mixture_pmf(mix):
+    """Marginal pmf of a labeled mixture."""
+    support = np.concatenate([pmf.support for _, pmf in mix.components])
+    probs = np.concatenate([w * pmf.probs for w, pmf in mix.components])
+    return _merge(support, probs)
+
+
+def conditional_entropy_gap(mix):
+    """H(mixture) - sum_e w_e H(component_e): the amount by which
+    conditioning on the environment label reduces entropy.  Nonnegative."""
+    marginal = pmf_entropy(mixture_pmf(mix))
+    conditional = sum(w * pmf_entropy(pmf) for w, pmf in mix.components)
+    return marginal - conditional
+
+
+# The categorical law of a random pmf's atom count less 2: uniform on 0..6.
+_ATOM_COUNT_PROBS = [1.0 / 7] * 7
+
+
+def _random_pmf(rng):
+    """A pmf on 2 to 8 atoms drawn uniformly from [-5, 5]."""
+    k = 2 + rng.categorical(_ATOM_COUNT_PROBS)
+    while True:
+        support = rng.uniform(-5.0, 5.0, shape=(k,))
+        support.sort()
+        s = support.tolist()
+        if min(map(sub, s[1:], s)) >= 1e-6:
+            break
+    probs = rng.uniform(0.05, 1.0, shape=(k,))
+    return Pmf(support, probs / probs.sum())

@@ -903,6 +903,39 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "generate"])
+    @pytest.mark.parametrize("variant,cfg,readers", [
+        ("invariance_only", {"xor_a": 0.3}, "both xor variant"),
+        ("bottleneck_only", {"xor_q": 0.2}, "both, invariance_only xor variants"),
+        ("bottleneck_only", {"xor_a": 0.3}, "both xor variant"),
+        ("bottleneck_only", {"xor_q": 0.2, "xor_a": 0.3}, "both, invariance_only xor variants"),
+    ], ids=["invariance_only-a", "bottleneck_only-q", "bottleneck_only-a",
+            "bottleneck_only-q_a"])
+    def test_xor_setting_the_variant_does_not_read_exits_2(self, tmp_path, capsys,
+                                                          command, variant, cfg,
+                                                          readers):
+        # bottleneck_only draws no label noise (q) and no second spurious
+        # feature (a), invariance_only no second spurious feature: the
+        # setting would change nothing but config_hash
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"xor_variant": variant, **cfg}, fh)
+        out = tmp_path / "out"
+        assert main([command, "--example", "xor", "--config", path,
+                     "--out", str(out)]) == 2
+        assert f"{next(iter(cfg))} applies only to the {readers}, not {variant}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant,cfg", [
+        ("both", {"xor_q": 0.2, "xor_a": 0.3}), ("invariance_only", {"xor_q": 0.2})])
+    def test_xor_setting_the_variant_reads_is_accepted(self, tmp_path, variant, cfg):
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"xor_variant": variant, "n_per_env": 20, **cfg}, fh)
+        assert main(["generate", "--example", "xor", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["sweep", "generate"])
     @pytest.mark.parametrize("example", ["twod", "xor"])
     @pytest.mark.parametrize("cfg", [{"m": 7}, {"o": 2}, {"m": 7, "o": 2}],
                              ids=["m", "o", "m_o"])

@@ -1,17 +1,20 @@
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 
 import oodbench
-from oodbench.entropy_lab import LabeledMixture
-from oodbench.numeric_core import (ParameterError, Pmf, RngStream, _path_key,
-                                   lambert_w0, random_orthogonal)
+from oodbench.entropy_lab import LabeledMixture, PmfBatch
+from oodbench.numeric_core import (ParameterError, RngStream, _path_key,
+                                   _philox_random, batch_random, lambert_w0,
+                                   random_orthogonal, to_interval)
 from oracle import OracleDivergence, rk4_integrate
 
 
@@ -115,6 +118,20 @@ class TestRngStream:
 NAN, INF = float("nan"), float("inf")
 
 
+def _one_pmf(support, probs):
+    """A one-row PmfBatch of the atoms ``support`` with ``probs``."""
+    return PmfBatch(np.array([support], dtype=float), np.array([probs], dtype=float),
+                    [len(support)])
+
+
+def _mixture(*weights):
+    """A one-mixture LabeledMixture of the weights, each on the pmf POINT."""
+    comps = np.tile(TestNonFiniteInputsRejected.POINT.support, (len(weights), 1))
+    return LabeledMixture(np.array([weights]),
+                          PmfBatch(comps, np.tile([0.5, 0.5], (len(weights), 1)),
+                                   [2] * len(weights)))
+
+
 def _stream(root, path):
     rng = RngStream(root)
     for label in path:
@@ -196,24 +213,89 @@ class TestStreamBuild:
             assert np.array_equal(alone_b.gaussian_array((i % 2 + 1,)), mixed_b[i])
 
 
+def _words(keys):
+    """The (S, 2) uint64 array of 128-bit keys, low word first."""
+    return np.array([[k & (2 ** 64 - 1), k >> 64] for k in keys], dtype=np.uint64)
+
+
+class TestBatchRandom:
+    EDGE_KEYS = [0, 2 ** 128 - 1, 1 << 63, 1 << 127, (1 << 127) | (1 << 63),
+                 2 ** 64 - 1, 2 ** 64]
+    RANDOM_KEYS = [random.Random(2011).getrandbits(128) for _ in range(40)]
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 17, 20])
+    @pytest.mark.parametrize("block", [0, 1, 3])
+    @pytest.mark.parametrize("keys", ["edge", "random"])
+    def test_matches_philox_on_its_key(self, n, block, keys):
+        keys = self.EDGE_KEYS if keys == "edge" else self.RANDOM_KEYS
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no uint64 overflow warning
+            got = _philox_random(_words(keys), n, block)
+        want = [np.random.Generator(np.random.Philox(key=k)).random(4 * block + n)
+                [4 * block:] for k in keys]
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
+    def test_edge_keys_cover_the_top_bit_of_each_word(self):
+        top = _words(self.EDGE_KEYS) >> np.uint64(63)
+        assert {tuple(t) for t in top.tolist()} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_streams_draw_as_their_generators(self):
+        streams = [_stream(root, path) for root, path in enumerate(TestStreamBuild.PATHS)]
+        got = batch_random(streams, 9)
+        for rng, row in zip(streams, got):
+            assert np.array_equal(row, rng.uniform(shape=(9,)))
+        # a stream that has drawn still gives its draws from its start, and
+        # its generator goes on where it was
+        assert np.array_equal(batch_random(streams[:1], 9), got[:1])
+        assert streams[0].uniform() == \
+            _reference(0, TestStreamBuild.PATHS[0]).random(10)[9]
+
+    def test_matches_the_scalar_categorical_and_uniform_draws(self):
+        probs = [1.0 / 7] * 7
+        cum = list(np.cumsum(probs))
+        root = RngStream(9).fork("entropy")
+        streams = [root.fork(f"trial{i}").fork("p") for i in range(300)]
+        u = batch_random(streams, 1 + 8 + 8)
+        fresh = [root.fork(f"trial{i}").fork("p") for i in range(300)]
+        for rng, row in zip(fresh, u):
+            assert rng.categorical(probs) == np.searchsorted(cum, row[0], side="right")
+            assert np.array_equal(rng.uniform(-5.0, 5.0, shape=(8,)), -5.0 + 10.0 * row[1:9])
+            assert np.array_equal(rng.uniform(0.05, 1.0, shape=(8,)),
+                                  to_interval(row[9:], 0.05, 1.0))
+        fresh = [root.fork(f"trial{i}").fork("p") for i in range(300)]
+        assert [rng.uniform() for rng in fresh] == u[:, 0].tolist()
+
+    def test_builds_no_generator(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a))
+        streams = [RngStream(1).fork(f"s{i}") for i in range(5)]
+        batch_random(streams, 4)
+        assert built == [] and all("_gen" not in vars(s) for s in streams)
+
+    @pytest.mark.parametrize("count,n", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_shapes(self, count, n):
+        streams = [RngStream(2).fork(f"s{i}") for i in range(count)]
+        assert batch_random(streams, n).shape == (count, n)
+
+
 class TestNonFiniteInputsRejected:
-    POINT = Pmf([0.0, 1.0], [0.5, 0.5])
+    POINT = _one_pmf([0.0, 1.0], [0.5, 0.5])
 
     @pytest.mark.parametrize("build", [
-        lambda: Pmf([0.0, NAN], [0.5, 0.5]),
-        lambda: Pmf([NAN, 0.0], [0.5, 0.5]),
-        lambda: Pmf([0.0, 1.0], [NAN, 1.0]),
-        lambda: Pmf([0.0, 1.0], [1.0, NAN]),
-        lambda: Pmf([INF, INF], [0.5, 0.5]),
-        lambda: Pmf([-INF, 0.0], [0.5, 0.5]),
-        lambda: Pmf([INF], [1.0]),
-        lambda: Pmf([0.0, 1.0], [INF, 1.0]),
+        lambda: _one_pmf([0.0, NAN], [0.5, 0.5]),
+        lambda: _one_pmf([NAN, 0.0], [0.5, 0.5]),
+        lambda: _one_pmf([0.0, 1.0], [NAN, 1.0]),
+        lambda: _one_pmf([0.0, 1.0], [1.0, NAN]),
+        lambda: _one_pmf([INF, INF], [0.5, 0.5]),
+        lambda: _one_pmf([-INF, 0.0], [0.5, 0.5]),
+        lambda: _one_pmf([INF], [1.0]),
+        lambda: _one_pmf([0.0, 1.0], [INF, 1.0]),
         lambda: RngStream(0).categorical([NAN, 1.0]),
         lambda: RngStream(0).categorical([1.0, NAN]),
         lambda: RngStream(0).categorical([INF, 1.0], shape=(3,)),
-        lambda: LabeledMixture(((NAN, TestNonFiniteInputsRejected.POINT),)),
-        lambda: LabeledMixture(((0.5, TestNonFiniteInputsRejected.POINT),
-                                (INF, TestNonFiniteInputsRejected.POINT))),
+        lambda: _mixture(NAN),
+        lambda: _mixture(0.5, INF),
         lambda: RngStream(0).gaussian_array((3,), std=NAN),
         lambda: RngStream(0).gaussian_array((3,), std=INF),
         lambda: RngStream(0).gaussian_array((2,), std=np.array([1.0, NAN])),
@@ -233,7 +315,7 @@ class TestNonFiniteInputsRejected:
             build()
 
     def test_finite_boundaries_still_accepted(self):
-        Pmf([-5.0, 5.0], [0.0, 1.0])
+        _one_pmf([-5.0, 5.0], [0.0, 1.0])
         assert RngStream(0).categorical([0.0, 1.0]) == 1
         assert np.all(RngStream(0).gaussian_array((3,), std=0.0) == 0.0)
         assert np.all(RngStream(0).bernoulli_array((3,), 1.0) == 1)
@@ -241,19 +323,19 @@ class TestNonFiniteInputsRejected:
 
 class TestPmf:
     def test_valid(self):
-        Pmf([0.0, 1.0], [0.5, 0.5])
+        _one_pmf([0.0, 1.0], [0.5, 0.5])
 
     def test_rejects_decreasing_support(self):
         with pytest.raises(ParameterError):
-            Pmf([1.0, 0.0], [0.5, 0.5])
+            _one_pmf([1.0, 0.0], [0.5, 0.5])
 
     def test_rejects_repeated_atom(self):
         with pytest.raises(ParameterError):
-            Pmf([0.0, 0.0, 1.0], [0.25, 0.25, 0.5])
+            _one_pmf([0.0, 0.0, 1.0], [0.25, 0.25, 0.5])
 
     def test_rejects_bad_probs(self):
         with pytest.raises(ParameterError):
-            Pmf([0.0, 1.0], [0.6, 0.5])
+            _one_pmf([0.0, 1.0], [0.6, 0.5])
 
 
 class TestRandomOrthogonal:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.sem_generators import (EXAMPLES, Example, GeneratorSpec,
-                                     default_test_envs, draw_fixed_weights,
-                                     env_params, gen_2d, gen_binary_xor,
-                                     generate_env, generate_training_envs)
+from oodbench.sem_generators import (EXAMPLES, XOR_VARIANTS, Example,
+                                     GeneratorSpec, default_test_envs,
+                                     draw_fixed_weights, env_params, gen_2d,
+                                     gen_binary_xor, generate_env,
+                                     generate_training_envs)
 
 
 def rng():
@@ -323,6 +324,16 @@ class TestBenchmarkInstance:
         same = all(a.X.shape == b.X.shape and np.array_equal(a.X, b.X)
                    and np.array_equal(a.Y, b.Y) for a, b in zip(*draws))
         assert same == (key not in EXAMPLES[example].settings)
+
+    @pytest.mark.parametrize("variant", XOR_VARIANTS)
+    @pytest.mark.parametrize("key", ["xor_q", "xor_a"])
+    def test_each_xor_variant_reads_exactly_its_settings(self, variant, key):
+        draws = [generate_training_envs(GeneratorSpec(
+            example="xor", n_per_env=20, xor_variant=variant, **setting),
+            RngStream(4))[2] for setting in ({}, {key: 0.4})]
+        same = all(np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
+                   for a, b in zip(*draws))
+        assert same == (variant not in EXAMPLES["xor"].variants_reading(key))
 
     @pytest.mark.parametrize("example", EXAMPLES)
     def test_generator_returns_the_latents_and_label(self, example):
