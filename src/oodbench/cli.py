@@ -203,7 +203,9 @@ def _random_pmfs(streams):
     A stream's draws are one for its atom count k, k for its support, drawn
     again while two atoms lie within 1e-6 of each other, and then k for its
     probabilities, uniform on [0.05, 1] and normalized.  All but a redrawn
-    support come from one :func:`batch_random` call for every stream.
+    support come from one :func:`batch_random` call for every stream; a
+    stream whose first support is redrawn then continues its own sequence,
+    past the count and that support.
     """
     drawn = [s for s in streams if s is not None]
     u = batch_random(drawn, 1 + 2 * MAX_ATOMS)
@@ -213,16 +215,14 @@ def _random_pmfs(streams):
     drawn_probs = np.take_along_axis(
         u, np.minimum(1 + k[:, None] + col, 2 * MAX_ATOMS), axis=1)
     for i in np.flatnonzero(~spread).tolist():
-        n, start = int(k[i]), 1 + int(k[i])  # start: the next support's first draw
+        stream, n = drawn[i], int(k[i])
+        stream.uniform(shape=(1 + n,))  # the count and the first support
         while True:
-            v = batch_random(drawn[i:i + 1], start % 4 + 2 * n, start // 4)
-            v = v[:, start % 4:]
-            atoms, ok = _support(v[:, :n], k[i:i + 1])
+            atoms, ok = _support(stream.uniform(shape=(1, n)), k[i:i + 1])
             if ok[0]:
                 break
-            start += n
         support[i, :n] = atoms[0]
-        drawn_probs[i, :n] = v[0, n:]
+        drawn_probs[i, :n] = stream.uniform(shape=(n,))
     probs = np.where(col < k[:, None], to_interval(drawn_probs, 0.05, 1.0), 0.0)
     probs /= row_sums(probs, k)[:, None]
     if len(drawn) < len(streams):
@@ -454,6 +454,9 @@ def main(argv=None):
     except DivergenceError as exc:
         print(f"oodbench: numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except MemoryError as exc:  # a setting asks for more than can be allocated
+        print(f"oodbench: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"oodbench: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -17,7 +17,6 @@ n)`` is bit for bit ``Generator(Philox(key=_path_key(...))).random(n)`` on
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate
 
@@ -134,8 +133,6 @@ class RngStream:
                                  "and sum to 1")
         # The running sums are np.cumsum's: one sequential add per entry.
         cum = list(accumulate(probs))
-        if shape is None:
-            return bisect_right(cum, self._gen.random())
         return np.searchsorted(cum, self._gen.random(shape), side="right")
 
     def gaussian_array(self, shape, std=1.0):
@@ -202,20 +199,19 @@ def _mulhi(x):
     return x_hi
 
 
-def batch_random(streams, n, block=0):
-    """An (len(streams), n) array: row i holds the doubles 4·block to
-    4·block + n - 1 of ``streams[i]``'s ``random()`` sequence from its start,
-    whatever the stream has drawn so far.  At block 0 that is bit for bit
-    ``uniform(shape=(n,))`` on a fresh stream."""
+def batch_random(streams, n):
+    """An (len(streams), n) array: row i holds the first n doubles of
+    ``streams[i]``'s ``random()`` sequence, whatever the stream has drawn
+    so far: bit for bit ``uniform(shape=(n,))`` on a fresh stream."""
     key = np.frombuffer(b"".join([_key_bytes(s.root_seed, s.lineage)
                                   for s in streams]), dtype="<u8")
-    return _philox_random(key.reshape(-1, 2), n, block)
+    return _philox_random(key.reshape(-1, 2), n)
 
 
-def _philox_random(key, n, block=0):
-    """The doubles 4·block to 4·block + n - 1 of ``Generator(Philox(key=k))
-    .random`` for each row (k mod 2**64, k >> 64) of the (S, 2) uint64 array
-    ``key``: Philox4x64-10 in uint64 arithmetic, all S streams at once.
+def _philox_random(key, n):
+    """The first n doubles of ``Generator(Philox(key=k)).random`` for each
+    row (k mod 2**64, k >> 64) of the (S, 2) uint64 array ``key``:
+    Philox4x64-10 in uint64 arithmetic, all S streams at once.
 
     Philox block b, of counter (b + 1, 0, 0, 0) as numpy's Philox
     increments its counter before each block, gives four 64-bit words, and
@@ -228,7 +224,7 @@ def _philox_random(key, n, block=0):
     key = key.T[:, None, :]
     n_blocks = -(-n // 4)
     even = np.zeros((2, n_blocks, key.shape[2]), dtype=np.uint64)  # c0, c2
-    even[0] = np.arange(block + 1, block + 1 + n_blocks, dtype=np.uint64)[:, None]
+    even[0] = np.arange(1, 1 + n_blocks, dtype=np.uint64)[:, None]
     odd = np.zeros_like(even)                                       # c1, c3
     for r in range(10):
         if r:

@@ -40,13 +40,10 @@ path promises against the per-model reference is the tolerance contract
 in :mod:`oodbench.trainer`.
 
 Training reads the value only to see whether it is finite.  On the
-logistic loss the value costs a log1p and more per row, so it is computed
-only for the models whose value :func:`_certified` cannot prove finite
-from theta alone: with every prediction at most B = ‖w‖₁ max|X| + |b| in
-magnitude, a row's risk term is at most 2B + 1, lam g² at most lam B² and
-n_envs gamma Var at most 4 n_envs gamma B², and a model whose bound stays
-2**24 below overflow is certified.  The gradient is computed the same way
-either way.
+logistic loss the value costs a log1p and more per row, so a step computes
+it for every model of the batch or for none: for none where
+:func:`_certified` proves, from theta alone, that every model's value is
+finite.  The gradient is computed the same way either way.
 """
 
 from __future__ import annotations
@@ -225,49 +222,30 @@ def moment_stack(query_envs, query_rows, lam, gamma):
 
 
 def keep_queries(stack, keep):
-    """``stack`` with only the queries ``keep`` (increasing), compacted in
-    place, so that no second copy of a training stack is made.  A
-    :class:`MomentStack`'s ``M`` keeps the rows of the kept queries, and is
-    None once it has none."""
-    kept = {f.name: _keep_rows(getattr(stack, f.name), keep)
+    """``stack`` with only the queries ``keep`` (increasing), each per-query
+    array indexed by ``keep``.  A :class:`MomentStack`'s ``M`` keeps the
+    rows of the kept queries, and is None once it has none."""
+    kept = {f.name: getattr(stack, f.name)[keep]
             for f in fields(stack) if f.name not in ("M", "irm")
             and isinstance(getattr(stack, f.name), np.ndarray)}
     if getattr(stack, "M", None) is not None:
         rows = np.flatnonzero(np.isin(stack.irm, keep))
-        kept["M"] = _keep_rows(stack.M, rows) if rows.size else None
+        kept["M"] = stack.M[rows] if rows.size else None
         kept["irm"] = np.searchsorted(keep, stack.irm[rows]) if rows.size else None
     return replace(stack, **kept)
-
-
-# Rows that _keep_rows gathers at once: few Python steps per compaction, and
-# a copy of at most 200 kB for an IRM row of the benchmark's ex1 (d = 10).
-KEEP_CHUNK = 64
-
-
-def _keep_rows(a, keep):
-    """Move rows ``keep`` (increasing) of ``a`` to its front, in place, and
-    return that front.  The rows past the kept prefix are gathered
-    ``KEEP_CHUNK`` at a time: as keep[i] >= i, each is read before a write
-    reaches it, and no copy larger than a chunk is made."""
-    for i in range(np.count_nonzero(keep == np.arange(keep.size)), keep.size,
-                   KEEP_CHUNK):
-        rows = keep[i:i + KEEP_CHUNK]
-        a[i:i + rows.size] = a[rows]
-    return a[:keep.size]
 
 
 def _env_terms(X, yhat, y, penalized, scored):
     """Logistic-loss terms of every (model, environment) pair, from (Q, E, n)
     predictions and labels in {0, 1}.
 
-    Returns the risks (len(scored), E) of the models ``scored`` (an index
-    array; None when it is empty, and no risk term is computed), the
-    gradients in (w, b) (Q, E, d+1), and, when ``penalized``, the scale
-    derivative g (Q, E) with its gradients (else None).  A mean is a row sum
-    divided by n, which is how ``np.mean`` computes it.  Row-sized buffers
-    are reused in place to keep a large batch's peak memory low; an in-place
-    operation gives the same bits as its out-of-place form, and a model's
-    rows give the same bits gathered or in place.
+    Returns the risks (Q, E) when ``scored`` (else None, and no risk term
+    is computed), the gradients in (w, b) (Q, E, d+1), and, when
+    ``penalized``, the scale derivative g (Q, E) with its gradients (else
+    None).  A mean is a row sum divided by n, which is how ``np.mean``
+    computes it.  Row-sized buffers are reused in place to keep a large
+    batch's peak memory low; an in-place operation gives the same bits as
+    its out-of-place form.
 
     All but the risk follow the per-model path's float operations in its
     order.  One e = exp(-|ŷ|) per row gives both the sigmoid,
@@ -284,15 +262,10 @@ def _env_terms(X, yhat, y, penalized, scored):
     np.negative(e, out=e)
     np.exp(e, out=e)              # exp(-|yhat|), shared by both halves
     s = np.maximum(e, yhat >= 0)
-    if scored.size:
-        r = e[scored]
-        np.log1p(r, out=r)
-        t = yhat[scored]
-        u = y[scored]
-        u *= t                    # y yhat
-        np.maximum(t, 0.0, out=t)
-        r += t                    # softplus(yhat) = max(yhat, 0) + log1p(e)
-        r -= u
+    if scored:
+        r = np.log1p(e)
+        r += np.maximum(yhat, 0.0)  # softplus(yhat) = max(yhat, 0) + log1p(e)
+        r -= y * yhat
         risk = _row_sum(r) / n
     e += 1.0
     s /= e                        # sigmoid(yhat)
@@ -406,9 +379,10 @@ def objective_and_gradient(theta, stack, value=True):
     With ``value=False`` it returns ``(finite, grads)``, ``finite`` being
     ``np.isfinite(values)``: all that training reads of the value.  The
     square loss computes the value, O(d²).  The logistic loss computes it
-    only for the models that :func:`_certified` does not certify, those
-    whose bound on it is nan, inf or within 2**24 of overflow, as a
-    diverging model's is.  The gradient is the same as with ``value=True``.
+    for every model of the batch, or, where :func:`_certified` proves every
+    model's value finite from theta alone, for none.  A certified model's
+    value is finite, so ``finite`` is the same either way, and the gradient
+    is the same as with ``value=True``.
 
     A model's float operations, and the order in which its terms are summed,
     do not depend on the other models of the batch.  From an
@@ -423,11 +397,7 @@ def objective_and_gradient(theta, stack, value=True):
     lam, gamma = stack.lam, stack.gamma
     use_irm, use_ib = bool(lam.any()), bool(gamma.any())
     n_envs, n = stack.X.shape[1:3]
-    if value:
-        finite = np.zeros(q, dtype=bool)
-    else:
-        finite = _certified(theta, stack, use_irm, use_ib)
-    scored = np.flatnonzero(~finite)  # the models whose value is computed
+    scored = value or not _certified(theta, stack, use_irm, use_ib).all()
     yhat = np.matmul(stack.X, theta[:, None, :-1, None])[..., 0]
     yhat += theta[:, -1:, None]
     risk_qe, grad_qe, g, g_grad = _env_terms(stack.X, yhat, stack.Y, use_irm, scored)
@@ -448,18 +418,14 @@ def objective_and_gradient(theta, stack, value=True):
         coef = np.reshape(n_envs * gamma * (2.0 / n_all), (-1, 1))
         # the intercept shifts every prediction equally: no variance gradient
         grad[:, :-1] += coef * var_w
-    if not scored.size:
-        return finite, grad
-    values = np.zeros(scored.size)
+    if not scored:
+        return np.ones(q, dtype=bool), grad
+    values = np.zeros(q)
     for e in range(n_envs):
         values += risk_qe[:, e]
         if use_irm:
-            values += lam[scored] * g[scored, e] * g[scored, e]
+            values += lam * g[:, e] * g[:, e]
     if use_ib:
-        centered = centered[scored]
         centered **= 2
-        values += n_envs * gamma[scored] * (_row_sum(centered) / n_all)
-    if value:
-        return values, grad
-    finite[scored] = np.isfinite(values)
-    return finite, grad
+        values += n_envs * gamma * (_row_sum(centered) / n_all)
+    return (values if value else np.isfinite(values)), grad

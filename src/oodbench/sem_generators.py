@@ -71,6 +71,13 @@ class GeneratorSpec:
             raise ParameterError(f"unknown example {self.example!r}")
         if self.m < 1 or self.o < 1 or self.n_per_env < 2 or self.n_envs < 1:
             raise ParameterError("require m >= 1, o >= 1, n_per_env >= 2, n_envs >= 1")
+        # At least the largest array a draw asks numpy for: two uniforms for
+        # each of up to (m + o)² or n_per_env (m + o) normals, 16 bytes a normal.
+        size = 16 * max(self.m + self.o, self.n_per_env) * (self.m + self.o)
+        if size > np.iinfo(np.intp).max:
+            raise ParameterError(
+                f"m = {self.m}, o = {self.o} and n_per_env = {self.n_per_env} "
+                f"need an array of {size:.3g} bytes, more than numpy can hold")
         if self.scramble and not EXAMPLES[self.example].scrambled:
             raise ParameterError(f"{self.example} has no scrambled variant")
         # Checked on every example, so a bad xor setting never passes

@@ -37,11 +37,8 @@ stated bound of it, and the tests check each part.
   |y yhat| (measured: 2 ulp over 1.1e6 rows).  At the per-model path's
   iterates on the tested grid the value is within 1e-15 relative
   (measured: 3.6e-16).  Training reads only whether the value is finite,
-  and a step computes it only for the queries whose value a bound from
-  theta alone does not prove finite: with every prediction at most
-  B = ‖w‖₁ max|X| + |b|, the value is at most
-  n_envs (2B + 1 + lam B²) + 4 n_envs gamma B², and a query is certified
-  where that bound stays 2**24 below overflow
+  and a step computes it for every query of the batch, or for none where
+  a bound from theta alone proves every query's value finite
   (:func:`~oodbench.objectives._certified`).  So the divergence test, and
   every output above, is that of computing the value at every step.
 * Square loss, per call: the objective is one quadratic form per query,

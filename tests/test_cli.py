@@ -953,6 +953,28 @@ class TestConfigFile:
             f"not {example}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "generate"])
+    @pytest.mark.parametrize("cfg,message", [
+        ({"m": 10_000_000_000}, "need an array of 1.6e+21 bytes, more than numpy can hold"),
+        ({"n_per_env": 10 ** 16}, "out of memory: Unable to allocate"),
+        ({"n_per_env": 10 ** 20}, "need an array of 1.6e+22 bytes, more than numpy can hold"),
+    ], ids=["m", "n_per_env-1e16", "n_per_env-1e20"])
+    def test_oversized_setting_exits_2(self, tmp_path, capsys, command, cfg, message):
+        # Each size is refused by numpy before a page is touched: two exceed
+        # what an array's byte count can hold, and 1e16 rows ask for 711 PiB,
+        # more than a process can address.  Never test a size that memory
+        # overcommit could map.
+        path = str(tmp_path / "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        out = tmp_path / "out"
+        assert main([command, "--example", "ex1", "--config", path,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_sweep_help_names_every_config_key(self, capsys):
         assert main(["sweep", "--help"]) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from oodbench import objectives
 from oodbench.numeric_core import ParameterError, RngStream
 from oodbench.objectives import (CERTIFIED_MAX, ObjectiveConfig, _certified,
-                                 _env_terms, env_stack, moment_stack,
+                                 _env_terms, env_stack, keep_queries, moment_stack,
                                  objective_and_gradient as stack_objective)
 from oodbench.sem_generators import EnvDataset, GeneratorSpec, generate_env
 from oracle import (LinearModel, _sigmoid, batched_objective, irmv1_penalty,
@@ -303,7 +304,7 @@ class TestLogisticKernel:
         with np.errstate(all="ignore"):
             risk_qe, grad_qe, _, _ = _env_terms(
                 np.ones((m, 1, 1, 1)), z.reshape(m, 1, 1).copy(),
-                np.full((m, 1, 1), y), False, np.arange(m))
+                np.full((m, 1, 1), y), False, True)
         return risk_qe[:, 0], grad_qe[:, 0, -1]
 
     def _check(self, z):
@@ -379,10 +380,10 @@ def _check_certificate(theta, stack):
 
 class TestFiniteCertificate:
     """``objective_and_gradient(..., value=False)`` computes the logistic
-    value only for the models whose bound on it is not certified far below
-    overflow (see ``objectives._certified``): a certified model's exact
-    value must be finite, and the finiteness it reports must be the exact
-    value's."""
+    value for no model of a batch whose every model's bound on it is
+    certified far below overflow (see ``objectives._certified``), and for
+    every model otherwise: a certified model's exact value must be finite,
+    and the finiteness it reports must be the exact value's."""
 
     def test_random_grid(self):
         r = RngStream(41)
@@ -486,3 +487,57 @@ class TestFiniteCertificate:
         assert finite.all()
         with pytest.raises(AssertionError, match="log1p evaluated"):
             stack_objective(theta, stack)
+
+
+class TestKeepQueries:
+    """``keep_queries(stack, keep)`` is the stack built from the kept
+    queries alone, field by field and bit for bit."""
+
+    # query q's weights: four methods in turn, so an IRM row every other query
+    LAM = np.array([0.0, 2.0, 0.0, 3.0] * 2)
+    GAMMA = np.array([0.0, 0.0, 0.5, 0.25] * 2)
+    KEEPS = {"all": list(range(8)), "all-but-first": list(range(1, 8)),
+             "prefix": [0, 1, 2], "one": [5], "no-irm": [0, 2, 4, 6]}
+
+    @staticmethod
+    def _queries(task):
+        """Eight queries on two data seeds, four on each, each with its own
+        explicit rows of every environment."""
+        r = RngStream(59)
+        seeds = [random_envs(r.fork(f"seed{s}"), task=task) for s in (0, 1)]
+        query_envs = [seeds[q // 4] for q in range(8)]
+        query_rows = [[r.fork(f"rows{q}/{e}").permutation(env.n)[:30]
+                       for e, env in enumerate(envs)]
+                      for q, envs in enumerate(query_envs)]
+        return query_envs, query_rows
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert type(got) is type(want)
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+
+    def _check(self, build, task, lam, gamma, keep):
+        query_envs, query_rows = self._queries(task)
+        stack = build(query_envs, query_rows, lam, gamma)
+        want = build([query_envs[q] for q in keep], [query_rows[q] for q in keep],
+                     lam[keep], gamma[keep])
+        got = keep_queries(stack, np.array(keep))
+        self._assert_same(got, want)
+        return got
+
+    @pytest.mark.parametrize("keep", ["all", "all-but-first", "prefix", "one"])
+    def test_env_stack(self, keep):
+        self._check(env_stack, "classification", np.full(8, 2.0), np.full(8, 0.5),
+                    self.KEEPS[keep])
+
+    @pytest.mark.parametrize("keep", sorted(KEEPS))
+    def test_mixed_method_moment_stack(self, keep):
+        got = self._check(moment_stack, "regression", self.LAM, self.GAMMA,
+                          self.KEEPS[keep])
+        assert (got.M is None) == (keep == "no-irm")

@@ -1,7 +1,7 @@
 """Static checks of ``src/oodbench`` with the standard library's ``ast``:
-every import of a module is used in it, every module-level function and
-class is used somewhere in the package, so a name that only tests call
-fails, every text-mode ``open`` or ``os.fdopen`` names its encoding, so no
+every import of a module is used in it, every module-level function,
+class and assigned name is used somewhere in the package, so a name that
+only tests read fails, every text-mode ``open`` or ``os.fdopen`` names its encoding, so no
 file's bytes depend on the locale, only ``numeric_core`` touches
 ``numpy.random``, so every draw comes from a keyed ``RngStream``, the
 training stacks stay behind their boundary: ``objectives`` builds them from
@@ -59,6 +59,46 @@ def test_every_function_and_class_is_used_in_the_package():
                for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assert [name for name in defined if name.partition(".")[2] not in used] == []
+
+
+def _module_assignments(tree):
+    """Names a module binds by assignment at its top level, but
+    ``__all__``: the names its plain and annotated assignments store to,
+    tuple targets unpacked; an attribute or item stored to binds none."""
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    for target in targets:
+        for node in ast.walk(target):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id != "__all__"):
+                yield node.id
+
+
+def test_assignment_check_reads_only_module_level_names():
+    tree = ast.parse("A = 1\n"
+                     "B, (C, D) = 2, (3, 4)\n"
+                     "E: int = 5\n"
+                     "F = G = 6\n"
+                     "__all__ = ['A']\n"
+                     "x.attr = 7\n"
+                     "table[key] = 8\n"
+                     "def f():\n"
+                     "    H = 9\n"
+                     "    return H\n"
+                     "class K:\n"
+                     "    I = 10\n")
+    assert list(_module_assignments(tree)) == ["A", "B", "C", "D", "E", "F", "G"]
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    used = set().union(*(_used_names(tree) for tree in TREES.values()))
+    assigned = [f"{module}.{name}" for module, tree in TREES.items()
+                for name in _module_assignments(tree)]
+    assert [name for name in assigned if name.partition(".")[2] not in used] == []
 
 
 def _text_opens_without_encoding(tree):
