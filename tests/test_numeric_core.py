@@ -114,6 +114,19 @@ class TestRngStream:
         freqs = np.bincount(draws, minlength=3) / draws.size
         assert np.allclose(freqs, probs, atol=0.01)
 
+    @pytest.mark.parametrize("probs", [[1.0 / 7] * 7, [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]],
+                             ids=["uniform", "zero-between", "point"])
+    def test_scalar_draw_is_the_first_of_a_shaped_draw(self, probs):
+        # a scalar draw is a numpy integer, the index of the first running
+        # sum above the uniform: an atom of probability 0 is never drawn
+        cum = list(np.cumsum(probs))
+        for i in range(200):
+            got = RngStream(19).fork(f"s{i}").categorical(probs)
+            u = RngStream(19).fork(f"s{i}").uniform()
+            assert isinstance(got, np.integer)
+            assert got == RngStream(19).fork(f"s{i}").categorical(probs, shape=(1,))[0]
+            assert got == sum(c <= u for c in cum) and probs[got] > 0
+
 
 NAN, INF = float("nan"), float("inf")
 

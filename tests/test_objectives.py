@@ -488,6 +488,29 @@ class TestFiniteCertificate:
         with pytest.raises(AssertionError, match="log1p evaluated"):
             stack_objective(theta, stack)
 
+    @pytest.mark.parametrize("case", ["certified", "one-uncertified", "value"])
+    def test_the_value_is_computed_for_the_whole_batch_or_none(self, case,
+                                                               monkeypatch):
+        # one model the certificate leaves out makes every model's value
+        # computed; the finiteness and gradients are value=True's
+        r = RngStream(61)
+        envs = random_envs(r)
+        rows = [[np.arange(env.n) for env in envs]] * 4
+        stack = env_stack([envs] * 4, rows, np.full(4, 3.0), np.full(4, 0.5))
+        theta = 0.5 * r.fork("theta").gaussian_array((4, 5))
+        if case == "one-uncertified":
+            theta[2, 0] = 1e200
+        scored = []
+        env_terms = objectives._env_terms
+        monkeypatch.setattr(objectives, "_env_terms",
+                            lambda *a: scored.append(a[4]) or env_terms(*a))
+        with np.errstate(all="ignore"):
+            got, grad = stack_objective(theta, stack, value=case == "value")
+            values, want_grad = stack_objective(theta, stack)
+        assert scored[0] is (case != "certified") and scored[1] is True
+        assert np.array_equal(got, values if case == "value" else np.isfinite(values))
+        assert np.array_equal(grad, want_grad, equal_nan=True)
+
 
 class TestKeepQueries:
     """``keep_queries(stack, keep)`` is the stack built from the kept
@@ -497,7 +520,8 @@ class TestKeepQueries:
     LAM = np.array([0.0, 2.0, 0.0, 3.0] * 2)
     GAMMA = np.array([0.0, 0.0, 0.5, 0.25] * 2)
     KEEPS = {"all": list(range(8)), "all-but-first": list(range(1, 8)),
-             "prefix": [0, 1, 2], "one": [5], "no-irm": [0, 2, 4, 6]}
+             "prefix": [0, 1, 2], "one": [5], "last": [7],
+             "scattered": [1, 4, 6], "no-irm": [0, 2, 4, 6]}
 
     @staticmethod
     def _queries(task):
@@ -531,7 +555,8 @@ class TestKeepQueries:
         self._assert_same(got, want)
         return got
 
-    @pytest.mark.parametrize("keep", ["all", "all-but-first", "prefix", "one"])
+    @pytest.mark.parametrize("keep", ["all", "all-but-first", "prefix", "one",
+                                      "last", "scattered"])
     def test_env_stack(self, keep):
         self._check(env_stack, "classification", np.full(8, 2.0), np.full(8, 0.5),
                     self.KEEPS[keep])

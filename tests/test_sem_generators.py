@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import fields
 
@@ -67,6 +68,21 @@ class TestEnvParams:
                                                    message):
         with pytest.raises(ParameterError, match=re.escape(message)):
             GeneratorSpec(example=example, **setting)
+
+    # The bound on m + o, and on n_per_env at m = o = 5: the largest settings
+    # whose 16 (m + o) max(m + o, n_per_env) bytes numpy can still index.
+    TOP = np.iinfo(np.intp).max
+    LARGEST = {"m": math.isqrt(TOP // 16) - 5, "o": math.isqrt(TOP // 16) - 5,
+               "n_per_env": TOP // 160}
+
+    @pytest.mark.parametrize("name", sorted(LARGEST))
+    def test_size_bound_is_numpys_largest_array(self, name):
+        # a spec only checks its settings: neither size allocates
+        value = self.LARGEST[name]
+        spec = GeneratorSpec(example="ex1", **{name: value})
+        assert 16 * max(spec.m + spec.o, spec.n_per_env) * (spec.m + spec.o) <= self.TOP
+        with pytest.raises(ParameterError, match="more than numpy can hold"):
+            GeneratorSpec(example="ex1", **{name: value + 1})
 
 
 class TestExample1:
