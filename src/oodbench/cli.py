@@ -11,21 +11,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, astuple
-from itertools import accumulate, repeat
+from dataclasses import asdict, fields
+from itertools import accumulate
 
 import numpy as np
 
 from .numeric_core import (DivergenceError, ParameterError, RngStream,
                            batch_random, to_interval)
 from .sem_generators import EXAMPLES, GeneratorSpec, generate_training_envs
-from .trainer import TrainConfig, random_search
+from .trainer import SweepRow, TrainConfig, random_search
 from .dynamics import flow_weights, plain_flow, theorem5_report
 from .entropy_lab import (LabeledMixture, PmfBatch, conditional_entropy_gap,
                           gaussian_entropy_bound, row_sums, sum_entropy_gap)
-from .reporting import (SWEEP_FIELDS, SUMMARY_FIELDS, aggregate_report,
-                        aggregate_rows, config_hash, format_summary_table,
-                        write_csv, write_json)
+from .reporting import (SWEEP_FIELDS, SUMMARY_FIELDS, SummaryRow,
+                        aggregate_report, aggregate_rows, config_hash,
+                        format_summary_table, write_csv, write_json)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -97,12 +97,18 @@ def _meta(args, **config):
             "config_hash": config_hash({"command": args.command, **config})}
 
 
+def _columns(kind, records):
+    """The columns of ``records``, instances of the dataclass ``kind``: each
+    field's values, in field order."""
+    return [[getattr(r, f.name) for r in records] for f in fields(kind)]
+
+
 def _summarise(summary, out, meta):
     """Write ``summary.csv`` into ``out``, if given; print the table."""
     if out:
         os.makedirs(out, exist_ok=True)
         write_csv(os.path.join(out, "summary.csv"), SUMMARY_FIELDS,
-                  [astuple(r) for r in summary], meta)
+                  _columns(SummaryRow, summary), meta)
     print(format_summary_table(summary))
 
 
@@ -117,10 +123,11 @@ def cmd_generate(args):
         fields = ["env_id", "y"] + [f"x_{j}" for j in range(d)]
         fields += [f"zinv_{j}" for j in range(env.Z_inv.shape[1])]
         fields += [f"zspu_{j}" for j in range(env.Z_spu.shape[1])]
-        rows = [[env.env_id, env.Y[i], *env.X[i], *env.Z_inv[i], *env.Z_spu[i]]
-                for i in range(env.n)]
+        columns = [[env.env_id] * env.n, env.Y,
+                   *(a[:, j] for a in (env.X, env.Z_inv, env.Z_spu)
+                     for j in range(a.shape[1]))]
         path = os.path.join(args.out, f"env_{env.env_id}.csv")
-        write_csv(path, fields, rows, meta)
+        write_csv(path, fields, columns, meta)
         files.append(os.path.basename(path))
     write_json(os.path.join(args.out, "manifest.json"),
                {"example": args.example, "n_envs": args.envs,
@@ -138,12 +145,22 @@ def cmd_sweep(args):
                  queries=args.queries, seeds=args.seeds, methods=methods,
                  seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    # Each row's fields, in order; astuple and asdict would deep-copy them.
-    records = [vars(r) for r in rows]
     write_csv(os.path.join(args.out, "sweep.csv"), SWEEP_FIELDS,
-              [tuple(rec.values()) for rec in records], meta)
-    _summarise(aggregate_rows(records), args.out, meta)
+              _columns(SweepRow, rows), meta)
+    _summarise(aggregate_rows(map(vars, rows)), args.out, meta)
     return EXIT_OK
+
+
+def _trajectory_columns(p, ib):
+    """The columns of trajectory.csv: the penalized flow ``ib``'s rows, then
+    the plain flow's at the same grid times, at most TRAJECTORY_MAX_ROWS a
+    flow.  Each flow's own arrays are dropped on return."""
+    n_points = ib.n_steps + 1
+    stride = max(1, -(-n_points // TRAJECTORY_MAX_ROWS))
+    times, *ib_columns = ib.at(np.arange(0, n_points, stride))
+    erm_columns = flow_weights(p, *plain_flow(p, times))
+    return [["ib_erm"] * times.size + ["erm"] * times.size,
+            *map(np.concatenate, zip((times, *ib_columns), (times, *erm_columns)))]
 
 
 def cmd_dynamics(args):
@@ -151,20 +168,9 @@ def cmd_dynamics(args):
     meta = _meta(args, p=args.p, gamma=args.gamma, eps=args.eps, dt=args.dt)
     os.makedirs(args.out, exist_ok=True)
     verdict = dict(report)
-    ib = verdict.pop("ib_trajectory")
-    n_points = ib.n_steps + 1
-    stride = max(1, -(-n_points // TRAJECTORY_MAX_ROWS))
-    times, *ib_columns = ib.at(np.arange(0, n_points, stride))
-    # The plain flow's rows are at the penalized flow's grid times.
-    flows = (("ib_erm", ib_columns),
-             ("erm", flow_weights(args.p, *plain_flow(args.p, times))))
-    # Rows are made one flow at a time as write_csv reads them: tolist()
-    # columns are cheaper to walk than numpy arrays, but both flows' rows
-    # held as Python objects at once would raise the peak memory.
-    rows = (row for name, columns in flows
-            for row in zip(repeat(name), *(c.tolist() for c in (times, *columns))))
     write_csv(os.path.join(args.out, "trajectory.csv"),
-              ("flow", "t", "w_inv", "w_spu", "ratio"), rows, meta)
+              ("flow", "t", "w_inv", "w_spu", "ratio"),
+              _trajectory_columns(args.p, verdict.pop("ib_trajectory")), meta)
     write_json(os.path.join(args.out, "verdict.json"), verdict, meta)
     print(json.dumps(verdict, indent=2, default=float))
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
@@ -196,26 +202,27 @@ def _support(u, k):
     return atoms, ~(gaps < 1e-6).any(axis=1)
 
 
-def _random_pmfs(streams):
+def _random_pmfs(parent, labels):
     """A batch of pmfs on 2 to 8 atoms drawn uniformly from [-5, 5], row i
-    from ``streams[i]``, or empty where that is None.
+    from the stream ``parent.fork(labels[i])``, or empty where that label
+    is None.
 
     A stream's draws are one for its atom count k, k for its support, drawn
     again while two atoms lie within 1e-6 of each other, and then k for its
     probabilities, uniform on [0.05, 1] and normalized.  All but a redrawn
     support come from one :func:`batch_random` call for every stream; a
-    stream whose first support is redrawn then continues its own sequence,
-    past the count and that support.
+    stream whose first support is redrawn is built, and continues its own
+    sequence past the count and that support.
     """
-    drawn = [s for s in streams if s is not None]
-    u = batch_random(drawn, 1 + 2 * MAX_ATOMS)
+    drawn = [label for label in labels if label is not None]
+    u = batch_random(parent, drawn, 1 + 2 * MAX_ATOMS)
     k = 2 + np.searchsorted(_ATOM_COUNT_CUM, u[:, 0], side="right")
     support, spread = _support(u[:, 1:1 + MAX_ATOMS], k)
     col = np.arange(MAX_ATOMS)
     drawn_probs = np.take_along_axis(
         u, np.minimum(1 + k[:, None] + col, 2 * MAX_ATOMS), axis=1)
     for i in np.flatnonzero(~spread).tolist():
-        stream, n = drawn[i], int(k[i])
+        stream, n = parent.fork(drawn[i]), int(k[i])
         stream.uniform(shape=(1 + n,))  # the count and the first support
         while True:
             atoms, ok = _support(stream.uniform(shape=(1, n)), k[i:i + 1])
@@ -225,45 +232,48 @@ def _random_pmfs(streams):
         drawn_probs[i, :n] = stream.uniform(shape=(n,))
     probs = np.where(col < k[:, None], to_interval(drawn_probs, 0.05, 1.0), 0.0)
     probs /= row_sums(probs, k)[:, None]
-    if len(drawn) < len(streams):
-        rows = np.flatnonzero([s is not None for s in streams])
-        padded = (np.full((len(streams), MAX_ATOMS), np.inf),
-                  np.zeros((len(streams), MAX_ATOMS)),
-                  np.zeros(len(streams), dtype=k.dtype))
+    if len(drawn) < len(labels):
+        rows = np.flatnonzero([label is not None for label in labels])
+        padded = (np.full((len(labels), MAX_ATOMS), np.inf),
+                  np.zeros((len(labels), MAX_ATOMS)),
+                  np.zeros(len(labels), dtype=k.dtype))
         for out, drawn_rows in zip(padded, (support, probs, k)):
             out[rows] = drawn_rows
         support, probs, k = padded
     return PmfBatch(support, probs, k)
 
 
-def _chunks(rng, trials):
-    """The suite's trial streams, ``rng.fork(f"trial{i}")`` for i < trials, in
-    lists of at most ENTROPY_CHUNK."""
+def _chunks(trials):
+    """The suite's trial numbers, in ranges of at most ENTROPY_CHUNK."""
     for lo in range(0, trials, ENTROPY_CHUNK):
-        yield [rng.fork(f"trial{i}") for i in range(lo, min(lo + ENTROPY_CHUNK, trials))]
+        yield range(lo, min(lo + ENTROPY_CHUNK, trials))
 
 
 def _sum_gaps(rng, trials):
-    """Each trial's H(X+Y) - max(H(X), H(Y)), one array per chunk."""
-    for chunk in _chunks(rng, trials):
-        pmfs = _random_pmfs([t.fork(label) for t in chunk for label in ("p", "q")])
+    """Each trial's H(X+Y) - max(H(X), H(Y)), one array per chunk; trial
+    i's X and Y come from ``rng.fork(f"trial{i}")``'s children p and q."""
+    for chunk in _chunks(trials):
+        pmfs = _random_pmfs(rng, [f"trial{i}/{label}" for i in chunk
+                                  for label in ("p", "q")])
         yield sum_entropy_gap(*(PmfBatch(pmfs.support[i::2], pmfs.probs[i::2],
                                          pmfs.size[i::2]) for i in (0, 1)))
 
 
 def _conditional_gaps(rng, trials):
     """Each trial's conditioning gap over a mixture of 2 to 4 random pmfs
-    with weights uniform on [0.05, 1], normalized; one array per chunk."""
-    for chunk in _chunks(rng, trials):
-        u = batch_random([t.fork("k") for t in chunk] + [t.fork("w") for t in chunk],
-                         MAX_COMPONENTS)
+    with weights uniform on [0.05, 1], normalized; one array per chunk.
+    Trial i draws from ``rng.fork(f"trial{i}")``'s children: k for the
+    component count, w for the weights and pmf<j> for component j."""
+    for chunk in _chunks(trials):
+        u = batch_random(rng, [f"trial{i}/{label}" for label in ("k", "w")
+                               for i in chunk], MAX_COMPONENTS)
         k = 2 + np.searchsorted(_COMPONENT_COUNT_CUM, u[:len(chunk), 0], side="right")
         used = np.arange(MAX_COMPONENTS) < k[:, None]
         weights = np.where(used, to_interval(u[len(chunk):], 0.05, 1.0), 0.0)
         weights /= row_sums(weights, k)[:, None]
-        pmfs = _random_pmfs([t.fork(f"pmf{j}") if j < n else None
-                             for t, n in zip(chunk, k.tolist())
-                             for j in range(MAX_COMPONENTS)])
+        pmfs = _random_pmfs(rng, [f"trial{i}/pmf{j}" if j < n else None
+                                  for i, n in zip(chunk, k.tolist())
+                                  for j in range(MAX_COMPONENTS)])
         yield conditional_entropy_gap(LabeledMixture(weights, pmfs))
 
 
@@ -325,8 +335,8 @@ def cmd_entropy(args):
         os.makedirs(args.out, exist_ok=True)
         write_csv(os.path.join(args.out, "entropy.csv"),
                   ("check", "trials", "worst_gap", "pass"),
-                  [(r["check"], r["trials"], r["worst_gap"], r["pass"])
-                   for r in results],
+                  [[r[key] for r in results]
+                   for key in ("check", "trials", "worst_gap", "pass")],
                   _meta(args, seed=args.seed, trials=args.trials))
     return EXIT_OK if all_pass else EXIT_VALIDATION
 

@@ -9,9 +9,16 @@ fork the same labels in any order see identical samples.
 A stream's generator is Philox4x64-10 (Salmon et al. 2011), which is
 counter-based: its i-th double is a pure function of its 128-bit key and
 i.  So :func:`batch_random` gives many streams their first draws at once,
-in numpy arrays, with no generator built: row i of ``batch_random(streams,
-n)`` is bit for bit ``Generator(Philox(key=_path_key(...))).random(n)`` on
-``streams[i]``'s key.
+in numpy arrays, with no generator and no stream built: row i of
+``batch_random(parent, labels, n)`` is bit for bit
+``Generator(Philox(key=_path_key(...))).random(n)`` on the key of
+``parent.fork(labels[i])``.
+
+A key hashes the stream's path text, its labels joined by "/", so the keys
+of a parent's children share a prefix: the parent's text and "/".  That
+prefix is hashed once, and each child's key is a copy of its hash state
+fed the child's label.  A label may itself hold "/": ``fork("a/b")`` is the
+stream ``fork("a").fork("b")``, so one prefix serves the grandchildren too.
 """
 
 from __future__ import annotations
@@ -92,8 +99,8 @@ class RngStream:
     it and then ignore it, which is most of the cost of a build.
 
     :func:`batch_random` computes the same doubles from the key without a
-    generator: ``batch_random([s], n)[0]`` equals a fresh ``s``'s
-    ``uniform(shape=(n,))``, bit for bit.
+    generator: ``batch_random(s, [label], n)[0]`` equals a fresh
+    ``s.fork(label)``'s ``uniform(shape=(n,))``, bit for bit.
     """
 
     def __init__(self, root_seed, _path=()):
@@ -109,6 +116,10 @@ class RngStream:
             _PhiloxKey(_path_key(self.root_seed, self.lineage))))
 
     def fork(self, label):
+        """The child stream of ``label``.  Its key hashes the path text,
+        the labels joined by "/", so ``fork("a/b")`` is the stream
+        ``fork("a").fork("b")``: :func:`batch_random` derives a
+        descendant's key from its parent's text and a "/"-joined label."""
         if not label:
             raise ParameterError("fork label must be nonempty")
         return RngStream(self.root_seed, self.lineage + (str(label),))
@@ -161,8 +172,9 @@ class RngStream:
 
 def to_interval(u, a, b):
     """Doubles ``u`` in [0, 1) mapped onto [a, b), as :meth:`RngStream.uniform`
-    maps its draws: so ``to_interval(batch_random([s], n), a, b)[0]`` is a
-    fresh ``s``'s ``uniform(a, b, shape=(n,))``, bit for bit."""
+    maps its draws: so ``to_interval(batch_random(s, [label], n), a, b)[0]``
+    is a fresh ``s.fork(label)``'s ``uniform(a, b, shape=(n,))``, bit for
+    bit."""
     return a + (b - a) * u
 
 
@@ -199,13 +211,26 @@ def _mulhi(x):
     return x_hi
 
 
-def batch_random(streams, n):
-    """An (len(streams), n) array: row i holds the first n doubles of
-    ``streams[i]``'s ``random()`` sequence, whatever the stream has drawn
-    so far: bit for bit ``uniform(shape=(n,))`` on a fresh stream."""
-    key = np.frombuffer(b"".join([_key_bytes(s.root_seed, s.lineage)
-                                  for s in streams]), dtype="<u8")
-    return _philox_random(key.reshape(-1, 2), n)
+def _child_keys(parent, labels):
+    """The (len(labels), 2) uint64 words of the keys of ``parent.fork(label)``
+    for each label: each is :func:`_key_bytes` of the child's path, from one
+    hash of the parent's path text and "/", copied and fed the label."""
+    prefix = hashlib.sha256(
+        "/".join((str(parent.root_seed), *parent.lineage, "")).encode())
+    digests = []
+    for label in labels:
+        h = prefix.copy()
+        h.update(label.encode())
+        digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 4)[:, :2]
+
+
+def batch_random(parent, labels, n):
+    """An (len(labels), n) array: row i holds the first n doubles of
+    ``parent.fork(labels[i])``'s ``random()`` sequence, bit for bit its
+    ``uniform(shape=(n,))``, with no stream built.  Each label is a
+    nonempty ``fork`` label, or several joined by "/"."""
+    return _philox_random(_child_keys(parent, labels), n)
 
 
 def _philox_random(key, n):

@@ -6,6 +6,12 @@ root seed, a hash of the resolved configuration, the suite version, and a
 timestamp; the timestamp is the only line allowed to differ between
 identical reruns.  Floats are printed with 17 significant digits for a
 lossless round trip.
+
+:func:`write_csv` takes a table by columns.  A float64 array column is
+printed by formatting each distinct bit pattern once, since a trajectory's
+settled columns repeat a few values over thousands of rows; it is keyed by
+bits, not by value, because values that compare equal can print
+differently (``-0.0 == 0.0``, but they print ``-0`` and ``0``).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -94,21 +100,38 @@ def atomic_write_text(path, text):
         raise
 
 
-def write_csv(path, fieldnames, rows, meta):
-    """Write rows (sequences) with metadata header, atomically.  A row is
-    printed by one %-format of its cells, built once per sequence of cell
-    types (see :func:`_cell_format`)."""
+def _column_cells(column):
+    """The printed cells of a column: a float64 array's distinct bit
+    patterns formatted once each, any other column's cells one by one by
+    :func:`_cell_format` of their type."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        bits, index = np.unique(column.view(np.uint64), return_inverse=True)
+        text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
+                        dtype=object)
+        return text[index].tolist()
+    formats = {kind: _cell_format(kind) for kind in set(map(type, column))}
+    return [formats[type(cell)] % (cell,) for cell in column]
+
+
+def write_csv(path, fieldnames, columns, meta):
+    """Write a table with metadata header, atomically: ``columns`` holds
+    one sequence of cells per field, all of one length.  A float64 array
+    column formats each distinct bit pattern once (see the module
+    docstring), and prints as its cells would one by one; every other cell
+    prints by :func:`_cell_format` of its type."""
     out = [f"# {k}={v}" for k, v in _run_meta(meta).items()]
     out.append(",".join(fieldnames))
-    formats = {}
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join(map(_cell_format, kinds))
-        out.append(fmt % row)
+    out += _row_blocks(columns)
     atomic_write_text(path, "\n".join(out) + "\n")
+
+
+def _row_blocks(columns):
+    """The printed rows of a table, joined by line breaks 1024 at a time,
+    so that its rows' strings are never all held at once; the cells are
+    dropped with the generator, before the file's text is joined."""
+    rows = map(",".join, zip(*map(_column_cells, columns), strict=True))
+    while block := list(islice(rows, 1024)):
+        yield "\n".join(block)
 
 
 def read_csv(path):

@@ -10,7 +10,7 @@ import pytest
 
 from oodbench.cli import (EXAMPLE_CHOICES, SPEC_KEYS, TRAIN_KEYS, _configs,
                           build_parser, main)
-from oodbench.dynamics import MAX_HELD_STEPS
+from oodbench.dynamics import MAX_HELD_STEPS, theorem5_report
 from oodbench.reporting import (SUMMARY_FIELDS, SWEEP_FIELDS, SummaryRow,
                                 aggregate_rows, atomic_write_text, config_hash,
                                 format_summary_table, read_csv, write_csv)
@@ -52,18 +52,19 @@ class TestFormatting:
     def test_float_cells_round_trip(self, tmp_path):
         values = (0.1, 1.0 / 3.0, 1e-300, -2.5e17, np.float64(np.pi))
         path = str(tmp_path / "t.csv")
-        write_csv(path, [f"c{i}" for i in range(len(values))], [values], {})
+        write_csv(path, [f"c{i}" for i in range(len(values))],
+                  [[v] for v in values], {})
         _, _, rows = read_csv(path)
         assert [float(cell) for cell in rows[0].values()] == [float(v) for v in values]
 
     def test_string_and_int_cells_print_as_str(self, tmp_path):
         path = str(tmp_path / "t.csv")
-        write_csv(path, ("method", "seed"), [("ERM", 7)], {})
+        write_csv(path, ("method", "seed"), [["ERM"], [7]], {})
         assert _csv_body(path) == ["method,seed", "ERM,7", ""]
 
     # Each cell reads as format(float(v), ".17g") prints a numpy or Python
     # float and as str(v) prints anything else; the two rows put different
-    # cell types in each column.
+    # cell types in each column, which are written as lists.
     EDGE_ROWS = [
         (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308,
          np.float32(0.1), np.int64(-7), True, np.bool_(False), "ERM"),
@@ -80,8 +81,37 @@ class TestFormatting:
     def test_cell_bytes_pinned_on_edge_values(self, tmp_path):
         path = str(tmp_path / "t.csv")
         fields = [f"c{i}" for i in range(11)]
-        write_csv(path, fields, self.EDGE_ROWS, {"root_seed": 0})
+        write_csv(path, fields, list(zip(*self.EDGE_ROWS)), {"root_seed": 0})
         assert _csv_body(path) == [",".join(fields), *self.EDGE_BODY, ""]
+
+    # Float columns whose bit patterns differ where values compare equal
+    # (0.0 and -0.0) or where nan is unequal to itself (two payloads), with
+    # the smallest subnormal, both infinities, and one repeated value.  A
+    # float64 array is printed by formatting each distinct bit pattern once;
+    # a list of Python floats, cell by cell: both must print each cell as
+    # "%.17g" prints it alone.
+    FLOAT_COLUMNS = [
+        [0.0, -0.0, -0.0, 0.0, -0.0],
+        [np.uint64(0x7FF8000000000001).view(np.float64).item(), -np.nan,
+         np.uint64(0x7FF8000000000001).view(np.float64).item(), np.nan, -np.nan],
+        [5e-324, np.inf, -np.inf, 5e-324, -5e-324],
+        [1.0 / 3.0] * 5,
+    ]
+
+    @pytest.mark.parametrize("kind", ["array", "list"])
+    def test_float_columns_print_cell_by_cell(self, tmp_path, kind):
+        bits = [{np.float64(v).view(np.uint64).item() for v in column}
+                for column in self.FLOAT_COLUMNS]
+        assert [len(b) for b in bits] == [2, 3, 4, 1]
+        columns = [np.array(column) if kind == "array" else column
+                   for column in self.FLOAT_COLUMNS]
+        path = str(tmp_path / "t.csv")
+        write_csv(path, ("zero", "nan", "edge", "same"), columns, {})
+        want = [",".join("%.17g" % float(v) for v in row)
+                for row in zip(*self.FLOAT_COLUMNS)]
+        assert _csv_body(path) == ["zero,nan,edge,same", *want, ""]
+        assert want[:2] == ["0,nan,4.9406564584124654e-324,0.33333333333333331",
+                            "-0,nan,inf,0.33333333333333331"]
 
     def test_config_hash_stable_and_order_free(self):
         a = config_hash({"b": 2, "a": 1})
@@ -105,7 +135,7 @@ class TestFormatting:
 class TestCsvIo:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "t.csv")
-        write_csv(path, ("a", "b"), [(1, 0.5), (2, 1.0 / 3.0)], {"root_seed": 7})
+        write_csv(path, ("a", "b"), [[1, 2], [0.5, 1.0 / 3.0]], {"root_seed": 7})
         meta, fields, rows = read_csv(path)
         assert meta["root_seed"] == "7"
         assert "version" in meta and "timestamp" in meta
@@ -467,13 +497,24 @@ class TestDynamicsCommand:
         assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-10
 
     # sha256 of trajectory.csv (both flows) and verdict.json, timestamps
-    # removed, as written when both flows were held on the full grid.
+    # removed, as written when both flows were held on the full grid, and,
+    # at eps 0.05, where no column settles, as written row by row.
     PINNED = {
         "1e-3": ("fd92d9526c38643769ef92557587d32ddc46298e9108ec08816490efbd5cf043",
                  "4e3c126597f23cb10e32a7d5021dc88c73f992965f53caac4ebba3fb9bbe4d00"),
         "1e-4": ("42dd81761dd65a3b3bda0bcd8066fd6889295b10b1439738631b89121ab72270",
                  "fd0ab03a6dfd8011e8266c919b90f47044f7fb1f58d50508a6da914e392ced7d"),
+        "0.05": ("d97c84175adf9464f9691b81383e86d8a9f7ebe4177a5a8ecde842fab66c5d15",
+                 "d2a23b07de2ef747a3b52238c7e12f7d27645e4330631304b0f53cdd0383a66c"),
     }
+
+    def test_unsettled_pin_has_no_fixed_point(self):
+        # at eps 0.05 the penalized y-coordinate reaches no fixed point on
+        # its grid, and the CSV holds 2,576 rows a flow, at stride 2
+        ib = theorem5_report(0.9, 0.58, 0.05, 1e-2)["ib_trajectory"]
+        assert ib.jy == ib.n_full == 5150
+        assert -(-(ib.n_steps + 1) // 4000) == 2
+        assert ib.at(np.arange(0, ib.n_steps + 1, 2))[0].size == 2576
 
     @pytest.mark.parametrize("eps", sorted(PINNED))
     def test_outputs_pinned(self, tmp_path, capsys, eps):

@@ -60,8 +60,7 @@ def same_pmf(a, b):
 
 def random_pmfs(seed, n):
     """n pmfs of the suite's law, from streams t0..t<n-1>."""
-    rng = RngStream(seed)
-    return _random_pmfs([rng.fork(f"t{i}") for i in range(n)])
+    return _random_pmfs(RngStream(seed), [f"t{i}" for i in range(n)])
 
 
 class TestPmfEntropy:
@@ -340,7 +339,7 @@ class TestRareRows:
     def test_support_redraw_matches_the_per_trial_path(self):
         root = RngStream(0).fork("retry")
         labels = ("s0",) + self.REDRAWN + ("s1",)
-        got = rows(_random_pmfs([root.fork(label) for label in labels]))
+        got = rows(_random_pmfs(root, labels))
         for label, pmf in zip(labels, got):
             assert same_pmf(pmf, oracle._random_pmf(root.fork(label)))
         for label, k in zip(self.REDRAWN, (8, 7, 6)):
@@ -350,7 +349,7 @@ class TestRareRows:
 
     def test_empty_rows_where_no_stream(self):
         root = RngStream(1)
-        b = _random_pmfs([None, root.fork("a"), None, None, root.fork("b")])
+        b = _random_pmfs(root, [None, "a", None, None, "b"])
         assert b.size[[0, 2, 3]].tolist() == [0, 0, 0]
         assert np.all(b.support[[0, 2, 3]] == np.inf) and np.all(b.probs[[0, 2, 3]] == 0)
         for pmf, label in zip(rows(take(b, [1, 4])), ("a", "b")):

@@ -12,9 +12,10 @@ import scipy.special
 
 import oodbench
 from oodbench.entropy_lab import LabeledMixture, PmfBatch
-from oodbench.numeric_core import (ParameterError, RngStream, _path_key,
-                                   _philox_random, batch_random, lambert_w0,
-                                   random_orthogonal, to_interval)
+from oodbench.numeric_core import (ParameterError, RngStream, _child_keys,
+                                   _key_bytes, _path_key, _philox_random,
+                                   batch_random, lambert_w0, random_orthogonal,
+                                   to_interval)
 from oracle import OracleDivergence, rk4_integrate
 
 
@@ -252,22 +253,27 @@ class TestBatchRandom:
         assert {tuple(t) for t in top.tolist()} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_streams_draw_as_their_generators(self):
-        streams = [_stream(root, path) for root, path in enumerate(TestStreamBuild.PATHS)]
-        got = batch_random(streams, 9)
-        for rng, row in zip(streams, got):
-            assert np.array_equal(row, rng.uniform(shape=(9,)))
-        # a stream that has drawn still gives its draws from its start, and
-        # its generator goes on where it was
-        assert np.array_equal(batch_random(streams[:1], 9), got[:1])
-        assert streams[0].uniform() == \
-            _reference(0, TestStreamBuild.PATHS[0]).random(10)[9]
+        # each path's last label, drawn from its parent at depth 0 to 2
+        paths = list(enumerate(TestStreamBuild.PATHS))
+        got = [batch_random(_stream(root, path[:-1]), [path[-1]], 9)[0]
+               for root, path in paths]
+        for (root, path), row in zip(paths, got):
+            assert np.array_equal(row, _stream(root, path).uniform(shape=(9,)))
+        # many children of one parent at once, "/"-joined labels included;
+        # the parent's own draws change none of them
+        parent = _stream(4, ("entropy", "sum_gap"))
+        labels = [f"trial{i}/{c}" for i in range(50) for c in "pq"] + ["x"]
+        parent.uniform(shape=(3,))
+        rows = batch_random(parent, labels, 9)
+        for label, row in zip(labels, rows):
+            want = _reference(4, ("entropy", "sum_gap", *label.split("/"))).random(9)
+            assert np.array_equal(row, want)
 
     def test_matches_the_scalar_categorical_and_uniform_draws(self):
         probs = [1.0 / 7] * 7
         cum = list(np.cumsum(probs))
         root = RngStream(9).fork("entropy")
-        streams = [root.fork(f"trial{i}").fork("p") for i in range(300)]
-        u = batch_random(streams, 1 + 8 + 8)
+        u = batch_random(root, [f"trial{i}/p" for i in range(300)], 1 + 8 + 8)
         fresh = [root.fork(f"trial{i}").fork("p") for i in range(300)]
         for rng, row in zip(fresh, u):
             assert rng.categorical(probs) == np.searchsorted(cum, row[0], side="right")
@@ -280,14 +286,37 @@ class TestBatchRandom:
     def test_builds_no_generator(self, monkeypatch):
         built = []
         monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(a))
-        streams = [RngStream(1).fork(f"s{i}") for i in range(5)]
-        batch_random(streams, 4)
-        assert built == [] and all("_gen" not in vars(s) for s in streams)
+        monkeypatch.setattr(RngStream, "fork", lambda *a: built.append(a))
+        parent = RngStream(1)
+        batch_random(parent, [f"s{i}" for i in range(5)], 4)
+        assert built == [] and "_gen" not in vars(parent)
 
     @pytest.mark.parametrize("count,n", [(0, 5), (3, 0), (0, 0)])
     def test_empty_shapes(self, count, n):
-        streams = [RngStream(2).fork(f"s{i}") for i in range(count)]
-        assert batch_random(streams, n).shape == (count, n)
+        labels = [f"s{i}" for i in range(count)]
+        assert batch_random(RngStream(2), labels, n).shape == (count, n)
+
+
+class TestChildKeys:
+    """A child's key from the parent's hashed prefix is the key of its
+    whole path, which is what a stream built by fork draws from."""
+
+    @pytest.mark.parametrize("root", [0, -3, 2 ** 70])
+    @pytest.mark.parametrize("lineage", [(), ("entropy", "sum_gap", "trial7")])
+    @pytest.mark.parametrize("label", ["p", "trial999/pmf3", "é"])
+    def test_prefix_key_is_the_path_key(self, root, lineage, label):
+        parent = RngStream(root, lineage)
+        assert _child_keys(parent, [label]).tobytes() == \
+            _key_bytes(root, lineage + (label,))
+        assert _child_keys(parent, [label, "q", label]).tobytes() == b"".join(
+            _key_bytes(root, lineage + (lab,)) for lab in (label, "q", label))
+
+    @pytest.mark.parametrize("root", [0, -3, 2 ** 70])
+    def test_a_slashed_label_forks_twice(self, root):
+        parent = RngStream(root).fork("entropy")
+        one, two = parent.fork("a/b"), parent.fork("a").fork("b")
+        assert _path_key(root, one.lineage) == _path_key(root, two.lineage)
+        assert np.array_equal(one.uniform(shape=(6,)), two.uniform(shape=(6,)))
 
 
 class TestNonFiniteInputsRejected:

@@ -2,7 +2,8 @@
 every import of a module is used in it, every module-level function,
 class and assigned name is used somewhere in the package, so a name that
 only tests read fails, every text-mode ``open`` or ``os.fdopen`` names its encoding, so no
-file's bytes depend on the locale, only ``numeric_core`` touches
+file's bytes depend on the locale, ``cli`` writes files only through
+``write_csv`` and ``write_json``, only ``numeric_core`` touches
 ``numpy.random``, so every draw comes from a keyed ``RngStream``, the
 training stacks stay behind their boundary: ``objectives`` builds them from
 plain environments, and ``trainer`` neither builds nor names one, an
@@ -130,6 +131,45 @@ def test_encoding_check_flags_only_text_mode_without_encoding():
 @pytest.mark.parametrize("module", sorted(TREES))
 def test_every_text_open_names_its_encoding(module):
     assert list(_text_opens_without_encoding(TREES[module])) == []
+
+
+def _writing_opens(tree):
+    """Line numbers of the ``open(...)`` and ``os.fdopen(...)`` calls of a
+    module that may write: a mode holding w, a, x or +, or a mode that is
+    not a literal."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fdopen")):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        if mode is None:
+            continue
+        if not isinstance(mode, ast.Constant) or set("wax+") & set(mode.value):
+            yield node.lineno
+
+
+def test_write_check_flags_every_writing_mode():
+    tree = ast.parse("open(p)\n"
+                     "open(p, 'w', encoding='utf-8')\n"
+                     "open(p, mode='a')\n"
+                     "open(p, 'rb')\n"
+                     "open(p, 'x')\n"
+                     "open(p, 'r+')\n"
+                     "os.fdopen(fd, 'wb')\n"
+                     "open(p, m)\n"
+                     "open(p, encoding='utf-8')\n")
+    assert sorted(_writing_opens(tree)) == [2, 3, 5, 6, 7, 8]
+
+
+def test_cli_writes_files_only_through_the_writers():
+    # Every file the CLI writes goes through reporting.write_csv or
+    # write_json, so a timer around write_csv covers every CSV it writes.
+    tree = TREES["cli"]
+    assert "atomic_write_text" not in _used_names(tree) | set(_imported_names(tree))
+    assert list(_writing_opens(tree)) == []
 
 
 def _numpy_random_uses(tree):
