@@ -119,15 +119,13 @@ def cmd_generate(args):
     os.makedirs(args.out, exist_ok=True)
     files = []
     for env in envs:
-        d = env.X.shape[1]
-        fields = ["env_id", "y"] + [f"x_{j}" for j in range(d)]
-        fields += [f"zinv_{j}" for j in range(env.Z_inv.shape[1])]
-        fields += [f"zspu_{j}" for j in range(env.Z_spu.shape[1])]
+        blocks = (("x", env.X), ("zinv", env.Z_inv), ("zspu", env.Z_spu))
+        header = ["env_id", "y"] + [f"{name}_{j}" for name, a in blocks
+                                    for j in range(a.shape[1])]
         columns = [[env.env_id] * env.n, env.Y,
-                   *(a[:, j] for a in (env.X, env.Z_inv, env.Z_spu)
-                     for j in range(a.shape[1]))]
+                   *(a[:, j] for _, a in blocks for j in range(a.shape[1]))]
         path = os.path.join(args.out, f"env_{env.env_id}.csv")
-        write_csv(path, fields, columns, meta)
+        write_csv(path, header, columns, meta)
         files.append(os.path.basename(path))
     write_json(os.path.join(args.out, "manifest.json"),
                {"example": args.example, "n_envs": args.envs,
@@ -333,10 +331,9 @@ def cmd_entropy(args):
               f"{res['worst_gap']:>16.3e}{verdict:>9}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        write_csv(os.path.join(args.out, "entropy.csv"),
-                  ("check", "trials", "worst_gap", "pass"),
-                  [[r[key] for r in results]
-                   for key in ("check", "trials", "worst_gap", "pass")],
+        header = ("check", "trials", "worst_gap", "pass")
+        write_csv(os.path.join(args.out, "entropy.csv"), header,
+                  [[r[key] for r in results] for key in header],
                   _meta(args, seed=args.seed, trials=args.trials))
     return EXIT_OK if all_pass else EXIT_VALIDATION
 

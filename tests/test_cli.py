@@ -64,7 +64,7 @@ class TestFormatting:
 
     # Each cell reads as format(float(v), ".17g") prints a numpy or Python
     # float and as str(v) prints anything else; the two rows put different
-    # cell types in each column, which are written as lists.
+    # cell types in each column.  The rows are written as their columns.
     EDGE_ROWS = [
         (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308,
          np.float32(0.1), np.int64(-7), True, np.bool_(False), "ERM"),

@@ -102,20 +102,26 @@ def test_every_module_level_name_is_read_in_the_package():
     assert [name for name in assigned if name.partition(".")[2] not in used] == []
 
 
+def _opens(tree):
+    """(line, mode, keywords) of each ``open(...)`` and ``os.fdopen(...)``
+    call of a module: its mode argument's node, None if it passes none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fdopen"):
+            keywords = {k.arg: k.value for k in node.keywords}
+            mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+            yield node.lineno, mode, keywords
+
+
 def _text_opens_without_encoding(tree):
     """Line numbers of the ``open(...)`` and ``os.fdopen(...)`` calls of a
     module that open a file in text mode and pass no ``encoding=``."""
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Name) and node.func.id == "open"
-                or isinstance(node.func, ast.Attribute)
-                and node.func.attr == "fdopen")):
-            continue
-        keywords = {k.arg: k.value for k in node.keywords}
-        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+    for line, mode, keywords in _opens(tree):
         binary = isinstance(mode, ast.Constant) and "b" in mode.value
         if not binary and "encoding" not in keywords:
-            yield node.lineno
+            yield line
 
 
 def test_encoding_check_flags_only_text_mode_without_encoding():
@@ -137,18 +143,10 @@ def _writing_opens(tree):
     """Line numbers of the ``open(...)`` and ``os.fdopen(...)`` calls of a
     module that may write: a mode holding w, a, x or +, or a mode that is
     not a literal."""
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Name) and node.func.id == "open"
-                or isinstance(node.func, ast.Attribute)
-                and node.func.attr == "fdopen")):
-            continue
-        keywords = {k.arg: k.value for k in node.keywords}
-        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
-        if mode is None:
-            continue
-        if not isinstance(mode, ast.Constant) or set("wax+") & set(mode.value):
-            yield node.lineno
+    for line, mode, _ in _opens(tree):
+        if mode is not None and (not isinstance(mode, ast.Constant)
+                                 or set("wax+") & set(mode.value)):
+            yield line
 
 
 def test_write_check_flags_every_writing_mode():
