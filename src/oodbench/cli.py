@@ -3,6 +3,12 @@ dynamics verification, the entropy suite, and report aggregation.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric divergence,
 64 usage error.
+
+The entropy suite draws its pmfs and mixtures in ``entropy_lab``; its
+chunk loop, :func:`run_entropy_suite`, stays here because the bench's span
+tracer finds it, ``sum_entropy_gap`` and ``conditional_entropy_gap`` by
+their names in this module.  It moves when the package has a span
+registry of its own.
 """
 
 from __future__ import annotations
@@ -12,17 +18,15 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
-from itertools import accumulate
 
 import numpy as np
 
-from .numeric_core import (DivergenceError, ParameterError, RngStream,
-                           batch_random, to_interval)
+from .numeric_core import DivergenceError, ParameterError, RngStream
 from .sem_generators import EXAMPLES, GeneratorSpec, generate_training_envs
 from .trainer import SweepRow, TrainConfig, random_search
 from .dynamics import flow_weights, plain_flow, theorem5_report
-from .entropy_lab import (LabeledMixture, PmfBatch, conditional_entropy_gap,
-                          gaussian_entropy_bound, row_sums, sum_entropy_gap)
+from .entropy_lab import (conditional_entropy_gap, gaussian_entropy_bound,
+                          random_mixtures, random_pmfs, sum_entropy_gap)
 from .reporting import (SWEEP_FIELDS, SUMMARY_FIELDS, SummaryRow,
                         aggregate_report, aggregate_rows, config_hash,
                         format_summary_table, write_csv, write_json)
@@ -174,129 +178,39 @@ def cmd_dynamics(args):
     return EXIT_OK if report["pass"] else EXIT_VALIDATION
 
 
-# The running sums that RngStream.categorical searches, for the laws of a
-# random pmf's atom count less 2 (uniform on 0..6) and of a mixture's
-# component count less 2.
-_ATOM_COUNT_CUM = list(accumulate([1.0 / 7] * 7))
-_COMPONENT_COUNT_CUM = list(accumulate([0.5, 0.3, 0.2]))
-MAX_ATOMS = 8
-MAX_COMPONENTS = 4
-
 # The entropy suite scores its trials in batches of this many: large enough
 # that numpy's per-call cost is spread over many trials, small enough that
 # the suite's peak memory stays below 1 MB at any trial count.
 ENTROPY_CHUNK = 256
 
 
-def _support(u, k):
-    """Supports of k[i] atoms uniform on [-5, 5] from the doubles u[i, :k[i]],
-    sorted and padded with +inf, and whether each keeps its atoms at least
-    1e-6 apart."""
-    atoms = np.where(np.arange(u.shape[1]) < k[:, None], to_interval(u, -5.0, 5.0),
-                     np.inf)
-    atoms.sort(axis=1)
-    with np.errstate(invalid="ignore"):  # inf - inf in the padding
-        gaps = atoms[:, 1:] - atoms[:, :-1]
-    return atoms, ~(gaps < 1e-6).any(axis=1)
-
-
-def _random_pmfs(parent, labels):
-    """A batch of pmfs on 2 to 8 atoms drawn uniformly from [-5, 5], row i
-    from the stream ``parent.fork(labels[i])``, or empty where that label
-    is None.
-
-    A stream's draws are one for its atom count k, k for its support, drawn
-    again while two atoms lie within 1e-6 of each other, and then k for its
-    probabilities, uniform on [0.05, 1] and normalized.  All but a redrawn
-    support come from one :func:`batch_random` call for every stream; a
-    stream whose first support is redrawn is built, and continues its own
-    sequence past the count and that support.
-    """
-    drawn = [label for label in labels if label is not None]
-    u = batch_random(parent, drawn, 1 + 2 * MAX_ATOMS)
-    k = 2 + np.searchsorted(_ATOM_COUNT_CUM, u[:, 0], side="right")
-    support, spread = _support(u[:, 1:1 + MAX_ATOMS], k)
-    col = np.arange(MAX_ATOMS)
-    drawn_probs = np.take_along_axis(
-        u, np.minimum(1 + k[:, None] + col, 2 * MAX_ATOMS), axis=1)
-    for i in np.flatnonzero(~spread).tolist():
-        stream, n = parent.fork(drawn[i]), int(k[i])
-        stream.uniform(shape=(1 + n,))  # the count and the first support
-        while True:
-            atoms, ok = _support(stream.uniform(shape=(1, n)), k[i:i + 1])
-            if ok[0]:
-                break
-        support[i, :n] = atoms[0]
-        drawn_probs[i, :n] = stream.uniform(shape=(n,))
-    probs = np.where(col < k[:, None], to_interval(drawn_probs, 0.05, 1.0), 0.0)
-    probs /= row_sums(probs, k)[:, None]
-    if len(drawn) < len(labels):
-        rows = np.flatnonzero([label is not None for label in labels])
-        padded = (np.full((len(labels), MAX_ATOMS), np.inf),
-                  np.zeros((len(labels), MAX_ATOMS)),
-                  np.zeros(len(labels), dtype=k.dtype))
-        for out, drawn_rows in zip(padded, (support, probs, k)):
-            out[rows] = drawn_rows
-        support, probs, k = padded
-    return PmfBatch(support, probs, k)
-
-
-def _chunks(trials):
-    """The suite's trial numbers, in ranges of at most ENTROPY_CHUNK."""
-    for lo in range(0, trials, ENTROPY_CHUNK):
-        yield range(lo, min(lo + ENTROPY_CHUNK, trials))
-
-
-def _sum_gaps(rng, trials):
-    """Each trial's H(X+Y) - max(H(X), H(Y)), one array per chunk; trial
-    i's X and Y come from ``rng.fork(f"trial{i}")``'s children p and q."""
-    for chunk in _chunks(trials):
-        pmfs = _random_pmfs(rng, [f"trial{i}/{label}" for i in chunk
-                                  for label in ("p", "q")])
-        yield sum_entropy_gap(*(PmfBatch(pmfs.support[i::2], pmfs.probs[i::2],
-                                         pmfs.size[i::2]) for i in (0, 1)))
-
-
-def _conditional_gaps(rng, trials):
-    """Each trial's conditioning gap over a mixture of 2 to 4 random pmfs
-    with weights uniform on [0.05, 1], normalized; one array per chunk.
-    Trial i draws from ``rng.fork(f"trial{i}")``'s children: k for the
-    component count, w for the weights and pmf<j> for component j."""
-    for chunk in _chunks(trials):
-        u = batch_random(rng, [f"trial{i}/{label}" for label in ("k", "w")
-                               for i in chunk], MAX_COMPONENTS)
-        k = 2 + np.searchsorted(_COMPONENT_COUNT_CUM, u[:len(chunk), 0], side="right")
-        used = np.arange(MAX_COMPONENTS) < k[:, None]
-        weights = np.where(used, to_interval(u[len(chunk):], 0.05, 1.0), 0.0)
-        weights /= row_sums(weights, k)[:, None]
-        pmfs = _random_pmfs(rng, [f"trial{i}/pmf{j}" if j < n else None
-                                  for i, n in zip(chunk, k.tolist())
-                                  for j in range(MAX_COMPONENTS)])
-        yield conditional_entropy_gap(LabeledMixture(weights, pmfs))
-
-
 def run_entropy_suite(seed=0, trials=1000):
     """Run the randomized entropy checks; returns a list of result dicts.
 
-    Each check's trials are scored ENTROPY_CHUNK at a time, and trial i
-    draws from the stream forked by its label, so no gap depends on the
-    chunk size."""
+    The trials are scored ENTROPY_CHUNK at a time, both randomized checks
+    a chunk, and trial i draws from the streams forked by its labels, so no
+    gap depends on the chunk size."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     rng = RngStream(seed).fork("entropy")
     results = []
 
-    worst = np.inf
-    for gaps in _sum_gaps(rng.fork("sum_gap"), trials):
-        worst = min(worst, *gaps.tolist())
+    # trial i's X and Y of H(X+Y) - max(H(X), H(Y)), and its mixture
+    pairs = rng.fork("sum_gap")
+    mixtures = rng.fork("cond_gap")
+    worst_sum = np.inf
+    worst_cond = np.inf
+    for lo in range(0, trials, ENTROPY_CHUNK):
+        chunk = range(lo, min(lo + ENTROPY_CHUNK, trials))
+        x, y = (random_pmfs(pairs, [f"trial{i}/{side}" for i in chunk])
+                for side in ("p", "q"))
+        worst_sum = min(worst_sum, *sum_entropy_gap(x, y).tolist())
+        gaps = conditional_entropy_gap(random_mixtures(mixtures, chunk))
+        worst_cond = min(worst_cond, *gaps.tolist())
     results.append({"check": "sum_entropy_strict", "trials": trials,
-                    "worst_gap": worst, "pass": worst > 1e-9})
-
-    worst = np.inf
-    for gaps in _conditional_gaps(rng.fork("cond_gap"), trials):
-        worst = min(worst, *gaps.tolist())
+                    "worst_gap": worst_sum, "pass": worst_sum > 1e-9})
     results.append({"check": "conditioning_reduces_entropy", "trials": trials,
-                    "worst_gap": worst, "pass": worst >= -1e-12})
+                    "worst_gap": worst_cond, "pass": worst_cond >= -1e-12})
 
     # Analytic variance-bound catalogue: (name, entropy, variance, is_gaussian)
     width, scale, sigma = 1.0, 0.7, 1.3

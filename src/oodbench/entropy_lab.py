@@ -13,15 +13,25 @@ Elementwise operations are the same in either layout.  A sum is not:
 numpy sums a 1-d array of length L pairwise, in an order set by L, so
 every sum over a row is taken over the row's own length, one call for all
 the rows of each length, which sums each row as it sums a 1-d array.
+
+The entropy suite's random families are drawn here, each pmf and mixture
+from its own stream, forked by a label from a parent stream:
+:func:`random_pmfs` draws a pmf from each given label (the suite's sum
+check draws trial i's two pmfs from ``trial<i>/p`` and ``trial<i>/q`` under
+``entropy/sum_gap``), and :func:`random_mixtures` draws trial i's mixture
+from ``trial<i>/k`` (its component count), ``trial<i>/w`` (its weights) and
+``trial<i>/pmf<j>`` (its component j), under ``entropy/cond_gap`` in the
+suite.  No draw depends on the other labels of its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .numeric_core import ParameterError
+from .numeric_core import ParameterError, batch_random, to_interval
 
 __all__ = [
     "PmfBatch",
@@ -33,9 +43,19 @@ __all__ = [
     "conditional_entropy_gap",
     "gaussian_entropy_bound",
     "row_sums",
+    "random_pmfs",
+    "random_mixtures",
 ]
 
 MERGE_TOL = 1e-12
+
+# The running sums that RngStream.categorical searches, for the laws of a
+# random pmf's atom count less 2 (uniform on 0..6) and of a mixture's
+# component count less 2.
+_ATOM_COUNT_CUM = list(accumulate([1.0 / 7] * 7))
+_COMPONENT_COUNT_CUM = list(accumulate([0.5, 0.3, 0.2]))
+MAX_ATOMS = 8
+MAX_COMPONENTS = 4
 
 
 def row_sums(a, size):
@@ -198,3 +218,75 @@ def gaussian_entropy_bound(variance):
     if variance <= 0:
         raise ParameterError(f"variance must be > 0, got {variance}")
     return float(0.5 * np.log(2.0 * np.pi * np.e * variance))
+
+
+def _support(u, k):
+    """Supports of k[i] atoms uniform on [-5, 5] from the doubles u[i, :k[i]],
+    sorted and padded with +inf, and whether each keeps its atoms at least
+    1e-6 apart."""
+    atoms = np.where(np.arange(u.shape[1]) < k[:, None], to_interval(u, -5.0, 5.0),
+                     np.inf)
+    atoms.sort(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf in the padding
+        gaps = atoms[:, 1:] - atoms[:, :-1]
+    return atoms, ~(gaps < 1e-6).any(axis=1)
+
+
+def _draw_pmfs(parent, labels):
+    """The support, probs and size arrays of :func:`random_pmfs`, padded to
+    MAX_ATOMS columns.
+
+    A stream's draws are one for its atom count k, k for its support, drawn
+    again while two atoms lie within 1e-6 of each other, and then k for its
+    probabilities, uniform on [0.05, 1] and normalized.  All but a redrawn
+    support come from one :func:`batch_random` call for every stream; a
+    stream whose first support is redrawn is built, and continues its own
+    sequence past the count and that support.
+    """
+    u = batch_random(parent, labels, 1 + 2 * MAX_ATOMS)
+    k = 2 + np.searchsorted(_ATOM_COUNT_CUM, u[:, 0], side="right")
+    support, spread = _support(u[:, 1:1 + MAX_ATOMS], k)
+    col = np.arange(MAX_ATOMS)
+    drawn_probs = np.take_along_axis(
+        u, np.minimum(1 + k[:, None] + col, 2 * MAX_ATOMS), axis=1)
+    for i in np.flatnonzero(~spread).tolist():
+        stream, n = parent.fork(labels[i]), int(k[i])
+        stream.uniform(shape=(1 + n,))  # the count and the first support
+        while True:
+            atoms, ok = _support(stream.uniform(shape=(1, n)), k[i:i + 1])
+            if ok[0]:
+                break
+        support[i, :n] = atoms[0]
+        drawn_probs[i, :n] = stream.uniform(shape=(n,))
+    probs = np.where(col < k[:, None], to_interval(drawn_probs, 0.05, 1.0), 0.0)
+    probs /= row_sums(probs, k)[:, None]
+    return support, probs, k
+
+
+def random_pmfs(parent, labels):
+    """A batch of pmfs on 2 to 8 atoms drawn uniformly from [-5, 5], row i
+    from the stream ``parent.fork(labels[i])``."""
+    return PmfBatch(*_draw_pmfs(parent, labels))
+
+
+def random_mixtures(parent, trials):
+    """Trial i's mixture of 2 to 4 pmfs of :func:`random_pmfs`' law, with
+    weights uniform on [0.05, 1], normalized, for each i in ``trials``.
+    Trial i draws from ``parent.fork(f"trial{i}")``'s children: k for the
+    component count, w for the weights and pmf<j> for component j.  Only
+    the used slots are drawn; the others get weight 0 and a pmf of size 0."""
+    t = len(trials)
+    u = batch_random(parent, [f"trial{i}/{label}" for label in ("k", "w")
+                              for i in trials], MAX_COMPONENTS)
+    k = 2 + np.searchsorted(_COMPONENT_COUNT_CUM, u[:t, 0], side="right")
+    used = np.arange(MAX_COMPONENTS) < k[:, None]
+    weights = np.where(used, to_interval(u[t:], 0.05, 1.0), 0.0)
+    weights /= row_sums(weights, k)[:, None]
+    support = np.full((t * MAX_COMPONENTS, MAX_ATOMS), np.inf)
+    probs = np.zeros_like(support)
+    size = np.zeros(t * MAX_COMPONENTS, dtype=np.int64)
+    slots = np.flatnonzero(used)
+    support[slots], probs[slots], size[slots] = _draw_pmfs(
+        parent, [f"trial{i}/pmf{j}" for i, n in zip(trials, k.tolist())
+                 for j in range(n)])
+    return LabeledMixture(weights, PmfBatch(support, probs, size))

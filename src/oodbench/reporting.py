@@ -102,14 +102,18 @@ def atomic_write_text(path, text):
 
 def _column_cells(column):
     """The printed cells of a column: a float64 array's distinct bit
-    patterns formatted once each, any other column's cells one by one by
+    patterns formatted once each, a column of str cells as it is, since a
+    str prints as itself, and any other column's cells one by one by
     :func:`_cell_format` of their type."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         bits, index = np.unique(column.view(np.uint64), return_inverse=True)
         text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
                         dtype=object)
         return text[index].tolist()
-    formats = {kind: _cell_format(kind) for kind in set(map(type, column))}
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        return column
+    formats = {kind: _cell_format(kind) for kind in kinds}
     return [formats[type(cell)] % (cell,) for cell in column]
 
 

@@ -341,7 +341,8 @@ def _run_batch(spec, methods, seeds, n_queries, rng, tc_base):
 def _worker_count():
     """Processes for the seeds of a sweep: ``IBIRM_THREADS``, 1 when unset,
     and at most one per CPU that this process may run on: under fork a
-    pool starts every worker at its first task."""
+    pool starts every worker at its first task.  Where the OS reports no
+    CPU affinity (macOS, Windows), every CPU counts."""
     raw = os.environ.get("IBIRM_THREADS", "")
     if not raw:
         return 1
@@ -351,7 +352,9 @@ def _worker_count():
         n = 0
     if n < 1:
         raise ParameterError(f"IBIRM_THREADS must be an integer >= 1, got {raw!r}")
-    return min(n, len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):
+        return min(n, len(os.sched_getaffinity(0)))
+    return min(n, os.cpu_count() or 1)
 
 
 def random_search(spec, methods, protocol, rng, tc_base):

@@ -7,11 +7,12 @@ import pytest
 
 import oracle
 from oodbench import cli
-from oodbench.cli import _random_pmfs, run_entropy_suite
+from oodbench.cli import run_entropy_suite
 from oodbench.entropy_lab import (LabeledMixture, PmfBatch, _merged,
                                   conditional_entropy_gap, convolve, entropies,
                                   gaussian_entropy_bound, mixture_marginal,
-                                  row_sums, sum_entropy_gap)
+                                  random_mixtures, random_pmfs, row_sums,
+                                  sum_entropy_gap)
 from oodbench.numeric_core import ParameterError, RngStream
 from oracle import Pmf
 
@@ -58,9 +59,9 @@ def same_pmf(a, b):
     return np.array_equal(a.support, b.support) and np.array_equal(a.probs, b.probs)
 
 
-def random_pmfs(seed, n):
+def seeded_pmfs(seed, n):
     """n pmfs of the suite's law, from streams t0..t<n-1>."""
-    return _random_pmfs(RngStream(seed), [f"t{i}" for i in range(n)])
+    return random_pmfs(RngStream(seed), [f"t{i}" for i in range(n)])
 
 
 class TestPmfEntropy:
@@ -94,14 +95,14 @@ class TestPmfConvolve:
         assert np.allclose(out.probs, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_commutative(self):
-        pq = random_pmfs(7, 2)
+        pq = seeded_pmfs(7, 2)
         p, q = take(pq, [0]), take(pq, [1])
         [a], [b] = rows(convolve(p, q)), rows(convolve(q, p))
         assert np.allclose(a.support, b.support, atol=1e-12)
         assert np.allclose(a.probs, b.probs, atol=1e-12)
 
     def test_probs_sum_to_one(self):
-        pq = random_pmfs(11, 100)
+        pq = seeded_pmfs(11, 100)
         for out in rows(convolve(take(pq, slice(0, 50)), take(pq, slice(50, 100)))):
             assert abs(out.probs.sum() - 1.0) < 1e-12
             assert np.all(np.diff(out.support) > 0)
@@ -140,17 +141,17 @@ class TestSumEntropyGap:
         assert abs(gap - 0.5 * math.log(2)) < 1e-14
 
     def test_symmetric(self):
-        pq = random_pmfs(3, 2)
+        pq = seeded_pmfs(3, 2)
         p, q = take(pq, [0]), take(pq, [1])
         assert abs(sum_entropy_gap(p, q)[0] - sum_entropy_gap(q, p)[0]) < 1e-12
 
     def test_strict_on_thousand_random_pairs(self):
-        pq = random_pmfs(2026, 2000)
+        pq = seeded_pmfs(2026, 2000)
         assert sum_entropy_gap(take(pq, slice(0, 1000)),
                                take(pq, slice(1000, 2000))).min() > 1e-9
 
     def test_weak_inequality_with_point_masses(self):
-        pq = rows(random_pmfs(4, 400))
+        pq = rows(seeded_pmfs(4, 400))
         p = batch(*pq[:200])
         q = batch(*(POINT if i % 3 == 0 else pmf for i, pmf in enumerate(pq[200:])))
         assert sum_entropy_gap(p, q).min() >= -1e-12
@@ -168,7 +169,7 @@ class TestConditionalEntropyGap:
         assert abs(conditional_entropy_gap(mix)[0] - math.log(2)) < 1e-14
 
     def test_mixture_pmf_normalized(self):
-        ab = rows(random_pmfs(9, 2))
+        ab = rows(seeded_pmfs(9, 2))
         [marg] = rows(mixture_marginal(mixtures(((0.4, ab[0]), (0.6, ab[1])))))
         assert abs(marg.probs.sum() - 1.0) < 1e-12
 
@@ -179,8 +180,8 @@ class TestConditionalEntropyGap:
             mixtures(((-0.5, FAIR_COIN), (1.5, FAIR_COIN)))
 
     def test_nonnegative_on_thousand_random_mixtures(self):
-        gaps = np.concatenate(list(cli._conditional_gaps(RngStream(515).fork("mix"),
-                                                         1000)))
+        gaps = conditional_entropy_gap(random_mixtures(RngStream(515).fork("mix"),
+                                                       range(1000)))
         assert gaps.size == 1000
         assert gaps.min() >= -1e-12
 
@@ -339,7 +340,7 @@ class TestRareRows:
     def test_support_redraw_matches_the_per_trial_path(self):
         root = RngStream(0).fork("retry")
         labels = ("s0",) + self.REDRAWN + ("s1",)
-        got = rows(_random_pmfs(root, labels))
+        got = rows(random_pmfs(root, labels))
         for label, pmf in zip(labels, got):
             assert same_pmf(pmf, oracle._random_pmf(root.fork(label)))
         for label, k in zip(self.REDRAWN, (8, 7, 6)):
@@ -347,13 +348,26 @@ class TestRareRows:
             assert 2 + r.categorical(oracle._ATOM_COUNT_PROBS) == k
             assert np.diff(np.sort(r.uniform(-5.0, 5.0, shape=(k,)))).min() < 1e-6
 
-    def test_empty_rows_where_no_stream(self):
+    def test_mixture_slots_past_the_count_are_empty(self):
+        # a used slot holds its trial<i>/pmf<j> stream's pmf; a slot past
+        # the trial's component count has size 0, +inf support, probability
+        # 0 and weight 0
         root = RngStream(1)
-        b = _random_pmfs(root, [None, "a", None, None, "b"])
-        assert b.size[[0, 2, 3]].tolist() == [0, 0, 0]
-        assert np.all(b.support[[0, 2, 3]] == np.inf) and np.all(b.probs[[0, 2, 3]] == 0)
-        for pmf, label in zip(rows(take(b, [1, 4])), ("a", "b")):
-            assert same_pmf(pmf, oracle._random_pmf(root.fork(label)))
+        trials = range(5, 45)
+        mix = random_mixtures(root, trials)
+        comps, j = mix.components, mix.weights.shape[1]
+        counts = [2 + root.fork(f"trial{i}/k").categorical([0.5, 0.3, 0.2])
+                  for i in trials]
+        assert j == 4 and set(counts) == {2, 3, 4}
+        for t, (i, k) in enumerate(zip(trials, counts)):
+            used = rows(take(comps, slice(t * j, t * j + k)))
+            for slot, pmf in enumerate(used):
+                assert same_pmf(pmf, oracle._random_pmf(root.fork(f"trial{i}/pmf{slot}")))
+            empty = slice(t * j + k, (t + 1) * j)
+            assert comps.size[empty].tolist() == [0] * (j - k)
+            assert np.all(comps.support[empty] == np.inf)
+            assert np.all(comps.probs[empty] == 0)
+            assert np.all(mix.weights[t, k:] == 0)
 
     CLOSE = [
         # exact collisions, collisions within MERGE_TOL, and a chain whose
@@ -369,7 +383,7 @@ class TestRareRows:
         # each group's probabilities in the stable sort's order
         rng = np.random.default_rng(0)
         grids = [Pmf(np.arange(8.0), w / w.sum()) for w in rng.random((2, 8)) + 0.1]
-        ordinary = rows(random_pmfs(8, 4))
+        ordinary = rows(seeded_pmfs(8, 4))
         ps = [p for p, _ in self.CLOSE] + [grids[0]] + ordinary[:2]
         qs = [q for _, q in self.CLOSE] + [grids[1]] + ordinary[2:]
         out = rows(convolve(batch(*ps), batch(*qs)))
@@ -380,7 +394,7 @@ class TestRareRows:
                               [oracle.sum_entropy_gap(p, q) for p, q in zip(ps, qs)])
 
     def test_close_atoms_of_a_mixture_merge_as_the_per_trial_path(self):
-        ordinary = rows(random_pmfs(12, 3))
+        ordinary = rows(seeded_pmfs(12, 3))
         mixes = [((0.5, Pmf([0.0, 1.0], [0.5, 0.5])),
                   (0.5, Pmf([1.0 + 5e-13, 2.0], [0.5, 0.5]))),
                  ((0.2, Pmf([0.0], [1.0])), (0.3, Pmf([4e-13], [1.0])),
@@ -395,7 +409,7 @@ class TestRareRows:
 
     def test_zero_probability_atom(self):
         zero = Pmf([0.0, 1.0, 2.0], [0.5, 0.0, 0.5])
-        other = rows(random_pmfs(13, 2))
+        other = rows(seeded_pmfs(13, 2))
         ps, qs = [zero, other[0], zero], [FAIR_COIN, other[1], zero]
         assert np.array_equal(entropies(batch(*ps)),
                               [oracle.pmf_entropy(p) for p in ps])
@@ -415,7 +429,7 @@ class TestRareRows:
                  for step, shift, w in ((0.1, 0.0, rng.random(8) + 0.1),
                                         (0.8, 0.01, rng.random(8) + 0.1))]
         assert rows(convolve(batch(eight[0]), batch(eight[1])))[0].support.size == 64
-        other = rows(random_pmfs(14, 4))
+        other = rows(seeded_pmfs(14, 4))
         ps, qs = [eight[0], other[0], eight[1]], [eight[1], other[1], other[2]]
         for p, q, got in zip(ps, qs, rows(convolve(batch(*ps), batch(*qs)))):
             assert same_pmf(got, oracle.pmf_convolve(p, q))

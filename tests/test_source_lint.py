@@ -250,6 +250,17 @@ def test_trainer_neither_imports_nor_names_a_stack():
     assert sorted(_used_names(tree) & set(STACKS)) == []
 
 
+# What only entropy_lab should know of a pmf batch's padded layout and of
+# the random draws that fill it.
+PMF_LAYOUT = ("PmfBatch", "LabeledMixture", "row_sums", "batch_random", "to_interval")
+
+
+def test_cli_neither_imports_nor_names_the_pmf_layout():
+    tree = TREES["cli"]
+    assert [name for _, name in _package_imports(tree) if name in PMF_LAYOUT] == []
+    assert sorted(_used_names(tree) & set(PMF_LAYOUT)) == []
+
+
 def test_objectives_imports_nothing_from_trainer_or_generators():
     assert [(module, name) for module, name in _package_imports(TREES["objectives"])
             if module in ("trainer", "sem_generators")] == []

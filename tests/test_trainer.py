@@ -272,6 +272,17 @@ class TestRandomSearch:
         parallel = random_search(spec, METHODS, (2, seeds), RngStream(4), self.TC)
         assert serial == parallel
 
+    @pytest.mark.parametrize("cpus", [2, None])
+    def test_parallel_matches_serial_without_cpu_affinity(self, monkeypatch, cpus):
+        # macOS and Windows have no os.sched_getaffinity: every CPU counts,
+        # and one when the count is unknown
+        spec = self.SPECS["ex1"]
+        serial = random_search(spec, METHODS, (2, 3), RngStream(4), self.TC)
+        monkeypatch.delattr(trainer.os, "sched_getaffinity")
+        monkeypatch.setattr(trainer.os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("IBIRM_THREADS", "2")
+        assert random_search(spec, METHODS, (2, 3), RngStream(4), self.TC) == serial
+
     def _pool_sizes(self, monkeypatch, spec, threads, seeds, cpus):
         """The ``max_workers`` of each pool a sweep of ``seeds`` data seeds
         makes under ``IBIRM_THREADS=threads`` on ``cpus`` CPUs.  The pool's
