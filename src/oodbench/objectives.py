@@ -20,24 +20,23 @@ every pinned IB output uses it; scoring the per-environment sum alone
 would change the sweep protocol.
 
 The loss follows from the task, and the stack that holds a batch's
-training data, with its penalty weights, names it; both are built here
-from each query's environments and training rows.  Classification is
-trained on the logistic loss, scored from the rows (:func:`env_stack`)
-with the per-model path's float operations in its order, but for the
-softplus, taken from the sigmoid's exp(-|ŷ|) instead of numpy's
-``logaddexp``.  Regression is trained on the square loss, an exact
-polynomial in a few moments of the rows, so it is scored from them
-(:func:`moment_stack`), with a different rounding: ERM and IB-ERM are one
-quadratic form per model, O(d²) a step, and the IRM penalty adds O(E d²),
-instead of O(E n d) on the rows.  The build computes the bottleneck's
-scatter only for the queries with gamma > 0, the per-environment moments
-only for those with lam > 0.  So a square-loss batch may mix methods: a
-query whose weight is 0 has no term of that penalty, and its value and
-gradient are bit for bit those of a batch of its method alone.  A
-logistic batch is of one method: each weight is all zero or all
-positive, as it computes each penalty for the whole batch.  What each
-path promises against the per-model reference is the tolerance contract
-in :mod:`oodbench.trainer`.
+training data, with its penalty weights, names it.  Both stacks are built
+here from data seeds, each seed's environments with the training rows
+that every model of the seed shares.  Classification is trained on the
+logistic loss, scored from the rows of one data seed (:func:`env_stack`),
+held once as X1 = [X, 1]: with the models' parameter rows Θ, every
+prediction of the batch is one product Θ X1ᵀ, and every gradient one
+product R X1.  The softplus is taken from the sigmoid's exp(-|ŷ|) instead
+of numpy's ``logaddexp``.  Regression is trained on the square loss, an
+exact polynomial in a few moments of the rows, so it is scored from them
+(:func:`moment_stack`): each environment's moments and the scatter once
+per data seed, then one quadratic form per model, O(d²) a step, and the
+IRM penalty adds O(E d²), instead of O(E n d) on the rows.  On either loss
+a batch may mix methods: the IRM term is computed only for the models with
+lam > 0 and the bottleneck only for those with gamma > 0, so a model whose
+weight is 0 has no term of that penalty.  What each path promises against
+the per-model reference is the tolerance contract in
+:mod:`oodbench.trainer`.
 
 Training reads the value only to see whether it is finite.  On the
 logistic loss the value costs a log1p and more per row, so a step computes
@@ -48,7 +47,7 @@ finite.  The gradient is computed the same way either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,84 +87,111 @@ def _nonnegative(lam, gamma):
             raise ParameterError(f"{name} must be finite and >= 0")
 
 
-def _one_pattern(lam, gamma):
-    """Check that each penalty weight is all zero or all positive: the
-    batch is of one method."""
-    for name, w in (("lam", lam), ("gamma", gamma)):
-        w = np.asarray(w)
-        if not (np.all(w == 0) or np.all(w > 0)):
-            raise ParameterError(f"{name} must be all zero or all positive")
+def _span(on):
+    """The models where ``on`` holds, None for none: a slice where they are
+    consecutive, as in a batch ordered ERM, IB-ERM, IB-IRM, IRM, so that
+    indexing a per-model array gives a view; else their indices."""
+    at = np.flatnonzero(on)
+    if not at.size:
+        return None
+    return slice(at[0], at[-1] + 1) if at[-1] - at[0] == at.size - 1 else at
 
 
 @dataclass
 class EnvStack:
-    """The training rows of a batch of Q models, one block per model,
-    scored on the logistic loss, and the models' penalty weights; built by
+    """The training rows of one data seed, scored on the logistic loss, and
+    the penalty weights of the Q models that train on them; built by
     :func:`env_stack`.
 
-    ``X[q, e]`` (n, d) and ``Y[q, e]`` (n,) are model q's rows of
-    environment e, with labels in {0, 1}; every environment has the same
-    number of rows n.  ``xmax[q]`` is the largest |X| among model q's rows,
-    which bounds its predictions (see :func:`_certified`).  ``lam[q]`` and
-    ``gamma[q]`` are model q's weights, finite, and each all zero or all
-    positive (see :func:`env_stack`).
+    ``X1[e]`` (n, d+1) is environment e's training rows with a column of
+    ones for the intercept, and ``Y[e]`` (n,) their labels in {0, 1}; every
+    environment has the same number of rows n.  ``xmax`` is the largest |X|
+    among the rows, which bounds every model's predictions (see
+    :func:`_certified`).  ``lam[q]`` and ``gamma[q]`` are model q's
+    weights, finite and >= 0; ``irm`` and ``ib`` select the models with
+    lam > 0 and with gamma > 0 (:func:`_span`).
+
+    A model's predictions less their pooled mean are (x - x̄)·w, so its
+    bottleneck term n_envs * gamma * Var_pooled is gamma φᵀCφ / n, O(d²)
+    and not O(E n d), with φ = w * scale and ``C`` (d, d) the scatter of
+    X / scale about its pooled mean (:func:`_scatter`).  C is None where no
+    model of the build has gamma > 0.  ``scale`` holds each column's power
+    of two, as a :class:`MomentStack`'s does, so that huge rows give a huge
+    term, not an overflowing C.
+
+    ``work`` holds the row-sized buffers of a step, (E, max(Q, 2), n)
+    twice and (E, max(Q_irm, 2), n) once, reused by every step of the
+    training and shared with the stacks that :func:`keep_queries` makes
+    from this one.  A fresh buffer a step would cost more than the step's
+    arithmetic: the allocator maps and returns memory of this size anew at
+    each step.
     """
 
-    X: np.ndarray
+    X1: np.ndarray
     Y: np.ndarray
-    xmax: np.ndarray
+    xmax: float
+    scale: np.ndarray
+    C: np.ndarray | None
     lam: np.ndarray
     gamma: np.ndarray
+    work: tuple
+    irm: slice | np.ndarray | None = field(init=False)
+    ib: slice | np.ndarray | None = field(init=False)
+
+    def __post_init__(self):
+        self.irm, self.ib = _span(self.lam > 0), _span(self.gamma > 0)
 
 
-def env_stack(query_envs, query_rows, lam, gamma):
-    """The :class:`EnvStack` of Q queries: query q's rows ``query_rows[q][e]``
-    of each environment ``query_envs[q][e]``, at its penalty weights
-    ``lam[q]`` and ``gamma[q]``.  ``query_rows`` may be an iterator; each
-    query's indices are read once, in query order.  The queries are of one
-    method: a penalty is computed for the whole batch or for none, so a
-    batch that mixes methods is a ParameterError, as is a weight that is
-    not finite or a label other than 0 or 1."""
+def env_stack(seeds, lam, gamma):
+    """The :class:`EnvStack` of one data seed: ``seeds`` yields its one
+    (environments, training rows) pair, ``rows[e]`` the indices of
+    environment e's rows to train on, and the Q models trained on them have
+    penalty weights ``lam[q]`` and ``gamma[q]``.  A batch of several data
+    seeds is a ParameterError, as is a weight that is not finite or a label
+    other than 0 or 1."""
     _nonnegative(lam, gamma)
-    _one_pattern(lam, gamma)
-    for q, (envs, rows) in enumerate(zip(query_envs, query_rows)):
-        for e, (env, train) in enumerate(zip(envs, rows)):
-            if q == e == 0:
-                X = np.empty((len(query_envs), len(envs), train.size, env.X.shape[1]))
-                Y = np.empty(X.shape[:3])
-                xmax = np.empty(len(query_envs))
-            X[q, e], Y[q, e] = env.X[train], env.Y[train]
-        xmax[q] = np.abs(X[q]).max()  # nan if any entry is
+    seeds = list(seeds)
+    if len(seeds) != 1:
+        raise ParameterError(f"a logistic batch is of one data seed, got {len(seeds)}")
+    (envs, rows), = seeds
+    X1 = np.ones((len(envs), rows[0].size, envs[0].X.shape[1] + 1))
+    for x1, env, train in zip(X1, envs, rows):
+        x1[:, :-1] = env.X[train]
+    Y = np.stack([env.Y[train] for env, train in zip(envs, rows)])
     if not np.all((Y == 0) | (Y == 1)):
         raise ParameterError("logistic labels must be 0 or 1")
-    return EnvStack(X, Y, xmax, lam, gamma)
+    top = np.abs(X1[..., :-1]).max(axis=(0, 1))
+    scale = power_of_two_scale(top)
+    C = _scatter(X1[..., :-1] / scale) if np.any(gamma > 0) else None
+    work = tuple(np.empty((len(X1), max(q, 2), X1.shape[1]))
+                 for q in (len(lam), len(lam), np.count_nonzero(lam > 0)))
+    return EnvStack(X1, Y, top.max(), scale, C, lam, gamma, work)  # xmax nan if any is
 
 
 @dataclass
 class MomentStack:
     """The square-loss objective of a batch of Q models: one quadratic form
-    per model, with its penalty weights folded in, built once from its
-    training rows by :func:`moment_stack`.
+    per model, with its penalty weights folded in, built once from its data
+    seed's training rows by :func:`moment_stack`.
 
-    With B = [X / scale[q], 1, -y] on model q's n rows of environment e,
-    n times the environment's mean squared residual is ψᵀM_eψ for
-    M_e = BᵀB and ψ = [theta * scale[q], 1], and the bottleneck term
-    n_envs * gamma * Var_pooled is gamma φᵀCφ / n for C the scatter of
+    With B = [X / scale[q], 1, -y] on the n training rows of environment e
+    of model q's seed, n times the environment's mean squared residual is
+    ψᵀM_eψ for M_e = BᵀB and ψ = [theta * scale[q], 1], and the bottleneck
+    term n_envs * gamma * Var_pooled is gamma φᵀCφ / n for C the scatter of
     X / scale[q] about its pooled mean and φ = ψ[:d].  So the objective
     but the IRM penalty is ψᵀKψ / n, K = Σ_e M_e + gamma[q] C (C in the
     weight block, and only when gamma[q] > 0).  The IRM penalty
     lam g_e² = (√lam g_e)² reads ``M``, √lam times each M_e but its last
     row, built only for the models ``irm``, those with lam > 0; a model
-    with lam = 0 has no row and no IRM term, so a batch may mix methods.
+    with lam = 0 has no row and no IRM term.
 
     A column's scale is the least power of two above every magnitude in
-    the column, at most 2**1023 (1 for an all-zero column and the
-    intercept; :func:`power_of_two_scale`), over the rows
-    or a superset: every row of the model's environments.  It
-    commutes with rounding, so M_e and C times the scales are the unscaled
-    moments bit for bit unless an entry leaves the normal range; and a
-    huge value in X gives an overflowing gradient, as on the rows, not a
-    NaN objective from 0 * inf.
+    the column over every row of the seed's environments, at most 2**1023
+    (1 for an all-zero column and the intercept;
+    :func:`power_of_two_scale`).  It commutes with rounding, so M_e and C
+    times the scales are the unscaled moments bit for bit unless an entry
+    leaves the normal range; and a huge value in X gives an overflowing
+    gradient, as on the rows, not a NaN objective from 0 * inf.
     """
 
     K: np.ndarray      # (Q, d+2, d+2)
@@ -176,130 +202,130 @@ class MomentStack:
     irm: np.ndarray | None = None  # (Q_irm,): the models M's rows are of
 
 
-def moment_stack(query_envs, query_rows, lam, gamma):
-    """The :class:`MomentStack` of the queries that :func:`env_stack` takes,
-    whose weights may differ in pattern from query to query: the queries of
-    several methods make one batch.  A query gathers its rows from one
-    block [X / scale, 1, -y] per environment, built once per run of
-    consecutive queries on one environment list (a data seed's) and
-    dropped at the next.  Only what each query's method reads is computed:
-    C where gamma[q] > 0, about the query's pooled mean in two passes, not
-    as a difference of raw moments; the scaled M_e where lam[q] > 0; and K,
-    summed per query."""
+def moment_stack(seeds, counts, lam, gamma):
+    """The :class:`MomentStack` of several data seeds' models: ``seeds``
+    yields each seed's (environments, training rows) pair as
+    :func:`env_stack` takes it, and the seed's ``counts[i]`` models follow
+    those of the seeds before it, at weights ``lam[q]`` and ``gamma[q]``.
+    Each seed's rows are read once, into one block [X / scale, 1, -y] per
+    environment, and dropped at the next seed.  From the block, M_e is
+    computed once per environment, and the scatter C once, about the pooled
+    mean in two passes, not as a difference of raw moments, and only where
+    a model of the seed has gamma > 0.  Model q's K is Σ_e M_e, plus
+    gamma[q] C where gamma[q] > 0, and its IRM rows √lam[q] M_e where
+    lam[q] > 0."""
     _nonnegative(lam, gamma)
-    n_q, n_envs = len(query_envs), len(query_envs[0])
-    d = query_envs[0][0].X.shape[1]
-    K = np.empty((n_q, d + 2, d + 2))
-    scale = np.ones((n_q, d + 1))
     irm = np.flatnonzero(np.asarray(lam) > 0)
-    M = np.empty((irm.size, n_envs, d + 1, d + 2))
-    M_rows = iter(M)
-    env_ix = np.arange(n_envs)[:, None]
-    block_envs = None
-    for q, (envs, rows) in enumerate(zip(query_envs, query_rows)):
-        if envs is not block_envs:
-            block = None  # the last list's block is dropped before this one's
-            top = np.max([np.abs(env.X).max(axis=0) for env in envs], axis=0)
-            sx = power_of_two_scale(top)
-            block = np.stack([np.column_stack([env.X / sx, np.ones(env.n), -env.Y])
-                              for env in envs])
-            block_envs = envs
-        scale[q, :-1] = sx
-        B = block[env_ix, rows]
-        M_q = np.matmul(B.swapaxes(1, 2), B)
-        K[q] = M_q.sum(axis=0)
-        if gamma[q] > 0:
-            x = B[..., :-2]
-            x = x - x.sum(axis=1).sum(axis=0) / (x.shape[0] * x.shape[1])
-            # times a copy: BLAS rounds a buffer's product with itself otherwise
-            K[q, :d, :d] += gamma[q] * np.matmul(x.swapaxes(1, 2), x.copy()).sum(axis=0)
-        if lam[q] > 0:
-            np.multiply(np.sqrt(lam[q]), M_q[:, :-1], out=next(M_rows))
-    n = B.shape[1]
+    start = 0
+    for (envs, rows), count in zip(seeds, counts):
+        top = np.max([np.abs(env.X).max(axis=0) for env in envs], axis=0)
+        sx = power_of_two_scale(top)
+        B = np.stack([np.column_stack([env.X[train] / sx, np.ones(train.size),
+                                       -env.Y[train]])
+                      for env, train in zip(envs, rows)])
+        if not start:
+            n_envs, n, k = B.shape
+            K = np.empty((len(lam), k, k))
+            scale = np.ones((len(lam), k - 1))
+            M = np.empty((irm.size, n_envs, k - 1, k))
+        M_e = np.matmul(B.swapaxes(1, 2), B)
+        models = slice(start, start + count)
+        K[models] = M_e.sum(axis=0)
+        scale[models, :-1] = sx
+        ib = start + np.flatnonzero(gamma[models] > 0)
+        if ib.size:
+            K[ib, :-2, :-2] += gamma[ib, None, None] * _scatter(B[..., :-2])
+        own = (irm >= start) & (irm < start + count)
+        M[own] = np.sqrt(lam[irm[own]])[:, None, None, None] * M_e[:, :-1]
+        start += count
     if not irm.size:
         M = irm = None
     return MomentStack(K, scale, scale * (2.0 / n), n, M, irm)
 
 
+def _scatter(x):
+    """Σ_e (x_e - x̄)ᵀ(x_e - x̄) of rows ``x`` (E, n, d) about their pooled
+    mean x̄, centred first, not taken as a difference of raw moments."""
+    x = x - x.sum(axis=1).sum(axis=0) / (x.shape[0] * x.shape[1])
+    # times a copy: BLAS rounds a buffer's product with itself otherwise
+    return np.matmul(x.swapaxes(1, 2), x.copy()).sum(axis=0)
+
+
 def keep_queries(stack, keep):
-    """``stack`` with only the queries ``keep`` (increasing), each per-query
-    array indexed by ``keep``.  A :class:`MomentStack`'s ``M`` keeps the
-    rows of the kept queries, and is None once it has none."""
-    kept = {f.name: getattr(stack, f.name)[keep]
-            for f in fields(stack) if f.name not in ("M", "irm")
-            and isinstance(getattr(stack, f.name), np.ndarray)}
-    if getattr(stack, "M", None) is not None:
+    """``stack`` with only the models ``keep`` (increasing).  An
+    :class:`EnvStack` keeps its rows, which every model shares, and drops
+    the other models' weights.  A :class:`MomentStack`'s per-model arrays
+    are indexed by ``keep``; its ``M`` keeps the rows of the kept models,
+    and is None once it has none."""
+    if isinstance(stack, EnvStack):
+        return replace(stack, lam=stack.lam[keep], gamma=stack.gamma[keep])
+    kept = {name: getattr(stack, name)[keep] for name in ("K", "scale", "step")}
+    if stack.M is not None:
         rows = np.flatnonzero(np.isin(stack.irm, keep))
         kept["M"] = stack.M[rows] if rows.size else None
         kept["irm"] = np.searchsorted(keep, stack.irm[rows]) if rows.size else None
     return replace(stack, **kept)
 
 
-def _env_terms(X, yhat, y, penalized, scored):
-    """Logistic-loss terms of every (model, environment) pair, from (Q, E, n)
-    predictions and labels in {0, 1}.
+def _env_terms(yhat, e, p, y, irm, lam, scored):
+    """Logistic-loss terms of every (environment, model) pair, from (E, Q, n)
+    predictions and labels ``y`` (E, 1, n) in {0, 1}, in the buffers ``e``
+    of the predictions' shape and ``p`` of the IRM models' share of it; the
+    predictions are overwritten.
 
-    Returns the risks (Q, E) when ``scored`` (else None, and no risk term
-    is computed), the gradients in (w, b) (Q, E, d+1), and, when
-    ``penalized``, the scale derivative g (Q, E) with its gradients (else
-    None).  A mean is a row sum divided by n, which is how ``np.mean``
-    computes it.  Row-sized buffers are reused in place to keep a large
-    batch's peak memory low; an in-place operation gives the same bits as
-    its out-of-place form.
+    Returns the risks (E, Q) when ``scored`` (else None, and no risk term
+    is computed); n times the derivative in ŷ of each model's objective but
+    the bottleneck, one row term per prediction (E, Q, n), in ``e``, whose
+    product with the rows, over n, is the gradient; and, for the models
+    ``irm`` (None for none), at weights ``lam``, the scale derivative g
+    (E, Q_irm) (else None).  A row's risk term contributes s - y, and the
+    IRM term lam g_e² adds 2 lam g_e (s (1 - s) ŷ + s - y).  A risk is a
+    row sum divided by n, which is how ``np.mean`` computes it.
 
-    All but the risk follow the per-model path's float operations in its
-    order.  One e = exp(-|ŷ|) per row gives both the sigmoid,
+    One e = exp(-|ŷ|) per row gives both the sigmoid,
     max(e, [ŷ ≥ 0]) / (1 + e), and the softplus, max(ŷ, 0) + log1p(e).
     As e is in [0, 1] or nan, the sigmoid's numerator is 1 where ŷ ≥ 0 and
     e elsewhere, as the per-model path takes it.  The softplus is the
     formula of numpy's ``logaddexp(0, ŷ)`` with a vectorised exp; it agrees
-    with it to a few ulp (see :mod:`oodbench.trainer`).  The gradients read
-    no risk term, so skipping the risks leaves their bits alone.
+    with it to a few ulp (see :mod:`oodbench.trainer`).  The derivative
+    reads no risk term, so skipping the risks leaves its bits alone.
     """
     n = y.shape[-1]
-    risk = g = pen = None
-    e = np.abs(yhat)
+    risk = g = None
+    np.abs(yhat, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)              # exp(-|yhat|), shared by both halves
-    s = np.maximum(e, yhat >= 0)
     if scored:
-        r = np.log1p(e)
-        r += np.maximum(yhat, 0.0)  # softplus(yhat) = max(yhat, 0) + log1p(e)
-        r -= y * yhat
-        risk = _row_sum(r) / n
-    e += 1.0
-    s /= e                        # sigmoid(yhat)
-    r = np.subtract(s, y, out=e)
-    if penalized:
-        g = _row_sum(r * yhat) / n
-    r /= n                        # (s - y) / n
-    grad = _row_grad(X, r)
-    if penalized:
-        np.subtract(1.0, s, out=r)
-        r *= s
-        r *= yhat
-        r += s
-        r -= y
-        r /= n                    # (s (1 - s) yhat + s - y) / n
-        pen = _row_grad(X, r)
-    return risk, grad, g, pen
-
-
-def _row_grad(X, r):
-    """Gradients in (w, b) of row terms with derivative ``r`` in ŷ."""
-    return np.concatenate([_matvec(X, r), _row_sum(r)[..., None]], axis=-1)
+        risk = np.empty(yhat.shape[:2])
+        # an environment at a time: its buffers are a third of the batch's
+        for risk_e, e_e, yhat_e, y_e in zip(risk, e, yhat, y):
+            r = np.log1p(e_e)
+            r += np.maximum(yhat_e, 0.0)  # softplus = max(yhat, 0) + log1p(e)
+            r -= y_e * yhat_e
+            risk_e[:] = _row_sum(r) / n
+    positive = yhat >= 0
+    if irm is not None:
+        np.copyto(p, yhat[:, irm])  # the IRM models' yhat outlives the buffer
+    t = np.add(e, 1.0, out=yhat)
+    np.maximum(e, positive, out=e)
+    s = np.divide(e, t, out=e)    # sigmoid(yhat)
+    if irm is not None:
+        t = np.subtract(1.0, s[:, irm], out=t[:, :p.shape[1]])
+        t *= s[:, irm]
+        t *= p                    # s (1 - s) yhat
+    r = np.subtract(s, y, out=s)  # s - y
+    if irm is not None:
+        # one dot per (environment, model), none of which reads another model
+        g = np.matmul(r[:, irm, None, :], p[..., None])[..., 0, 0] / n
+        t += r[:, irm]
+        t *= (lam * 2.0 * g)[..., None]
+        r[:, irm] += t
+    return risk, r, g
 
 
 def _row_sum(a):
     """Sum over the contiguous last axis: pairwise, as for one model's row."""
     return np.add.reduce(a, axis=-1)
-
-
-def _matvec(X, r):
-    """``X[i].T @ r[i]`` for every leading index i.  BLAS reads the
-    transposed view in the same order as one model's ``X.T``; a contiguous
-    copy of it would change the sums' bits."""
-    return np.matmul(X.swapaxes(-1, -2), r[..., None])[..., 0]
 
 
 def _square_objective(theta, st):
@@ -336,11 +362,11 @@ def _square_objective(theta, st):
 CERTIFIED_MAX = 2.0 ** 1000
 
 
-def _certified(theta, stack, use_irm, use_ib):
+def _certified(theta, stack):
     """The models of an :class:`EnvStack` whose objective value is certainly
     finite, found from theta alone, in O(Q d).
 
-    Every prediction of model q is at most B = ‖w‖₁ xmax[q] + |b| in
+    Every prediction of a model is at most B = ‖w‖₁ xmax + |b| in
     magnitude.  With labels in {0, 1} a row's risk term is at most 2B + 1
     (log1p of a number in [0, 1] is below 1), and |g_e| at most B
     (|s - y| ≤ 1), so lam g_e² ≤ lam B² (and lam |g_e| ≤ max(lam,
@@ -349,16 +375,17 @@ def _certified(theta, stack, use_irm, use_ib):
     the value is at most the N = n_envs n rows times the sum of those
     terms, 4B² counted once more for the centred squares' own sum.  So a
     model is certified where N (2B + 1 + c B²) ≤ :data:`CERTIFIED_MAX`, with
-    c = lam if the IRM penalty is on, plus 4 (n_envs gamma + 1) if the
-    bottleneck is.  A nan or inf B, or an n_envs gamma that overflows, makes
-    the bound nan or inf, which is not certified."""
-    n_envs, n = stack.X.shape[1:3]
+    c = lam, plus 4 (n_envs gamma + 1) where gamma > 0.  The stack sums the
+    centred squares as φᵀCφ (see :class:`EnvStack`), each of whose partial
+    sums is at most 16 N B², as ‖φ‖₁ ≤ 2B and a scaled centred entry is
+    below 2 in magnitude: four times its share of the bound, which the
+    threshold's margin covers.  A nan or inf B, or an n_envs gamma that
+    overflows, makes the bound nan or inf, which is not certified."""
+    n_envs, n = stack.Y.shape
     b = np.abs(theta[:, :-1]).sum(axis=1)
     b *= stack.xmax
     b += np.abs(theta[:, -1])
-    c = stack.lam if use_irm else 0.0
-    if use_ib:
-        c = c + (n_envs * stack.gamma + 1.0) * 4.0
+    c = stack.lam + np.where(stack.gamma > 0, (n_envs * stack.gamma + 1.0) * 4.0, 0.0)
     bound = b * (c * b + 2.0) + 1.0
     return bound <= CERTIFIED_MAX / (n_envs * n)
 
@@ -368,13 +395,11 @@ def objective_and_gradient(theta, stack, value=True):
     batch of Q linear models.
 
     ``theta`` is (Q, d+1), weights then intercept; model q is scored on its
-    own data in ``stack`` at its own penalty weights, which the stack holds:
-    on the square loss from a :class:`MomentStack`, on the logistic loss
-    from an :class:`EnvStack`.  A penalty whose weight is 0 is left out of
-    a model's sum, not added as 0: on the logistic loss each penalty is on
-    for every model of the batch or for none, and on the square loss a
-    batch may mix methods.  Returns ``(values, grads)`` of shapes (Q,) and
-    (Q, d+1).
+    data seed's training rows in ``stack`` at its own penalty weights, which
+    the stack holds: on the square loss from a :class:`MomentStack`, on the
+    logistic loss from an :class:`EnvStack`.  A penalty whose weight is 0
+    is left out of a model's sum, not added as 0.  Returns
+    ``(values, grads)`` of shapes (Q,) and (Q, d+1).
 
     With ``value=False`` it returns ``(finite, grads)``, ``finite`` being
     ``np.isfinite(values)``: all that training reads of the value.  The
@@ -385,47 +410,42 @@ def objective_and_gradient(theta, stack, value=True):
     is the same as with ``value=True``.
 
     A model's float operations, and the order in which its terms are summed,
-    do not depend on the other models of the batch.  From an
-    :class:`EnvStack` they are the per-model path's but for the softplus
-    (see :func:`_env_terms`), so the gradient is bit-identical to scoring
-    that model alone, one environment after another.
+    do not depend on the other models of the batch.  On the logistic loss
+    the sums over rows are the products Θ X1ᵀ and R X1, whose rounding is
+    not the per-model path's X·w + b and Xᵀr (the contract in
+    :mod:`oodbench.trainer` bounds the difference).
     """
     if isinstance(stack, MomentStack):
         values, grad = _square_objective(theta, stack)
         return (values if value else np.isfinite(values)), grad
-    q, d = theta.shape[0], theta.shape[1] - 1
-    lam, gamma = stack.lam, stack.gamma
-    use_irm, use_ib = bool(lam.any()), bool(gamma.any())
-    n_envs, n = stack.X.shape[1:3]
-    scored = value or not _certified(theta, stack, use_irm, use_ib).all()
-    yhat = np.matmul(stack.X, theta[:, None, :-1, None])[..., 0]
-    yhat += theta[:, -1:, None]
-    risk_qe, grad_qe, g, g_grad = _env_terms(stack.X, yhat, stack.Y, use_irm, scored)
-    if use_irm:
-        pen_grad = (lam.reshape(-1, 1) * 2.0 * g)[..., None] * g_grad
-    # Environment by environment, in the per-model order.
-    grad = np.zeros((q, d + 1))
-    for e in range(n_envs):
-        grad += grad_qe[:, e]
-        if use_irm:
-            grad += pen_grad[:, e]
-    if use_ib:
-        n_all = n_envs * n
-        # predictions pooled over the environments
-        allp = yhat.reshape(q, n_all)
-        centered = allp - (_row_sum(allp) / n_all)[:, None]
-        var_w = _matvec(stack.X.reshape(q, n_all, d), centered)
-        coef = np.reshape(n_envs * gamma * (2.0 / n_all), (-1, 1))
+    q = theta.shape[0]
+    if q == 1:
+        # numpy computes a one-row product by gemv, whose sums round unlike
+        # gemm's: a lone model is scored as a pair
+        values, grad = objective_and_gradient(np.concatenate([theta, theta]),
+                                              keep_queries(stack, [0, 0]), value)
+        return values[:1], grad[:1]
+    lam, gamma, irm, ib = stack.lam, stack.gamma, stack.irm, stack.ib
+    n_envs, n = stack.Y.shape
+    scored = value or not _certified(theta, stack).all()
+    lam_irm = None if irm is None else lam[irm]
+    yhat, e, p = (w[:, :k] for w, k in zip(stack.work, (q, q, np.size(lam_irm))))
+    X1t = stack.X1.swapaxes(1, 2)
+    np.matmul(theta, X1t, out=yhat)
+    risk, r, g = _env_terms(yhat, e, p, stack.Y[:, None], irm, lam_irm, scored)
+    # X1ᵀRᵀ, with the models along the columns: a model's bits depend neither
+    # on how many share the batch nor on its place (R X1 fails both)
+    grad = np.matmul(X1t, r.swapaxes(1, 2)).sum(axis=0).T / n
+    if ib is not None:
         # the intercept shifts every prediction equally: no variance gradient
-        grad[:, :-1] += coef * var_w
+        phi = theta[ib, :-1] * stack.scale
+        v = np.matmul(stack.C, phi[..., None])[..., 0]  # one gemv per model
+        grad[ib, :-1] += (gamma[ib] * (2.0 / n))[:, None] * (v * stack.scale)
     if not scored:
         return np.ones(q, dtype=bool), grad
-    values = np.zeros(q)
-    for e in range(n_envs):
-        values += risk_qe[:, e]
-        if use_irm:
-            values += lam * g[:, e] * g[:, e]
-    if use_ib:
-        centered **= 2
-        values += n_envs * gamma * (_row_sum(centered) / n_all)
+    values = risk.sum(axis=0)
+    if irm is not None:
+        values[irm] += (lam_irm * g * g).sum(axis=0)
+    if ib is not None:
+        values[ib] += gamma[ib] * (_row_sum(v * phi) / n)
     return (values if value else np.isfinite(values)), grad

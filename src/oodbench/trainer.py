@@ -6,79 +6,102 @@ A sweep is seed-major.  Data seed s's environments are drawn once, from
 every method of the sweep trains on that draw and is scored on that seed's
 test environments: the methods are compared on paired data, as DomainBed
 (Gulrajani & Lopez-Paz 2020) gives every algorithm of a trial the same
-data.  Each query keeps its own stream, ``method/<m>/seed<s>/query<q>``,
-from which its hyperparameters and its split are drawn.
+data.  Each environment's 80/20 train/validation split is drawn once per
+data seed too, from ``rng.fork(f"seed{s}").fork("split").fork(f"env{e}")``,
+a stream that names no method and no query, so every query of the seed
+trains and is validated on the same rows; this is this suite's choice,
+made so that the queries that selection compares are scored on one set of
+rows.  Each query keeps its own stream, ``method/<m>/seed<s>/query<q>``,
+from which its hyperparameters are drawn.
 
-:func:`train_gd` draws each query's split, has :mod:`oodbench.objectives`
-build every query's training stack once from it, and updates every
-query's parameters (a row: weights then intercept) at each step with one
-batched call of :func:`~oodbench.objectives.objective_and_gradient`.  Each
-query names its own environments and penalty weights, so one batch may
-hold several data seeds and, on the square loss, several methods; the
-rule that cuts a sweep into batches is stated in :func:`random_search`.
-The task chooses the loss: regression (ex1) is trained on the square loss,
-every classification example on the logistic loss.
+:func:`train_gd` draws each data seed's split, has
+:mod:`oodbench.objectives` build the training stack once from it, and
+updates every query's parameters (a row: weights then intercept) at each
+step with one batched call of
+:func:`~oodbench.objectives.objective_and_gradient`.  One call trains
+every method's queries of its data seeds: of several seeds on the square
+loss, of one on the logistic loss; :func:`random_search` states the rule
+that cuts a sweep into calls.  The task chooses the loss: regression (ex1)
+is trained on the square loss, every classification example on the
+logistic loss.
 
 Tolerance contract.  The reference for training is the per-model path:
-each query trained alone, its objective summed over its rows environment
-by environment (``tests/oracle.py``).  The sweep is sensitive to the last
-bit: on ex2 / IBIRM / data seed 0 / query 1, moving lr by 1 ulp moved the
-trained weights by 1.8% and val_risk from 0.358 to 0.402.  So the contract
-says which results equal the reference bit for bit and which are within a
-stated bound of it, and the tests check each part.
+each query trained alone on its seed's split, its objective summed over
+its rows environment by environment (``tests/oracle.py``).  The sweep is
+sensitive to the last bit: on ex2 / IBIRM / data seed 0 / query 1 (2000
+steps), moving lr by 1 ulp moves the per-model path's val_risk from 0.435
+to 0.367, and 2 ulp to 0.292.  So the contract says which results are
+within what bound of the reference, and the tests check each part.
 
-* Logistic loss, on the rows (:func:`~oodbench.objectives.env_stack`):
-  theta, ``diverged_step``, ``val_risk`` and every sweep output are
-  bit-identical to the per-model path.  The objective value, which
-  training reads only to detect divergence, is not: its softplus,
+* Logistic loss, per call: the predictions of every query of the seed are
+  one product Θ X1ᵀ on the seed's rows X1 = [X, 1]
+  (:func:`~oodbench.objectives.env_stack`), the gradient one product
+  X1ᵀRᵀ with the IRM term folded into each row's derivative R, and the
+  bottleneck φᵀCφ on the seed's scatter C.  Its value is within 1e-15 of
+  the per-model path's, relative, and its gradient within 1e-15 relative
+  to the magnitudes of its terms (summed on absolute values, so that none
+  cancels).  Measured: at most 7.3e-16 and 3.1e-16 on the tested grid.
+  Its softplus,
   max(yhat, 0) + log1p(exp(-|yhat|)) reusing the sigmoid's exp, is within
   4 ulp of numpy's ``logaddexp`` with the same inf and nan pattern, so a
   row's risk term is within 4 ulp of the larger of its softplus and
-  |y yhat| (measured: 2 ulp over 1.1e6 rows).  At the per-model path's
-  iterates on the tested grid the value is within 1e-15 relative
-  (measured: 3.6e-16).  Training reads only whether the value is finite,
-  and a step computes it for every query of the batch, or for none where
-  a bound from theta alone proves every query's value finite
-  (:func:`~oodbench.objectives._certified`).  So the divergence test, and
-  every output above, is that of computing the value at every step.
+  |y yhat| (measured: 2 ulp over 1.1e6 rows).  Training reads only
+  whether the value is finite, and a step computes it for every query of
+  the batch, or for none where a bound from theta alone proves every
+  query's value finite (:func:`~oodbench.objectives._certified`).  So the
+  divergence test is that of computing the value at every step.
+* Logistic loss, per sweep: against the per-model path at seeds 0 and
+  7919, on the tested protocol (ex2, 200 rows per environment, 4 queries x
+  2 seeds x 500 steps, GD and Adam), the same queries diverge, the same
+  query is selected in every (method, seed) cell, and every finite
+  val_risk and test metric is within one held-out row of the 120 (1/120).
+  Measured: all equal.  A classification error moves by rows, not by
+  ulps, so a last-bit difference leaves it alone or moves it by a row or
+  more where training is chaotic.  On the benchmark's protocol (ex2, 4
+  queries x 1 seed x 2000 steps, GD) the diverged sets and the selection
+  agree at both seeds, and the row bound does not hold at seed 0: one
+  finite val_risk is 0.033 (20 rows of 600) from the per-model path, test
+  metrics 0.008 (all equal at seed 7919).  On ex3 and ex3s at 200 steps
+  (200 rows per environment, 2 queries), the IB-IRM selection at seed 0
+  differs: one ulp of lr moves that query's per-model val_risk from 0.417
+  to 0.517, and the engine's is 0.517.
 * Square loss, per call: the objective is one quadratic form per query,
-  built from the moments of its rows by
-  :func:`~oodbench.objectives.moment_stack` (the scatter only for queries
-  with gamma > 0, the per-environment moments only for those with
+  built from the moments of its seed's rows by
+  :func:`~oodbench.objectives.moment_stack` (the scatter only for seeds
+  with a query of gamma > 0, the per-environment rows only for queries of
   lam > 0).  Its value and gradient are within 1e-14 of the per-model
-  path's, relative to the magnitudes of their terms (summed on absolute
-  values, so that none cancels; near the optimum the gradient itself
-  cancels).  Measured: at most 3.5e-16 on the tested grid, 7.5e-16 at the
-  benchmark's shape (ex1, 96 queries of one method).
+  path's, relative to the magnitudes of their terms (near the optimum the
+  gradient itself cancels).  Measured: at most 5.1e-16 on the tested
+  grid, 8.3e-16 at the benchmark's shape (ex1, 96 queries of one method).
 * Square loss, per sweep: against the per-model path at seeds 0 and 7919,
   the same queries diverge and the same query is selected in every
-  (method, seed) cell.  Under GD on the tested protocol each finite
-  val_risk and test metric, and each summary mean, is within 1e-7
-  relative (measured at most 9.5e-13 and 3.8e-15).  On the benchmark's
-  protocol, 12 queries x 8 seeds x 2000 steps, the diverged sets and the
-  selection still agree, but one IB-IRM query at seed 0 (lr 2.3e-3) ends
-  7.8e-6 from the per-model path, and summary means 1.3e-6 (4.8e-13 and
-  3.2e-15 at seed 7919).  Adam's step m / sqrt(v) has about unit size
-  whatever the gradient's, so a last-bit difference in a near-zero
-  gradient entry becomes a step-sized one.  On the tested protocol (500
-  steps) Adam stays within 1e-3 per query and 1e-5 in summary means
-  (measured 5.4e-14 and 8.3e-15).  Over the benchmark's 2000 steps at lr
-  up to 0.1 it is chaotic, as the per-model path is (one ulp of lr moved
-  one query's val_risk from 2.42 to 0.094), and this clause does not hold
-  there: the diverged sets agree, but the selection differs in 2 of 32
-  cells at seed 7919 (none at seed 0), summary means by up to 1.6e-2 and
-  single queries' val_risk by up to 270%.
+  (method, seed) cell.  Under GD each finite val_risk and test metric,
+  and each summary mean, is within 1e-7 relative: measured at most 2.1e-13
+  and 3.6e-15 on the tested protocol, and 6.0e-13 and 6.4e-15 on the
+  benchmark's, 12 queries x 8 seeds x 2000 steps.  Adam's step
+  m / sqrt(v) has about unit size whatever the gradient's, so a last-bit
+  difference in a near-zero gradient entry becomes a step-sized one.  On
+  the tested protocol (500 steps) Adam stays within 1e-3 per query and
+  1e-5 in summary means (measured 2.9e-8 and 2.4e-10).  Over the
+  benchmark's 2000 steps at lr up to 0.1 it is chaotic, as the per-model
+  path is (one ulp of lr moved one query's val_risk from 2.42 to 0.094),
+  and this clause does not hold there: no query diverges on either path,
+  but the selection differs in 6 of 32 cells at seed 0 and 7 at seed
+  7919, summary means by up to 1.1e-2 and single queries' val_risk by up
+  to 199%.
 * Always: a query's result is bit-reproducible, and does not depend on
-  which other queries share its batch (of its data seed or of others, and
-  on the square loss of its method or of others), on when they diverge
-  and leave it, or on how many worker processes run the seeds.
+  which other queries share its batch (of its method or of others, and
+  on the square loss of its data seed or of others), on its place in the
+  batch, on when they diverge and leave it, or on how many worker
+  processes run the seeds.  A batch left with one logistic query scores
+  it as a pair, as numpy's one-row product rounds otherwise.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -134,24 +157,30 @@ def _split(n, rng):
     return perm[n_val:], perm[:n_val]
 
 
-def _splits(envs, rng):
-    """Yield (env, train rows, held-out rows) for each of ``envs``: query
-    ``rng``'s split of environment e is drawn from
-    ``rng.fork("split").fork(f"env{e}")``, so drawing it again gives the
-    same rows."""
-    split_rng = rng.fork("split")
-    for env in envs:
-        yield (env, *_split(env.n, split_rng.fork(f"env{env.env_id}")))
-
-
-def _stack_queries(query_envs, rngs, lam, gamma):
-    """Each query's training stack, built by :mod:`oodbench.objectives` for
-    its task's loss.  Each query's split is drawn as the build reaches it,
-    so no query's indices outlive its build."""
-    rows = ([train for _, train, _ in _splits(envs, rng)]
-            for envs, rng in zip(query_envs, rngs))
-    build = moment_stack if query_envs[0][0].task == "regression" else env_stack
-    return build(query_envs, rows, lam, gamma)
+def _split_seeds(seeds, held):
+    """Yield each data seed's (environments, training rows of each), as
+    ``seeds`` yields its (environments, split stream), and append its
+    held-out rows, an (X, Y) pair per environment, to ``held``.
+    Environment e's split is drawn from ``split_rng.fork(f"env{e}")``, so
+    every query of the seed trains and validates on the same rows.  Every
+    seed's environments must share one task, one number of rows and
+    columns, and one number of environments."""
+    shape = None
+    for envs, split_rng in seeds:
+        if not envs:
+            raise ParameterError("need at least one environment")
+        rows, out = [], []
+        for env in envs:
+            shape = shape or (env.task, env.X.shape, len(envs))
+            if (env.task, env.X.shape, len(envs)) != shape:
+                raise ParameterError("training environments must share one task, "
+                                     "one number of rows and columns, and one "
+                                     "number of environments")
+            train, val = _split(env.n, split_rng.fork(f"env{env.env_id}"))
+            rows.append(train)
+            out.append((env.X[val], env.Y[val]))
+        held.append(out)
+        yield envs, rows
 
 
 def _per_query(name, x, n_q):
@@ -163,47 +192,53 @@ def _per_query(name, x, n_q):
     return np.broadcast_to(x, (n_q,)).copy()
 
 
-def train_gd(query_envs, cfg, tc, rngs):
-    """Deterministic full-batch training of one linear model per stream in
-    ``rngs``, all of them as one batch.
+def train_gd(seeds, cfg, tc, counts):
+    """Deterministic full-batch training of ``sum(counts)`` linear models,
+    all of them as one batch.
 
-    Query q trains on ``query_envs[q]``, its list of environments; the
-    queries of one data seed share one list, and a batch may hold the
-    queries of several data seeds.  Every query's environments must share
-    one task, one number of rows and columns, and one number of
-    environments.  Query q holds out 20% of each environment (split drawn
-    from ``rngs[q]``) and trains on the rest, on its task's loss, with
+    ``seeds`` yields, for each data seed in turn, its training environments
+    and the stream its split is drawn from; it is read once, and a seed's
+    rows are dropped once its part of the training stack is built.
+    ``counts[i]`` queries train on seed i, after those of the seeds before
+    it.  Every query of a seed holds out the same 20% of each environment
+    (:func:`_split_seeds`) and trains on the rest, on its task's loss, with
     penalty weights ``cfg.lam`` and ``cfg.gamma`` and step size ``tc.lr``,
-    each one value per query or one for all.  On the square loss the
-    queries may be of several methods; on the logistic loss they are of
-    one, so each penalty weight is all zero or all positive.  The average
-    held-out risk is reported as ``val_risk``, measured with the task risk
-    (classification error or mean squared error) rather than the training
-    surrogate, matching how trained models are evaluated.  A query whose
-    objective value or parameters leave the finite range is stopped at that
-    step and reported as diverged; the others carry on.  Returns one
-    :class:`TrainResult` per query.
+    each one value per query or one for all; the queries may be of several
+    methods.  On the square loss a batch may hold several data seeds, on
+    the logistic loss one.  The average held-out risk is reported as
+    ``val_risk``, measured with the task risk (classification error or mean
+    squared error) rather than the training surrogate, matching how trained
+    models are evaluated.  A query whose objective value or parameters
+    leave the finite range is stopped at that step and reported as
+    diverged; the others carry on.  Returns one :class:`TrainResult` per
+    query.
     """
-    if not rngs:
-        raise ParameterError("need at least one query")
-    if len(query_envs) != len(rngs):
-        raise ParameterError(f"{len(query_envs)} environment lists for "
-                             f"{len(rngs)} queries")
-    if not all(query_envs):
-        raise ParameterError("need at least one environment")
-    shapes = {(env.task, env.X.shape, len(envs))
-              for envs in query_envs for env in envs}
-    if len(shapes) != 1:
-        raise ParameterError("training environments must share one task, one "
-                             "number of rows and columns, and one number of "
-                             "environments")
-    n_q = len(rngs)
+    counts = list(counts)
+    if not counts or min(counts) < 1:
+        raise ParameterError("need at least one query per data seed")
+    n_q = sum(counts)
     lr, lam, gamma = (_per_query(name, x, n_q) for name, x in
                       (("lr", tc.lr), ("lam", cfg.lam), ("gamma", cfg.gamma)))
-    lr = lr[:, None]
-    stack = _stack_queries(query_envs, rngs, lam, gamma)
-    theta = np.zeros((n_q, query_envs[0][0].X.shape[1] + 1))
-    ids = np.arange(n_q)  # the query each row of the batch belongs to
+    seed_of = np.repeat(np.arange(len(counts)), counts)
+    # The batch's rows, seed by seed, each seed's queries ordered ERM,
+    # IB-ERM, IB-IRM, IRM, so that each penalty's queries are consecutive.
+    ids = np.lexsort((2 * (lam > 0) + ((lam > 0) != (gamma > 0)), seed_of))
+    held = []
+    pairs = _split_seeds(seeds, held)
+    first = next(pairs, None)
+    if first is None:
+        raise ParameterError("need at least one data seed")
+    task, d = first[0][0].task, first[0][0].X.shape[1]
+    pairs = chain([first], pairs)
+    del first  # so that the build drops each seed's rows once it is built
+    if task == "regression":
+        stack = moment_stack(pairs, counts, lam[ids], gamma[ids])
+    else:
+        stack = env_stack(pairs, lam[ids], gamma[ids])
+    if len(held) != len(counts):
+        raise ParameterError(f"{len(held)} data seeds for {len(counts)} query counts")
+    lr = lr[ids, None]
+    theta = np.zeros((n_q, d + 1))
     final = np.empty_like(theta)
     diverged_step = [None] * n_q
     m = np.zeros_like(theta)
@@ -237,16 +272,10 @@ def train_gd(query_envs, cfg, tc, rngs):
     final[ids] = theta
 
     results = []
-    for q in range(n_q):
-        if diverged_step[q] is not None:
-            results.append(TrainResult(final[q], float("inf"), diverged_step[q]))
-            continue
-        # the held-out rows are drawn again from the split's stream, so that
-        # no query's indices are kept through training
-        val_risk = float(np.mean([
-            evaluate(final[q], env.X[val], env.Y[val], env.task)
-            for env, _, val in _splits(query_envs[q], rngs[q])]))
-        results.append(TrainResult(final[q], val_risk))
+    for row, step, seed in zip(final, diverged_step, seed_of):
+        val_risk = float("inf") if step is not None else float(
+            np.mean([evaluate(row, X, Y, task) for X, Y in held[seed]]))
+        results.append(TrainResult(row, val_risk, step))
     return results
 
 
@@ -285,49 +314,41 @@ def _sample_hparams(method, rng):
 
 def _run_batch(spec, methods, seeds, n_queries, rng, tc_base):
     """The sweep rows of the data seeds ``seeds`` for every one of
-    ``methods``, in seed, method, query order.  Each seed's training
-    environments are drawn once and shared by every method's queries; on
-    regression one :func:`train_gd` call trains every query of the batch,
-    on classification one call per seed and method.  The training
-    environments are dropped once every query is trained, and the test
-    environments are drawn after that, one seed at a time, from the seed's
-    data stream: the batch's training stack and the test environments never
-    occupy memory together.  A square-loss batch, whose stack holds moments
-    and not rows, still holds the rows of all its seeds through training."""
+    ``methods``, in seed, method, query order, all trained by one
+    :func:`train_gd` call.  Each seed's training environments are drawn
+    once, as the call reaches the seed, and shared by every method's
+    queries; the call drops them once it has split them and built the
+    seed's part of its stack, so the training stack holds no seed's rows
+    but its own.  The test environments are drawn after training, one seed
+    at a time, from the seed's data stream: the batch's training stack and
+    the test environments never occupy memory together."""
     method_rngs = [rng.fork(f"method/{method}") for method in methods]
-    data, query_envs, keys, q_rngs = [], [], [], []
-    for seed in seeds:
-        data_rng = rng.fork(f"seed{seed}").fork("data")
-        fw, params, envs = generate_training_envs(spec, data_rng)
-        # Training reads only each environment's rows: the latents are
-        # dropped so that they do not stay resident through training.
-        envs = [replace(env, Z_inv=None, Z_spu=None) for env in envs]
-        data.append((seed, data_rng, fw, params))
-        for method, method_rng in zip(methods, method_rngs):
-            seed_rng = method_rng.fork(f"seed{seed}")
-            for q in range(n_queries):
-                keys.append((method, q))
-                q_rngs.append(seed_rng.fork(f"query{q}"))
-                query_envs.append(envs)
-    del envs
-    hparams = [_sample_hparams(method, r.fork("hparams"))
-               for (method, _), r in zip(keys, q_rngs)]
+    keys = [(method, q) for method in methods for q in range(n_queries)]
+    hparams = [_sample_hparams(method, method_rng.fork(f"seed{seed}")
+                               .fork(f"query{q}").fork("hparams"))
+               for seed in seeds for method, method_rng in zip(methods, method_rngs)
+               for q in range(n_queries)]
     lrs, lams, gammas = (np.array(col) for col in zip(*hparams))
-    train_rngs = [r.fork("train") for r in q_rngs]
-    size = len(keys) if spec.task == "regression" else n_queries
-    results = []
-    for batch in (slice(i, i + size) for i in range(0, len(keys), size)):
-        results += train_gd(query_envs[batch],
-                            ObjectiveConfig(lams[batch], gammas[batch]),
-                            replace(tc_base, lr=lrs[batch]), train_rngs[batch])
-    del query_envs
+    data = []
+
+    def training_data():
+        for seed in seeds:
+            seed_rng = rng.fork(f"seed{seed}")
+            data_rng = seed_rng.fork("data")
+            fw, params, envs = generate_training_envs(spec, data_rng)
+            data.append((seed, data_rng, fw, params))
+            # Training reads only each environment's rows: the latents are
+            # dropped so that they do not stay resident through training.
+            yield [replace(env, Z_inv=None, Z_spu=None) for env in envs], seed_rng.fork("split")
+
+    results = train_gd(training_data(), ObjectiveConfig(lams, gammas),
+                       replace(tc_base, lr=lrs), [len(keys)] * len(seeds))
     rows = []
-    queries = zip(keys, hparams, results)
+    queries = zip(hparams, results)
     for seed, data_rng, fw, params in data:
         test_envs = [(te.X, te.Y, te.task)
                      for te in default_test_envs(spec, params, fw, data_rng)]
-        for (method, q), (lr, lam, gamma), result in islice(
-                queries, len(methods) * n_queries):
+        for (method, q), ((lr, lam, gamma), result) in zip(keys, islice(queries, len(keys))):
             if result.diverged_step is None:
                 metrics = [evaluate(result.theta, *te) for te in test_envs]
                 scores = (result.val_risk, float(np.mean(metrics)), float(np.max(metrics)))
@@ -364,27 +385,26 @@ def random_search(spec, methods, protocol, rng, tc_base):
     validation risk plus the shifted-test metric per query.  Returns the
     rows in method, seed, query order.
 
-    Data seed s draws its environments from ``rng.fork(f"seed{s}")``, a
-    stream that names no method, so every method trains and tests on the
-    same draw.  Query q of method m at seed s draws its hyperparameters and
-    split from ``rng.fork(f"method/{m}").fork(f"seed{s}").fork(f"query{q}")``,
-    so a method's rows do not depend on which other methods are swept.
+    Data seed s draws its environments and its split from
+    ``rng.fork(f"seed{s}")``, a stream that names no method, so every method
+    trains, is validated and tests on the same rows.  Query q of method m
+    at seed s draws its hyperparameters from
+    ``rng.fork(f"method/{m}").fork(f"seed{s}").fork(f"query{q}")``, and its
+    result does not depend on the other queries of its batch, so a method's
+    rows do not depend on which other methods are swept.
 
     Batching rule.  The ``n`` data seeds are cut into ``k`` contiguous
-    batches, batch i holding seeds ``i*n//k`` to ``(i+1)*n//k - 1``, and
-    each batch draws its seeds' data once.  On regression ``k = min(workers,
-    n)`` and one :func:`train_gd` call trains every query of every method
-    of the batch: a square-loss batch holds moments, not rows, so its cost
-    per query falls with its size, a query whose penalty weight is 0 has no
-    term of that penalty, and each worker process gets one batch.  On
-    classification ``k = n`` and each data seed is trained by one call per
-    method: a row stack costs the same per query at any size and grows with
-    it, and a method mixed into a batch would add its penalty's products to
-    every query.  The batches run serially, or over ``IBIRM_THREADS`` worker
-    processes (at most one per batch, and at most one per CPU that this
-    process may run on); the rows are the same either way,
-    because every query owns an independently forked stream and its result
-    does not depend on its batch.
+    batches, batch i holding seeds ``i*n//k`` to ``(i+1)*n//k - 1``, and one
+    :func:`train_gd` call trains every query of every method of a batch,
+    drawing each of its seeds' data once.  ``k`` is as small as the loss
+    allows: on regression ``k = min(workers, n)``, as a square-loss batch
+    holds moments, not rows, so that its cost per query falls with its size
+    and each worker process gets one batch; on classification ``k = n``, as
+    a logistic batch holds one data seed's rows, whose queries are the
+    columns of its products.  The batches run serially, or over
+    ``IBIRM_THREADS`` worker processes (at most one per batch, and at most
+    one per CPU that this process may run on); the rows are the same either
+    way.
     """
     if not methods:
         raise ParameterError("the method list names no method")

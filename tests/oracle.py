@@ -5,17 +5,18 @@ Training: the path the package used before it trained the queries of one
 data seed as a batch: one linear model at a time, its objective summed
 over its rows environment by environment.  Its loss is an argument, by
 default the task's (square for regression, logistic for classification),
-which is the loss the package trains.  The batched engine in
-``oodbench.trainer`` must reproduce it within the tolerance contract
-stated there: bit for bit for the logistic loss but for its objective
-value, whose softplus the engine takes from the sigmoid's exp; and within
-a bound for the square loss, which the engine scores from moments.  The
-engine keeps no objective curve: the tests compare its objective with this
-one's at this one's iterates.  The oracle also keeps the exponential loss,
-which the package does not train, as the reference for the Theorem-5 flow:
-gradient descent on it over the 2D population is Euler's method for that
-flow.  A model of this path is a checked :class:`LinearModel`, scored by
-:func:`predict`; the package holds a trained model as its parameter row.
+which is the loss the package trains.  Every query of a data seed trains
+and validates on the seed's one split, drawn from the seed's split stream
+as the package draws it.  The batched engine in ``oodbench.trainer`` must
+reproduce this path within the tolerance contract stated there: the
+logistic loss sums its rows by matrix products and the square loss scores
+moments, so neither is bit for bit.  The engine keeps no objective curve:
+the tests compare its objective with this one's at this one's iterates.
+The oracle also keeps the exponential loss, which the package does not
+train, as the reference for the Theorem-5 flow: gradient descent on it
+over the 2D population is Euler's method for that flow.  A model of this
+path is a checked :class:`LinearModel`, scored by :func:`predict`; the
+package holds a trained model as its parameter row.
 
 Flows: a generic fixed-step RK4 integrator, the right-hand side of the
 rotated Theorem-5 flow, and the scalar loop that stepped both rotated
@@ -35,6 +36,7 @@ compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import exp, isfinite
 from operator import lt, sub
 
@@ -228,14 +230,15 @@ def _split_env(env, rng):
     return take(train_idx), take(val_idx)
 
 
-def train_gd(envs, cfg, tc, rng, loss=None):
+def train_gd(envs, cfg, tc, split_rng, loss=None):
     """Full-batch training of one linear model from zero on ``loss`` (by
     default the task's), with scalar ``cfg.lam``, ``cfg.gamma`` and
-    ``tc.lr``.  Returns ``(theta, curve,
-    val_risk)``; raises :class:`OracleDivergence` with the step index if the
-    objective leaves the finite range."""
+    ``tc.lr``, on the split of each environment drawn from
+    ``split_rng.fork(f"env{e}")``: the data seed's split, which every query
+    of the seed shares.  Returns ``(theta, curve, val_risk)``; raises
+    :class:`OracleDivergence` with the step index if the objective leaves
+    the finite range."""
     d = envs[0].X.shape[1]
-    split_rng = rng.fork("split")
     train_envs, val_envs = [], []
     for env in envs:
         tr, va = _split_env(env, split_rng.fork(f"env{env.env_id}"))
@@ -269,23 +272,25 @@ def train_gd(envs, cfg, tc, rng, loss=None):
     return theta, curve, val_risk
 
 
-def train_queries(query_envs, cfg, tc, rngs):
-    """:func:`oodbench.trainer.train_gd` by the per-model path: query q
-    trained alone on its environments ``query_envs[q]`` by
-    :func:`train_gd`, returned as the engine's ``TrainResult`` list."""
+def train_queries(seeds, cfg, tc, counts):
+    """:func:`oodbench.trainer.train_gd` by the per-model path: each of the
+    ``counts[i]`` queries of the data seed that ``seeds`` yields i-th, as
+    (environments, split stream), trained alone by :func:`train_gd`,
+    returned as the engine's ``TrainResult`` list."""
+    n_q = sum(counts)
+    queries = zip(*(np.broadcast_to(x, (n_q,)) for x in (cfg.lam, cfg.gamma, tc.lr)))
     results = []
-    for q, (envs, rng) in enumerate(zip(query_envs, rngs)):
-        lam, gamma, lr = (np.broadcast_to(x, (len(rngs),))[q]
-                          for x in (cfg.lam, cfg.gamma, tc.lr))
-        one_cfg = replace(cfg, lam=float(lam), gamma=float(gamma))
-        one_tc = replace(tc, lr=float(lr))
-        try:
-            with np.errstate(all="ignore"):
-                theta, _, val_risk = train_gd(envs, one_cfg, one_tc, rng)
-        except OracleDivergence as exc:
-            results.append(TrainResult(exc.last_state, np.inf, exc.step))
-            continue
-        results.append(TrainResult(theta, val_risk))
+    for (envs, split_rng), count in zip(seeds, counts):
+        for lam, gamma, lr in islice(queries, count):
+            one_cfg = replace(cfg, lam=float(lam), gamma=float(gamma))
+            one_tc = replace(tc, lr=float(lr))
+            try:
+                with np.errstate(all="ignore"):
+                    theta, _, val_risk = train_gd(envs, one_cfg, one_tc, split_rng)
+            except OracleDivergence as exc:
+                results.append(TrainResult(exc.last_state, np.inf, exc.step))
+            else:
+                results.append(TrainResult(theta, val_risk))
     return results
 
 
@@ -310,9 +315,11 @@ def stack_of(envs, cfg):
     """A batch of one model's training data, every row of ``envs``, at the
     penalty weights of ``cfg``, as the package scores it on its task's
     loss."""
-    build = moment_stack if envs[0].task == "regression" else env_stack
-    return build([envs], [[np.arange(env.n) for env in envs]],
-                 np.full(1, float(cfg.lam)), np.full(1, float(cfg.gamma)))
+    seeds = [(envs, [np.arange(env.n) for env in envs])]
+    lam, gamma = np.full(1, float(cfg.lam)), np.full(1, float(cfg.gamma))
+    if envs[0].task == "regression":
+        return moment_stack(seeds, [1], lam, gamma)
+    return env_stack(seeds, lam, gamma)
 
 
 def batched_objective(model, envs, cfg):

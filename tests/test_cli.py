@@ -348,37 +348,38 @@ class TestSweepCommand:
         assert hashes[0] == hashes[2]
 
     # sha256 of sweep.csv and summary.csv with the timestamp line removed.
-    # Every pin was taken again when the methods of a sweep were paired on
-    # one data draw per seed and sweep.csv gained its diverged_step column;
-    # every row's lambda, gamma and lr cells, and the metadata lines, kept
-    # their bytes.  Before that, ex2 was the bytes the per-model training
-    # engine wrote (but for the config_hash line and summary.csv's
-    # n_diverged column), and the other classification pins were checked
-    # against the earlier paths when the softplus, the shifted test
-    # environments and the scrambled names changed.  ex1 is trained from
-    # moments: test_square_contract.py ties it to the per-model path.
+    # Every pin was taken again when every query of a data seed came to
+    # train on the seed's one split, and the logistic loss to sum its rows
+    # by products: every row's lambda, gamma and lr cells, and the metadata
+    # lines, kept their bytes, and twod's summary.csv all of its bytes.
+    # Before that they were taken when the methods of a sweep were paired on
+    # one data draw per seed.  No pin is the per-model path's bytes:
+    # test_sweep_contract.py ties ex1 and ex2 to that path within the
+    # contract, and each pin was checked against it when taken (the same
+    # diverged queries everywhere, the same selection but in the IB-IRM cell
+    # of ex3 and ex3s, whose one-ulp chaos is stated in oodbench.trainer).
     GOLDEN = {
         "ex1": (["--queries", "3", "--seeds", "2"], {"steps": 300},
-                "5bd5c730178b09abb414ed3a54a1cb6106c1df838b64812beb9f35fe484d1f8a",
-                "08e0f3ab8631b73b20e5b93d471ddd2b87c5cd375a7633a669d7e6058dee1ccb"),
+                "bac600287673d729d707a2ce708f3665c5b7db1fc50f0ff4d525b95b28a7b082",
+                "c71aadb3a7856d7857158aa496f13beddf36ea4519832626e6e475df82403378"),
         "ex2": (["--queries", "2", "--seeds", "1"], {"steps": 500},
-                "ee961e102a8ceec7e5d29da52772a9d13337c3c3f7096b6e37f0d3e7c3cef54e",
-                "0a3087b07a8f74ae95a79f4c0a0e31ede142740e350ddf25df6ebcdba89b4a5e"),
+                "52cd86f5d977fff2e88a863756001d57c9f1a8eed07a409265e2f13b51e28445",
+                "802a8f941dee5f74f2131c7553659c6d7d8d378b222562ccb2a1e55f86f75d4f"),
         "ex2s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                 "a45ec1057a39dae67a5f4ae9a0637bf2f1f6598a4c07589539c8e1126b012937",
-                 "571d83b91bac5214a3f886e86d3dc9c39e514557fe4da74a2b7dad2e8c6f0166"),
+                 "611c3a9b7ef2cc0664c33a7017295487661e3a44768e9632b928c72b4145ffc4",
+                 "dc0356ba02c25dd01d7057a49e0d1e37fd634b5cfef90501e0819ac92a800aeb"),
         "ex3": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                "d12c31f947f3884827c4711ef0f44484e3bb5ec9d43624e7cd5b35ea5980b556",
-                "6efb74cac56e8d4a60ec188a53b3f3e6faa0fe9cbe3ebbcdad5bf7d251db0531"),
+                "418459490ead6074ef4f317691f253609d637ccb8df604aa69cf618794a03bc3",
+                "a517ccd2a7cb9e32123e74bccdd06b176140f21a6022bb491b38f3d4a924cedf"),
         "ex3s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                 "f1edb885da613c8885a0f86285177e63a01f48f23d07569db94ec5c325c83a9a",
-                 "fcd139278bc820db4ab625157d34d068a8aca5e8aecaa89904b05428fb362ae8"),
+                 "eff3466567c069462655e63f91d811674aaceb66c1689b680c82f838e9e063d0",
+                 "6d6099bfe613dd6a9d755158310b24817b0f6e059a4e3cfa352e14d567d45339"),
         "twod": (["--queries", "2", "--seeds", "2"], {"steps": 200, "n_per_env": 200},
-                 "07230d3050b097a91b449acc067e31833ac7744e4f5944c05dd0ff3614ae463c",
+                 "4d62a131d8585bc5fc9bdb6db5109461707414b73a4ec693a9234faf8879a4da",
                  "5c5d84bddfb9158726090c34ec75e66e08c684282f869cdabf4259751a0ccd5f"),
         "xor": (["--queries", "3", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                "e11edc6003b1f0e61ee9d2eeac2dc24cda8eb0afd17181d2d02a9042fe3d9717",
-                "8c76b550d58fa79880611c4ce41104585b629dedb5f77b2a7b4e36ee64f293d7"),
+                "341342b785b739dd67730e87158773e5168f1bdc724ec61638da6d6aec61486c",
+                "bd2561e86b748d806a23e418e9aea1b26c8da1c51a691d7d04c5d02e2198e822"),
     }
 
     @pytest.mark.parametrize("example", sorted(GOLDEN))
@@ -412,8 +413,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("example", ["ex1", "ex2"])
     def test_one_method_sweep_is_its_rows_of_the_full_sweep(self, tmp_path,
                                                             capsys, example):
-        # ex1 trains every method of a seed batch as one batch, ex2 one
-        # batch per method; either way a method's rows are its own
+        # every method of a data seed trains in one batch, of several data
+        # seeds on ex1 and of one on ex2; a method's rows are its own
         cfg = str(tmp_path / "cfg.json")
         with open(cfg, "w") as fh:
             json.dump({"n_per_env": 100, "steps": 200, "queries": 3,
@@ -427,6 +428,27 @@ class TestSweepCommand:
         capsys.readouterr()
         (_, *erm, _), (_, *every, _) = bodies
         assert len(erm) == 6 and len(every) == 24
+        assert erm == [line for line in every if line.split(",")[2] == "ERM"]
+
+    @pytest.mark.parametrize("example", ["ex1", "ex2"])
+    def test_a_one_query_batch_gives_its_rows_of_the_full_sweep(self, tmp_path,
+                                                                capsys, example):
+        # --methods erm at one query and one data seed trains a batch of one
+        # query, which the logistic loss scores as a pair, not by gemv: its
+        # row is the ERM row of the sweep of every method
+        cfg = str(tmp_path / "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"n_per_env": 100, "steps": 200, "queries": 1,
+                       "seeds": 1}, fh)
+        bodies = []
+        for name, methods in (("erm", ["--methods", "erm"]), ("all", [])):
+            out = str(tmp_path / name)
+            assert main(["sweep", "--example", example, *methods, "--seed", "4",
+                         "--config", cfg, "--out", out]) == 0
+            bodies.append(_csv_body(os.path.join(out, "sweep.csv")))
+        capsys.readouterr()
+        (_, *erm, _), (_, *every, _) = bodies
+        assert len(erm) == 1 and len(every) == 4
         assert erm == [line for line in every if line.split(",")[2] == "ERM"]
 
     def test_bad_worker_count_exits_2(self, tmp_path, monkeypatch, capsys):

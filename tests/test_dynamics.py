@@ -73,9 +73,8 @@ class TestEngineGradientFlow:
     """Plain GD on the exponential-loss objective, on the exact 2D
     population, is Euler's method for the Theorem-5 flow: the flow is the
     gradient flow of that objective.  The sweep trains the 2D task on the
-    logistic loss instead; the engine code the two losses share (the
-    predictions, the pooled-variance gradient, the sums over environments)
-    is tied to the same per-model objective bit for bit by
+    logistic loss instead; the engine's logistic objective is tied to the
+    same per-model objective within the tolerance contract by
     test_batched_engine.py."""
 
     # Largest gap in (w_inv, w_spu) over [0, T], per unit of dt.  Measured

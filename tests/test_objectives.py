@@ -188,18 +188,26 @@ class TestObjectiveConfig:
         # the stacks take the weights as arrays, one per query, and check
         # them again
         envs = random_envs(RngStream(1), task="classification")
-        rows = [[np.arange(env.n) for env in envs]] * 2
+        seeds = [(envs, [np.arange(env.n) for env in envs])]
         lam, gamma = np.broadcast_to(lam, (2,)), np.broadcast_to(gamma, (2,))
-        for build in (env_stack, moment_stack):
-            with pytest.raises(ParameterError, match=f"{name} must be finite"):
-                build([envs] * 2, rows, lam, gamma)
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            env_stack(seeds, lam, gamma)
+        with pytest.raises(ParameterError, match=f"{name} must be finite"):
+            moment_stack(seeds, [2], lam, gamma)
 
     def test_logistic_labels_must_be_0_or_1(self):
         envs = random_envs(RngStream(1), task="classification")
         envs[1].Y[3] = 2.0
-        rows = [[np.arange(env.n) for env in envs]]
+        seeds = [(envs, [np.arange(env.n) for env in envs])]
         with pytest.raises(ParameterError, match="labels must be 0 or 1"):
-            env_stack([envs], rows, np.zeros(1), np.zeros(1))
+            env_stack(seeds, np.zeros(1), np.zeros(1))
+
+    def test_a_logistic_stack_is_of_one_data_seed(self):
+        envs = random_envs(RngStream(1), task="classification")
+        seed = (envs, [np.arange(env.n) for env in envs])
+        for seeds in ([], [seed, seed]):
+            with pytest.raises(ParameterError, match="one data seed"):
+                env_stack(seeds, np.zeros(1), np.zeros(1))
 
 
 class TestObjectiveAndGradient:
@@ -302,10 +310,9 @@ class TestLogisticKernel:
         environment of one row."""
         m = z.size
         with np.errstate(all="ignore"):
-            risk_qe, grad_qe, _, _ = _env_terms(
-                np.ones((m, 1, 1, 1)), z.reshape(m, 1, 1).copy(),
-                np.full((m, 1, 1), y), False, True)
-        return risk_qe[:, 0], grad_qe[:, 0, -1]
+            risk, r, _ = _env_terms(z.reshape(1, m, 1).copy(), np.empty((1, m, 1)),
+                                    None, np.full((1, 1, 1), y), None, None, True)
+        return risk[0], r[0, :, 0]
 
     def _check(self, z):
         for y in (0.0, 1.0):
@@ -348,7 +355,7 @@ def _stack(X, Y, lam, gamma, q):
     environments (X[e], Y[e]), at weights lam and gamma."""
     envs = [make_env(x, y, "classification") for x, y in zip(X, Y)]
     rows = [np.arange(len(y)) for y in Y]
-    return env_stack([envs] * q, [rows] * q, np.full(q, lam), np.full(q, gamma))
+    return env_stack([(envs, rows)], np.full(q, lam), np.full(q, gamma))
 
 
 def _b_at_threshold(lam, gamma, n_envs, n, top):
@@ -367,9 +374,8 @@ def _check_certificate(theta, stack):
     """Every certified model's exact value is finite; ``value=False``
     reports exactly the exact values' finiteness, with the same gradient
     bits.  Returns (certified, exact values)."""
-    use_irm, use_ib = bool(stack.lam.any()), bool(stack.gamma.any())
     with np.errstate(all="ignore"):
-        certified = _certified(theta, stack, use_irm, use_ib)
+        certified = _certified(theta, stack)
         values, grad = stack_objective(theta, stack)
         finite, fast_grad = stack_objective(theta, stack, value=False)
     assert np.isfinite(values[certified]).all()
@@ -421,7 +427,7 @@ class TestFiniteCertificate:
         b = _b_at_threshold(lam, gamma, n_envs, n, CERTIFIED_MAX)
         # B either side of it, from the intercept or from a weight
         near = [b * f for f in (1 - 2.0 ** -30, 1 + 2.0 ** -30)]
-        near += [v / _stack(X, Y, lam, gamma, 1).xmax[0] for v in near]
+        near += [v / _stack(X, Y, lam, gamma, 1).xmax for v in near]
         entries = [0.0, 1e-300, 1e308, np.inf, np.nan, *near]
         entries += [-v for v in entries[1:]]
         theta = np.array(list(itertools.product(entries, repeat=d + 1)))
@@ -458,8 +464,8 @@ class TestFiniteCertificate:
     def test_square_loss_reports_the_finiteness_of_its_value(self):
         r = RngStream(47)
         envs = random_envs(r, task="regression")
-        rows = [[np.arange(env.n) for env in envs]] * 50
-        stack = moment_stack([envs] * 50, rows, np.full(50, 2.0), np.full(50, 0.5))
+        seeds = [(envs, [np.arange(env.n) for env in envs])]
+        stack = moment_stack(seeds, [50], np.full(50, 2.0), np.full(50, 0.5))
         theta = 10.0 ** r.fork("theta").uniform(-10.0, 200.0, shape=(50, 5))
         with np.errstate(all="ignore"):
             values, grad = stack_objective(theta, stack)
@@ -475,8 +481,8 @@ class TestFiniteCertificate:
         # models are all certified computes no risk term
         r = RngStream(53)
         envs = random_envs(r)
-        rows = [[np.arange(env.n) for env in envs]] * 4
-        stack = env_stack([envs] * 4, rows, np.full(4, lam), np.full(4, gamma))
+        seeds = [(envs, [np.arange(env.n) for env in envs])]
+        stack = env_stack(seeds, np.full(4, lam), np.full(4, gamma))
         theta = 0.5 * r.fork("theta").gaussian_array((4, 5))
 
         def no_log1p(*args, **kwargs):
@@ -495,15 +501,15 @@ class TestFiniteCertificate:
         # computed; the finiteness and gradients are value=True's
         r = RngStream(61)
         envs = random_envs(r)
-        rows = [[np.arange(env.n) for env in envs]] * 4
-        stack = env_stack([envs] * 4, rows, np.full(4, 3.0), np.full(4, 0.5))
+        seeds = [(envs, [np.arange(env.n) for env in envs])]
+        stack = env_stack(seeds, np.full(4, 3.0), np.full(4, 0.5))
         theta = 0.5 * r.fork("theta").gaussian_array((4, 5))
         if case == "one-uncertified":
             theta[2, 0] = 1e200
         scored = []
         env_terms = objectives._env_terms
         monkeypatch.setattr(objectives, "_env_terms",
-                            lambda *a: scored.append(a[4]) or env_terms(*a))
+                            lambda *a: scored.append(a[6]) or env_terms(*a))
         with np.errstate(all="ignore"):
             got, grad = stack_objective(theta, stack, value=case == "value")
             values, want_grad = stack_objective(theta, stack)
@@ -513,8 +519,10 @@ class TestFiniteCertificate:
 
 
 class TestKeepQueries:
-    """``keep_queries(stack, keep)`` is the stack built from the kept
-    queries alone, field by field and bit for bit."""
+    """``keep_queries(stack, keep)`` is the stack built for the kept
+    queries alone, field by field and bit for bit, but for an EnvStack's
+    work buffers, which it shares, and its scatter, which it keeps once
+    built."""
 
     # query q's weights: four methods in turn, so an IRM row every other query
     LAM = np.array([0.0, 2.0, 0.0, 3.0] * 2)
@@ -524,45 +532,58 @@ class TestKeepQueries:
              "scattered": [1, 4, 6], "no-irm": [0, 2, 4, 6]}
 
     @staticmethod
-    def _queries(task):
-        """Eight queries on two data seeds, four on each, each with its own
-        explicit rows of every environment."""
+    def _seeds(task):
+        """Two data seeds, each with its own explicit rows of every
+        environment."""
         r = RngStream(59)
-        seeds = [random_envs(r.fork(f"seed{s}"), task=task) for s in (0, 1)]
-        query_envs = [seeds[q // 4] for q in range(8)]
-        query_rows = [[r.fork(f"rows{q}/{e}").permutation(env.n)[:30]
-                       for e, env in enumerate(envs)]
-                      for q, envs in enumerate(query_envs)]
-        return query_envs, query_rows
+        seeds = []
+        for s in (0, 1):
+            envs = random_envs(r.fork(f"seed{s}"), task=task)
+            seeds.append((envs, [r.fork(f"rows{s}/{e}").permutation(env.n)[:30]
+                                 for e, env in enumerate(envs)]))
+        return seeds
 
     @staticmethod
     def _assert_same(got, want):
         assert type(got) is type(want)
         for f in dataclasses.fields(want):
             a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "work" or (f.name == "C" and b is None):
+                continue
             if isinstance(b, np.ndarray):
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
                 assert a.tobytes() == b.tobytes(), f.name
             else:
                 assert a == b, f.name
 
-    def _check(self, build, task, lam, gamma, keep):
-        query_envs, query_rows = self._queries(task)
-        stack = build(query_envs, query_rows, lam, gamma)
-        want = build([query_envs[q] for q in keep], [query_rows[q] for q in keep],
-                     lam[keep], gamma[keep])
+    def _check_env_stack(self, lam, gamma, keep):
+        """Eight queries of one data seed at weights ``lam`` and ``gamma``."""
+        seeds = self._seeds("classification")[:1]
+        stack = env_stack(seeds, lam, gamma)
         got = keep_queries(stack, np.array(keep))
-        self._assert_same(got, want)
-        return got
+        self._assert_same(got, env_stack(seeds, lam[keep], gamma[keep]))
+        assert got.work is stack.work
 
-    @pytest.mark.parametrize("keep", ["all", "all-but-first", "prefix", "one",
-                                      "last", "scattered"])
+    @pytest.mark.parametrize("keep", sorted(KEEPS))
     def test_env_stack(self, keep):
-        self._check(env_stack, "classification", np.full(8, 2.0), np.full(8, 0.5),
-                    self.KEEPS[keep])
+        # the methods in turn: each penalty's models are indices
+        self._check_env_stack(self.LAM, self.GAMMA, self.KEEPS[keep])
+
+    @pytest.mark.parametrize("keep", sorted(KEEPS))
+    def test_env_stack_in_penalty_order(self, keep):
+        # ERM, IB-ERM, IB-IRM, IRM, as training orders them: each penalty's
+        # models are a slice
+        order = [0, 4, 2, 6, 3, 7, 1, 5]
+        self._check_env_stack(self.LAM[order], self.GAMMA[order], self.KEEPS[keep])
 
     @pytest.mark.parametrize("keep", sorted(KEEPS))
     def test_mixed_method_moment_stack(self, keep):
-        got = self._check(moment_stack, "regression", self.LAM, self.GAMMA,
-                          self.KEEPS[keep])
-        assert (got.M is None) == (keep == "no-irm")
+        # four queries on each of two data seeds
+        seeds = self._seeds("regression")
+        keep = self.KEEPS[keep]
+        stack = moment_stack(seeds, [4, 4], self.LAM, self.GAMMA)
+        got = keep_queries(stack, np.array(keep))
+        want = moment_stack(seeds, np.bincount(np.array(keep) // 4, minlength=2),
+                            self.LAM[keep], self.GAMMA[keep])
+        self._assert_same(got, want)
+        assert (got.M is None) == (keep == self.KEEPS["no-irm"])

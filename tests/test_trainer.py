@@ -65,7 +65,7 @@ class TestTrainGd:
         envs = [_linear_env(i, 400, w_true, b_true, 0.0, rng.fork(f"e{i}"))
                 for i in range(2)]
         cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
-        res, = train_gd([envs], cfg, TrainConfig(lr=0.05, steps=3000), [rng.fork("t")])
+        res, = train_gd([(envs, rng.fork("t"))], cfg, TrainConfig(lr=0.05, steps=3000), [1])
         # the ERM objective is the sum of the two environments' risks
         assert oracle.objective_and_gradient(_model(res), envs, cfg)[0] < 2e-6
         assert res.val_risk < 1e-6
@@ -80,7 +80,7 @@ class TestTrainGd:
         theta, curve, _ = oracle.train_gd(envs, cfg, tc, rng.fork("t"))
         assert curve.shape == (501,)
         assert np.all(np.diff(curve) <= 1e-12)
-        res, = train_gd([envs], cfg, tc, [rng.fork("t")])
+        res, = train_gd([(envs, rng.fork("t"))], cfg, tc, [1])
         assert np.allclose(res.theta, theta, rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
@@ -92,7 +92,7 @@ class TestTrainGd:
             envs = [_linear_env(i, 200, np.array([2.0, -1.0]), 0.0, 0.3,
                                 rng.fork(f"e{i}"), task="classification")
                     for i in range(2)]
-            res, = train_gd([envs], cfg, tc, [rng.fork("t")])
+            res, = train_gd([(envs, rng.fork("t"))], cfg, tc, [1])
             outs.append((res.theta[:-1].copy(), res.theta[-1], res.val_risk))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1] and outs[0][2] == outs[1][2]
@@ -101,9 +101,8 @@ class TestTrainGd:
         rng = RngStream(2)
         envs = [_linear_env(0, 300, np.array([0.01, 0.0]), 0.0, 0.0, rng.fork("e"))]
         cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
-        res, = train_gd([envs], cfg,
-                        TrainConfig(lr=0.01, steps=1500, optimizer="adam"),
-                        [rng.fork("t")])
+        res, = train_gd([(envs, rng.fork("t"))], cfg,
+                        TrainConfig(lr=0.01, steps=1500, optimizer="adam"), [1])
         assert oracle.objective_and_gradient(_model(res), envs, cfg)[0] < 1e-8
 
     def test_divergence_reports_step(self):
@@ -111,7 +110,7 @@ class TestTrainGd:
         envs = [_linear_env(0, 100, np.array([1.0]), 0.0, 0.0, rng.fork("e"))]
         cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
         tc = TrainConfig(lr=1e6, steps=400)
-        res, = train_gd([envs], cfg, tc, [rng.fork("t")])
+        res, = train_gd([(envs, rng.fork("t"))], cfg, tc, [1])
         assert res.diverged_step is not None and res.diverged_step > 0
         assert res.val_risk == float("inf")
         # the oracle's objective leaves the finite range at the same step
@@ -122,10 +121,14 @@ class TestTrainGd:
     def test_requires_environments(self):
         cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
         with pytest.raises(ParameterError, match="at least one environment"):
-            train_gd([[]], cfg, TrainConfig(), [RngStream(0)])
+            train_gd([([], RngStream(0))], cfg, TrainConfig(), [1])
         envs = [_linear_env(0, 50, np.array([1.0]), 0.0, 0.1, RngStream(0))]
-        with pytest.raises(ParameterError, match="2 environment lists for 1 queries"):
-            train_gd([envs, envs], cfg, TrainConfig(), [RngStream(0)])
+        with pytest.raises(ParameterError, match="2 data seeds for 1 query counts"):
+            train_gd([(envs, RngStream(0))] * 2, cfg, TrainConfig(), [1])
+        with pytest.raises(ParameterError, match="need at least one data seed"):
+            train_gd([], cfg, TrainConfig(), [1])
+        with pytest.raises(ParameterError, match="at least one query per data seed"):
+            train_gd([(envs, RngStream(0))], cfg, TrainConfig(), [0])
 
     @pytest.mark.parametrize("field,value,match", [
         ("lr", [0.01, 0.02, 0.03], "lr must be one value or one per query"),
@@ -141,7 +144,7 @@ class TestTrainGd:
         cfg, tc = ObjectiveConfig(), TrainConfig(steps=5)
         setattr(tc if field == "lr" else cfg, field, value)
         with pytest.raises(ParameterError, match=match):
-            train_gd([envs] * 2, cfg, tc, [RngStream(1), RngStream(2)])
+            train_gd([(envs, RngStream(1))], cfg, tc, [2])
 
 
 class TestSplit:
@@ -368,12 +371,22 @@ class TestRandomSearch:
         def digest(*arrays):
             return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
-        def recording_train(query_envs, cfg, tc, rngs):
-            results = train(query_envs, cfg, tc, rngs)
-            for envs, rng, result in zip(query_envs, rngs, results):
-                key = (rng.lineage[0], rng.lineage[1])  # method/<m>, seed<s>
-                seen.setdefault(key, [set(), set()])[0].add(
-                    digest(*(a for env in envs for a in (env.X, env.Y))))
+        def recording_train(seeds, cfg, tc, counts):
+            # a call's queries are seed-major, each seed's method-major
+            drawn = []
+
+            def recorded():
+                for envs, split_rng in seeds:
+                    drawn.append((split_rng.lineage[0],  # seed<s>
+                                  digest(*(a for env in envs for a in (env.X, env.Y)))))
+                    yield envs, split_rng
+
+            results = train(recorded(), cfg, tc, counts)
+            per_method = counts[0] // len(METHODS)
+            for i, result in enumerate(results):
+                seed, draw = drawn[i // counts[0]]
+                key = (METHODS[i % counts[0] // per_method], seed)
+                seen.setdefault(key, [set(), set()])[0].add(draw)
                 owner[result.theta.tobytes()] = key
             return results
 
@@ -391,12 +404,58 @@ class TestRandomSearch:
         assert all(np.isfinite(r.val_risk) for r in rows)
         per_seed = []
         for seed in range(3):
-            draws = [seen[(f"method/{m}", f"seed{seed}")] for m in METHODS]
+            draws = [seen[(m, f"seed{seed}")] for m in METHODS]
             train_draw, test_draw = draws[0]
             assert len(train_draw) == 1 and len(test_draw) == spec.n_envs
             assert all(draw == draws[0] for draw in draws)
             per_seed.append(draws[0])
         assert len({next(iter(train_draw)) for train_draw, _ in per_seed}) == 3
+
+    @pytest.mark.parametrize("example", sorted(SPECS))
+    def test_every_query_of_a_seed_trains_and_validates_on_one_split(
+            self, monkeypatch, example):
+        # Each environment's split is drawn once per data seed, from the
+        # stream seed<s>/split/env<e>, which names no method and no query.
+        # The seed's training stack is built from its training rows, and
+        # every query of the seed is validated on its held-out rows.
+        spec, root = self.SPECS[example], RngStream(6)
+        splits, built, evaluated = {}, [], {}
+        split, score = trainer._split, trainer.evaluate
+
+        def recording_split(n, rng):
+            assert rng.lineage not in splits
+            splits[rng.lineage] = split(n, rng)
+            return splits[rng.lineage]
+
+        def recording(build):
+            def wrapped(seeds, *args):
+                seeds = list(seeds)
+                built.extend(rows for _, rows in seeds)
+                return build(seeds, *args)
+            return wrapped
+
+        def recording_score(theta, X, Y, task):
+            evaluated.setdefault(theta.tobytes(), set()).add(X.tobytes())
+            return score(theta, X, Y, task)
+
+        monkeypatch.setattr(trainer, "_split", recording_split)
+        monkeypatch.setattr(trainer, "moment_stack", recording(trainer.moment_stack))
+        monkeypatch.setattr(trainer, "env_stack", recording(trainer.env_stack))
+        monkeypatch.setattr(trainer, "evaluate", recording_score)
+        rows = random_search(spec, METHODS, (2, 3), root, self.TC)
+        names = [[("seed%d" % s, "split", "env%d" % e) for e in range(spec.n_envs)]
+                 for s in range(3)]
+        assert sorted(splits) == sorted(name for seed in names for name in seed)
+        assert [[r.tobytes() for r in rows_] for rows_ in built] == \
+            [[splits[name][0].tobytes() for name in seed] for seed in names]
+        held = []
+        for s, seed in enumerate(names):
+            _, _, envs = generate_training_envs(spec, root.fork(f"seed{s}").fork("data"))
+            held.append({env.X[splits[name][1]].tobytes() for env, name in zip(envs, seed)})
+        validated = [s for blocks in evaluated.values()
+                     for s, seed_held in enumerate(held) if seed_held <= blocks]
+        finished = [r.data_seed for r in rows if np.isfinite(r.val_risk)]
+        assert sorted(validated) == sorted(finished) and finished
 
     def test_methods_tuple(self):
         assert METHODS == ("ERM", "IRM", "IBERM", "IBIRM")
@@ -412,8 +471,8 @@ class TestBottleneckSlowsSpuriousWeight:
         tc = TrainConfig(lr=0.1, steps=800)
         erm_cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
         ib_cfg = ObjectiveConfig(lam=0.0, gamma=0.9)
-        erm, = train_gd([envs], erm_cfg, tc, [rng.fork("t1")])
-        ib, = train_gd([envs], ib_cfg, tc, [rng.fork("t2")])
+        erm, = train_gd([(envs, rng.fork("t1"))], erm_cfg, tc, [1])
+        ib, = train_gd([(envs, rng.fork("t2"))], ib_cfg, tc, [1])
         r_erm = spurious_ratio(_model(erm), fw, 1)
         r_ib = spurious_ratio(_model(ib), fw, 1)
         assert r_ib < r_erm
