@@ -23,7 +23,7 @@ import numpy as np
 
 from .numeric_core import DivergenceError, ParameterError, RngStream
 from .sem_generators import EXAMPLES, GeneratorSpec, generate_training_envs
-from .trainer import SweepRow, TrainConfig, random_search
+from .trainer import Protocol, SweepRow, random_search
 from .dynamics import flow_weights, plain_flow, theorem5_report
 from .entropy_lab import (conditional_entropy_gap, gaussian_entropy_bound,
                           random_mixtures, random_pmfs, sum_entropy_gap)
@@ -45,7 +45,7 @@ EXAMPLE_CHOICES = tuple(name for ex, record in EXAMPLES.items()
 TRAJECTORY_MAX_ROWS = 4000
 
 # Settings only a config file gives, with their types; unset (None) keeps
-# the GeneratorSpec or TrainConfig default.
+# the GeneratorSpec or Protocol default.
 SPEC_KEYS = {"m": int, "o": int, "n_per_env": int, "xor_variant": str,
              "xor_q": float, "xor_a": float}
 TRAIN_KEYS = {"steps": int, "optimizer": str}
@@ -68,16 +68,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _configs(args):
-    """The GeneratorSpec and TrainConfig that ``args`` resolve to; the
-    spec's ``name`` is ``args.example``."""
+def _given(args, keys):
+    """The settings among ``keys`` that ``args`` set."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _spec(args):
+    """The GeneratorSpec that ``args`` resolve to; its ``name`` is
+    ``args.example``."""
     example = args.example.removesuffix("s")
-    spec = dict(example=example, n_envs=args.envs, scramble=example != args.example)
-    train = {}
-    for kwargs, keys in ((spec, SPEC_KEYS), (train, TRAIN_KEYS)):
-        for key in keys:
-            if getattr(args, key, None) is not None:
-                kwargs[key] = getattr(args, key)
+    spec = dict(example=example, n_envs=args.envs, scramble=example != args.example,
+                **_given(args, SPEC_KEYS))
     gen = GeneratorSpec(**spec)  # reports a bad value first
     record = EXAMPLES[example]
     stray = [key for key in SPEC_KEYS
@@ -92,7 +93,13 @@ def _configs(args):
             kind, this = "example", args.example
         raise ParameterError(f"{key} applies only to the {', '.join(readers)} "
                              f"{kind}{'s' * (len(readers) > 1)}, not {this}")
-    return gen, TrainConfig(**train)
+    return gen
+
+
+def _protocol(args):
+    """The sweep Protocol that ``args`` resolve to: the counts from their
+    flags, the config file's settings where it gives them."""
+    return Protocol(queries=args.queries, seeds=args.seeds, **_given(args, TRAIN_KEYS))
 
 
 def _meta(args, **config):
@@ -117,7 +124,7 @@ def _summarise(summary, out, meta):
 
 
 def cmd_generate(args):
-    spec, _ = _configs(args)
+    spec = _spec(args)
     _, _, envs = generate_training_envs(spec, RngStream(args.seed))
     meta = _meta(args, spec=asdict(spec), seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
@@ -139,13 +146,11 @@ def cmd_generate(args):
 
 
 def cmd_sweep(args):
-    spec, tc = _configs(args)
+    spec, protocol = _spec(args), _protocol(args)
     methods = [m.strip().upper() for m in args.methods.split(",") if m.strip()]
-    rows = random_search(spec, methods, (args.queries, args.seeds),
-                         RngStream(args.seed), tc)
-    meta = _meta(args, spec=asdict(spec), train=asdict(tc),
-                 queries=args.queries, seeds=args.seeds, methods=methods,
-                 seed=args.seed)
+    rows = random_search(spec, methods, protocol, RngStream(args.seed))
+    meta = _meta(args, spec=asdict(spec), protocol=asdict(protocol),
+                 methods=methods, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "sweep.csv"), SWEEP_FIELDS,
               _columns(SweepRow, rows), meta)
@@ -288,8 +293,8 @@ def build_parser():
     common(s, keys={**SPEC_KEYS, **TRAIN_KEYS})
     s.add_argument("--example", choices=EXAMPLE_CHOICES, default="ex2")
     s.add_argument("--envs", type=int, default=3)
-    s.add_argument("--queries", type=int, default=20)
-    s.add_argument("--seeds", type=int, default=10)
+    s.add_argument("--queries", type=int, default=Protocol.queries)
+    s.add_argument("--seeds", type=int, default=Protocol.seeds)
     s.add_argument("--methods", default="erm,irm,iberm,ibirm")
     s.set_defaults(func=cmd_sweep)
 

@@ -54,7 +54,6 @@ import numpy as np
 from .numeric_core import ParameterError, power_of_two_scale
 
 __all__ = [
-    "ObjectiveConfig",
     "EnvStack",
     "MomentStack",
     "env_stack",
@@ -64,23 +63,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class ObjectiveConfig:
-    """Penalty weights: (0, 0) is ERM, (lam>0, 0) is IRM, (0, gamma>0) is
-    IB-ERM, both positive is IB-IRM.  For a batch of models ``lam`` and
-    ``gamma`` are one finite weight >= 0 per model, or one for all.  The
-    stack of the task's loss checks what else it needs (see
-    :func:`env_stack`)."""
-
-    lam: float | np.ndarray = 0.0
-    gamma: float | np.ndarray = 0.0
-
-    def __post_init__(self):
-        _nonnegative(self.lam, self.gamma)
-
-
 def _nonnegative(lam, gamma):
-    """Check that every penalty weight is finite and >= 0 (so not nan)."""
+    """Check that every penalty weight is finite and >= 0 (so not nan).  A
+    model's weights (0, 0) are ERM, (lam > 0, 0) IRM, (0, gamma > 0)
+    IB-ERM, and both positive IB-IRM."""
     for name, w in (("lam", lam), ("gamma", gamma)):
         w = np.asarray(w)
         if not np.all((w >= 0) & (w < np.inf)):

@@ -21,7 +21,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain, islice
 
@@ -43,17 +43,14 @@ __all__ = [
     "SWEEP_FIELDS",
 ]
 
-# The columns of sweep.csv and summary.csv: the fields of trainer.SweepRow
-# and of SummaryRow, in order.
+# The columns of sweep.csv: the fields of trainer.SweepRow, in order, but
+# ``lambda`` for its ``lam``.
 SWEEP_FIELDS = ("example", "n_envs", "method", "data_seed", "hparam_id",
                 "lambda", "gamma", "lr", "val_risk", "test_metric",
                 "test_metric_max", "diverged_step")
 # The columns ``report`` reads: sweep.csv written before it had a
 # diverged_step column reads too.
 _REPORT_FIELDS = SWEEP_FIELDS[:-1]
-
-SUMMARY_FIELDS = ("example", "n_envs", "method", "mean_metric", "std_metric",
-                  "n_diverged")
 
 
 @dataclass
@@ -64,6 +61,10 @@ class SummaryRow:
     mean_metric: float   # over the seeds that did not diverge; nan if none
     std_metric: float
     n_diverged: int = 0  # seeds whose selected query has no finite metric
+
+
+# The columns of summary.csv: the fields of SummaryRow, in order.
+SUMMARY_FIELDS = tuple(f.name for f in fields(SummaryRow))
 
 
 def _cell_format(kind):
@@ -218,8 +219,8 @@ def aggregate_report(sweep_files):
     """Parse sweep CSVs and aggregate them into summary rows."""
     records = []
     for path in sweep_files:
-        _, fields, rows = read_csv(path)
-        missing = set(_REPORT_FIELDS) - set(fields)
+        _, header, rows = read_csv(path)
+        missing = set(_REPORT_FIELDS) - set(header)
         if missing:
             raise ParameterError(f"{path}: missing columns {sorted(missing)}")
         for i, row in enumerate(rows):

@@ -50,7 +50,9 @@ NU_ANIMAL = 1e-2
 NU_BACKGROUND = 1.0
 # Example 3 invariant prototype magnitude.
 THETA_INV_SCALE = 0.1
-# Latent noise second parameter, read as a variance.
+# The latent noise's second parameter, 0.1, read as a variance: this
+# suite's reading, as the repository holds the paper's abstract only, not
+# its notation.
 LATENT_NOISE_STD = np.sqrt(0.1)
 
 

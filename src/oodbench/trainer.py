@@ -1,13 +1,22 @@
 """Full-batch training, the random-search model-selection protocol, and
 out-of-distribution evaluation metrics.
 
+One frozen record, :class:`Protocol`, holds the sweep's protocol: the
+counts of queries and data seeds, the step count and the optimizer, which
+``cli`` resolves once from flags and the config file, and, as class
+constants, the validation share and the ranges the hyperparameters are
+drawn from.  :func:`random_search` reads it, and hands it to
+:func:`_run_batch` and :func:`train_gd`.  Each query's lr, lam and gamma
+travel as (Q,) arrays, one entry per query of a batch, as the search draws
+them.
+
 A sweep is seed-major.  Data seed s's environments are drawn once, from
 ``rng.fork(f"seed{s}").fork("data")``, a stream that names no method, and
 every method of the sweep trains on that draw and is scored on that seed's
 test environments: the methods are compared on paired data, as DomainBed
 (Gulrajani & Lopez-Paz 2020) gives every algorithm of a trial the same
-data.  Each environment's 80/20 train/validation split is drawn once per
-data seed too, from ``rng.fork(f"seed{s}").fork("split").fork(f"env{e}")``,
+data.  Each environment's train/validation split is drawn once per data
+seed too, from ``rng.fork(f"seed{s}").fork("split").fork(f"env{e}")``,
 a stream that names no method and no query, so every query of the seed
 trains and is validated on the same rows; this is this suite's choice,
 made so that the queries that selection compares are scored on one set of
@@ -102,16 +111,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
+from typing import ClassVar
 
 import numpy as np
 
 from .numeric_core import ParameterError
-from .objectives import (ObjectiveConfig, env_stack, keep_queries,
-                         moment_stack, objective_and_gradient)
+from .objectives import env_stack, keep_queries, moment_stack, objective_and_gradient
 from .sem_generators import default_test_envs, generate_training_envs
 
 __all__ = [
-    "TrainConfig",
+    "Protocol",
     "TrainResult",
     "SweepRow",
     "train_gd",
@@ -122,21 +131,43 @@ __all__ = [
 
 METHODS = ("ERM", "IRM", "IBERM", "IBIRM")
 
-VAL_FRACTION = 0.2
 
+@dataclass(frozen=True)
+class Protocol:
+    """The sweep protocol.  Its fields are the settings a user may give:
+    ``queries`` hyperparameter draws of each method per data seed,
+    ``seeds`` data seeds, ``steps`` updates of each query, and
+    ``optimizer``, full-batch ``"gd"`` or ``"adam"``.  Its class constants
+    are fixed, and no setting reaches them: the share of each environment
+    held out for validation, and the three log10 ranges from which each
+    query draws its hyperparameters, an exponent uniform on the range.
 
-@dataclass
-class TrainConfig:
-    lr: float | np.ndarray = 0.01  # one step size, or one per query
+    Every default and constant is this suite's choice: the repository
+    holds no text of the paper's protocol.  γ = 1 − 10^U has the form of a
+    convex-combination weight, (1 − γ)·risk + γ·penalty, which is how
+    Aubin et al. 2021's linear unit tests are recalled to weight IRM's
+    penalty; that recollection is unverified, as no copy of their code is
+    in the repository, and here γ is added to a risk of weight 1.
+    """
+
+    queries: int = 20
+    seeds: int = 10
     steps: int = 2000
-    optimizer: str = "gd"        # "gd" | "adam"
+    optimizer: str = "gd"
+
+    VAL_FRACTION: ClassVar[float] = 0.2
+    """Share of each environment's rows held out: this suite's choice."""
+    LOG10_LR: ClassVar[tuple] = (-3.0, -1.0)
+    """lr = 10^U(-3, -1): this suite's choice."""
+    LOG10_LAM: ClassVar[tuple] = (-1.0, 4.0)
+    """IRM's lam = 10^U(-1, 4): this suite's choice."""
+    LOG10_ONE_MINUS_GAMMA: ClassVar[tuple] = (-2.0, 0.0)
+    """IB's gamma = 1 - 10^U(-2, 0): this suite's choice, form and range."""
 
     def __post_init__(self):
-        lr = np.asarray(self.lr, dtype=float)
-        if not (np.all(np.isfinite(lr)) and np.all(lr > 0)):
-            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
-        if self.steps < 1:
-            raise ParameterError("steps must be >= 1")
+        for name in ("queries", "seeds", "steps"):
+            if (value := getattr(self, name)) < 1:
+                raise ParameterError(f"{name} must be >= 1, got {value}")
         if self.optimizer not in ("gd", "adam"):
             raise ParameterError(f"unknown optimizer {self.optimizer!r}")
 
@@ -151,9 +182,10 @@ class TrainResult:
 
 
 def _split(n, rng):
-    """Deterministic 80/20 split of ``n`` rows: (train rows, held-out rows)."""
+    """Deterministic split of ``n`` rows, ``Protocol.VAL_FRACTION`` of them
+    held out: (train rows, held-out rows)."""
     perm = rng.permutation(n)
-    n_val = max(1, int(round(VAL_FRACTION * n)))
+    n_val = max(1, int(round(Protocol.VAL_FRACTION * n)))
     return perm[n_val:], perm[:n_val]
 
 
@@ -183,16 +215,7 @@ def _split_seeds(seeds, held):
         yield envs, rows
 
 
-def _per_query(name, x, n_q):
-    """The field ``name``, one value or one per query, as one per query."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 1 or x.size not in (1, n_q):
-        raise ParameterError(f"{name} must be one value or one per query "
-                             f"({n_q}), got {x.size}")
-    return np.broadcast_to(x, (n_q,)).copy()
-
-
-def train_gd(seeds, cfg, tc, counts):
+def train_gd(seeds, counts, lr, lam, gamma, protocol):
     """Deterministic full-batch training of ``sum(counts)`` linear models,
     all of them as one batch.
 
@@ -200,25 +223,24 @@ def train_gd(seeds, cfg, tc, counts):
     and the stream its split is drawn from; it is read once, and a seed's
     rows are dropped once its part of the training stack is built.
     ``counts[i]`` queries train on seed i, after those of the seeds before
-    it.  Every query of a seed holds out the same 20% of each environment
-    (:func:`_split_seeds`) and trains on the rest, on its task's loss, with
-    penalty weights ``cfg.lam`` and ``cfg.gamma`` and step size ``tc.lr``,
-    each one value per query or one for all; the queries may be of several
-    methods.  On the square loss a batch may hold several data seeds, on
-    the logistic loss one.  The average held-out risk is reported as
-    ``val_risk``, measured with the task risk (classification error or mean
-    squared error) rather than the training surrogate, matching how trained
-    models are evaluated.  A query whose objective value or parameters
-    leave the finite range is stopped at that step and reported as
-    diverged; the others carry on.  Returns one :class:`TrainResult` per
-    query.
+    it.  Every query of a seed holds out the same rows of each environment
+    (:func:`_split_seeds`) and trains on the rest, on its task's loss, for
+    ``protocol.steps`` steps of ``protocol.optimizer``.  Query q has step
+    size ``lr[q]`` and penalty weights ``lam[q]`` and ``gamma[q]``, each
+    argument a (Q,) array; the stack's builder checks the weights.  The
+    queries may be of several methods.  On the square loss a batch may
+    hold several data seeds, on the logistic loss one.  The average
+    held-out risk is reported as ``val_risk``, measured with the task risk
+    (classification error or mean squared error) rather than the training
+    surrogate, matching how trained models are evaluated.  A query whose
+    objective value or parameters leave the finite range is stopped at
+    that step and reported as diverged; the others carry on.  Returns one
+    :class:`TrainResult` per query.
     """
     counts = list(counts)
     if not counts or min(counts) < 1:
         raise ParameterError("need at least one query per data seed")
     n_q = sum(counts)
-    lr, lam, gamma = (_per_query(name, x, n_q) for name, x in
-                      (("lr", tc.lr), ("lam", cfg.lam), ("gamma", cfg.gamma)))
     seed_of = np.repeat(np.arange(len(counts)), counts)
     # The batch's rows, seed by seed, each seed's queries ordered ERM,
     # IB-ERM, IB-IRM, IRM, so that each penalty's queries are consecutive.
@@ -246,7 +268,7 @@ def train_gd(seeds, cfg, tc, counts):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     # A diverging query overflows; its non-finite value is what reports it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(tc.steps + 1):
+        for step in range(protocol.steps + 1):
             finite, grad = objective_and_gradient(theta, stack, value=False)
             finite &= np.isfinite(theta).all(axis=1)
             if not finite.all():
@@ -259,9 +281,9 @@ def train_gd(seeds, cfg, tc, counts):
                 if keep.size == 0:
                     break
                 stack = keep_queries(stack, keep)
-            if step == tc.steps:
+            if step == protocol.steps:
                 break
-            if tc.optimizer == "gd":
+            if protocol.optimizer == "gd":
                 theta = theta - lr * grad
             else:
                 m = beta1 * m + (1 - beta1) * grad
@@ -306,28 +328,33 @@ class SweepRow:
 
 
 def _sample_hparams(method, rng):
-    lr = 10.0 ** rng.fork("lr").uniform(-3.0, -1.0)
-    lam = 10.0 ** rng.fork("lam").uniform(-1.0, 4.0) if "IRM" in method else 0.0
-    gamma = 1.0 - 10.0 ** rng.fork("gamma").uniform(-2.0, 0.0) if method.startswith("IB") else 0.0
+    """One query's (lr, lam, gamma), drawn from ``rng`` in the ranges of
+    :class:`Protocol`; lam is 0 but for an IRM method, gamma 0 but for an
+    IB one."""
+    lr = 10.0 ** rng.fork("lr").uniform(*Protocol.LOG10_LR)
+    lam = 10.0 ** rng.fork("lam").uniform(*Protocol.LOG10_LAM) if "IRM" in method else 0.0
+    gamma = (1.0 - 10.0 ** rng.fork("gamma").uniform(*Protocol.LOG10_ONE_MINUS_GAMMA)
+             if method.startswith("IB") else 0.0)
     return lr, lam, gamma
 
 
-def _run_batch(spec, methods, seeds, n_queries, rng, tc_base):
+def _run_batch(spec, methods, seeds, rng, protocol):
     """The sweep rows of the data seeds ``seeds`` for every one of
-    ``methods``, in seed, method, query order, all trained by one
-    :func:`train_gd` call.  Each seed's training environments are drawn
-    once, as the call reaches the seed, and shared by every method's
-    queries; the call drops them once it has split them and built the
-    seed's part of its stack, so the training stack holds no seed's rows
-    but its own.  The test environments are drawn after training, one seed
-    at a time, from the seed's data stream: the batch's training stack and
-    the test environments never occupy memory together."""
+    ``methods``, ``protocol.queries`` of each, in seed, method, query
+    order, all trained by one :func:`train_gd` call.  Each seed's training
+    environments are drawn once, as the call reaches the seed, and shared
+    by every method's queries; the call drops them once it has split them
+    and built the seed's part of its stack, so the training stack holds no
+    seed's rows but its own.  The test environments are drawn after
+    training, one seed at a time, from the seed's data stream: the batch's
+    training stack and the test environments never occupy memory
+    together."""
     method_rngs = [rng.fork(f"method/{method}") for method in methods]
-    keys = [(method, q) for method in methods for q in range(n_queries)]
+    keys = [(method, q) for method in methods for q in range(protocol.queries)]
     hparams = [_sample_hparams(method, method_rng.fork(f"seed{seed}")
                                .fork(f"query{q}").fork("hparams"))
                for seed in seeds for method, method_rng in zip(methods, method_rngs)
-               for q in range(n_queries)]
+               for q in range(protocol.queries)]
     lrs, lams, gammas = (np.array(col) for col in zip(*hparams))
     data = []
 
@@ -341,8 +368,8 @@ def _run_batch(spec, methods, seeds, n_queries, rng, tc_base):
             # dropped so that they do not stay resident through training.
             yield [replace(env, Z_inv=None, Z_spu=None) for env in envs], seed_rng.fork("split")
 
-    results = train_gd(training_data(), ObjectiveConfig(lams, gammas),
-                       replace(tc_base, lr=lrs), [len(keys)] * len(seeds))
+    results = train_gd(training_data(), [len(keys)] * len(seeds), lrs, lams,
+                       gammas, protocol)
     rows = []
     queries = zip(hparams, results)
     for seed, data_rng, fw, params in data:
@@ -378,9 +405,10 @@ def _worker_count():
     return min(n, os.cpu_count() or 1)
 
 
-def random_search(spec, methods, protocol, rng, tc_base):
+def random_search(spec, methods, protocol, rng):
     """Random hyperparameter search of every one of ``methods`` on paired
-    data: per data seed, draw the benchmark once, run ``n_queries``
+    data, by the :class:`Protocol` ``protocol``: per each of its
+    ``seeds`` data seeds, draw the benchmark once, run ``queries``
     trainings of each method with sampled hyperparameters, and record
     validation risk plus the shifted-test metric per query.  Returns the
     rows in method, seed, query order.
@@ -413,16 +441,14 @@ def random_search(spec, methods, protocol, rng, tc_base):
             raise ParameterError(f"unknown method {method!r}")
     if len(set(methods)) < len(methods):
         raise ParameterError(f"the method list repeats a method: {', '.join(methods)}")
-    n_queries, n_seeds = protocol
-    if n_queries < 1 or n_seeds < 1:
-        raise ParameterError("protocol counts must be >= 1")
+    n_seeds = protocol.seeds
     n_workers = _worker_count()
     seeds = range(n_seeds)
     k = min(n_workers, n_seeds) if spec.task == "regression" else n_seeds
     batches = [seeds[i * n_seeds // k:(i + 1) * n_seeds // k] for i in range(k)]
     n_workers = min(n_workers, k)
-    args = (repeat(spec), repeat(tuple(methods)), batches, repeat(n_queries),
-            repeat(rng), repeat(tc_base))
+    args = (repeat(spec), repeat(tuple(methods)), batches, repeat(rng),
+            repeat(protocol))
     if n_workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:

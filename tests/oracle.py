@@ -35,7 +35,7 @@ compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from math import exp, isfinite
 from operator import lt, sub
@@ -47,7 +47,16 @@ from oodbench.numeric_core import DivergenceError, ParameterError, power_of_two_
 from oodbench.objectives import env_stack, moment_stack
 from oodbench.objectives import objective_and_gradient as batched_objective_and_gradient
 from oodbench.sem_generators import EnvDataset
-from oodbench.trainer import VAL_FRACTION, TrainResult, evaluate
+from oodbench.trainer import Protocol, TrainResult, evaluate
+
+
+@dataclass(frozen=True)
+class Weights:
+    """One model's penalty weights: (0, 0) is ERM, (lam > 0, 0) IRM,
+    (0, gamma > 0) IB-ERM, both positive IB-IRM."""
+
+    lam: float = 0.0
+    gamma: float = 0.0
 
 
 @dataclass
@@ -177,8 +186,8 @@ def _scale_grad_grad(yhat, y, X, loss):
 
 
 def objective_and_gradient(model, envs, cfg, loss=None):
-    """Penalized objective value and its exact gradient in (w, b), on
-    ``loss`` (by default the task's).
+    """Penalized objective value and its exact gradient in (w, b), at the
+    :class:`Weights` ``cfg``, on ``loss`` (by default the task's).
 
     Returns ``(value, grad)`` with ``grad`` a vector of length d+1 whose
     last entry is the intercept derivative.
@@ -218,9 +227,10 @@ def objective_and_gradient(model, envs, cfg, loss=None):
 
 
 def _split_env(env, rng):
-    """Deterministic 80/20 split of one environment."""
+    """Deterministic split of one environment, ``Protocol.VAL_FRACTION``
+    of its rows held out."""
     perm = rng.permutation(env.n)
-    n_val = max(1, int(round(VAL_FRACTION * env.n)))
+    n_val = max(1, int(round(Protocol.VAL_FRACTION * env.n)))
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     def take(idx):
@@ -230,14 +240,14 @@ def _split_env(env, rng):
     return take(train_idx), take(val_idx)
 
 
-def train_gd(envs, cfg, tc, split_rng, loss=None):
+def train_gd(envs, cfg, lr, protocol, split_rng, loss=None):
     """Full-batch training of one linear model from zero on ``loss`` (by
-    default the task's), with scalar ``cfg.lam``, ``cfg.gamma`` and
-    ``tc.lr``, on the split of each environment drawn from
-    ``split_rng.fork(f"env{e}")``: the data seed's split, which every query
-    of the seed shares.  Returns ``(theta, curve, val_risk)``; raises
-    :class:`OracleDivergence` with the step index if the objective leaves
-    the finite range."""
+    default the task's), at the :class:`Weights` ``cfg`` and step size
+    ``lr``, for ``protocol.steps`` steps of ``protocol.optimizer``, on the
+    split of each environment drawn from ``split_rng.fork(f"env{e}")``: the
+    data seed's split, which every query of the seed shares.  Returns
+    ``(theta, curve, val_risk)``; raises :class:`OracleDivergence` with the
+    step index if the objective leaves the finite range."""
     d = envs[0].X.shape[1]
     train_envs, val_envs = [], []
     for env in envs:
@@ -246,47 +256,45 @@ def train_gd(envs, cfg, tc, split_rng, loss=None):
         val_envs.append(va)
 
     theta = np.zeros(d + 1)
-    curve = np.empty(tc.steps + 1)
+    curve = np.empty(protocol.steps + 1)
     m = np.zeros(d + 1)
     v = np.zeros(d + 1)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    for step in range(tc.steps + 1):
+    for step in range(protocol.steps + 1):
         model = LinearModel(w=theta[:-1], b=theta[-1])
         value, grad = objective_and_gradient(model, train_envs, cfg, loss)
         if not np.isfinite(value):
             raise OracleDivergence(f"objective diverged at step {step}",
                                    last_state=theta.copy(), step=step)
         curve[step] = value
-        if step == tc.steps:
+        if step == protocol.steps:
             break
-        if tc.optimizer == "gd":
-            theta = theta - tc.lr * grad
+        if protocol.optimizer == "gd":
+            theta = theta - lr * grad
         else:
             m = beta1 * m + (1 - beta1) * grad
             v = beta2 * v + (1 - beta2) * grad * grad
             mhat = m / (1 - beta1 ** (step + 1))
             vhat = v / (1 - beta2 ** (step + 1))
-            theta = theta - tc.lr * mhat / (np.sqrt(vhat) + eps)
+            theta = theta - lr * mhat / (np.sqrt(vhat) + eps)
 
     val_risk = float(np.mean([evaluate(theta, e.X, e.Y, e.task) for e in val_envs]))
     return theta, curve, val_risk
 
 
-def train_queries(seeds, cfg, tc, counts):
+def train_queries(seeds, counts, lr, lam, gamma, protocol):
     """:func:`oodbench.trainer.train_gd` by the per-model path: each of the
     ``counts[i]`` queries of the data seed that ``seeds`` yields i-th, as
     (environments, split stream), trained alone by :func:`train_gd`,
     returned as the engine's ``TrainResult`` list."""
-    n_q = sum(counts)
-    queries = zip(*(np.broadcast_to(x, (n_q,)) for x in (cfg.lam, cfg.gamma, tc.lr)))
+    queries = zip(lr.tolist(), lam.tolist(), gamma.tolist())
     results = []
     for (envs, split_rng), count in zip(seeds, counts):
-        for lam, gamma, lr in islice(queries, count):
-            one_cfg = replace(cfg, lam=float(lam), gamma=float(gamma))
-            one_tc = replace(tc, lr=float(lr))
+        for one_lr, one_lam, one_gamma in islice(queries, count):
             try:
                 with np.errstate(all="ignore"):
-                    theta, _, val_risk = train_gd(envs, one_cfg, one_tc, split_rng)
+                    theta, _, val_risk = train_gd(envs, Weights(one_lam, one_gamma),
+                                                  one_lr, protocol, split_rng)
             except OracleDivergence as exc:
                 results.append(TrainResult(exc.last_state, np.inf, exc.step))
             else:
@@ -313,7 +321,7 @@ def square_moments(blocks):
 
 def stack_of(envs, cfg):
     """A batch of one model's training data, every row of ``envs``, at the
-    penalty weights of ``cfg``, as the package scores it on its task's
+    :class:`Weights` ``cfg``, as the package scores it on its task's
     loss."""
     seeds = [(envs, [np.arange(env.n) for env in envs])]
     lam, gamma = np.full(1, float(cfg.lam)), np.full(1, float(cfg.gamma))

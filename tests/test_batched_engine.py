@@ -13,10 +13,9 @@ import pytest
 
 import oracle
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import (ObjectiveConfig, env_stack, moment_stack,
-                                 objective_and_gradient)
+from oodbench.objectives import env_stack, moment_stack, objective_and_gradient
 from oodbench.sem_generators import EnvDataset, GeneratorSpec, generate_training_envs
-from oodbench.trainer import METHODS, TrainConfig, _sample_hparams, _split, train_gd
+from oodbench.trainer import METHODS, Protocol, _sample_hparams, _split, train_gd
 
 TASK = {"square": "regression", "logistic": "classification"}
 
@@ -51,18 +50,18 @@ def _envs(loss, n_envs=3, n=40, d=4, seed=0):
 
 
 def _batch(queries):
+    """The (lr, lam, gamma) arrays of (lam, gamma, lr) triples."""
     lam, gamma, lr = (np.array(col) for col in zip(*queries))
-    return ObjectiveConfig(lam, gamma), lr
+    return lr, lam, gamma
 
 
-def _oracle(envs, query, tc, split_rng):
+def _oracle(envs, query, protocol, split_rng):
     """(theta, val_risk, diverged_step) of one query."""
     lam, gamma, lr = query
-    cfg = ObjectiveConfig(lam, gamma)
-    tc = TrainConfig(lr=lr, steps=tc.steps, optimizer=tc.optimizer)
     try:
         with np.errstate(all="ignore"):
-            theta, _, val_risk = oracle.train_gd(envs, cfg, tc, split_rng)
+            theta, _, val_risk = oracle.train_gd(envs, oracle.Weights(lam, gamma), lr,
+                                                 protocol, split_rng)
     except oracle.OracleDivergence as exc:
         return exc.last_state, np.inf, exc.step
     return theta, val_risk, None
@@ -171,9 +170,8 @@ def _assert_same(result, other):
 def test_matches_per_model_oracle(loss, optimizer, monkeypatch):
     envs = _envs(loss)
     queries, split_rng = QUERIES[optimizer], RngStream(1).fork("split")
-    tc = TrainConfig(steps=60, optimizer=optimizer)
-    cfg, lr = _batch(queries)
-    results = train_gd([(envs, split_rng)], cfg, replace(tc, lr=lr), [len(queries)])
+    tc = Protocol(steps=60, optimizer=optimizer)
+    results = train_gd([(envs, split_rng)], [len(queries)], *_batch(queries), tc)
     errors = _checked_calls(monkeypatch, loss)
     expected = [_oracle(envs, query, tc, split_rng) for query in queries]
     for result, exp in zip(results, expected):
@@ -186,12 +184,12 @@ def test_matches_per_model_oracle(loss, optimizer, monkeypatch):
     assert max(g for _, g in errors) <= grad_bound
 
 
-def _train(seeds, queries, tc=TrainConfig(steps=80)):
+def _train(seeds, queries, tc=Protocol(steps=80)):
     """Train ``queries[i]``, (lam, gamma, lr) triples, on the data seed
     ``seeds[i]``, (environments, split stream), as one batch (of 80 GD
     steps unless ``tc`` says otherwise)."""
-    cfg, lr = _batch([q for qs in queries for q in qs])
-    return train_gd(seeds, cfg, replace(tc, lr=lr), [len(qs) for qs in queries])
+    return train_gd(seeds, [len(qs) for qs in queries],
+                    *_batch([q for qs in queries for q in qs]), tc)
 
 
 @pytest.mark.parametrize("loss", ["square", "logistic"])
@@ -279,7 +277,7 @@ def test_a_batch_mixing_methods_keeps_each_querys_bits(loss, optimizer):
     # sweep trains them: each query ends with the theta, diverged_step and
     # val_risk bits of a batch of its method alone.
     seed = (_envs(loss, seed=4), RngStream(2).fork("split"))
-    tc = TrainConfig(steps=60, optimizer=optimizer)
+    tc = Protocol(steps=60, optimizer=optimizer)
     queries = QUERIES[optimizer]
     mixed = _train([seed], [queries], tc)
     alone = [r for k in range(0, len(queries), 2)
@@ -304,7 +302,7 @@ def test_a_value_overflow_with_finite_predictions_stops_as_the_oracle_does(sourc
         Y = r.fork("y").bernoulli_array((50,), 0.5).astype(float)
         envs, query = [EnvDataset(env_id=0, X=X, Y=Y, task="classification")], (0.0, 0.0, 3e307)
     split_rng = RngStream(3).fork("q")
-    tc = TrainConfig(steps=20)
+    tc = Protocol(steps=20)
     result, = _train([(envs, split_rng)], [[query]], tc)
     theta, val_risk, step = _oracle(envs, query, tc, split_rng)
     assert step is not None
@@ -338,11 +336,11 @@ def test_gradient_overflow_stops_only_that_query(outlier):
     trained = next(k for k in range(60) if not holds_out_row0(k))
     a, b, c = (([env], RngStream(k)) for k in (held[0], trained, held[1]))
     query = [(0.0, 0.0, 0.05)]
-    tc = TrainConfig(steps=30)
+    tc = Protocol(steps=30)
     train_b, _ = oracle._split_env(env, RngStream(trained).fork("env0"))
     with np.errstate(over="ignore"):
         value, grad = oracle.objective_and_gradient(
-            oracle.LinearModel(w=np.zeros(2), b=0.0), [train_b], ObjectiveConfig())
+            oracle.LinearModel(w=np.zeros(2), b=0.0), [train_b], oracle.Weights())
     assert np.isfinite(value) and not np.isfinite(grad).all()
     ra, rb, rc = _train([a, b, c], [query] * 3, tc)
     assert rb.diverged_step == 1
@@ -400,7 +398,7 @@ def test_folded_objective_at_the_benchmark_shape(method):
     worst = [0.0, 0.0]
     for q in range(96):
         model = oracle.LinearModel(w=theta[q, :-1], b=theta[q, -1])
-        cfg = ObjectiveConfig(*weights[q])
+        cfg = oracle.Weights(*weights[q])
         train = _train_split(*seeds[q // 12])
         value, grad = oracle.objective_and_gradient(model, train, cfg)
         v_scale, g_scale = _magnitudes(model, train, cfg, "square")

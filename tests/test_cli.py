@@ -8,14 +8,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from oodbench.cli import (EXAMPLE_CHOICES, SPEC_KEYS, TRAIN_KEYS, _configs,
+from oodbench.cli import (EXAMPLE_CHOICES, SPEC_KEYS, TRAIN_KEYS, _protocol, _spec,
                           build_parser, main)
 from oodbench.dynamics import MAX_HELD_STEPS, theorem5_report
 from oodbench.reporting import (SUMMARY_FIELDS, SWEEP_FIELDS, SummaryRow,
                                 aggregate_rows, atomic_write_text, config_hash,
                                 format_summary_table, read_csv, write_csv)
 from oodbench.sem_generators import EXAMPLES
-from oodbench.trainer import SweepRow
+from oodbench.trainer import Protocol, SweepRow
 from oracle import simulate_flow_full_loop
 
 # The sweep.csv columns before diverged_step was added: the handmade files
@@ -220,15 +220,19 @@ class TestAggregateRows:
 class TestConfigs:
     @pytest.mark.parametrize("name", EXAMPLE_CHOICES)
     def test_example_name_round_trips(self, name):
-        spec, _ = _configs(build_parser().parse_args(["sweep", "--example", name]))
+        spec = _spec(build_parser().parse_args(["sweep", "--example", name]))
         assert spec.name == name
 
     def test_every_scrambled_name_maps_to_a_scrambled_example(self):
-        specs = [_configs(build_parser().parse_args(["sweep", "--example", n]))[0]
+        specs = [_spec(build_parser().parse_args(["sweep", "--example", n]))
                  for n in EXAMPLE_CHOICES]
         assert [s.example for s in specs if s.scramble] == \
             [ex for ex, record in EXAMPLES.items() if record.scrambled]
         assert [s.example for s in specs if not s.scramble] == list(EXAMPLES)
+
+    def test_sweep_defaults_are_the_protocol_defaults(self):
+        # so that the CLI's defaults cannot drift from the record's
+        assert _protocol(build_parser().parse_args(["sweep"])) == Protocol()
 
 
 class TestGenerateCommand:
@@ -334,24 +338,49 @@ class TestSweepCommand:
                 _strip_timestamp(_read(os.path.join(outs[1], name)))
 
     def test_config_hash_covers_the_resolved_config(self, tmp_path, capsys):
+        # one sweep, each protocol setting changed alone, and the first sweep
+        # again: the counts by flag, the rest by config file
+        base = {"queries": 1, "seeds": 1, "steps": 5, "optimizer": "gd"}
+        changed = [{**base, key: value} for key, value in
+                   (("queries", 2), ("seeds", 2), ("steps", 10), ("optimizer", "adam"))]
         hashes = []
-        for name, steps in (("a", 5), ("b", 10), ("c", 5)):
-            cfg = str(tmp_path / f"{name}.json")
+        for i, setting in enumerate([base, *changed, base]):
+            cfg = str(tmp_path / f"{i}.json")
             with open(cfg, "w") as fh:
-                json.dump({"steps": steps}, fh)
-            out = str(tmp_path / name)
-            assert main(["sweep", "--example", "twod", "--queries", "1",
-                         "--seeds", "1", "--config", cfg, "--out", out]) == 0
+                json.dump({k: setting[k] for k in ("steps", "optimizer")}, fh)
+            out = str(tmp_path / str(i))
+            counts = [f"--{k}={setting[k]}" for k in ("queries", "seeds")]
+            assert main(["sweep", "--example", "twod", *counts, "--config", cfg,
+                         "--out", out]) == 0
             hashes.append(read_csv(os.path.join(out, "sweep.csv"))[0]["config_hash"])
         capsys.readouterr()
-        assert hashes[0] != hashes[1]
-        assert hashes[0] == hashes[2]
+        assert len(set(hashes[:-1])) == 5
+        assert hashes[-1] == hashes[0]
+
+    @pytest.mark.parametrize("argv,cfg,message", [
+        (["--queries", "0"], {}, "queries must be >= 1, got 0"),
+        (["--seeds", "0"], {}, "seeds must be >= 1, got 0"),
+        ([], {"steps": 0}, "steps must be >= 1, got 0"),
+        ([], {"optimizer": "sgd"}, "unknown optimizer 'sgd'"),
+    ], ids=["queries", "seeds", "steps", "optimizer"])
+    def test_a_bad_protocol_setting_exits_2_naming_it(self, tmp_path, capsys,
+                                                      argv, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "x"
+        assert main(["sweep", "--example", "twod", *argv, "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     # sha256 of sweep.csv and summary.csv with the timestamp line removed.
-    # Every pin was taken again when every query of a data seed came to
-    # train on the seed's one split, and the logistic loss to sum its rows
-    # by products: every row's lambda, gamma and lr cells, and the metadata
-    # lines, kept their bytes, and twod's summary.csv all of its bytes.
+    # Every pin was last taken when config_hash came to cover the Protocol
+    # record's fields: each file's `# config_hash=` line changed, and every
+    # other line kept its bytes.  Before that every pin was taken again when
+    # every query of a data seed came to train on the seed's one split, and
+    # the logistic loss to sum its rows by products: every row's lambda,
+    # gamma and lr cells, and the metadata lines, kept their bytes, and
+    # twod's summary.csv all of its bytes.
     # Before that they were taken when the methods of a sweep were paired on
     # one data draw per seed.  No pin is the per-model path's bytes:
     # test_sweep_contract.py ties ex1 and ex2 to that path within the
@@ -360,26 +389,26 @@ class TestSweepCommand:
     # of ex3 and ex3s, whose one-ulp chaos is stated in oodbench.trainer).
     GOLDEN = {
         "ex1": (["--queries", "3", "--seeds", "2"], {"steps": 300},
-                "bac600287673d729d707a2ce708f3665c5b7db1fc50f0ff4d525b95b28a7b082",
-                "c71aadb3a7856d7857158aa496f13beddf36ea4519832626e6e475df82403378"),
+                "939f9072d0b1756a2616bd333cf30e9f6c8dedd21032592170274b74032cf069",
+                "5657552c3ef0ec283d400eb0a962613116dd29e24ac193fe22247b4baabe930e"),
         "ex2": (["--queries", "2", "--seeds", "1"], {"steps": 500},
-                "52cd86f5d977fff2e88a863756001d57c9f1a8eed07a409265e2f13b51e28445",
-                "802a8f941dee5f74f2131c7553659c6d7d8d378b222562ccb2a1e55f86f75d4f"),
+                "08391486904023ec565c741b180f89fb308b3de6884ac0ea850c9f5f73fea202",
+                "1c8f66b9134a279c8ffeea66e249f903a438877156b6e6f77c1e3215bbdf7285"),
         "ex2s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                 "611c3a9b7ef2cc0664c33a7017295487661e3a44768e9632b928c72b4145ffc4",
-                 "dc0356ba02c25dd01d7057a49e0d1e37fd634b5cfef90501e0819ac92a800aeb"),
+                 "cb28f0f7501156146c2a8048b9945e50f1162bcb835e3b3b8161366a088b3ad1",
+                 "45867f7b729f6a5d5cff4d75c2636408c984b8288c353cb3b6d6516dd7a03784"),
         "ex3": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                "418459490ead6074ef4f317691f253609d637ccb8df604aa69cf618794a03bc3",
-                "a517ccd2a7cb9e32123e74bccdd06b176140f21a6022bb491b38f3d4a924cedf"),
+                "9023d0a1ee409ab55ec343b88aa2e7e9df201116476ec70ee4505527b21bcb4d",
+                "d3378d670b2c735a24380ab42472f222dfa1e47db406738b5189425a9a9f7aaa"),
         "ex3s": (["--queries", "2", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                 "eff3466567c069462655e63f91d811674aaceb66c1689b680c82f838e9e063d0",
-                 "6d6099bfe613dd6a9d755158310b24817b0f6e059a4e3cfa352e14d567d45339"),
+                 "0186bfe820930108603b8ef0140253aa0e5368edb3ae19931bfaebe220eb8473",
+                 "36e7a8f35849d6b4b0729ec636ae470b7e72d2d5c3bdcaee9ebb0e6c696b1125"),
         "twod": (["--queries", "2", "--seeds", "2"], {"steps": 200, "n_per_env": 200},
-                 "4d62a131d8585bc5fc9bdb6db5109461707414b73a4ec693a9234faf8879a4da",
-                 "5c5d84bddfb9158726090c34ec75e66e08c684282f869cdabf4259751a0ccd5f"),
+                 "0788471ee2238f778aca14b123784eb84d0a275ac1f5b8fcdc251961f2df8c70",
+                 "277430fe47a0da44c1b06ebf93ae024e089ddd22b573cf92053ece55419a731b"),
         "xor": (["--queries", "3", "--seeds", "1"], {"steps": 200, "n_per_env": 200},
-                "341342b785b739dd67730e87158773e5168f1bdc724ec61638da6d6aec61486c",
-                "bd2561e86b748d806a23e418e9aea1b26c8da1c51a691d7d04c5d02e2198e822"),
+                "34bf1a4012fa58c4862f84dcdb476d6ed5b5683e69b8bf463bfc2f437bc5c32c",
+                "7e7ac4f9608c9b0cec1ab7e57649541726a3ebfe97541b93195af312bf867759"),
     }
 
     @pytest.mark.parametrize("example", sorted(GOLDEN))

@@ -9,9 +9,8 @@ from oodbench.dynamics import (equilibrium_x, flow_weights, plain_flow,
                                simulate_flow, theorem5_report)
 from oodbench.numeric_core import (DivergenceError, ParameterError, RngStream,
                                    lambert_w0)
-from oodbench.objectives import ObjectiveConfig
 from oodbench.sem_generators import EnvDataset, GeneratorSpec, generate_env
-from oracle import (LinearModel, flow_rhs, objective_and_gradient,
+from oracle import (LinearModel, Weights, flow_rhs, objective_and_gradient,
                     rk4_integrate, simulate_flow_full_loop)
 
 
@@ -61,7 +60,7 @@ class TestFlowRhs:
                             task="classification")
         w_inv, w_spu = 0.4, 0.15
         model = LinearModel(w=np.array([w_inv, w_spu]), b=0.0)
-        cfg = ObjectiveConfig(lam=0.0, gamma=gamma)
+        cfg = Weights(lam=0.0, gamma=gamma)
         _, grad = objective_and_gradient(model, [signed], cfg, "exponential")
         x, y = w_inv + w_spu, w_inv - w_spu
         rhs = flow_rhs(p, gamma)(0.0, np.array([x, y]))
@@ -96,7 +95,7 @@ class TestEngineGradientFlow:
     def _gap(self, gamma, dt, t_end=5.0):
         p = 0.9
         env = self._population(p)
-        cfg = ObjectiveConfig(0.0, gamma)
+        cfg = Weights(0.0, gamma)
         # the plain flow (gamma 0) is taken at the penalized flow's grid times
         traj = simulate_flow(p, gamma or 0.58, t_end, dt)
         times, w_inv, w_spu, _ = traj.at(np.arange(traj.n_steps + 1))

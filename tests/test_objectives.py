@@ -7,11 +7,11 @@ import pytest
 
 from oodbench import objectives
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import (CERTIFIED_MAX, ObjectiveConfig, _certified,
-                                 _env_terms, env_stack, keep_queries, moment_stack,
+from oodbench.objectives import (CERTIFIED_MAX, _certified, _env_terms, env_stack,
+                                 keep_queries, moment_stack,
                                  objective_and_gradient as stack_objective)
 from oodbench.sem_generators import EnvDataset, GeneratorSpec, generate_env
-from oracle import (LinearModel, _sigmoid, batched_objective, irmv1_penalty,
+from oracle import (LinearModel, Weights, _sigmoid, batched_objective, irmv1_penalty,
                     objective_and_gradient, predict, risk, variance_penalty)
 
 
@@ -140,8 +140,8 @@ class TestBottleneckTerm:
                 for e, env in enumerate(random_envs(rng, task=task))]
         model = LinearModel(w=rng.fork("w").gaussian_array((4,)), b=0.3)
         gamma = 0.4
-        term = (batched_objective(model, envs, ObjectiveConfig(gamma=gamma))[0]
-                - batched_objective(model, envs, ObjectiveConfig())[0])
+        term = (batched_objective(model, envs, Weights(gamma=gamma))[0]
+                - batched_objective(model, envs, Weights())[0])
         preds = [predict(model, env.X) for env in envs]
         mu = np.concatenate(preds).mean()
         sum_var = gamma * sum(p.var() for p in preds)
@@ -175,18 +175,16 @@ def numerical_gradient(objective, model, envs, cfg, h=1e-6):
     return grad
 
 
-class TestObjectiveConfig:
+class TestStackChecks:
     # a batch mixing penalty patterns: test_batched_engine.py
     @pytest.mark.parametrize("lam,gamma", [(-1.0, 0.0), (0.0, [0.5, -0.5]),
                                            (np.inf, 0.0), (0.0, [0.5, np.inf]),
                                            (np.nan, 0.0)])
     def test_rejects_negative_weights(self, lam, gamma):
+        # the stacks take the weights as arrays, one per query, and are
+        # the one check of them
         lam, gamma = np.array(lam), np.array(gamma)
         name = "gamma" if np.ndim(gamma) else "lam"
-        with pytest.raises(ParameterError, match=f"{name} must be finite"):
-            ObjectiveConfig(lam, gamma)
-        # the stacks take the weights as arrays, one per query, and check
-        # them again
         envs = random_envs(RngStream(1), task="classification")
         seeds = [(envs, [np.arange(env.n) for env in envs])]
         lam, gamma = np.broadcast_to(lam, (2,)), np.broadcast_to(gamma, (2,))
@@ -215,7 +213,7 @@ class TestObjectiveAndGradient:
         rng = RngStream(2)
         envs = random_envs(rng, task="regression")
         model = LinearModel(w=rng.fork("w").gaussian_array((4,)), b=0.1)
-        cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
+        cfg = Weights(lam=0.0, gamma=0.0)
         value, _ = batched_objective(model, envs, cfg)
         assert abs(value - sum(risk(model, e, "square") for e in envs)) < 1e-12
 
@@ -228,7 +226,7 @@ class TestObjectiveAndGradient:
         rng = RngStream(hash((loss, lam, gamma)) % 2 ** 31)
         envs = random_envs(rng, task=task)
         model = LinearModel(w=0.5 * rng.fork("w").gaussian_array((4,)), b=0.2)
-        cfg = ObjectiveConfig(lam=lam, gamma=gamma)
+        cfg = Weights(lam=lam, gamma=gamma)
         objective = scored(loss)
         _, grad = objective(model, envs, cfg)
         num = numerical_gradient(objective, model, envs, cfg)
@@ -239,7 +237,7 @@ class TestObjectiveAndGradient:
         rng = RngStream(3)
         env = random_envs(rng, n_envs=1, task="regression")[0]
         model = LinearModel(w=rng.fork("w").gaussian_array((4,)), b=0.0)
-        cfg = ObjectiveConfig()
+        cfg = Weights()
         v1, _ = batched_objective(model, [env], cfg)
         perm = rng.fork("perm").permutation(env.X.shape[0])
         shuffled = make_env(env.X[perm], env.Y[perm], "regression")
@@ -263,7 +261,7 @@ class TestObjectiveAndGradient:
         signed = make_env(2.0 * env.X - 1.0, env.Y, "classification")
         w_inv, w_spu = 0.3, 0.1
         model = LinearModel(w=np.array([w_inv, w_spu]), b=0.0)
-        cfg = ObjectiveConfig(lam=0.0, gamma=gamma)
+        cfg = Weights(lam=0.0, gamma=gamma)
         value, _ = objective_and_gradient(model, [signed], cfg, "exponential")
         sigma = np.array([[1.0, 2 * p - 1], [2 * p - 1, 1.0]])
         closed = (p * math.exp(-(w_inv + w_spu))

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -7,12 +8,11 @@ import pytest
 import oracle
 from oodbench import trainer
 from oodbench.numeric_core import ParameterError, RngStream
-from oodbench.objectives import ObjectiveConfig
 from oodbench.sem_generators import (EnvDataset, FixedWeights, GeneratorSpec,
                                      generate_training_envs)
-from oodbench.trainer import (METHODS, SweepRow, TrainConfig, _split,
-                              evaluate, random_search, train_gd)
-from oracle import LinearModel
+from oodbench.trainer import (METHODS, Protocol, SweepRow, _split, evaluate,
+                              random_search, train_gd)
+from oracle import LinearModel, Weights
 
 
 def _linear_env(env_id, n, w, b, noise_std, rng, task="regression"):
@@ -26,6 +26,14 @@ def _linear_env(env_id, n, w, b, noise_std, rng, task="regression"):
 def _model(result):
     """A trained query as the oracle's model."""
     return LinearModel(w=result.theta[:-1], b=result.theta[-1])
+
+
+def _train_one(envs, split_rng, cfg, lr, protocol):
+    """One query at the :class:`Weights` ``cfg`` and step size ``lr``,
+    trained by the engine as a batch of one."""
+    res, = train_gd([(envs, split_rng)], [1], np.array([lr]), np.array([cfg.lam]),
+                    np.array([cfg.gamma]), protocol)
+    return res
 
 
 def spurious_ratio(model, fw, m):
@@ -44,18 +52,29 @@ def spurious_ratio(model, fw, m):
     return spu / denom
 
 
-class TestTrainConfig:
+class TestProtocol:
     def test_defaults(self):
-        tc = TrainConfig()
-        assert tc.steps == 2000 and tc.optimizer == "gd"
+        assert Protocol() == Protocol(queries=20, seeds=10, steps=2000, optimizer="gd")
 
-    @pytest.mark.parametrize("kwargs", [
-        {"lr": 0.0}, {"lr": -1.0}, {"lr": float("nan")},
-        {"steps": 0}, {"lr": float("inf")}, {"optimizer": "sgd"},
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"queries": 0}, "queries must be >= 1, got 0"),
+        ({"seeds": -1}, "seeds must be >= 1, got -1"),
+        ({"steps": 0}, "steps must be >= 1, got 0"),
+        ({"optimizer": "sgd"}, "unknown optimizer 'sgd'"),
     ])
-    def test_rejects_bad_fields(self, kwargs):
-        with pytest.raises(ParameterError):
-            TrainConfig(**kwargs)
+    def test_rejects_bad_fields(self, kwargs, match):
+        with pytest.raises(ParameterError, match=match):
+            Protocol(**kwargs)
+
+    def test_only_the_settings_are_fields(self):
+        # the split share and the hyperparameter ranges are class constants:
+        # no setting reaches them
+        names = [f.name for f in dataclasses.fields(Protocol)]
+        assert names == ["queries", "seeds", "steps", "optimizer"]
+        with pytest.raises(TypeError):
+            Protocol(VAL_FRACTION=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Protocol().steps = 5
 
 
 class TestTrainGd:
@@ -64,8 +83,8 @@ class TestTrainGd:
         w_true, b_true = np.array([1.5, -2.0, 0.5]), 0.7
         envs = [_linear_env(i, 400, w_true, b_true, 0.0, rng.fork(f"e{i}"))
                 for i in range(2)]
-        cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
-        res, = train_gd([(envs, rng.fork("t"))], cfg, TrainConfig(lr=0.05, steps=3000), [1])
+        cfg = Weights(lam=0.0, gamma=0.0)
+        res = _train_one(envs, rng.fork("t"), cfg, 0.05, Protocol(steps=3000))
         # the ERM objective is the sum of the two environments' risks
         assert oracle.objective_and_gradient(_model(res), envs, cfg)[0] < 2e-6
         assert res.val_risk < 1e-6
@@ -75,24 +94,22 @@ class TestTrainGd:
     def test_curve_monotone_for_small_lr(self):
         rng = RngStream(1)
         envs = [_linear_env(0, 300, np.array([1.0, -1.0]), 0.0, 0.5, rng.fork("e"))]
-        cfg = ObjectiveConfig(lam=1.0, gamma=0.5)
-        tc = TrainConfig(lr=0.01, steps=500)
-        theta, curve, _ = oracle.train_gd(envs, cfg, tc, rng.fork("t"))
+        cfg, tc = Weights(lam=1.0, gamma=0.5), Protocol(steps=500)
+        theta, curve, _ = oracle.train_gd(envs, cfg, 0.01, tc, rng.fork("t"))
         assert curve.shape == (501,)
         assert np.all(np.diff(curve) <= 1e-12)
-        res, = train_gd([(envs, rng.fork("t"))], cfg, tc, [1])
+        res = _train_one(envs, rng.fork("t"), cfg, 0.01, tc)
         assert np.allclose(res.theta, theta, rtol=1e-12, atol=0.0)
 
     def test_deterministic(self):
-        cfg = ObjectiveConfig(lam=10.0, gamma=0.5)
-        tc = TrainConfig(lr=0.05, steps=200)
+        cfg, tc = Weights(lam=10.0, gamma=0.5), Protocol(steps=200)
         outs = []
         for _ in range(2):
             rng = RngStream(42)
             envs = [_linear_env(i, 200, np.array([2.0, -1.0]), 0.0, 0.3,
                                 rng.fork(f"e{i}"), task="classification")
                     for i in range(2)]
-            res, = train_gd([(envs, rng.fork("t"))], cfg, tc, [1])
+            res = _train_one(envs, rng.fork("t"), cfg, 0.05, tc)
             outs.append((res.theta[:-1].copy(), res.theta[-1], res.val_risk))
         assert np.array_equal(outs[0][0], outs[1][0])
         assert outs[0][1] == outs[1][1] and outs[0][2] == outs[1][2]
@@ -100,51 +117,46 @@ class TestTrainGd:
     def test_adam_reaches_low_risk(self):
         rng = RngStream(2)
         envs = [_linear_env(0, 300, np.array([0.01, 0.0]), 0.0, 0.0, rng.fork("e"))]
-        cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
-        res, = train_gd([(envs, rng.fork("t"))], cfg,
-                        TrainConfig(lr=0.01, steps=1500, optimizer="adam"), [1])
+        cfg = Weights(lam=0.0, gamma=0.0)
+        res = _train_one(envs, rng.fork("t"), cfg, 0.01,
+                         Protocol(steps=1500, optimizer="adam"))
         assert oracle.objective_and_gradient(_model(res), envs, cfg)[0] < 1e-8
 
     def test_divergence_reports_step(self):
         rng = RngStream(3)
         envs = [_linear_env(0, 100, np.array([1.0]), 0.0, 0.0, rng.fork("e"))]
-        cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
-        tc = TrainConfig(lr=1e6, steps=400)
-        res, = train_gd([(envs, rng.fork("t"))], cfg, tc, [1])
+        cfg, tc = Weights(lam=0.0, gamma=0.0), Protocol(steps=400)
+        res = _train_one(envs, rng.fork("t"), cfg, 1e6, tc)
         assert res.diverged_step is not None and res.diverged_step > 0
         assert res.val_risk == float("inf")
         # the oracle's objective leaves the finite range at the same step
         with np.errstate(all="ignore"), pytest.raises(oracle.OracleDivergence) as exc:
-            oracle.train_gd(envs, cfg, tc, rng.fork("t"))
+            oracle.train_gd(envs, cfg, 1e6, tc, rng.fork("t"))
         assert exc.value.step == res.diverged_step
 
     def test_requires_environments(self):
-        cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
+        one = (np.array([0.01]), np.zeros(1), np.zeros(1), Protocol())
         with pytest.raises(ParameterError, match="at least one environment"):
-            train_gd([([], RngStream(0))], cfg, TrainConfig(), [1])
+            train_gd([([], RngStream(0))], [1], *one)
         envs = [_linear_env(0, 50, np.array([1.0]), 0.0, 0.1, RngStream(0))]
         with pytest.raises(ParameterError, match="2 data seeds for 1 query counts"):
-            train_gd([(envs, RngStream(0))] * 2, cfg, TrainConfig(), [1])
+            train_gd([(envs, RngStream(0))] * 2, [1], *one)
         with pytest.raises(ParameterError, match="need at least one data seed"):
-            train_gd([], cfg, TrainConfig(), [1])
+            train_gd([], [1], *one)
         with pytest.raises(ParameterError, match="at least one query per data seed"):
-            train_gd([(envs, RngStream(0))], cfg, TrainConfig(), [0])
+            train_gd([(envs, RngStream(0))], [0], *one)
 
-    @pytest.mark.parametrize("field,value,match", [
-        ("lr", [0.01, 0.02, 0.03], "lr must be one value or one per query"),
-        ("lam", [1.0, 2.0, 3.0], "lam must be one value or one per query"),
-        ("gamma", [[0.5, 0.5]], "gamma must be one value or one per query"),
-        ("lam", np.inf, "lam must be finite"),
-        ("gamma", np.inf, "gamma must be finite"),
-    ])
-    def test_rejects_bad_per_query_fields(self, field, value, match):
-        # two queries of ex2; a weight set after ObjectiveConfig checked it
+    @pytest.mark.parametrize("field", ["lam", "gamma"])
+    def test_rejects_a_weight_that_is_not_finite(self, field):
+        # two queries of ex2, one with an infinite weight: the stack's
+        # builder checks it
         spec = GeneratorSpec(example="ex2", n_per_env=50)
         _, _, envs = generate_training_envs(spec, RngStream(0))
-        cfg, tc = ObjectiveConfig(), TrainConfig(steps=5)
-        setattr(tc if field == "lr" else cfg, field, value)
-        with pytest.raises(ParameterError, match=match):
-            train_gd([(envs, RngStream(1))], cfg, tc, [2])
+        weights = {"lam": np.zeros(2), "gamma": np.zeros(2)}
+        weights[field][1] = np.inf
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            train_gd([(envs, RngStream(1))], [2], np.full(2, 0.01), weights["lam"],
+                     weights["gamma"], Protocol(steps=5))
 
 
 class TestSplit:
@@ -219,10 +231,15 @@ class TestSpuriousRatio:
 
 class TestRandomSearch:
     SPEC = GeneratorSpec(example="twod", m=1, o=1, n_per_env=80, n_envs=2)
-    TC = TrainConfig(steps=30)
+
+    @staticmethod
+    def _protocol(queries, seeds, **kwargs):
+        """A sweep of ``queries`` x ``seeds`` at 30 steps, unless ``kwargs``
+        say otherwise."""
+        return Protocol(queries, seeds, **{"steps": 30, **kwargs})
 
     def test_row_shape_and_hparam_ranges(self):
-        rows = random_search(self.SPEC, ["IBIRM"], (3, 2), RngStream(0), self.TC)
+        rows = random_search(self.SPEC, ["IBIRM"], self._protocol(3, 2), RngStream(0))
         assert len(rows) == 6
         assert {r.data_seed for r in rows} == {0, 1}
         assert {r.hparam_id for r in rows} == {0, 1, 2}
@@ -236,29 +253,25 @@ class TestRandomSearch:
             assert r.test_metric <= r.test_metric_max
 
     def test_penalty_weights_zero_when_unused(self):
-        erm = random_search(self.SPEC, ["ERM"], (2, 1), RngStream(0), self.TC)
+        erm = random_search(self.SPEC, ["ERM"], self._protocol(2, 1), RngStream(0))
         assert all(r.lam == 0.0 and r.gamma == 0.0 for r in erm)
-        irm = random_search(self.SPEC, ["IRM"], (2, 1), RngStream(0), self.TC)
+        irm = random_search(self.SPEC, ["IRM"], self._protocol(2, 1), RngStream(0))
         assert all(r.lam > 0.0 and r.gamma == 0.0 for r in irm)
-        iberm = random_search(self.SPEC, ["IBERM"], (2, 1), RngStream(0), self.TC)
+        iberm = random_search(self.SPEC, ["IBERM"], self._protocol(2, 1), RngStream(0))
         assert all(r.lam == 0.0 and r.gamma > 0.0 for r in iberm)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterError, match="unknown method"):
-            random_search(self.SPEC, ["GroupDRO"], (1, 1), RngStream(0), self.TC)
+            random_search(self.SPEC, ["GroupDRO"], self._protocol(1, 1), RngStream(0))
         with pytest.raises(ParameterError, match="names no method"):
-            random_search(self.SPEC, [], (1, 1), RngStream(0), self.TC)
+            random_search(self.SPEC, [], self._protocol(1, 1), RngStream(0))
         with pytest.raises(ParameterError, match="repeats a method"):
-            random_search(self.SPEC, ["ERM", "IRM", "ERM"], (1, 1), RngStream(0),
-                          self.TC)
-        with pytest.raises(ParameterError):
-            random_search(self.SPEC, ["ERM"], (0, 1), RngStream(0), self.TC)
-        with pytest.raises(ParameterError):
-            random_search(self.SPEC, ["ERM"], (1, 0), RngStream(0), self.TC)
+            random_search(self.SPEC, ["ERM", "IRM", "ERM"], self._protocol(1, 1),
+                          RngStream(0))
 
     def test_deterministic_in_root_stream(self):
-        a = random_search(self.SPEC, ["IRM"], (2, 2), RngStream(9), self.TC)
-        b = random_search(self.SPEC, ["IRM"], (2, 2), RngStream(9), self.TC)
+        a = random_search(self.SPEC, ["IRM"], self._protocol(2, 2), RngStream(9))
+        b = random_search(self.SPEC, ["IRM"], self._protocol(2, 2), RngStream(9))
         assert a == b
 
     # A square-loss example (moment stacks, one batch per worker) and a
@@ -270,9 +283,9 @@ class TestRandomSearch:
     @pytest.mark.parametrize("threads,seeds", [("2", 3), ("3", 2)])
     def test_parallel_matches_serial(self, monkeypatch, example, threads, seeds):
         spec = self.SPECS[example]
-        serial = random_search(spec, METHODS, (2, seeds), RngStream(4), self.TC)
+        serial = random_search(spec, METHODS, self._protocol(2, seeds), RngStream(4))
         monkeypatch.setenv("IBIRM_THREADS", threads)
-        parallel = random_search(spec, METHODS, (2, seeds), RngStream(4), self.TC)
+        parallel = random_search(spec, METHODS, self._protocol(2, seeds), RngStream(4))
         assert serial == parallel
 
     @pytest.mark.parametrize("cpus", [2, None])
@@ -280,11 +293,11 @@ class TestRandomSearch:
         # macOS and Windows have no os.sched_getaffinity: every CPU counts,
         # and one when the count is unknown
         spec = self.SPECS["ex1"]
-        serial = random_search(spec, METHODS, (2, 3), RngStream(4), self.TC)
+        serial = random_search(spec, METHODS, self._protocol(2, 3), RngStream(4))
         monkeypatch.delattr(trainer.os, "sched_getaffinity")
         monkeypatch.setattr(trainer.os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("IBIRM_THREADS", "2")
-        assert random_search(spec, METHODS, (2, 3), RngStream(4), self.TC) == serial
+        assert random_search(spec, METHODS, self._protocol(2, 3), RngStream(4)) == serial
 
     def _pool_sizes(self, monkeypatch, spec, threads, seeds, cpus):
         """The ``max_workers`` of each pool a sweep of ``seeds`` data seeds
@@ -309,11 +322,11 @@ class TestRandomSearch:
         monkeypatch.setattr(trainer.os, "sched_getaffinity",
                             lambda pid: set(range(cpus)))
         monkeypatch.setenv("IBIRM_THREADS", threads)
-        rows = random_search(spec, ["ERM"], (2, seeds), RngStream(0), self.TC)
+        rows = random_search(spec, ["ERM"], self._protocol(2, seeds), RngStream(0))
         assert [(r.data_seed, r.hparam_id) for r in rows] == \
             [(s, q) for s in range(seeds) for q in range(2)]
         monkeypatch.delenv("IBIRM_THREADS")
-        assert rows == random_search(spec, ["ERM"], (2, seeds), RngStream(0), self.TC)
+        assert rows == random_search(spec, ["ERM"], self._protocol(2, seeds), RngStream(0))
         return made
 
     @pytest.mark.parametrize("example", sorted(SPECS))
@@ -339,14 +352,14 @@ class TestRandomSearch:
     def test_bad_worker_count_names_the_variable(self, monkeypatch, value):
         monkeypatch.setenv("IBIRM_THREADS", value)
         with pytest.raises(ParameterError, match="IBIRM_THREADS"):
-            random_search(self.SPEC, ["ERM"], (1, 1), RngStream(0), self.TC)
+            random_search(self.SPEC, ["ERM"], self._protocol(1, 1), RngStream(0))
 
     def test_overflowing_query_does_not_abort(self, monkeypatch):
         # query 1's first update overflows its weights to inf while its
         # objective is still finite; only that query's row reports it
         spec = GeneratorSpec(example="ex1", n_per_env=60, n_envs=2)
-        tc = TrainConfig(steps=40, optimizer="adam")
-        before = random_search(spec, ["IBIRM"], (3, 1), RngStream(2), tc)
+        protocol = self._protocol(3, 1, steps=40, optimizer="adam")
+        before = random_search(spec, ["IBIRM"], protocol, RngStream(2))
         sample = trainer._sample_hparams
 
         def huge_lr_for_query1(method, rng):
@@ -354,7 +367,7 @@ class TestRandomSearch:
             return (np.finfo(float).max if "query1" in rng.lineage else lr), lam, gamma
 
         monkeypatch.setattr(trainer, "_sample_hparams", huge_lr_for_query1)
-        after = random_search(spec, ["IBIRM"], (3, 1), RngStream(2), tc)
+        after = random_search(spec, ["IBIRM"], protocol, RngStream(2))
         assert np.isfinite(before[1].val_risk)
         assert after[1].val_risk == after[1].test_metric == float("inf")
         assert after[0] == before[0] and after[2] == before[2]
@@ -371,7 +384,7 @@ class TestRandomSearch:
         def digest(*arrays):
             return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
-        def recording_train(seeds, cfg, tc, counts):
+        def recording_train(seeds, counts, *args):
             # a call's queries are seed-major, each seed's method-major
             drawn = []
 
@@ -381,7 +394,7 @@ class TestRandomSearch:
                                   digest(*(a for env in envs for a in (env.X, env.Y)))))
                     yield envs, split_rng
 
-            results = train(recorded(), cfg, tc, counts)
+            results = train(recorded(), counts, *args)
             per_method = counts[0] // len(METHODS)
             for i, result in enumerate(results):
                 seed, draw = drawn[i // counts[0]]
@@ -399,8 +412,8 @@ class TestRandomSearch:
         monkeypatch.setattr(trainer, "train_gd", recording_train)
         monkeypatch.setattr(trainer, "evaluate", recording_score)
         spec = self.SPECS[example]
-        rows = random_search(spec, METHODS, (2, 3), RngStream(6),
-                             TrainConfig(steps=30, optimizer="adam"))
+        rows = random_search(spec, METHODS, self._protocol(2, 3, optimizer="adam"),
+                             RngStream(6))
         assert all(np.isfinite(r.val_risk) for r in rows)
         per_seed = []
         for seed in range(3):
@@ -442,7 +455,7 @@ class TestRandomSearch:
         monkeypatch.setattr(trainer, "moment_stack", recording(trainer.moment_stack))
         monkeypatch.setattr(trainer, "env_stack", recording(trainer.env_stack))
         monkeypatch.setattr(trainer, "evaluate", recording_score)
-        rows = random_search(spec, METHODS, (2, 3), root, self.TC)
+        rows = random_search(spec, METHODS, self._protocol(2, 3), root)
         names = [[("seed%d" % s, "split", "env%d" % e) for e in range(spec.n_envs)]
                  for s in range(3)]
         assert sorted(splits) == sorted(name for seed in names for name in seed)
@@ -468,11 +481,9 @@ class TestBottleneckSlowsSpuriousWeight:
         spec = GeneratorSpec(example="twod", m=1, o=1, n_per_env=2000, n_envs=3)
         rng = RngStream(13)
         fw, params, envs = generate_training_envs(spec, rng.fork("data"))
-        tc = TrainConfig(lr=0.1, steps=800)
-        erm_cfg = ObjectiveConfig(lam=0.0, gamma=0.0)
-        ib_cfg = ObjectiveConfig(lam=0.0, gamma=0.9)
-        erm, = train_gd([(envs, rng.fork("t1"))], erm_cfg, tc, [1])
-        ib, = train_gd([(envs, rng.fork("t2"))], ib_cfg, tc, [1])
+        tc = Protocol(steps=800)
+        erm = _train_one(envs, rng.fork("t1"), Weights(lam=0.0, gamma=0.0), 0.1, tc)
+        ib = _train_one(envs, rng.fork("t2"), Weights(lam=0.0, gamma=0.9), 0.1, tc)
         r_erm = spurious_ratio(_model(erm), fw, 1)
         r_ib = spurious_ratio(_model(ib), fw, 1)
         assert r_ib < r_erm
